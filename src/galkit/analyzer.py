@@ -22,11 +22,11 @@ steer the concrete oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import (
     DomainMismatch,
+    GalkitError,
     UnknownVariable,
     UseBeforeAssign,
     WhileSyntaxError,
@@ -480,7 +480,8 @@ def analyze(program: Program, domain: CarrierConn) -> AnalysisResult:
                 body_out = run(st.body, head)
                 points.clear()
                 points.update(silent)
-                assert join_states(head, body_out) == head, "loop head not a fixpoint"
+                if join_states(head, body_out) != head:
+                    raise GalkitError(f"loop head L{st.label} is not a fixpoint")
                 recheck(st.body)
             elif isinstance(st, If):
                 recheck(st.then)

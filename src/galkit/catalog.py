@@ -9,7 +9,6 @@ constant domains need N >= 10 for their defining constants.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BoundTooSmall, NotInClass, SizeGuard, UnknownName
 from .galois import (
@@ -39,21 +38,6 @@ BUILTIN_NAMES = (
     "interval_bprime",
     "signconst_pcgc",
 )
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """A named builtin with its carrier bound."""
-
-    name: str
-    bound: int = DEFAULT_BOUND
-
-    def build(self):
-        return builtin(self.name, self.bound)
-
-
-def _int_range(lo, hi):
-    return [str(n) for n in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from .functions import (
     bca_pcgc,
     cgc_completeness,
     cgc_soundness,
-    pcgc_sound,
 )
 from .galois import (
     CarrierConn,
@@ -97,27 +96,32 @@ def _cmd_fuzz(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise GalkitError(f"{what} failed")
+
+
 def _fuzz_one(kind: str, seed: int, amax: int, bmax: int) -> None:
     inst = catalog.gen(kind, seed, amax=amax, bmax=bmax)
     if kind == "cgc":
-        assert check_cgc(inst).ok
+        _require(check_cgc(inst).ok, "check_cgc")
         G = transforms.t_pgc(inst)
-        assert nonempty_iso(transforms.t_cgc_of_pgc(G), inst)
+        _require(nonempty_iso(transforms.t_cgc_of_pgc(G), inst), "round trip")
     elif kind == "pgc":
         back = transforms.t_cgc_of_pgc(inst)
-        assert precision_cmp(transforms.t_pgc(back), inst) == "isomorphic"
+        _require(precision_cmp(transforms.t_pgc(back), inst) == "isomorphic", "round trip")
     elif kind == "ppgc":
         C = transforms.t_pcgc(inst)
-        assert check_pcgc(C).ok
-        assert precision_cmp(transforms.t_ppgc(C), inst) == "isomorphic"
+        _require(check_pcgc(C).ok, "check_pcgc")
+        _require(precision_cmp(transforms.t_ppgc(C), inst) == "isomorphic", "round trip")
     elif kind == "cgp":
-        assert check_cgp(inst).ok
+        _require(check_cgp(inst).ok, "check_cgp")
         G = transforms.t_gc(inst)
         back = transforms.t_cgp(G)
-        assert back.eta == inst.eta and back.mu == inst.mu
+        _require(back.eta == inst.eta and back.mu == inst.mu, "round trip")
     elif kind == "sound_pair":
         C, pair = inst
-        assert cgc_soundness(C, pair, "all").ok
+        _require(cgc_soundness(C, pair, "all").ok, "cgc_soundness")
 
 
 def _cmd_builtin(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import FormatError
+from .errors import FormatError, NotCompleteLattice, ShapeMismatch, TooLarge
 from .functions import AbstractFn, ConcreteFn
 from .galois import CarrierConn, ClosureOp, GaloisConn
 from .order import FinLattice, FinPoset, build_poset, set_name, sorted_elems
@@ -118,7 +118,7 @@ def domain_from_dict(data: dict):
     if kind in ("cgp", "pcgc"):
         try:
             abstract = FinLattice.from_poset(poset)
-        except Exception:
+        except NotCompleteLattice:
             abstract = poset
     mu = {b: frozenset(s) for b, s in data["mu"].items()}
     return CarrierConn(kind, carrier, abstract, data["eta"], mu, carrier_order=order)
@@ -152,7 +152,7 @@ def _alpha_table(conn: GaloisConn) -> dict:
     if small or not poset.is_discrete():
         try:
             return {set_name(X): conn.alpha(X) for X in conn.iter_concrete()}
-        except Exception:
+        except (TooLarge, ShapeMismatch):
             pass
     table = {set_name(()): conn.alpha(())}
     for a in conn.carrier.values:

@@ -27,7 +27,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, members_of, set_name, sorted_elems
+from .order import FinLattice, set_name, sorted_elems
 from .setops import lift_diamond
 from .transforms import t_cgc_of_pgc, t_pgc
 
@@ -136,10 +136,6 @@ def _tuples(values, arity):
 def _mu_product(C: CarrierConn, ys):
     """All concrete argument tuples concretized from an abstract tuple."""
     return product(*(sorted_elems(C.mu[y]) for y in ys))
-
-
-def _in_mu(C: CarrierConn, xs, ys) -> bool:
-    return all(x in C.mu[y] for x, y in zip(xs, ys))
 
 
 def _eta_tuple(C: CarrierConn, xs):
@@ -453,23 +449,24 @@ def pair_to_pgc(pair: FnPair) -> GCPair:
     """Lift a carrier-level pair pointwise to the powerset connection."""
     C = pair.conn
     G = t_pgc(C)
+    lat = G.abstract_lattice
     f, fs = pair.concrete, pair.abstract
     if pair.arity == 1:
         conc = lambda X: frozenset(f(x) for x in X)
         table = {
-            d: set_name({fs(y) for y in members_of(d)})
-            for d in G.abstract_poset.elements
+            d: lat.name_of({fs(y) for y in lat.members[d]})
+            for d in lat.elements
         }
     else:
         conc = lambda X1, X2: frozenset(f(x1, x2) for x1 in X1 for x2 in X2)
         table = {
-            (d1, d2): set_name({
+            (d1, d2): lat.name_of({
                 fs(y1, y2)
-                for y1 in members_of(d1)
-                for y2 in members_of(d2)
+                for y1 in lat.members[d1]
+                for y2 in lat.members[d2]
             })
-            for d1 in G.abstract_poset.elements
-            for d2 in G.abstract_poset.elements
+            for d1 in lat.elements
+            for d2 in lat.elements
         }
     return GCPair(G, conc, AbstractFn(pair.arity, table))
 

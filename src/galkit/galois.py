@@ -431,7 +431,7 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
 # precision and isomorphism
 
 
-def _union_closure(blocks: Iterable[frozenset], guard: int = 2 ** 14) -> frozenset:
+def union_closure(blocks: Iterable[frozenset], guard: int = 2 ** 14) -> frozenset:
     """All unions of the given family, including the empty union."""
     blocks = list(dict.fromkeys(blocks))
     if 2 ** len(blocks) > guard:
@@ -448,7 +448,7 @@ def _precision_images(X) -> frozenset:
     if isinstance(X, CarrierConn):
         # a carrier-level connection implicitly represents every union of its
         # concretization images; compare those extensional families
-        return _union_closure(X.mu_image())
+        return union_closure(X.mu_image())
     raise ShapeMismatch(f"cannot compare {type(X).__name__}")
 
 

@@ -4,7 +4,9 @@ All elements are opaque strings; integer-valued elements render as decimal
 strings so that one identifier space works across carriers, abstract domains
 and powerset lattices.  Order relations are stored as full up-set / down-set
 maps after reflexive-transitive closure: carriers are small by design, so
-O(n^2) storage beats walking a Hasse diagram.
+O(n^2) storage beats walking a Hasse diagram.  Lattices of sets (powersets,
+downsets, disjunctive completions) intern each subset as an int bitmask over
+their atoms and render its name once, so joins never parse names.
 """
 from __future__ import annotations
 
@@ -64,7 +66,6 @@ class FinPoset:
         self.elements = tuple(elements)
         self._index = {x: i for i, x in enumerate(self.elements)}
         self._up = dict(up)
-        self._dn = {x: frozenset() for x in self.elements}
         dn: dict[str, set] = {x: set() for x in self.elements}
         for x, ups in self._up.items():
             for y in ups:
@@ -176,10 +177,23 @@ class FinLattice:
         return self.base.leq(x, y)
 
     def join(self, x: str, y: str) -> str:
-        return self._join(x, y)
+        try:
+            return self._join(x, y)
+        except KeyError:
+            self._undefined(x, y, "lub")
 
     def meet(self, x: str, y: str) -> str:
-        return self._meet(x, y)
+        try:
+            return self._meet(x, y)
+        except KeyError:
+            self._undefined(x, y, "glb")
+
+    def _undefined(self, x: str, y: str, direction: str):
+        """Report a failed bound-table lookup: an argument outside the
+        lattice, or a bound the table does not hold."""
+        self.base.require(x)
+        self.base.require(y)
+        raise NotCompleteLattice((x, y), direction)
 
     def lub(self, members: Iterable[str]) -> str:
         acc = self.bottom
@@ -241,13 +255,88 @@ class FinLattice:
         )
 
 
-def lattice_bound(lat: FinLattice, members: Iterable[str], direction: str) -> str:
-    """lub or glb of a subset; total because the lattice is complete."""
-    if direction == "lub":
-        return lat.lub(members)
-    if direction == "glb":
-        return lat.glb(members)
-    raise ValueError(f"direction must be 'lub' or 'glb', got {direction!r}")
+class SetLattice(FinLattice):
+    """A lattice of subsets under inclusion, whose elements are named after
+    their members; ``members`` maps each name back to its subset."""
+
+    __slots__ = ("members", "_bit", "_name")
+
+    @staticmethod
+    def from_family(
+        atoms: Iterable[str], family: Iterable[Iterable[str]], by_name: bool = False,
+    ) -> "SetLattice":
+        """The lattice of a family of subsets of ``atoms``.
+
+        The family must be closed under union and intersection, so that join
+        is union and meet is intersection; a bound outside the family raises
+        NotCompleteLattice when it is asked for.  Each subset is interned as
+        an int bitmask over the sorted atoms, so join and meet are ``|`` and
+        ``&``, and named once, as :func:`set_name` would name it.  Elements
+        keep the family's order, or are sorted by name when ``by_name``.
+        Raises DuplicateElement when two subsets get the same name: over the
+        atoms ``a``, ``b`` and ``a,b``, both ``{a, b}`` and ``{"a,b"}``
+        would be named ``{a,b}``.
+        """
+        atoms = sorted_elems(atoms)
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+        if len(bit) != len(atoms):
+            raise DuplicateElement("set lattice over duplicated atoms")
+        mask_of: dict[str, int] = {}
+        name_of_mask: dict[int, str] = {}
+        members: dict[str, frozenset] = {}
+        for subset in family:
+            s = frozenset(subset)
+            try:
+                mask = sum(bit[x] for x in s)
+            except KeyError as exc:
+                raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
+            name = "{" + ",".join(sorted(s, key=bit.__getitem__)) + "}"
+            if name in mask_of:
+                raise DuplicateElement(f"two subsets are both named {name!r}")
+            mask_of[name] = mask
+            name_of_mask[mask] = name
+            members[name] = s
+        if not members:
+            raise NotCompleteLattice((), "element")
+        names = sorted_elems(members) if by_name else list(members)
+        full, common = 0, mask_of[names[0]]
+        for mask in name_of_mask:
+            full |= mask
+            common &= mask
+        top, bottom = name_of_mask.get(full), name_of_mask.get(common)
+        if top is None or bottom is None:
+            raise NotCompleteLattice((), "top" if top is None else "bottom")
+        # up-sets by intersecting, per member atom, the bitmask (over element
+        # positions) of the subsets that hold it: no pairwise subset tests
+        holders = dict.fromkeys(atoms, 0)
+        for j, name in enumerate(names):
+            for x in members[name]:
+                holders[x] |= 1 << j
+        up = {}
+        for name in names:
+            sup = (1 << len(names)) - 1
+            for x in members[name]:
+                sup &= holders[x]
+            ups = []
+            while sup:
+                low = sup & -sup
+                ups.append(names[low.bit_length() - 1])
+                sup ^= low
+            up[name] = frozenset(ups)
+        lat = SetLattice(
+            FinPoset(names, up), top, bottom,
+            lambda a, b: name_of_mask[mask_of[a] | mask_of[b]],
+            lambda a, b: name_of_mask[mask_of[a] & mask_of[b]],
+        )
+        lat.members, lat._bit, lat._name = members, bit, name_of_mask
+        return lat
+
+    def name_of(self, subset: Iterable[str]) -> str:
+        """The element whose members are exactly ``subset``."""
+        try:
+            return self._name[sum(self._bit[x] for x in frozenset(subset))]
+        except KeyError:
+            raise UnknownElement(f"no element with members {subset!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,66 +397,22 @@ def iter_downsets(poset: FinPoset, guard: int = DOWNSETS_GUARD):
         frontier = nxt
 
 
-def downsets_lattice(poset: FinPoset, guard: int = DOWNSETS_GUARD) -> FinLattice:
-    """The complete lattice of all downward-closed subsets, ordered by inclusion.
-
-    Returns a lattice whose elements are canonical set names; the decoded
-    subsets are available through :func:`members_of`.
-    """
-    downsets = list(iter_downsets(poset, guard))
-    sets_by_name = {set_name(ds): ds for ds in downsets}
-    names = sorted_elems(sets_by_name)
-    up = {
-        n: frozenset(m for m in names if sets_by_name[n] <= sets_by_name[m])
-        for n in names
-    }
-    base = FinPoset(names, up)
-    # joins/meets computed on the decoded sets: union and intersection of
-    # downsets are downsets, so the lattice is complete by construction
-    join = lambda a, b: set_name(sets_by_name[a] | sets_by_name[b])
-    meet = lambda a, b: set_name(sets_by_name[a] & sets_by_name[b])
-    top = set_name(frozenset(poset.elements))
-    bottom = set_name(frozenset())
-    return FinLattice(base, top, bottom, join, meet)
+def downsets_lattice(poset: FinPoset, guard: int = DOWNSETS_GUARD) -> SetLattice:
+    """The complete lattice of all downward-closed subsets, ordered by
+    inclusion: union and intersection of downsets are downsets."""
+    return SetLattice.from_family(
+        poset.elements, iter_downsets(poset, guard), by_name=True,
+    )
 
 
-def powerset_lattice(values: Iterable[str], guard: int = DOWNSETS_GUARD) -> FinLattice:
-    """The powerset of ``values`` as a lattice, elements named canonically.
-
-    Up-sets are enumerated as supersets directly (3^n work overall) instead
-    of comparing all pairs of subsets.
-    """
+def powerset_lattice(values: Iterable[str], guard: int = DOWNSETS_GUARD) -> SetLattice:
+    """The powerset of ``values`` as a lattice, subsets listed by size."""
     vals = sorted_elems(values)
-    if len(set(vals)) != len(vals):
-        raise DuplicateElement("powerset over duplicated values")
     if 2 ** len(vals) > guard:
         raise TooLarge(f"powerset of {len(vals)} values exceeds the guard")
-    subsets = [
-        frozenset(c) for k in range(len(vals) + 1) for c in combinations(vals, k)
-    ]
-    names = {fs: set_name(fs) for fs in subsets}
-    up = {}
-    for fs in subsets:
-        rest = [v for v in vals if v not in fs]
-        ups = set()
-        for k in range(len(rest) + 1):
-            for c in combinations(rest, k):
-                ups.add(names[fs | frozenset(c)])
-        up[names[fs]] = frozenset(ups)
-    base = FinPoset([names[fs] for fs in subsets], up)
-    join = lambda a, b: set_name(members_of(a) | members_of(b))
-    meet = lambda a, b: set_name(members_of(a) & members_of(b))
-    return FinLattice(base, set_name(vals), set_name(()), join, meet)
-
-
-def members_of(name: str) -> frozenset:
-    """Decode a canonical set name back into its members."""
-    if not (name.startswith("{") and name.endswith("}")):
-        raise UnknownElement(f"{name!r} is not a canonical set name")
-    inner = name[1:-1]
-    if not inner:
-        return frozenset()
-    return frozenset(inner.split(","))
+    return SetLattice.from_family(
+        vals, (c for k in range(len(vals) + 1) for c in combinations(vals, k)),
+    )
 
 
 def join_irreducibles(lat: FinLattice) -> frozenset:

@@ -7,7 +7,7 @@ block representatives are named after their least carrier member.
 """
 from __future__ import annotations
 
-from .errors import NotInClass, ShapeMismatch, TooLarge
+from .errors import NotInClass, TooLarge
 from .galois import (
     CarrierConn,
     ClosureOp,
@@ -19,16 +19,16 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
     prt,
+    union_closure,
 )
 from .order import (
     FinLattice,
     FinPoset,
+    SetLattice,
     join_irreducibles,
     meet_closure,
-    members_of,
     powerset_lattice,
     set_name,
-    sort_key,
     sorted_elems,
 )
 from .setops import lift_diamond, lift_star
@@ -62,8 +62,8 @@ def t_pgc(C: CarrierConn) -> GaloisConn:
     if not check_cgc(C):
         raise NotInClass("input fails the constructive-connection law")
     lat = powerset_lattice(C.abstract_poset.elements)
-    gamma = {name: lift_star(C.mu, members_of(name)) for name in lat.elements}
-    alpha_fn = lambda X: set_name(lift_diamond(C.eta, X))
+    gamma = {name: lift_star(C.mu, lat.members[name]) for name in lat.elements}
+    alpha_fn = lambda X: lat.name_of(lift_diamond(C.eta, X))
     G = GaloisConn(C.carrier, lat, gamma, alpha_fn=alpha_fn, kind="pgc")
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("lifted connection is not partitioning")
@@ -170,33 +170,13 @@ def t_pcgc(G: GaloisConn) -> CarrierConn:
     return out
 
 
-def _powerset_atoms(lat: FinLattice) -> list[str]:
-    """The base values of a powerset-shaped lattice; rejects other shapes."""
-    try:
-        atoms = sorted_elems(members_of(lat.top))
-    except Exception as exc:
-        raise NotInClass("abstract lattice is not a powerset") from exc
-    if 2 ** len(atoms) != len(lat.base):
-        raise NotInClass("abstract lattice is not a powerset")
-    expected = {set_name(s) for s in _all_subsets(atoms)}
-    if expected != set(lat.elements):
-        raise NotInClass("abstract lattice is not a powerset")
-    return atoms
-
-
-def _all_subsets(values):
-    from itertools import combinations
-
-    for k in range(len(values) + 1):
-        for c in combinations(values, k):
-            yield frozenset(c)
-
-
 def least_disjunctive_basis(G: GaloisConn) -> frozenset:
     """The smallest family whose disjunctive completion recovers the whole
     powerset abstract domain: the meet-closure of its join-irreducibles."""
     lat = G.abstract_lattice
-    _powerset_atoms(lat)
+    if not (isinstance(lat, SetLattice)
+            and len(lat.elements) == 2 ** len(lat.members[lat.top])):
+        raise NotInClass("abstract lattice is not a powerset")
     return meet_closure(lat, join_irreducibles(lat))
 
 
@@ -209,26 +189,9 @@ def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     blocks = prt(G)
     if 2 ** len(blocks) > VERIFY_GUARD:
         raise TooLarge("too many blocks for disjunctive completion")
-    family = {frozenset()}
-    for b in blocks:
-        family |= {c | b for c in family}
-    for d in G.gamma.values():
-        family.add(d)
-    names = {s: set_name(s) for s in family}
-    up = {
-        names[s]: frozenset(names[t] for t in family if s <= t) for s in family
-    }
-    base = FinPoset(sorted_elems(names.values()), up)
-    lat = FinLattice(
-        base,
-        names[max(family, key=len)],
-        names[frozenset()],
-        lambda a, b: set_name(members_of(a) | members_of(b)),
-        lambda a, b: set_name(members_of(a) & members_of(b)),
-    )
-    out = GaloisConn(
-        G.carrier, lat, {names[s]: s for s in family}, kind="pgc",
-    )
+    family = union_closure(blocks) | G.gamma_image()
+    lat = SetLattice.from_family(G.carrier.values, family, by_name=True)
+    out = GaloisConn(G.carrier, lat, lat.members, kind="pgc")
     if classify_partitioning(out).category != "PGC":
         raise NotInClass("completion failed to produce a partitioning connection")
     return out

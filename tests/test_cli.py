@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import PROGRAMS_DIR
 
-from galkit import catalog, fileio
+import galkit
+from galkit import catalog, cli, fileio
 from galkit.cli import main
 from galkit.functions import AbstractFn, ConcreteFn
+from galkit.galois import CheckResult
 
 
 def run(capsys, *argv):
@@ -98,6 +102,35 @@ def test_fuzz_subcommand(capsys):
     )
     assert code == 0
     assert "5 passed, 0 failed" in out
+
+
+def test_fuzz_counts_failing_seeds(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_cgc", lambda C: CheckResult(False))
+    code, out, _ = run(
+        capsys, "fuzz", "cgc", "--cases", "3", "--seed", "0",
+        "--amax", "4", "--bmax", "4",
+    )
+    assert code == 1
+    assert out.count("FAIL") == 3
+    assert "0 passed, 3 failed" in out
+
+
+def test_fuzz_failures_are_counted_under_python_O():
+    script = (
+        "import sys\n"
+        "from galkit import cli\n"
+        "from galkit.galois import CheckResult\n"
+        "cli.check_cgc = lambda C: CheckResult(False)\n"
+        "sys.exit(cli.main(['fuzz', 'cgc', '--cases', '2', '--amax', '4', '--bmax', '4']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(galkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "0 passed, 2 failed" in proc.stdout
 
 
 def test_analyze_subcommand_text_and_json(capsys):

@@ -21,7 +21,6 @@ from galkit.order import (
     iter_downsets,
     join_irreducibles,
     meet_closure,
-    members_of,
     powerset_lattice,
     scan_order,
     set_name,
@@ -49,8 +48,9 @@ def test_scan_order_small_magnitudes_first():
 def test_set_name_is_canonical():
     assert set_name(["b", "a"]) == "{a,b}"
     assert set_name([]) == "{}"
-    assert members_of("{a,b}") == frozenset({"a", "b"})
-    assert members_of("{}") == frozenset()
+    lat = powerset_lattice(["a", "b"])
+    assert lat.members["{a,b}"] == frozenset({"a", "b"})
+    assert lat.members["{}"] == frozenset()
 
 
 def test_build_poset_takes_reflexive_transitive_closure():
@@ -172,4 +172,4 @@ def test_downsets_lattice_agrees_with_inclusion(p):
     lat = downsets_lattice(p)
     for x in lat.elements:
         for y in lat.elements:
-            assert lat.base.leq(x, y) == (members_of(x) <= members_of(y))
+            assert lat.base.leq(x, y) == (lat.members[x] <= lat.members[y])

@@ -16,7 +16,7 @@ from galkit.galois import (
     nonempty_iso,
     precision_cmp,
 )
-from galkit.order import members_of, set_name
+from galkit.order import set_name
 from galkit.transforms import (
     disjunctive_completion,
     least_disjunctive_basis,
@@ -41,7 +41,7 @@ def test_t_pgc_builds_the_powerset_lifting():
     # gamma of a set of blocks is the union of their concretizations
     for d in G.abstract_poset.elements:
         expected = set()
-        for b in members_of(d):
+        for b in G.abstract_lattice.members[d]:
             expected |= C.mu[b]
         assert G.gamma[d] == frozenset(expected)
 
