@@ -27,7 +27,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, set_name, sorted_elems
+from .order import FinLattice, set_name, sorted_elems, subsets_by_size
 from .setops import lift_diamond
 from .transforms import t_cgc_of_pgc, t_pgc
 
@@ -400,14 +400,7 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str,
         raise ShapeMismatch(f"unknown property {kind!r}")
     values = C.carrier.values
     if len(values) <= EXHAUSTIVE_CARRIER:
-        from itertools import combinations
-
-        ordered = sorted_elems(values)
-        subsets = [
-            frozenset(c)
-            for k in range(len(ordered) + 1)
-            for c in combinations(ordered, k)
-        ]
+        subsets = [frozenset(c) for c in subsets_by_size(sorted_elems(values))]
     else:
         subsets = _sampled_subsets(values, random.Random(seed))
     for Xs in product(subsets, repeat=arity):

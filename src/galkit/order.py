@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -160,7 +160,7 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Fi
 class FinLattice:
     """A finite complete lattice: a poset plus pairwise join/meet functions."""
 
-    __slots__ = ("base", "top", "bottom", "_join", "_meet")
+    __slots__ = ("base", "top", "bottom", "_join", "_meet", "_jirr")
 
     def __init__(self, base, top, bottom, join, meet):
         self.base = base
@@ -168,6 +168,7 @@ class FinLattice:
         self.bottom = bottom
         self._join = join
         self._meet = meet
+        self._jirr = None
 
     @property
     def elements(self):
@@ -208,6 +209,24 @@ class FinLattice:
             self.base.require(x)
             acc = self._meet(acc, x)
         return acc
+
+    def join_irreducibles(self) -> frozenset:
+        """Elements that are not the lub of any subset excluding them,
+        computed on first use and kept on the lattice.
+
+        In a finite lattice this is exactly: x differs from the lub of the
+        elements strictly below it (and the bottom is never join-irreducible).
+        Every element is the lub of the join-irreducibles below it.
+        """
+        if self._jirr is None:
+            self._jirr = self._find_join_irreducibles()
+        return self._jirr
+
+    def _find_join_irreducibles(self) -> frozenset:
+        return frozenset(
+            x for x in self.elements
+            if self.lub(y for y in self.base.down(x) if y != x) != x
+        )
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -259,7 +278,7 @@ class SetLattice(FinLattice):
     """A lattice of subsets under inclusion, whose elements are named after
     their members; ``members`` maps each name back to its subset."""
 
-    __slots__ = ("members", "_bit", "_name")
+    __slots__ = ("members", "_bit", "_mask", "_name")
 
     @staticmethod
     def from_family(
@@ -328,8 +347,23 @@ class SetLattice(FinLattice):
             lambda a, b: name_of_mask[mask_of[a] | mask_of[b]],
             lambda a, b: name_of_mask[mask_of[a] & mask_of[b]],
         )
-        lat.members, lat._bit, lat._name = members, bit, name_of_mask
+        lat.members, lat._bit, lat._mask, lat._name = (
+            members, bit, mask_of, name_of_mask)
         return lat
+
+    def _find_join_irreducibles(self) -> frozenset:
+        # the lub of the elements strictly below x is the union of their
+        # masks, starting from the bottom's (the lub of no elements)
+        mask, down = self._mask, self.base.down
+        out = []
+        for x in self.elements:
+            below = mask[self.bottom]
+            for y in down(x):
+                if y != x:
+                    below |= mask[y]
+            if below != mask[x]:
+                out.append(x)
+        return frozenset(out)
 
     def name_of(self, subset: Iterable[str]) -> str:
         """The element whose members are exactly ``subset``."""
@@ -405,28 +439,19 @@ def downsets_lattice(poset: FinPoset, guard: int = DOWNSETS_GUARD) -> SetLattice
     )
 
 
+def subsets_by_size(values: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """Every subset of ``values``, by size, each size in
+    :func:`itertools.combinations` order."""
+    for k in range(len(values) + 1):
+        yield from combinations(values, k)
+
+
 def powerset_lattice(values: Iterable[str], guard: int = DOWNSETS_GUARD) -> SetLattice:
     """The powerset of ``values`` as a lattice, subsets listed by size."""
     vals = sorted_elems(values)
     if 2 ** len(vals) > guard:
         raise TooLarge(f"powerset of {len(vals)} values exceeds the guard")
-    return SetLattice.from_family(
-        vals, (c for k in range(len(vals) + 1) for c in combinations(vals, k)),
-    )
-
-
-def join_irreducibles(lat: FinLattice) -> frozenset:
-    """Elements that are not the lub of any subset excluding them.
-
-    In a finite lattice this is exactly: x differs from the lub of the
-    elements strictly below it (and the bottom is never join-irreducible).
-    """
-    out = set()
-    for x in lat.elements:
-        strictly_below = [y for y in lat.base.down(x) if y != x]
-        if lat.lub(strictly_below) != x:
-            out.add(x)
-    return frozenset(out)
+    return SetLattice.from_family(vals, subsets_by_size(vals))
 
 
 def meet_closure(lat: FinLattice, members: Iterable[str]) -> frozenset:

@@ -26,9 +26,11 @@ class FinCarrier:
     mode: str | None = None
     lo: int | None = None
     hi: int | None = None
+    _set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.values)) != len(self.values):
+        object.__setattr__(self, "_set", frozenset(self.values))
+        if len(self._set) != len(self.values):
             raise ShapeMismatch("carrier values must be distinct")
         if self.mode is not None and self.mode not in (SATURATING, MODULAR):
             raise ShapeMismatch(f"unknown arithmetic mode {self.mode!r}")
@@ -47,17 +49,21 @@ class FinCarrier:
         return FinCarrier(tuple(names))
 
     def __contains__(self, v: str) -> bool:
-        return v in self.values
+        try:
+            return v in self._set
+        except TypeError:  # unhashable, so no carrier value
+            return False
 
     def __len__(self) -> int:
         return len(self.values)
 
     def require(self, v: str) -> None:
-        if v not in self.values:
+        if v not in self:
             raise UnknownElement(f"value {v!r} not in carrier")
 
     def value_set(self) -> frozenset:
-        return frozenset(self.values)
+        """The carrier values as a set, built once per carrier."""
+        return self._set
 
     def clamp(self, n: int) -> str:
         """Close an integer result back into the carrier per the mode."""

@@ -25,7 +25,6 @@ from .order import (
     FinLattice,
     FinPoset,
     SetLattice,
-    join_irreducibles,
     meet_closure,
     powerset_lattice,
     set_name,
@@ -177,7 +176,7 @@ def least_disjunctive_basis(G: GaloisConn) -> frozenset:
     if not (isinstance(lat, SetLattice)
             and len(lat.elements) == 2 ** len(lat.members[lat.top])):
         raise NotInClass("abstract lattice is not a powerset")
-    return meet_closure(lat, join_irreducibles(lat))
+    return meet_closure(lat, lat.join_irreducibles())
 
 
 def disjunctive_completion(G: GaloisConn) -> GaloisConn:

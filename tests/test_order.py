@@ -19,7 +19,6 @@ from galkit.order import (
     down_closure,
     downsets_lattice,
     iter_downsets,
-    join_irreducibles,
     meet_closure,
     powerset_lattice,
     scan_order,
@@ -133,7 +132,7 @@ def test_powerset_lattice_guard():
 
 def test_join_irreducibles_of_powerset_are_singletons():
     lat = powerset_lattice(["a", "b", "c"])
-    assert join_irreducibles(lat) == frozenset({"{a}", "{b}", "{c}"})
+    assert lat.join_irreducibles() == frozenset({"{a}", "{b}", "{c}"})
 
 
 def test_meet_closure_adds_intersections_and_top():

@@ -48,6 +48,18 @@ def test_atoms_carrier_has_no_arithmetic():
         c.require("z")
 
 
+def test_carrier_membership_reads_one_cached_set():
+    c = FinCarrier.atoms(["a", "b"])
+    assert c.value_set() is c.value_set() == frozenset({"a", "b"})
+    assert "a" in c and "z" not in c
+    # an unhashable value (say, a list read from a file) is no member
+    assert ["a"] not in c
+    with pytest.raises(UnknownElement):
+        c.require(["a"])
+    assert c == FinCarrier.atoms(["a", "b"])
+    assert hash(c) == hash(FinCarrier.atoms(["a", "b"]))
+
+
 def test_map_table_totality_and_lookup():
     c = FinCarrier.atoms(["a", "b"])
     with pytest.raises(ShapeMismatch):
