@@ -47,6 +47,15 @@ def _abstract_poset(abstract) -> FinPoset:
     return abstract.base if isinstance(abstract, FinLattice) else abstract
 
 
+def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
+    """A table's keys must lie in its domain: a stray entry would leak into
+    the table's image (``mu_image``, ``gamma_image``) and so into precision
+    and isomorphism verdicts."""
+    for k in mapping:
+        if k not in domain:
+            raise ShapeMismatch(f"{table} has a key outside the {what}: {k!r}")
+
+
 class CarrierConn:
     """A connection given by eta/mu tables over a finite carrier."""
 
@@ -68,12 +77,14 @@ class CarrierConn:
                 raise ShapeMismatch(f"eta not total: missing {v!r}")
             if self.eta[v] not in poset:
                 raise ShapeMismatch(f"eta({v!r}) = {self.eta[v]!r} not abstract")
+        _reject_stray_keys("eta", self.eta, self.carrier, "carrier")
         for b in poset.elements:
             if b not in self.mu:
                 raise ShapeMismatch(f"mu not total: missing {b!r}")
             extra = self.mu[b] - self.carrier.value_set()
             if extra:
                 raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {sorted(extra)[:3]}")
+        _reject_stray_keys("mu", self.mu, poset, "abstract poset")
         if self.carrier_order is not None:
             if set(self.carrier_order.elements) != set(self.carrier.values):
                 raise ShapeMismatch("carrier order does not match carrier")
@@ -92,14 +103,8 @@ class CarrierConn:
 
     def blocks(self) -> list[frozenset]:
         """The family {mu(eta(a))} in deterministic order, deduplicated."""
-        out = []
-        seen = set()
-        for a in sorted_elems(self.carrier.values):
-            blk = self.mu[self.eta[a]]
-            if blk not in seen:
-                seen.add(blk)
-                out.append(blk)
-        return out
+        return list(dict.fromkeys(
+            self.mu[self.eta[a]] for a in sorted_elems(self.carrier.values)))
 
     def mu_image(self) -> frozenset:
         return frozenset(self.mu.values())
@@ -155,12 +160,14 @@ class GaloisConn:
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``gamma`` and ``alpha_table`` are read-only mappings whose writes
-    raise TypeError.  So :func:`classify_partitioning` keeps its report on
-    the instance and answers repeat calls from it.
+    raise TypeError.  So :func:`classify_partitioning` keeps its report, and
+    the additivity check its verdict, on the instance and answer repeat
+    calls from them.
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
-                 "alpha_table", "alpha_fn", "_alpha_cache", "_classified")
+                 "alpha_table", "alpha_fn", "_alpha_cache", "_classified",
+                 "_additive")
 
     def __init__(self, carrier, abstract, gamma, carrier_order=None,
                  alpha_table=None, alpha_fn=None, kind="gc"):
@@ -176,6 +183,7 @@ class GaloisConn:
         init(self, "alpha_fn", alpha_fn)
         init(self, "_alpha_cache", {})
         init(self, "_classified", None)
+        init(self, "_additive", None)
         self._validate()
 
     def __setattr__(self, name, value):
@@ -192,6 +200,7 @@ class GaloisConn:
                 raise ShapeMismatch(f"gamma not total: missing {d!r}")
             if self.gamma[d] - universe:
                 raise ShapeMismatch(f"gamma({d!r}) leaves the carrier")
+        _reject_stray_keys("gamma", self.gamma, poset, "abstract poset")
         if self.carrier_order is not None:
             if set(self.carrier_order.elements) != set(self.carrier.values):
                 raise ShapeMismatch("carrier order does not match carrier")
@@ -326,6 +335,15 @@ def check_gc(G: GaloisConn, guard: int = DOWNSETS_GUARD) -> GCReport:
 
 
 def _gamma_additive(G: GaloisConn):
+    """gamma preserves all lubs: ``(verdict, witness)``, computed once per
+    connection and kept on it, so that :func:`check_gc` and
+    :func:`classify_partitioning` share one scan."""
+    if G._additive is None:
+        object.__setattr__(G, "_additive", _scan_additive(G))
+    return G._additive
+
+
+def _scan_additive(G: GaloisConn):
     """gamma preserves all lubs.
 
     For a finite lattice this is the empty lub plus all pairwise lubs, and
@@ -361,69 +379,143 @@ def _gamma_additive(G: GaloisConn):
     return True, None
 
 
+# The carrier checkers below test laws between eta and mu that the paper
+# states pairwise.  Fixing x, each law is an equation between the holder set
+# H(x) = {y | x in mu(y)} and a set read off eta(x), so one pass over mu,
+# building every H(x), replaces the pair scans.  A witness is still the
+# first failing pair of the pairwise loop: its x is the first, in that
+# loop's order, whose set of failing y is nonempty, and its y is the first
+# of those in the inner loop's order.  Only a failing check sorts.
+
+
+def _holders(C: CarrierConn) -> dict:
+    """H(x) = {y in B | x in mu(y)} for every carrier value x, read from mu
+    at the abstract poset's elements (as the pairwise laws read it) in
+    |A| + sum |mu(y)| steps.  Each y lands in a list once; lists keep this
+    transient table several times smaller than sets would."""
+    H = {x: [] for x in C.carrier.values}
+    for y in C.abstract_poset.elements:
+        for x in C.mu[y]:
+            H[x].append(y)
+    return H
+
+
+def _first_failure(xs, order, witness):
+    """``witness(x)`` for the first x of ``order(xs)`` at which it is not
+    None, or None.  The accepting pass visits ``xs`` as given, so ``order``
+    (a sort) runs only once something fails."""
+    if all(witness(x) is None for x in xs):
+        return None
+    return next(w for x in order(xs) if (w := witness(x)) is not None)
+
+
+def _first_pair(xs, order, bad, ys):
+    """The pair (x, y) that the loop "for x in order(xs): for y in ys(x)"
+    meets first with y in ``bad(x)``, or None when every ``bad(x)`` is
+    empty."""
+    def witness(x):
+        failing = bad(x)
+        return (x, next(y for y in ys(x) if y in failing)) if failing else None
+    return _first_failure(xs, order, witness)
+
+
+def _order_law_failure(C: CarrierConn, H: dict):
+    """The first pair (x, y), x in scan order and y in element order,
+    breaking x in mu(y) <=> eta(x) <= y.  Fixing x, the law is exactly
+    H(x) = up(eta(x)), so the failing y are H(x) ^ up(eta(x))."""
+    bp = C.abstract_poset
+    return _first_pair(C.carrier.values, scan_order,
+                       lambda x: bp.up(C.eta[x]).symmetric_difference(H[x]),
+                       lambda x: sorted_elems(bp.elements))
+
+
+def _eta_monotone_failure(C: CarrierConn, cp: FinPoset, xs, order):
+    """The first ("eta-monotone", x, x2), x in ``order(xs)`` and x2 in
+    element order, with x <= x2 in ``cp`` but not eta(x) <= eta(x2), that
+    is, with eta(x2) outside up(eta(x))."""
+    up = C.abstract_poset.up
+    wit = _first_pair(
+        xs, order,
+        lambda x: {x2 for x2 in cp.up(x) if C.eta[x2] not in up(C.eta[x])},
+        lambda x: sorted_elems(cp.up(x)))
+    return wit and ("eta-monotone", *wit)
+
+
 def check_cgc(C: CarrierConn) -> CheckResult:
-    """x in mu(y) <=> eta(x) = y, for every pair."""
-    for x in scan_order(C.carrier.values):
-        ex = C.eta[x]
-        for y in sorted_elems(C.abstract_poset.elements):
-            if (x in C.mu[y]) != (ex == y):
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+    """x in mu(y) <=> eta(x) = y, for every pair.
+
+    Fixing x, "for all y: x in mu(y) <=> eta(x) = y" says exactly
+    H(x) = {eta(x)}.  The witness is the pair the pairwise loop (x in scan
+    order, y in element order) meets first: the first x whose
+    H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost
+    O(|A| + sum |mu|) on success.
+    """
+    H, elements = _holders(C), C.abstract_poset.elements
+    wit = _first_pair(C.carrier.values, scan_order,
+                      lambda x: {C.eta[x]}.symmetric_difference(H[x]),
+                      lambda x: sorted_elems(elements))
+    return CheckResult(wit is None, wit)
 
 
 def check_cgp(C: CarrierConn) -> CheckResult:
     """eta, mu monotone, mu lands in downward-closed sets, and
-    x in mu(y) <=> eta(x) <= y."""
+    x in mu(y) <=> eta(x) <= y.
+
+    The phases run in that order and report the first failure of the
+    pairwise definition.  eta is monotone when eta(x2) lies in up(eta(x))
+    for every x2 in up(x), x in element order.  mu is checked per b in
+    element order: mu(b) downward closed, then mu(b) <= mu(b2) for b2 in
+    up(b).  The last law, fixing x, is H(x) = up(eta(x)) (see
+    :func:`check_pcgc`).  No phase calls ``leq`` or sorts on success.
+    """
     cp = C.carrier_poset()
     bp = C.abstract_poset
-    for x in sorted_elems(cp.elements):
-        for x2 in sorted_elems(cp.up(x)):
-            if not bp.leq(C.eta[x], C.eta[x2]):
-                return CheckResult(False, ("eta-monotone", x, x2))
-    for b in sorted_elems(bp.elements):
+
+    def mu_witness(b):
         if not cp.is_down_closed(C.mu[b]):
-            return CheckResult(False, ("mu-downclosed", b))
-        for b2 in sorted_elems(bp.up(b)):
-            if not C.mu[b] <= C.mu[b2]:
-                return CheckResult(False, ("mu-monotone", b, b2))
-    for x in scan_order(C.carrier.values):
-        ex = C.eta[x]
-        for y in sorted_elems(bp.elements):
-            if (x in C.mu[y]) != bp.leq(ex, y):
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+            return ("mu-downclosed", b)
+        bad = {b2 for b2 in bp.up(b) if not C.mu[b] <= C.mu[b2]}
+        return ("mu-monotone", b, next(
+            b2 for b2 in sorted_elems(bp.up(b)) if b2 in bad)) if bad else None
+
+    wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
+           or _first_failure(bp.elements, sorted_elems, mu_witness)
+           or _order_law_failure(C, _holders(C)))
+    return CheckResult(wit is None, wit)
 
 
 def check_pcgc(C: CarrierConn) -> PCGCReport:
     """Condition (1): x in mu(eta(x')) <=> eta(x) = eta(x').
-    Condition (2): x in mu(y) <=> eta(x) <= y.  Checked independently."""
-    bp = C.abstract_poset
-    values = scan_order(C.carrier.values)
-    cond1, wit1 = True, None
-    for x in values:
-        if not cond1:
-            break
-        for x2 in values:
-            if (x in C.mu[C.eta[x2]]) != (C.eta[x] == C.eta[x2]):
-                cond1, wit1 = False, (x, C.eta[x2])
-                break
-    cond2, wit2 = True, None
-    for x in values:
-        if not cond2:
-            break
-        for y in sorted_elems(bp.elements):
-            if (x in C.mu[y]) != bp.leq(C.eta[x], y):
-                cond2, wit2 = False, (x, y)
-                break
+    Condition (2): x in mu(y) <=> eta(x) <= y.  Checked independently.
+
+    Both are read from the holder sets H(x) = {y | x in mu(y)}, built in one
+    pass over mu, so the check costs O(|A| + sum |mu|) and no ``leq``:
+
+    * (2): fixing x, "for all y: x in mu(y) <=> eta(x) <= y" is exactly
+      H(x) = up(eta(x)).
+    * (1): y = eta(x') ranges over the image eta(A), and x in mu(y) means
+      y in H(x), so the failing y are (H(x) ^ {eta(x)}) & eta(A), which is
+      (H(x) & eta(A)) ^ {eta(x)} because eta(x) lies in eta(A).
+
+    Witnesses are those of the pairwise loops, x in scan order: for (2) the
+    first failing y in element order, for (1) eta(x') for the first x' in
+    scan order whose eta(x') fails.  With a carrier order, eta must also be
+    monotone; that tail runs only when (1) and (2) hold.
+    """
+    H = _holders(C)
+    values = C.carrier.values
+    image = {C.eta[x] for x in values}
+    wit1 = _first_pair(values, scan_order,
+                       lambda x: image.intersection(H[x]) ^ {C.eta[x]},
+                       lambda x: (C.eta[x2] for x2 in scan_order(values)))
+    wit2 = _order_law_failure(C, H)
     # condition (2) subsumes monotonicity of mu; eta-monotonicity is only a
     # constraint when a non-discrete carrier order is supplied
-    if cond1 and cond2 and C.carrier_order is not None:
-        cp = C.carrier_order
-        for x in values:
-            for x2 in sorted_elems(cp.up(x)):
-                if not bp.leq(C.eta[x], C.eta[x2]):
-                    return PCGCReport(False, cond2, ("eta-monotone", x, x2))
-    return PCGCReport(cond1, cond2, wit1 if wit1 is not None else wit2)
+    if wit1 is None and wit2 is None and C.carrier_order is not None:
+        mono = _eta_monotone_failure(C, C.carrier_order, values, scan_order)
+        if mono is not None:
+            return PCGCReport(False, True, mono)
+    return PCGCReport(wit1 is None, wit2 is None, wit1 or wit2)
 
 
 def check_cco(phi) -> CheckResult:
@@ -448,14 +540,8 @@ def prt(G: GaloisConn) -> list[frozenset]:
     deterministic order."""
     if G.carrier_order is not None and not G.carrier_order.is_discrete():
         raise ShapeMismatch("prt needs a plain powerset concrete domain")
-    out = []
-    seen = set()
-    for a in sorted_elems(G.carrier.values):
-        blk = G.gamma[G.alpha([a])]
-        if blk not in seen:
-            seen.add(blk)
-            out.append(blk)
-    return out
+    return list(dict.fromkeys(
+        G.gamma[G.alpha([a])] for a in sorted_elems(G.carrier.values)))
 
 
 def classify_partitioning(G: GaloisConn) -> ClassifyReport:
@@ -552,27 +638,22 @@ def nonempty_iso(C1: CarrierConn, C2: CarrierConn) -> bool:
     return C1.mu_image() | empty == C2.mu_image() | empty
 
 
+def _renaming(C1: CarrierConn, C2: CarrierConn) -> dict:
+    """Each eta(a) of C1 -> the first element of C2 with the same block."""
+    out = {}
+    for a in sorted_elems(C1.carrier.values):
+        blk = C1.mu[C1.eta[a]]
+        out[C1.eta[a]] = next(b for b in sorted_elems(C2.abstract_poset.elements)
+                              if C2.mu[b] == blk)
+    return out
+
+
 def renaming_witnesses(C1: CarrierConn, C2: CarrierConn):
     """Mutually inverse renamings between the eta-images of two isomorphic
     connections, built by matching concretization blocks."""
     if precision_cmp(C1, C2) != "isomorphic":
         raise NotIsomorphic("connections are not isomorphic")
-    f12 = {}
-    f21 = {}
-    for a in sorted_elems(C1.carrier.values):
-        blk = C1.mu[C1.eta[a]]
-        match = next(
-            b2 for b2 in sorted_elems(C2.abstract_poset.elements)
-            if C2.mu[b2] == blk
-        )
-        f12[C1.eta[a]] = match
-    for a in sorted_elems(C2.carrier.values):
-        blk = C2.mu[C2.eta[a]]
-        match = next(
-            b1 for b1 in sorted_elems(C1.abstract_poset.elements)
-            if C1.mu[b1] == blk
-        )
-        f21[C2.eta[a]] = match
+    f12, f21 = _renaming(C1, C2), _renaming(C2, C1)
     for b1 in f12:
         if f21.get(f12[b1]) != b1:
             raise NotIsomorphic(f"renamings fail to invert at {b1!r}")

@@ -1,12 +1,21 @@
 """The fast checkers against their literal definitions, and the per-connection
-classification memo.
+memos.
 
 ``_gamma_additive`` checks gamma(x v j) = gamma(x) | gamma(j) only for
 join-irreducible j; here it must agree, verdict and witness, with the literal
 scan over all pairs, on powersets, downset lattices and lattices built with
 ``FinLattice.from_poset`` (M3, N5 and random closure systems, most of them
-non-distributive) and other set families, whose bottom need not be empty.  ``classify_partitioning`` as a whole must agree with a
-literal classification, ``alt2prime`` included.
+non-distributive) and other set families, whose bottom need not be empty.
+``classify_partitioning`` as a whole must agree with a literal
+classification, ``alt2prime`` included.
+
+``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
+sets H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
+``cond2`` and witness, with the literal pair scans, on passing, nearly
+passing and arbitrary eta/mu over random, M3, N5 and discrete abstract
+posets, with and without (non-discrete) carrier orders, for names that
+parse as ints (some equal as ints, such as ``1`` and ``01``) and names that
+do not, and on the builtins.
 """
 from __future__ import annotations
 
@@ -20,19 +29,27 @@ from hypothesis import strategies as st
 from galkit import catalog
 from galkit.errors import NotCompleteLattice, NotInClass
 from galkit.galois import (
+    CarrierConn,
+    CheckResult,
     ClassifyReport,
     GaloisConn,
+    PCGCReport,
     _gamma_additive,
+    check_cgc,
+    check_cgp,
     check_gc,
+    check_pcgc,
     classify_partitioning,
     prt,
 )
 from galkit.order import (
     FinLattice,
+    FinPoset,
     SetLattice,
     build_poset,
     downsets_lattice,
     powerset_lattice,
+    scan_order,
     sorted_elems,
 )
 from galkit.setops import FinCarrier, check_partition
@@ -84,6 +101,69 @@ def literal_classify(G: GaloisConn) -> ClassifyReport:
     if part.ok:
         return ClassifyReport("PPGC", alt2prime, part, wit)
     return ClassifyReport("neither", alt2prime, part, part.witness)
+
+
+def literal_cgc(C: CarrierConn) -> CheckResult:
+    """x in mu(y) <=> eta(x) = y, scanned pair by pair."""
+    for x in scan_order(C.carrier.values):
+        ex = C.eta[x]
+        for y in sorted_elems(C.abstract_poset.elements):
+            if (x in C.mu[y]) != (ex == y):
+                return CheckResult(False, (x, y))
+    return CheckResult(True)
+
+
+def literal_cgp(C: CarrierConn) -> CheckResult:
+    """eta and mu monotone, mu downward closed, x in mu(y) <=> eta(x) <= y,
+    scanned pair by pair."""
+    cp = C.carrier_poset()
+    bp = C.abstract_poset
+    for x in sorted_elems(cp.elements):
+        for x2 in sorted_elems(cp.up(x)):
+            if not bp.leq(C.eta[x], C.eta[x2]):
+                return CheckResult(False, ("eta-monotone", x, x2))
+    for b in sorted_elems(bp.elements):
+        if not cp.is_down_closed(C.mu[b]):
+            return CheckResult(False, ("mu-downclosed", b))
+        for b2 in sorted_elems(bp.up(b)):
+            if not C.mu[b] <= C.mu[b2]:
+                return CheckResult(False, ("mu-monotone", b, b2))
+    for x in scan_order(C.carrier.values):
+        ex = C.eta[x]
+        for y in sorted_elems(bp.elements):
+            if (x in C.mu[y]) != bp.leq(ex, y):
+                return CheckResult(False, (x, y))
+    return CheckResult(True)
+
+
+def literal_pcgc(C: CarrierConn) -> PCGCReport:
+    """Conditions (1) and (2) and, under a carrier order, eta-monotonicity,
+    scanned pair by pair."""
+    bp = C.abstract_poset
+    values = scan_order(C.carrier.values)
+    wit1 = next(
+        ((x, C.eta[x2]) for x in values for x2 in values
+         if (x in C.mu[C.eta[x2]]) != (C.eta[x] == C.eta[x2])),
+        None,
+    )
+    wit2 = next(
+        ((x, y) for x in values for y in sorted_elems(bp.elements)
+         if (x in C.mu[y]) != bp.leq(C.eta[x], y)),
+        None,
+    )
+    if wit1 is None and wit2 is None and C.carrier_order is not None:
+        for x in values:
+            for x2 in sorted_elems(C.carrier_order.up(x)):
+                if not bp.leq(C.eta[x], C.eta[x2]):
+                    return PCGCReport(False, True, ("eta-monotone", x, x2))
+    return PCGCReport(wit1 is None, wit2 is None,
+                      wit1 if wit1 is not None else wit2)
+
+
+def assert_carrier_checkers_agree(C: CarrierConn):
+    assert check_cgc(C) == literal_cgc(C)
+    assert check_cgp(C) == literal_cgp(C)
+    assert check_pcgc(C) == literal_pcgc(C)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +273,126 @@ def conn(carrier, lat, gamma) -> GaloisConn:
     return GaloisConn(carrier, lat, gamma, alpha_fn=lambda X: lat.top)
 
 
+# names that parse as ints (1, 01 and +1 are equal as ints, so sort_key ties
+# them and the stable sort decides), negative ints, and plain names
+NAMES = st.sampled_from([
+    [str(i) for i in range(8)],
+    [str(i) for i in range(-3, 5)],
+    ["1", "01", "+1", "2", "x", "y", "-1", "0"],
+    [f"b{i}" for i in range(8)],
+])
+
+
+@st.composite
+def named_poset(draw, names):
+    """A random order on ``names``, or M3/N5 renamed, or the discrete one."""
+    n = len(names)
+    shape = draw(st.sampled_from(["random", "m3n5", "discrete"]))
+    if shape == "m3n5" and n >= 5:
+        # any names past the fifth stay uncomparable to the rest
+        base = draw(st.sampled_from([m3(), n5()])).base
+        rename = dict(zip(base.elements, draw(st.permutations(names))))
+        return build_poset(
+            names,
+            [(rename[x], rename[y]) for x in base.elements for y in base.up(x)],
+        )
+    if shape == "discrete":
+        return FinPoset.discrete(names)
+    order = draw(st.permutations(range(n)))
+    pairs = [(names[order[i]], names[order[j]])
+             for i in range(n) for j in range(i + 1, n)
+             if draw(st.integers(0, 3)) == 0]
+    return build_poset(draw(st.permutations(names)), pairs)
+
+
+@st.composite
+def carrier_conns(draw):
+    """A carrier connection whose mu is eta's fibres (a CGC), eta's lower
+    preimages (a PCGC), or arbitrary; then, sometimes, one membership is
+    flipped, so most cases pass or nearly pass."""
+    values = draw(NAMES)[:draw(st.integers(1, 6))]
+    elements = draw(NAMES)[:draw(st.integers(1, 6))]
+    bp = draw(named_poset(elements))
+    carrier = FinCarrier.atoms(draw(st.permutations(values)))
+    eta = {a: draw(st.sampled_from(elements)) for a in values}
+    shape = draw(st.sampled_from(["fibres", "lower", "arbitrary"]))
+    if shape == "fibres":
+        mu = {b: {a for a in values if eta[a] == b} for b in elements}
+    elif shape == "lower":
+        mu = {b: {a for a in values if bp.leq(eta[a], b)} for b in elements}
+    else:
+        mu = {b: set(draw(st.sets(st.sampled_from(values)))) for b in elements}
+    if draw(st.booleans()):
+        mu[draw(st.sampled_from(elements))] ^= {draw(st.sampled_from(values))}
+    order = draw(st.one_of(
+        st.none(), st.just(FinPoset.discrete(values)), named_poset(values)))
+    C = CarrierConn("pcgc", carrier, bp, eta, mu, carrier_order=order)
+    if draw(st.integers(0, 4)) == 0:
+        # a record is mutable, so a key can still appear after validation;
+        # the laws read mu at the abstract elements only
+        C.mu = {**C.mu, "ghost": frozenset(values)}
+    return C
+
+
+class CountingPoset(FinPoset):
+    """A poset that counts the ``leq`` calls made on it."""
+
+    __slots__ = ("leqs",)
+
+    def __init__(self, poset: FinPoset):
+        super().__init__(poset.elements, {x: poset.up(x) for x in poset.elements})
+        self.leqs = 0
+
+    def leq(self, x, y):
+        self.leqs += 1
+        return super().leq(x, y)
+
+
 # ---------------------------------------------------------------------------
 # differential tests
+
+
+@settings(max_examples=600, deadline=None)
+@given(carrier_conns())
+def test_carrier_checkers_agree_with_the_pair_scans(C):
+    assert_carrier_checkers_agree(C)
+
+
+@pytest.mark.parametrize("name", [
+    "parity", "plustop_cgp", "interval_pcgc", "interval_bprime", "signconst_pcgc",
+])
+def test_carrier_checkers_agree_on_the_builtins(name):
+    assert_carrier_checkers_agree(catalog.builtin(name, 16))
+
+
+@pytest.mark.parametrize("kind", ["cgc", "cgp"])
+def test_carrier_checkers_agree_on_generated_connections(kind):
+    for seed in range(40):
+        assert_carrier_checkers_agree(catalog.gen(kind, seed))
+
+
+def test_monotone_witnesses_follow_each_checker_s_scan():
+    # eta-monotonicity fails at -1 and at 0: check_pcgc scans the carrier
+    # small magnitudes first, check_cgp in element order
+    carrier = FinCarrier.atoms(["-1", "0", "1"])
+    C = CarrierConn(
+        "pcgc", carrier, FinPoset.discrete(["a", "b"]),
+        {"-1": "a", "0": "a", "1": "b"}, {"a": {"-1", "0"}, "b": {"1"}},
+        carrier_order=build_poset(carrier.values, [("-1", "1"), ("0", "1")]),
+    )
+    assert check_pcgc(C) == literal_pcgc(C) == PCGCReport(
+        False, True, ("eta-monotone", "0", "1"))
+    assert check_cgp(C) == literal_cgp(C) == CheckResult(
+        False, ("eta-monotone", "-1", "1"))
+
+
+def test_accepting_pcgc_makes_no_leq_calls():
+    C = catalog.builtin("signconst_pcgc", 64)
+    counting = CountingPoset(C.abstract_poset)
+    D = CarrierConn("pcgc", C.carrier, counting, C.eta, C.mu)
+    assert check_pcgc(D).ok
+    assert counting.leqs == 0
+    assert literal_pcgc(D).ok and counting.leqs > 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,6 +477,26 @@ def test_classify_is_computed_once_per_connection(make):
     assert classify_partitioning(G) is rep
     fresh = classify_partitioning(rebuilt(G))
     assert fresh == rep and fresh is not rep
+
+
+@pytest.mark.parametrize("make", [
+    lambda: t_pgc(catalog.gen_cgc(7, amax=5, bmax=4)),
+    lambda: catalog.builtin("sign_minus_ppgc", 3),
+])
+def test_additivity_is_computed_once_per_connection(make):
+    # classify_partitioning and check_gc share one additivity scan, also on
+    # a PPGC, where the scan falls back to the pairwise witness
+    G = make()
+    counting = CountingLattice(G.abstract_lattice)
+    H = GaloisConn(
+        G.carrier, counting, dict(G.gamma), carrier_order=G.carrier_order,
+        alpha_table=G.alpha_table, alpha_fn=G.alpha_fn,
+    )
+    classify_partitioning(H)
+    joins = counting.joins
+    rep = check_gc(H)
+    assert counting.joins == joins
+    assert (rep.is_disjunctive, rep.witness) == pairwise_additive(H)
 
 
 def test_classify_ignores_kind_tags():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from galkit import catalog, fileio
-from galkit.errors import FormatError
+from galkit.errors import FormatError, ShapeMismatch
 from galkit.functions import AbstractFn, ConcreteFn
 from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc
 from galkit.transforms import t_cco
@@ -134,3 +134,25 @@ def test_alpha_keys_must_be_canonical_subset_strings():
                 "gamma": {"x": ["a"]},
             }
         )
+
+
+@pytest.mark.parametrize("kind, table", [
+    ("cgc", "mu"), ("cgc", "eta"), ("pcgc", "mu"), ("gc", "gamma"),
+])
+def test_loading_rejects_stray_table_keys(kind, table):
+    data = {
+        "kind": kind,
+        "carrier": {"atoms": ["a", "b"]},
+        "abstract": {"elements": ["x", "y"], "leq": []},
+    }
+    if kind == "gc":
+        data["abstract"]["leq"] = [["x", "y"]]
+        data["alpha"] = {"{}": "x", "{a}": "y", "{b}": "y", "{a,b}": "y"}
+        data["gamma"] = {"x": [], "y": ["a", "b"]}
+    else:
+        data["eta"] = {"a": "x", "b": "y"}
+        data["mu"] = {"x": ["a"], "y": ["b"]}
+    fileio.domain_from_dict(json.loads(json.dumps(data)))
+    data[table]["ghost"] = "x" if table == "eta" else ["a"]
+    with pytest.raises(ShapeMismatch, match="ghost"):
+        fileio.domain_from_dict(data)

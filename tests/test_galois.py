@@ -77,6 +77,24 @@ def test_carrier_conn_rejects_unknown_targets():
         )
 
 
+def test_carrier_conn_rejects_stray_keys():
+    # a stray mu entry would leak into mu_image and so into precision and
+    # isomorphism verdicts
+    C = tiny_cgc()
+    with pytest.raises(ShapeMismatch, match="ghost"):
+        CarrierConn("cgc", C.carrier, C.abstract, C.eta,
+                    {**C.mu, "ghost": frozenset({"a"})})
+    with pytest.raises(ShapeMismatch, match="ghost"):
+        CarrierConn("cgc", C.carrier, C.abstract, {**C.eta, "ghost": "x"},
+                    C.mu)
+
+
+def test_galois_conn_rejects_stray_gamma_keys(sign_pgi):
+    gamma = {**sign_pgi.gamma, "ghost": frozenset()}
+    with pytest.raises(ShapeMismatch, match="ghost"):
+        GaloisConn(sign_pgi.carrier, sign_pgi.abstract, gamma)
+
+
 # ---------------------------------------------------------------------------
 # class checkers
 
