@@ -401,7 +401,13 @@ class AbstractSemantics:
 
 
 class _ArithTable:
-    """A lazy binary operation table over an integer carrier."""
+    """A lazy binary operation table over an integer carrier.
+
+    It supplies its own ``image``, so ``ConcreteFn.image`` and with it every
+    best-correct-approximation entry skip the per-tuple ``__getitem__``:
+    each argument set is converted to ints once, the raw results are built
+    in one set comprehension, and only the distinct results are clamped.
+    """
 
     def __init__(self, carrier, op):
         self.carrier = carrier
@@ -414,6 +420,19 @@ class _ArithTable:
         if self.op == "-":
             return self.carrier.clamp(a - b)
         return self.carrier.clamp(a * b)
+
+    def image(self, xs, ys) -> set:
+        """{clamp(x op y) | x ∈ xs, y ∈ ys}, as carrier values."""
+        a = [int(x) for x in xs]
+        b = [int(y) for y in ys]
+        if self.op == "+":
+            raw = {i + j for i in a for j in b}
+        elif self.op == "-":
+            raw = {i - j for i in a for j in b}
+        else:
+            raw = {i * j for i in a for j in b}
+        clamp = self.carrier.clamp_int
+        return {str(n) for n in {clamp(n) for n in raw}}
 
     def keys(self):
         return iter(())
@@ -527,17 +546,19 @@ def concrete_run(program: Program, carrier, budget: int = STEP_BUDGET) -> dict:
     def note(label, env):
         seen.setdefault(label, []).append(dict(env))
 
+    clamp = carrier.clamp_int
+
     def ev(expr, env):
         if isinstance(expr, Lit):
-            return int(carrier.clamp(expr.value))
+            return clamp(expr.value)
         if isinstance(expr, Var):
             return env[expr.name]
         l, r = ev(expr.left, env), ev(expr.right, env)
         if expr.op == "+":
-            return int(carrier.clamp(l + r))
+            return clamp(l + r)
         if expr.op == "-":
-            return int(carrier.clamp(l - r))
-        return int(carrier.clamp(l * r))
+            return clamp(l - r)
+        return clamp(l * r)
 
     def test(cond, env):
         l, r = ev(cond.left, env), ev(cond.right, env)

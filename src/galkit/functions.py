@@ -27,7 +27,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, set_name, sorted_elems, subsets_by_size
+from .order import FinLattice, set_name, sort_key, sorted_elems, subsets_by_size
 from .setops import lift_diamond
 from .transforms import t_cgc_of_pgc, t_pgc
 
@@ -59,6 +59,21 @@ class ConcreteFn:
             return self.table[key]
         except KeyError:
             raise ShapeMismatch(f"operation undefined at {key!r}") from None
+
+    def image(self, *sets) -> set:
+        """{f(x⃗) | x⃗ ∈ sets[0] × … × sets[arity-1]}.
+
+        A table that defines ``image(*sets)`` computes it itself, as the
+        analyzer's integer arithmetic does. Otherwise the argument tuples
+        are visited in sorted order, so an undefined key raises
+        ``ShapeMismatch`` naming the first one.
+        """
+        if len(sets) != self.arity:
+            raise ShapeMismatch(f"{len(sets)} argument sets for arity {self.arity}")
+        own = getattr(self.table, "image", None)
+        if own is not None:
+            return own(*sets)
+        return {self(*xs) for xs in product(*map(sorted_elems, sets))}
 
     def validate(self, carrier):
         for args in _tuples(carrier.values, self.arity):
@@ -133,11 +148,6 @@ def _tuples(values, arity):
     return [(a, b) for a in ordered for b in ordered]
 
 
-def _mu_product(C: CarrierConn, ys):
-    """All concrete argument tuples concretized from an abstract tuple."""
-    return product(*(sorted_elems(C.mu[y]) for y in ys))
-
-
 def _eta_tuple(C: CarrierConn, xs):
     return tuple(C.eta[x] for x in xs)
 
@@ -163,13 +173,24 @@ def bca_gc(G: GaloisConn, f) -> AbstractFn:
 
 
 def bca_pcgc_entry(C: CarrierConn, f: ConcreteFn, *ys) -> str:
-    """One entry of the purely constructive best correct approximation:
-    the join of eta over the image of the concretized arguments."""
+    """One entry of the purely constructive best correct approximation,
+    f♯(y⃗) = ⊔{η(o) | o ∈ f.image(μ(y1), …)}: the join of eta over the image
+    of the concretized arguments.
+
+    The image is ``ConcreteFn.image``, so a table that supplies its own
+    ``image`` (the analyzer's arithmetic) is never read entry by entry. A
+    result outside the carrier raises ``ShapeMismatch`` naming it.
+    """
     lat = C.abstract
     if not isinstance(lat, FinLattice):
         raise ShapeMismatch("abstract side is not a complete lattice")
-    outs = {f(*xs) for xs in _mu_product(C, ys)}
-    return lat.lub(C.eta[o] for o in outs)
+    outs = f.image(*(C.mu[y] for y in ys))
+    eta = C.eta
+    stray = [o for o in outs if o not in eta]
+    if stray:
+        bad = min(stray, key=lambda o: sort_key(str(o)))
+        raise ShapeMismatch(f"result {bad!r} leaves the carrier")
+    return lat.lub(eta[o] for o in outs)
 
 
 def bca_pcgc(C: CarrierConn, f: ConcreteFn) -> AbstractFn:
@@ -265,7 +286,7 @@ def _cgc_condition(C: CarrierConn, pair: FnPair, variant: str, complete: bool) -
     if variant == "ημ":
         for ys in _tuples(elems, arity):
             target = fs(*ys)
-            hit = {C.eta[f(*xs)] for xs in _mu_product(C, ys)}
+            hit = {C.eta[o] for o in f.image(*(C.mu[y] for y in ys))}
             if complete:
                 if hit != {target}:
                     return CheckResult(False, (ys, sorted_elems(hit), target))
@@ -276,7 +297,7 @@ def _cgc_condition(C: CarrierConn, pair: FnPair, variant: str, complete: bool) -
     if variant == "μμ":
         for ys in _tuples(elems, arity):
             img = C.mu[fs(*ys)]
-            outs = {f(*xs) for xs in _mu_product(C, ys)}
+            outs = f.image(*(C.mu[y] for y in ys))
             if complete:
                 if outs != img:
                     return CheckResult(
@@ -391,7 +412,7 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str,
         return CheckResult(True)
     if kind == "forward_complete":
         for ys in _tuples(lat.elements, arity):
-            outs = frozenset(f(*xs) for xs in _mu_product(C, ys))
+            outs = f.image(*(C.mu[y] for y in ys))
             img = C.mu[fs(*ys)]
             if outs != img:
                 return CheckResult(False, (ys, set_name(outs), set_name(img)))
@@ -404,7 +425,7 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str,
     else:
         subsets = _sampled_subsets(values, random.Random(seed))
     for Xs in product(subsets, repeat=arity):
-        outs = {f(*xs) for xs in product(*map(sorted_elems, Xs))}
+        outs = f.image(*Xs)
         lhs = lat.lub(C.eta[o] for o in outs)
         rhs = fs(*(lat.lub(C.eta[x] for x in X) for X in Xs))
         if lhs != rhs:

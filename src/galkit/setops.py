@@ -65,14 +65,18 @@ class FinCarrier:
         """The carrier values as a set, built once per carrier."""
         return self._set
 
-    def clamp(self, n: int) -> str:
-        """Close an integer result back into the carrier per the mode."""
+    def clamp_int(self, n: int) -> int:
+        """Close an integer result back into the carrier's range per the
+        mode, as an int."""
         if self.lo is None or self.hi is None:
             raise ShapeMismatch("clamp on a non-integer carrier")
         if self.mode == MODULAR:
-            span = self.hi - self.lo + 1
-            return str(self.lo + (n - self.lo) % span)
-        return str(min(max(n, self.lo), self.hi))
+            return self.lo + (n - self.lo) % (self.hi - self.lo + 1)
+        return min(max(n, self.lo), self.hi)
+
+    def clamp(self, n: int) -> str:
+        """Close an integer result back into the carrier per the mode."""
+        return str(self.clamp_int(n))
 
 
 Domain = Union[FinCarrier, FinPoset]

@@ -16,18 +16,25 @@ passing and arbitrary eta/mu over random, M3, N5 and discrete abstract
 posets, with and without (non-discrete) carrier orders, for names that
 parse as ints (some equal as ints, such as ``1`` and ``01``) and names that
 do not, and on the builtins.
+
+``ConcreteFn.image`` computes best-correct-approximation entries as a set
+image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
+both must agree with the literal image over the product of the argument
+sets, and ``bca_pcgc_entry`` with the literal lub of eta over it.
 """
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galkit import catalog
-from galkit.errors import NotCompleteLattice, NotInClass
+from galkit.analyzer import AbstractSemantics, _ArithTable
+from galkit.errors import NotCompleteLattice, NotInClass, ShapeMismatch
+from galkit.functions import ConcreteFn, bca_pcgc_entry
 from galkit.galois import (
     CarrierConn,
     CheckResult,
@@ -52,8 +59,8 @@ from galkit.order import (
     scan_order,
     sorted_elems,
 )
-from galkit.setops import FinCarrier, check_partition
-from galkit.transforms import t_cgc_of_pgc, t_pgc
+from galkit.setops import MODULAR, SATURATING, FinCarrier, check_partition
+from galkit.transforms import t_cgc_of_pgc, t_pcgc, t_pgc
 
 
 class CountingLattice(FinLattice):
@@ -70,8 +77,30 @@ class CountingLattice(FinLattice):
         return super().join(x, y)
 
 
+class CountingArithTable(_ArithTable):
+    """An arithmetic table that counts the entries read from it."""
+
+    def __init__(self, carrier, op):
+        super().__init__(carrier, op)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 # ---------------------------------------------------------------------------
 # literal definitions
+
+
+def literal_image(f: ConcreteFn, *sets) -> set:
+    """f applied to every tuple of the product, one table read each."""
+    return {f(*xs) for xs in product(*sets)}
+
+
+def literal_bca_entry(C: CarrierConn, f: ConcreteFn, *ys) -> str:
+    outs = literal_image(f, *(C.mu[y] for y in ys))
+    return C.abstract.lub(C.eta[o] for o in outs)
 
 
 def pairwise_additive(G: GaloisConn):
@@ -536,3 +565,92 @@ def test_connections_are_immutable():
     with pytest.raises(TypeError):
         T.alpha_table[frozenset()] = "{x}"
     assert T.alpha([]) == "{}"
+
+
+# ---------------------------------------------------------------------------
+# best-correct-approximation entries as a set image
+
+
+@st.composite
+def arith_images(draw):
+    """An integer carrier, an operator and two mu-style argument sets: empty,
+    a singleton, a contiguous range, the whole carrier or any subset."""
+    mode = draw(st.sampled_from([SATURATING, MODULAR]))
+    lo = draw(st.integers(-9, 4))
+    size = draw(st.integers(1, 7)) * 2 if mode == MODULAR else draw(st.integers(1, 14))
+    carrier = FinCarrier.ints(lo, lo + size - 1, mode)
+    values = carrier.values
+
+    def subset():
+        i = draw(st.integers(0, size - 1))
+        j = draw(st.integers(i, size - 1))
+        return draw(st.sampled_from([
+            frozenset(),
+            frozenset([values[i]]),
+            frozenset(values[i:j + 1]),
+            carrier.value_set(),
+            draw(st.frozensets(st.sampled_from(values))),
+        ]))
+
+    return carrier, draw(st.sampled_from("+-*")), subset(), subset()
+
+
+@settings(max_examples=500, deadline=None)
+@given(arith_images())
+@example((FinCarrier.ints(-4, 3, MODULAR), "*", frozenset(), frozenset({"3"})))
+@example((FinCarrier.ints(-4, 4), "-", frozenset({"-4", "4"}), frozenset()))
+def test_arith_image_agrees_with_the_literal_product(case):
+    carrier, op, xs, ys = case
+    table = CountingArithTable(carrier, op)
+    f = ConcreteFn(2, table)
+    image = f.image(xs, ys)
+    assert table.reads == 0
+    assert image == table.image(xs, ys) == literal_image(f, xs, ys)
+    assert table.reads == len(xs) * len(ys)
+
+
+def parity_pcgc():
+    """parity(8) with a bottom and a top: a PCGC over a modular carrier."""
+    return t_pcgc(t_pgc(catalog.builtin("parity", 8)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.builtin("signconst_pcgc", 16), parity_pcgc,
+], ids=["signconst_pcgc", "parity"])
+def test_bca_entries_agree_with_the_literal_lub(make):
+    C = make()
+    ops = AbstractSemantics(C).ops
+    elems = C.abstract.elements
+    for op, y1, y2 in product("+-*", elems, elems):
+        f = ops[op]
+        assert bca_pcgc_entry(C, f, y1, y2) == literal_bca_entry(C, f, y1, y2)
+
+
+def test_bca_entries_read_no_arithmetic_table_entry():
+    C = catalog.builtin("signconst_pcgc", 16)
+    elems = C.abstract.elements
+    for op in "+-*":
+        table = CountingArithTable(C.carrier, op)
+        f = ConcreteFn(2, table)
+        for y1, y2 in product(elems, elems):
+            bca_pcgc_entry(C, f, y1, y2)
+        assert table.reads == 0
+        literal_bca_entry(C, f, "Z", "<0")
+        assert table.reads == len(C.mu["Z"]) * len(C.mu["<0"])
+
+
+def test_generic_image_names_the_first_undefined_key_in_sorted_order():
+    values = [str(n) for n in range(-3, 12)]
+    # undefined wherever a + b > 8: in the sorted scan ("-2", "11") comes
+    # first; a lexical scan would meet ("-1", "10") first
+    f = ConcreteFn(2, {
+        (a, b): a for a in values for b in values if int(a) + int(b) <= 8
+    })
+    for xs in (values, values[::-1], set(values)):
+        with pytest.raises(ShapeMismatch, match=r"\('-2', '11'\)"):
+            f.image(xs, xs)
+    g = ConcreteFn(1, {v: v for v in values if int(v) < 2})
+    with pytest.raises(ShapeMismatch, match="'2'"):
+        g.image(set(values))
+    with pytest.raises(ShapeMismatch):
+        f.image(values)

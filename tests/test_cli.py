@@ -62,6 +62,21 @@ def test_bca_subcommand(tmp_path, capsys):
     assert table["<0"] == ">0" and table["≥0"] == "≤0"
 
 
+def test_bca_names_a_result_outside_the_carrier(tmp_path, capsys):
+    C = catalog.builtin("interval_pcgc", 10)
+    domain = tmp_path / "ival.json"
+    fileio.save_domain(C, str(domain))
+    fn = tmp_path / "stray.json"
+    fileio.save_fn(
+        "concrete",
+        ConcreteFn(1, {v: "zzz" if v == "0" else v for v in C.carrier.values}),
+        str(fn),
+    )
+    code, out, err = run(capsys, "bca", str(domain), str(fn))
+    assert code == 1 and out == ""
+    assert "result 'zzz' leaves the carrier" in err
+
+
 def test_soundcheck_subcommand(tmp_path, capsys):
     C = catalog.builtin("parity", 6)
     domain = tmp_path / "parity.json"

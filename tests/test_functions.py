@@ -96,6 +96,15 @@ def test_bca_pcgc_entry_matches_full_table():
         assert table(y) == bca_pcgc_entry(C, f, y)
 
 
+def test_bca_pcgc_names_a_result_outside_the_carrier():
+    C = catalog.builtin("interval_pcgc", 12)
+    f = ConcreteFn(1, {v: "zzz" if v == "3" else v for v in C.carrier.values})
+    with pytest.raises(ShapeMismatch, match="result 'zzz' leaves the carrier"):
+        bca_pcgc_entry(C, f, C.abstract.top)
+    with pytest.raises(ShapeMismatch, match="'zzz'"):
+        bca_pcgc(C, f)
+
+
 # ---------------------------------------------------------------------------
 # lattice-level properties
 
