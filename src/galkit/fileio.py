@@ -29,6 +29,7 @@ from .setops import FinCarrier
 
 
 def _require_keys(obj: dict, required: set, what: str) -> None:
+    _require_object(obj, what)
     keys = set(obj)
     if keys != required:
         unknown = keys - required
@@ -39,6 +40,12 @@ def _require_keys(obj: dict, required: set, what: str) -> None:
         if missing:
             parts.append(f"missing keys {sorted(missing)}")
         raise FormatError(f"{what}: " + ", ".join(parts))
+
+
+def _require_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be an object, got {type(obj).__name__}")
+    return obj
 
 
 def _parse_carrier(obj) -> FinCarrier:
@@ -100,15 +107,16 @@ def domain_from_dict(data: dict):
         else None
     )
     if kind == "cco":
-        return ClosureOp(
-            carrier, {a: frozenset(s) for a, s in data["phi"].items()}
-        )
+        phi = _require_object(data["phi"], "phi")
+        return ClosureOp(carrier, {a: frozenset(s) for a, s in phi.items()})
     poset = _parse_abstract(data["abstract"])
     if kind == "gc":
         lat = FinLattice.from_poset(poset)
-        gamma = {d: frozenset(s) for d, s in data["gamma"].items()}
+        gamma = {d: frozenset(s)
+                 for d, s in _require_object(data["gamma"], "gamma").items()}
         alpha_table = {
-            frozenset(_split_set(k)): v for k, v in data["alpha"].items()
+            frozenset(_split_set(k)): v
+            for k, v in _require_object(data["alpha"], "alpha").items()
         }
         return GaloisConn(
             carrier, lat, gamma, carrier_order=order,
@@ -120,8 +128,9 @@ def domain_from_dict(data: dict):
             abstract = FinLattice.from_poset(poset)
         except NotCompleteLattice:
             abstract = poset
-    mu = {b: frozenset(s) for b, s in data["mu"].items()}
-    return CarrierConn(kind, carrier, abstract, data["eta"], mu, carrier_order=order)
+    mu = {b: frozenset(s) for b, s in _require_object(data["mu"], "mu").items()}
+    eta = _require_object(data["eta"], "eta")
+    return CarrierConn(kind, carrier, abstract, eta, mu, carrier_order=order)
 
 
 def _split_set(name: str):
@@ -145,8 +154,8 @@ def _order_pairs(poset: FinPoset):
 
 def _alpha_table(conn: GaloisConn) -> dict:
     """Tabulated abstraction.  Exhaustive for small carriers; for large ones
-    the table covers singletons and the empty set, and loading falls back to
-    the least gamma-cover for other subsets."""
+    the table covers singletons and the empty set, and the loaded connection
+    derives every other subset's abstraction as the lub of its atoms."""
     poset = conn.carrier_poset()
     small = poset.is_discrete() and 2 ** len(poset) <= 4096
     if small or not poset.is_discrete():
@@ -219,7 +228,7 @@ def load_fn(path: str):
 
 
 def fn_from_dict(data: dict):
-    _require_keys(dict(data), {"arity", "over", "table"}, "function file")
+    _require_keys(data, {"arity", "over", "table"}, "function file")
     arity = data["arity"]
     if arity not in (1, 2):
         raise FormatError(f"arity must be 1 or 2, got {arity!r}")
@@ -227,7 +236,10 @@ def fn_from_dict(data: dict):
     if over not in ("concrete", "abstract"):
         raise FormatError(f"over must be concrete or abstract, got {over!r}")
     table = {}
-    for key, result in data["table"].items():
+    for key, result in _require_object(data["table"], "table").items():
+        if isinstance(result, (list, dict)):
+            raise FormatError(
+                f"table[{key!r}] must be a name, got {type(result).__name__}")
         if arity == 1:
             table[key] = result
         else:

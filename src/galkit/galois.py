@@ -7,11 +7,13 @@ Two record shapes cover every connection class:
   subsets.  Tagged ``cgc`` (discrete abstract side), ``cgp`` (ordered carrier
   and abstract side) or ``pcgc`` (unordered carrier, ordered abstract side).
 * :class:`GaloisConn` holds an adjunction whose concrete domain is the
-  (downward) powerset of a carrier.  The concrete lattice stays implicit:
-  ``gamma`` is an explicit table and ``alpha`` is either an explicit table,
-  a supplied function, or derived as the least ``gamma``-cover.  This keeps
-  large carriers usable for best-correct-approximation queries while
-  exhaustive checking remains available for small carriers.
+  (downward) powerset of a carrier.  The concrete lattice stays implicit,
+  and ``gamma`` alone fixes the connection: alpha(X) is the lub of the
+  atoms a_x, x in X, where a_x is the least abstract element whose
+  concretization holds x (Cousot & Cousot, POPL 1979).  A loaded ``alpha``
+  table answers the subsets it lists.  alpha never enumerates the concrete
+  side, and :func:`check_gc` does so only to name the witness of a failing
+  connection, so large carriers stay usable.
 
 All checkers return the first counterexample in a deterministic element
 order, and transforms re-run the target checker on their outputs instead of
@@ -154,23 +156,25 @@ class FrozenDict(dict):
 class GaloisConn:
     """An adjunction over the (downward) powerset of a carrier.
 
-    ``gamma`` maps abstract elements to carrier subsets.  ``alpha`` resolves
-    through, in order: an explicit subset-keyed table, a supplied callable,
-    or the least abstract element whose concretization covers the argument.
+    ``gamma`` maps abstract elements to carrier subsets, and fixes alpha:
+    ``alpha(X)`` is the entry of ``alpha_table`` when that table holds X,
+    and otherwise the lub of the atoms a_x, x in X (see :meth:`atoms`).
+    ``alpha_table`` keys must be concrete elements (carrier subsets,
+    down-closed under a carrier order) and its values abstract elements;
+    :func:`check_gc` checks that each value is the lub of its key's atoms.
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``gamma`` and ``alpha_table`` are read-only mappings whose writes
-    raise TypeError.  So :func:`classify_partitioning` keeps its report, and
-    the additivity check its verdict, on the instance and answer repeat
-    calls from them.
+    raise TypeError.  So the atom map, the report of
+    :func:`classify_partitioning` and the additivity verdict are computed
+    once and kept on the instance.
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
-                 "alpha_table", "alpha_fn", "_alpha_cache", "_classified",
-                 "_additive")
+                 "alpha_table", "_atoms", "_classified", "_additive")
 
     def __init__(self, carrier, abstract, gamma, carrier_order=None,
-                 alpha_table=None, alpha_fn=None, kind="gc"):
+                 alpha_table=None, kind="gc"):
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "carrier", carrier)
@@ -180,8 +184,7 @@ class GaloisConn:
             (d, frozenset(s)) for d, s in gamma.items()))
         init(self, "alpha_table", None if alpha_table is None else FrozenDict(
             (frozenset(k), v) for k, v in alpha_table.items()))
-        init(self, "alpha_fn", alpha_fn)
-        init(self, "_alpha_cache", {})
+        init(self, "_atoms", None)
         init(self, "_classified", None)
         init(self, "_additive", None)
         self._validate()
@@ -201,9 +204,17 @@ class GaloisConn:
             if self.gamma[d] - universe:
                 raise ShapeMismatch(f"gamma({d!r}) leaves the carrier")
         _reject_stray_keys("gamma", self.gamma, poset, "abstract poset")
-        if self.carrier_order is not None:
-            if set(self.carrier_order.elements) != set(self.carrier.values):
-                raise ShapeMismatch("carrier order does not match carrier")
+        order = self.carrier_order
+        if order is not None and set(order.elements) != set(self.carrier.values):
+            raise ShapeMismatch("carrier order does not match carrier")
+        for X, d in (self.alpha_table or {}).items():
+            if not X <= universe or (
+                    order is not None and not order.is_down_closed(X)):
+                raise ShapeMismatch("alpha_table has a key outside the "
+                                    f"concrete domain: {set_name(X)!r}")
+            if d not in poset:
+                raise ShapeMismatch(
+                    f"alpha_table({set_name(X)}) = {d!r} not abstract")
 
     @property
     def abstract_poset(self) -> FinPoset:
@@ -220,28 +231,35 @@ class GaloisConn:
             return self.carrier_order
         return FinPoset.discrete(self.carrier.values)
 
+    def atoms(self) -> dict:
+        """x -> a_x for every carrier value x whose holder set
+        H(x) = {d | x in gamma(d)} is up(a_x), read from one pass over
+        gamma and kept on the connection.
+
+        Then x in gamma(d) <=> a_x <= d, so the least d with X <= gamma(d)
+        is the lub of the a_x, x in X: that is alpha(X).  A value missing
+        from the map has no best abstraction.
+        """
+        if self._atoms is None:
+            poset = self.abstract_poset
+            atoms = {}
+            for x, hs in _holders(self, self.gamma).items():
+                a = _least(poset, hs)
+                if a is not None and len(poset.up(a)) == len(hs):
+                    atoms[x] = a
+            object.__setattr__(self, "_atoms", atoms)
+        return self._atoms
+
     def alpha(self, members: Iterable[str]) -> str:
         X = frozenset(members)
         if self.alpha_table is not None and X in self.alpha_table:
             return self.alpha_table[X]
-        if self.alpha_fn is not None:
-            return self.alpha_fn(X)
-        try:
-            return self._alpha_cache[X]
-        except KeyError:
-            pass
-        poset = self.abstract_poset
-        candidates = [d for d in poset.elements if X <= self.gamma[d]]
-        least = next(
-            (d for d in candidates if all(poset.leq(d, e) for e in candidates)),
-            None,
-        )
-        if least is None:
+        atoms = self.atoms()
+        if not X.issubset(atoms):
             raise ShapeMismatch(
                 f"no best abstraction for {set_name(X)}: not a Galois connection"
             )
-        self._alpha_cache[X] = least
-        return least
+        return self.abstract_lattice.lub(atoms[x] for x in X)
 
     def gamma_image(self) -> frozenset:
         """The extensional image of the induced closure, {gamma(d) | d}."""
@@ -314,24 +332,81 @@ class ClassifyReport:
 # checkers
 
 
-def check_gc(G: GaloisConn, guard: int = DOWNSETS_GUARD) -> GCReport:
-    """Exhaustively verify the adjunction; also report insertion and
-    disjunctivity status.  Only feasible for small carriers."""
+def check_gc(G: GaloisConn) -> GCReport:
+    """The adjunction alpha(X) <= d <=> X <= gamma(d), for every concrete X
+    and abstract d; also report insertion and disjunctivity status.
+
+    Read off gamma in O(|A| + sum |gamma| + sum |X| over ``alpha_table``)
+    steps, plus one down-set inclusion per member of each gamma(d) under a
+    carrier order, it holds exactly when:
+
+    * (i) every gamma(d) is a downset of the carrier order, as a map into
+      the concrete domain must be (witness ``("gamma-downclosed", d)``,
+      d in element order);
+    * (ii) every holder set H(x) = {d | x in gamma(d)} is up(a_x) for an
+      atom a_x (see :meth:`GaloisConn.atoms`);
+    * (iii) every ``alpha_table`` entry is the lub of its key's atoms.
+
+    Sufficiency: alpha(X) <= d <=> every a_x <= d <=> X <= gamma(d).
+    Necessity: given (i), H(x) is the set of upper bounds of alpha(down(x)),
+    and a table entry must be the least upper bound of its key's atoms.
+    Then alpha is onto exactly when gamma is injective, so that is
+    ``is_gi``.  When (ii) or (iii) fails, :func:`_adjunction_failure` scans
+    the concrete elements for the first failing (X, d).
+    """
     poset = G.abstract_poset
-    abs_elems = sorted_elems(poset.elements)
-    seen_alpha = set()
-    for X in G.iter_concrete(guard):
-        try:
-            aX = G.alpha(X)
-        except ShapeMismatch:
-            return GCReport(False, False, False, (set_name(X), None))
-        seen_alpha.add(aX)
-        for d in abs_elems:
-            if poset.leq(aX, d) != (X <= G.gamma[d]):
-                return GCReport(False, False, False, (set_name(X), d))
-    is_gi = seen_alpha >= set(abs_elems)
+    order = G.carrier_order
+    if order is not None:
+        wit = _first_failure(
+            poset.elements, sorted_elems,
+            lambda d: (None if order.is_down_closed(G.gamma[d])
+                       else ("gamma-downclosed", d)))
+        if wit is not None:
+            return GCReport(False, False, False, wit)
+    atoms = G.atoms()
+    if len(atoms) < len(G.carrier.values) or any(
+            G.abstract_lattice.lub(atoms[x] for x in X) != d
+            for X, d in (G.alpha_table or {}).items()):
+        return GCReport(False, False, False, _adjunction_failure(G))
+    is_gi = len(set(G.gamma.values())) == len(G.gamma)
     is_disj, wit = _gamma_additive(G)
     return GCReport(True, is_gi, is_disj, wit)
+
+
+def _least(poset: FinPoset, S):
+    """The least element of S, or None.  If S has a least element l, every
+    other s in S lies strictly above l and so has a smaller up-set: l is
+    the element of S whose up-set is largest.  The first element is tried
+    before that search, because a holder list built in a linear extension
+    of the order, such as a powerset lattice's by-size order, starts with
+    it."""
+    if not S:
+        return None
+    first = next(iter(S))
+    if poset.up(first).issuperset(S):
+        return first
+    a = max(S, key=lambda d: len(poset.up(d)))
+    return a if poset.up(a).issuperset(S) else None
+
+
+def _adjunction_failure(G: GaloisConn):
+    """The first (X, d), X in :meth:`GaloisConn.iter_concrete` order and d
+    in element order, at which alpha(X) <= d <=> X <= gamma(d) fails, by
+    the literal definition: alpha(X) is the ``alpha_table`` entry or else
+    the least d with X <= gamma(d), and (X, None) when there is none.
+    Enumerates the concrete side, so it raises TooLarge beyond
+    ``DOWNSETS_GUARD`` elements."""
+    poset = G.abstract_poset
+    table = G.alpha_table or {}
+    for X in G.iter_concrete():
+        covers = {d for d in poset.elements if X <= G.gamma[d]}
+        aX = table[X] if X in table else _least(poset, covers)
+        if aX is None:
+            return (set_name(X), None)
+        bad = poset.up(aX) ^ covers
+        if bad:
+            return (set_name(X), next(d for d in sorted_elems(poset.elements)
+                                      if d in bad))
 
 
 def _gamma_additive(G: GaloisConn):
@@ -388,14 +463,15 @@ def _scan_additive(G: GaloisConn):
 # of those in the inner loop's order.  Only a failing check sorts.
 
 
-def _holders(C: CarrierConn) -> dict:
-    """H(x) = {y in B | x in mu(y)} for every carrier value x, read from mu
-    at the abstract poset's elements (as the pairwise laws read it) in
-    |A| + sum |mu(y)| steps.  Each y lands in a list once; lists keep this
-    transient table several times smaller than sets would."""
+def _holders(C, table: Mapping) -> dict:
+    """H(x) = {y in B | x in table[y]} for every carrier value x of the
+    connection C, with ``table`` its mu or its gamma, read at the abstract
+    poset's elements (as the pairwise laws read it) in |A| + sum |table[y]|
+    steps.  Each y lands in a list once; lists keep this transient table
+    several times smaller than sets would."""
     H = {x: [] for x in C.carrier.values}
     for y in C.abstract_poset.elements:
-        for x in C.mu[y]:
+        for x in table[y]:
             H[x].append(y)
     return H
 
@@ -450,7 +526,7 @@ def check_cgc(C: CarrierConn) -> CheckResult:
     H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost
     O(|A| + sum |mu|) on success.
     """
-    H, elements = _holders(C), C.abstract_poset.elements
+    H, elements = _holders(C, C.mu), C.abstract_poset.elements
     wit = _first_pair(C.carrier.values, scan_order,
                       lambda x: {C.eta[x]}.symmetric_difference(H[x]),
                       lambda x: sorted_elems(elements))
@@ -480,7 +556,7 @@ def check_cgp(C: CarrierConn) -> CheckResult:
 
     wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
            or _first_failure(bp.elements, sorted_elems, mu_witness)
-           or _order_law_failure(C, _holders(C)))
+           or _order_law_failure(C, _holders(C, C.mu)))
     return CheckResult(wit is None, wit)
 
 
@@ -502,7 +578,7 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     scan order whose eta(x') fails.  With a carrier order, eta must also be
     monotone; that tail runs only when (1) and (2) hold.
     """
-    H = _holders(C)
+    H = _holders(C, C.mu)
     values = C.carrier.values
     image = {C.eta[x] for x in values}
     wit1 = _first_pair(values, scan_order,

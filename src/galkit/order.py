@@ -10,7 +10,6 @@ their atoms and render its name once, so joins never parse names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -371,36 +370,6 @@ class SetLattice(FinLattice):
             return self._name[sum(self._bit[x] for x in frozenset(subset))]
         except KeyError:
             raise UnknownElement(f"no element with members {subset!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
-class DownSet:
-    """A downward-closed subset of a poset."""
-
-    poset: FinPoset
-    members: frozenset
-
-    def __post_init__(self):
-        for x in self.members:
-            self.poset.require(x)
-        if not self.poset.is_down_closed(self.members):
-            raise ValueError("members are not downward closed")
-
-    def __eq__(self, other):
-        if isinstance(other, DownSet):
-            return self.members == other.members and self.poset == other.poset
-        return NotImplemented
-
-    def __contains__(self, x):
-        return x in self.members
-
-
-def down_closure(poset: FinPoset, members: Iterable[str]) -> DownSet:
-    """Smallest downward-closed superset of ``members``."""
-    out: set[str] = set()
-    for x in members:
-        out |= poset.down(x)
-    return DownSet(poset, frozenset(out))
 
 
 def iter_downsets(poset: FinPoset, guard: int = DOWNSETS_GUARD):

@@ -7,7 +7,7 @@ block representatives are named after their least carrier member.
 """
 from __future__ import annotations
 
-from .errors import NotInClass, TooLarge
+from .errors import NotInClass
 from .galois import (
     CarrierConn,
     ClosureOp,
@@ -30,11 +30,7 @@ from .order import (
     set_name,
     sorted_elems,
 )
-from .setops import lift_diamond, lift_star
-
-# exhaustive adjunction checks on transform outputs are skipped beyond this
-# many concrete subsets; structural checks still run
-VERIFY_GUARD = 2 ** 12
+from .setops import lift_star
 
 
 def _as_lattice(abstract) -> FinLattice:
@@ -43,16 +39,11 @@ def _as_lattice(abstract) -> FinLattice:
     return FinLattice.from_poset(abstract)
 
 
-def _maybe_check_gc(G: GaloisConn) -> None:
-    poset = G.carrier_poset()
-    if poset.is_discrete():
-        feasible = 2 ** len(poset) <= VERIFY_GUARD
-    else:
-        feasible = len(poset) <= 12
-    if feasible:
-        report = check_gc(G, guard=VERIFY_GUARD)
-        if not report.is_gc:
-            raise NotInClass(f"transform output fails adjunction at {report.witness}")
+def _checked_gc(G: GaloisConn) -> GaloisConn:
+    report = check_gc(G)
+    if not report.is_gc:
+        raise NotInClass(f"transform output fails adjunction at {report.witness}")
+    return G
 
 
 def t_pgc(C: CarrierConn) -> GaloisConn:
@@ -62,8 +53,7 @@ def t_pgc(C: CarrierConn) -> GaloisConn:
         raise NotInClass("input fails the constructive-connection law")
     lat = powerset_lattice(C.abstract_poset.elements)
     gamma = {name: lift_star(C.mu, lat.members[name]) for name in lat.elements}
-    alpha_fn = lambda X: lat.name_of(lift_diamond(C.eta, X))
-    G = GaloisConn(C.carrier, lat, gamma, alpha_fn=alpha_fn, kind="pgc")
+    G = GaloisConn(C.carrier, lat, gamma, kind="pgc")
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("lifted connection is not partitioning")
     return G
@@ -118,14 +108,10 @@ def t_gc(C: CarrierConn) -> GaloisConn:
     the downsets of its carrier and its (complete-lattice) abstract side."""
     if not check_cgp(C):
         raise NotInClass("input fails the ordered-connection laws")
-    lat = _as_lattice(C.abstract)
-    alpha_fn = lambda X: lat.lub(C.eta[x] for x in X)
-    G = GaloisConn(
-        C.carrier, lat, dict(C.mu),
-        carrier_order=C.carrier_poset(), alpha_fn=alpha_fn, kind="gc",
-    )
-    _maybe_check_gc(G)
-    return G
+    return _checked_gc(GaloisConn(
+        C.carrier, _as_lattice(C.abstract), dict(C.mu),
+        carrier_order=C.carrier_poset(), kind="gc",
+    ))
 
 
 def t_cgp(G: GaloisConn) -> CarrierConn:
@@ -147,13 +133,10 @@ def t_ppgc(C: CarrierConn) -> GaloisConn:
     adjunction over the powerset of its carrier."""
     if not check_pcgc(C).ok:
         raise NotInClass("input fails the purely-constructive conditions")
-    lat = _as_lattice(C.abstract)
-    alpha_fn = lambda X: lat.lub(C.eta[x] for x in X)
-    G = GaloisConn(C.carrier, lat, dict(C.mu), alpha_fn=alpha_fn, kind="ppgc")
+    G = GaloisConn(C.carrier, _as_lattice(C.abstract), dict(C.mu), kind="ppgc")
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("lifted connection is not pre-partitioning")
-    _maybe_check_gc(G)
-    return G
+    return _checked_gc(G)
 
 
 def t_pcgc(G: GaloisConn) -> CarrierConn:
@@ -185,10 +168,7 @@ def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     cls = classify_partitioning(G)
     if cls.category not in ("PGC", "PPGC"):
         raise NotInClass("input is not pre-partitioning")
-    blocks = prt(G)
-    if 2 ** len(blocks) > VERIFY_GUARD:
-        raise TooLarge("too many blocks for disjunctive completion")
-    family = union_closure(blocks) | G.gamma_image()
+    family = union_closure(prt(G), guard=2 ** 12) | G.gamma_image()
     lat = SetLattice.from_family(G.carrier.values, family, by_name=True)
     out = GaloisConn(G.carrier, lat, lat.members, kind="pgc")
     if classify_partitioning(out).category != "PGC":

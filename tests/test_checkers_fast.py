@@ -17,6 +17,15 @@ posets, with and without (non-discrete) carrier orders, for names that
 parse as ints (some equal as ints, such as ``1`` and ``01``) and names that
 do not, and on the builtins.
 
+``check_gc`` reads the adjunction off gamma: gamma lands in the downsets,
+every holder set {d | x in gamma(d)} is the up-set of an atom a_x, and every
+``alpha_table`` entry is the lub of its key's atoms.  Here it must agree,
+verdict, ``is_gi``, ``is_disjunctive`` and witness, with the literal scan of
+every concrete X and abstract d, alpha being the table entry or the least
+gamma-cover, on discrete and ordered carriers, the lattices above, and
+Galois connections, mutated ones and arbitrary gammas, with and without
+(mutated) tables; and alpha must agree with the least gamma-cover.
+
 ``ConcreteFn.image`` computes best-correct-approximation entries as a set
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
 both must agree with the literal image over the product of the argument
@@ -31,15 +40,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galkit import catalog
+from galkit import catalog, fileio
 from galkit.analyzer import AbstractSemantics, _ArithTable
-from galkit.errors import NotCompleteLattice, NotInClass, ShapeMismatch
+from galkit.errors import NotCompleteLattice, NotInClass, ShapeMismatch, TooLarge
 from galkit.functions import ConcreteFn, bca_pcgc_entry
 from galkit.galois import (
     CarrierConn,
     CheckResult,
     ClassifyReport,
     GaloisConn,
+    GCReport,
     PCGCReport,
     _gamma_additive,
     check_cgc,
@@ -57,7 +67,9 @@ from galkit.order import (
     downsets_lattice,
     powerset_lattice,
     scan_order,
+    set_name,
     sorted_elems,
+    subsets_by_size,
 )
 from galkit.setops import MODULAR, SATURATING, FinCarrier, check_partition
 from galkit.transforms import t_cgc_of_pgc, t_pcgc, t_pgc
@@ -130,6 +142,40 @@ def literal_classify(G: GaloisConn) -> ClassifyReport:
     if part.ok:
         return ClassifyReport("PPGC", alt2prime, part, wit)
     return ClassifyReport("neither", alt2prime, part, part.witness)
+
+
+def least_cover(G: GaloisConn, X):
+    """The least d with X <= gamma(d), or None."""
+    poset = G.abstract_poset
+    candidates = [d for d in poset.elements if X <= G.gamma[d]]
+    return next(
+        (d for d in candidates if all(poset.leq(d, e) for e in candidates)),
+        None,
+    )
+
+
+def literal_gc(G: GaloisConn) -> GCReport:
+    """gamma lands in the downsets of the carrier order, then
+    alpha(X) <= d <=> X <= gamma(d) for every concrete X and abstract d,
+    alpha(X) being the table entry or the least gamma-cover, scanned pair
+    by pair; alpha onto for ``is_gi``."""
+    poset = G.abstract_poset
+    elems = sorted_elems(poset.elements)
+    cp = G.carrier_poset()
+    for d in elems:
+        if not cp.is_down_closed(G.gamma[d]):
+            return GCReport(False, False, False, ("gamma-downclosed", d))
+    table = G.alpha_table or {}
+    seen = set()
+    for X in G.iter_concrete():
+        aX = table[X] if X in table else least_cover(G, X)
+        if aX is None:
+            return GCReport(False, False, False, (set_name(X), None))
+        seen.add(aX)
+        for d in elems:
+            if poset.leq(aX, d) != (X <= G.gamma[d]):
+                return GCReport(False, False, False, (set_name(X), d))
+    return GCReport(True, seen == set(elems), *pairwise_additive(G))
 
 
 def literal_cgc(C: CarrierConn) -> CheckResult:
@@ -299,7 +345,10 @@ def connections(draw):
 
 
 def conn(carrier, lat, gamma) -> GaloisConn:
-    return GaloisConn(carrier, lat, gamma, alpha_fn=lambda X: lat.top)
+    """A connection whose table abstracts every singleton to the top, so
+    that classification reads one block, gamma(top), whatever gamma is."""
+    return GaloisConn(carrier, lat, gamma,
+                      alpha_table={(c,): lat.top for c in carrier.values})
 
 
 # names that parse as ints (1, 01 and +1 are equal as ints, so sort_key ties
@@ -485,13 +534,152 @@ def test_check_gc_reports_disjunctivity_as_the_pairwise_scan(name):
 
 
 # ---------------------------------------------------------------------------
+# the adjunction read off gamma
+
+
+@st.composite
+def gc_conns(draw):
+    """A connection over up to four carrier values, unordered, discretely
+    ordered or (mostly) ordered: a Galois connection,
+    gamma(d) = {x | a_x <= d} for a monotone atom map a, that connection
+    with one membership flipped, or an arbitrary gamma.  Its alpha table is
+    absent, exact (the least gamma-covers), or part of it with, sometimes,
+    one value changed."""
+    lat = draw(LATTICES)
+    n = draw(st.integers(1, 4))
+    values = [f"c{i}" for i in range(n)]
+    order = draw(st.sampled_from(["none", "discrete", "ordered", "ordered"]))
+    if order == "ordered":
+        order = build_poset(values, [(values[i], values[j]) for i in range(n)
+                                     for j in range(i + 1, n)
+                                     if draw(st.booleans())])
+    else:
+        order = FinPoset.discrete(values) if order == "discrete" else None
+    elems = sorted_elems(lat.elements)
+    shape = draw(st.sampled_from(["gc", "perturbed", "arbitrary"]))
+    if shape == "arbitrary":
+        gamma = {d: draw(st.frozensets(st.sampled_from(values))) for d in elems}
+    else:
+        cap = {x: draw(st.sampled_from(elems)) for x in values}
+        below = (order or FinPoset.discrete(values)).down
+        atom = {x: lat.lub(cap[y] for y in below(x)) for x in values}
+        gamma = {d: frozenset(x for x in values if lat.leq(atom[x], d))
+                 for d in elems}
+        if shape == "perturbed":
+            gamma[draw(st.sampled_from(elems))] ^= {draw(st.sampled_from(values))}
+    G = GaloisConn(FinCarrier.atoms(values), lat, gamma, carrier_order=order)
+    tabled = draw(st.sampled_from(["none", "exact", "partial"]))
+    if tabled == "none":
+        return G
+    table = {X: least_cover(G, X) for X in G.iter_concrete()}
+    table = {X: d for X, d in table.items() if d is not None}
+    if tabled == "partial" and table:
+        keys = draw(st.lists(st.sampled_from(list(table)), unique=True))
+        table = {X: table[X] for X in keys}
+        if table and draw(st.booleans()):
+            table[draw(st.sampled_from(keys))] = draw(st.sampled_from(elems))
+    return GaloisConn(G.carrier, lat, gamma, carrier_order=order,
+                      alpha_table=table)
+
+
+@settings(max_examples=600, deadline=None)
+@given(gc_conns())
+def test_check_gc_agrees_with_the_literal_scan(G):
+    rep = check_gc(G)
+    assert rep == literal_gc(G)
+    if rep.is_gc:
+        # alpha is the least gamma-cover of every carrier subset, concrete
+        # or not
+        for X in map(frozenset, subsets_by_size(G.carrier.values)):
+            assert G.alpha(X) == least_cover(G, X)
+
+
+def gamma_mutants(G: GaloisConn):
+    """G with each single membership of gamma flipped, and, when G has an
+    alpha table, with each of its first 40 entries moved to the next
+    element."""
+    values = sorted_elems(G.carrier.values)
+    for d in sorted_elems(G.gamma):
+        for x in values:
+            yield GaloisConn(
+                G.carrier, G.abstract, {**G.gamma, d: G.gamma[d] ^ {x}},
+                carrier_order=G.carrier_order, alpha_table=G.alpha_table)
+    elems = G.abstract_poset.elements
+    for X in list(G.alpha_table or {})[:40]:
+        moved = elems[(elems.index(G.alpha_table[X]) + 1) % len(elems)]
+        yield GaloisConn(
+            G.carrier, G.abstract, G.gamma, carrier_order=G.carrier_order,
+            alpha_table={**G.alpha_table, X: moved})
+
+
+MUTATED = {
+    "sign_pgi": lambda: catalog.builtin("sign_pgi", 3),
+    "sign_minus_ppgc": lambda: catalog.builtin("sign_minus_ppgc", 3),
+    "t_pgc": lambda: t_pgc(catalog.gen_cgc(3, amax=5, bmax=3)),
+    "loaded_sign_pgi": lambda: fileio.domain_from_dict(
+        fileio.domain_to_dict(catalog.builtin("sign_pgi", 2))),
+    **{f"downsets_gc_{s}": lambda s=s: catalog.gen_downsets_gc(s, amax=5)
+       for s in range(4)},
+    **{f"ppgc_{s}": lambda s=s: catalog.gen_ppgc(s) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_check_gc_agrees_with_the_literal_scan_on_mutants(name):
+    G = MUTATED[name]()
+    assert check_gc(G) == literal_gc(G)
+    for M in gamma_mutants(G):
+        assert check_gc(M) == literal_gc(M)
+
+
+def a_below_b(gamma_bot) -> GaloisConn:
+    """The carrier a <= b under the chain bot < top, gamma(top) = {a, b}."""
+    return GaloisConn(
+        FinCarrier.atoms(["a", "b"]), lattice_of(["bot", "top"], [("bot", "top")]),
+        {"bot": gamma_bot, "top": {"a", "b"}},
+        carrier_order=build_poset(["a", "b"], [("a", "b")]),
+    )
+
+
+def test_check_gc_rejects_a_gamma_outside_the_downsets():
+    # {b} is no downset of a <= b; a scan of the downsets X never meets it,
+    # since only {} lies inside it, and so accepted this gamma
+    assert check_gc(a_below_b({"b"})) == GCReport(
+        False, False, False, ("gamma-downclosed", "bot"))
+    assert check_gc(a_below_b({"a"})) == GCReport(True, True, False, ("bot",))
+    assert check_gc(a_below_b(set())) == GCReport(True, True, True)
+
+
+@pytest.mark.parametrize("name, bound, expected", [
+    ("sign_pgi", 64, GCReport(True, True, True)),
+    ("interval_gi_d", 16, GCReport(True, True, False, ("[-5,-1]", "[1,5]"))),
+], ids=["sign_pgi", "interval_gi_d"])
+def test_check_gc_decides_connections_too_large_to_scan(name, bound, expected):
+    # 2^129 and 2^33 concrete subsets
+    G = catalog.builtin(name, bound)
+    assert check_gc(G) == expected
+    assert (expected.is_disjunctive, expected.witness) == pairwise_additive(G)
+
+
+def test_check_gc_guards_the_witness_scan_of_oversized_carriers(sign_pgi):
+    # without -1 in gamma(<0), -1 is held by ≤0, ≠0 and Z, which have no
+    # least element: finding the first failing X means enumerating 2^129
+    gamma = {**sign_pgi.gamma, "<0": sign_pgi.gamma["<0"] - {"-1"}}
+    G = GaloisConn(sign_pgi.carrier, sign_pgi.abstract, gamma)
+    with pytest.raises(TooLarge):
+        check_gc(G)
+    with pytest.raises(ShapeMismatch, match="no best abstraction"):
+        G.alpha(["-1"])
+
+
+# ---------------------------------------------------------------------------
 # the classification memo and immutability
 
 
 def rebuilt(G: GaloisConn) -> GaloisConn:
     return GaloisConn(
         G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order,
-        alpha_fn=G.alpha_fn, kind=G.kind,
+        kind=G.kind,
     )
 
 
@@ -519,7 +707,7 @@ def test_additivity_is_computed_once_per_connection(make):
     counting = CountingLattice(G.abstract_lattice)
     H = GaloisConn(
         G.carrier, counting, dict(G.gamma), carrier_order=G.carrier_order,
-        alpha_table=G.alpha_table, alpha_fn=G.alpha_fn,
+        alpha_table=G.alpha_table,
     )
     classify_partitioning(H)
     joins = counting.joins
@@ -539,7 +727,7 @@ def test_classify_ignores_kind_tags():
 def test_connections_are_immutable():
     G = t_pgc(catalog.sign_cgc(4))
     d = next(iter(G.gamma))
-    for name in ("gamma", "kind", "abstract", "alpha_fn", "_classified"):
+    for name in ("gamma", "kind", "abstract", "_atoms", "_classified"):
         with pytest.raises(AttributeError):
             setattr(G, name, None)
         with pytest.raises(AttributeError):

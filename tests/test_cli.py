@@ -11,7 +11,7 @@ import pytest
 from conftest import PROGRAMS_DIR
 
 import galkit
-from galkit import catalog, cli, fileio
+from galkit import catalog, cli, fileio, galois, transforms
 from galkit.cli import main
 from galkit.functions import AbstractFn, ConcreteFn
 from galkit.galois import CheckResult
@@ -44,6 +44,25 @@ def test_builtin_emit_and_transform(tmp_path, capsys):
     assert code == 0
     back = fileio.load_domain(str(out_path))
     assert back.kind == "cgp"
+
+
+def test_transform_checks_the_adjunction_of_a_wide_ppgc(tmp_path, capsys,
+                                                        monkeypatch):
+    domain = tmp_path / "signconst.json"
+    code, _, _ = run(capsys, "builtin", "signconst_pcgc", "--bound", "64",
+                     "--emit", str(domain))
+    assert code == 0
+    reports = []
+
+    def check_gc(G):
+        reports.append(galois.check_gc(G))
+        return reports[-1]
+
+    monkeypatch.setattr(transforms, "check_gc", check_gc)
+    code, out, _ = run(capsys, "transform", "pcgc-ppgc", str(domain))
+    assert code == 0 and json.loads(out)["kind"] == "gc"
+    # 129 carrier values, so 2^129 concrete subsets: checked all the same
+    assert [rep.is_gc for rep in reports] == [True]
 
 
 def test_bca_subcommand(tmp_path, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from galkit import catalog, fileio
 from galkit.errors import FormatError, ShapeMismatch
 from galkit.functions import AbstractFn, ConcreteFn
 from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc
-from galkit.transforms import t_cco
+from galkit.order import FinPoset
+from galkit.setops import FinCarrier
+from galkit.transforms import t_cco, t_pgc
 
 
 def roundtrip(conn):
@@ -156,3 +159,54 @@ def test_loading_rejects_stray_table_keys(kind, table):
     data[table]["ghost"] = "x" if table == "eta" else ["a"]
     with pytest.raises(ShapeMismatch, match="ghost"):
         fileio.domain_from_dict(data)
+
+
+def gc_file(order=()) -> dict:
+    """x <= y over the carrier {a, b}, under ``order``, with a partial alpha
+    table."""
+    return {
+        "kind": "gc",
+        "carrier": {"atoms": ["a", "b"]},
+        "carrier_order": list(order),
+        "abstract": {"elements": ["x", "y"], "leq": [["x", "y"]]},
+        "alpha": {"{}": "x", "{a}": "y", "{a,b}": "y"},
+        "gamma": {"x": [], "y": ["a", "b"]},
+    }
+
+
+@pytest.mark.parametrize("key, value, order, named", [
+    ("{a}", "nope", (), "'nope'"),
+    ("{c}", "y", (), "'{c}'"),
+    ("{b}", "y", (["a", "b"],), "'{b}'"),
+], ids=["value-outside-the-abstract-side", "key-outside-the-carrier",
+        "key-not-down-closed"])
+def test_loading_rejects_alpha_entries_outside_the_domains(key, value, order, named):
+    data = gc_file(order)
+    fileio.domain_from_dict(json.loads(json.dumps(data)))
+    data["alpha"][key] = value
+    with pytest.raises(ShapeMismatch, match=re.escape(named)):
+        fileio.domain_from_dict(data)
+
+
+def test_loading_rejects_an_alpha_table_over_split_names(tmp_path):
+    # the subset {"a,b"} is saved under the key "{a,b}", which reads back as
+    # {a, b}: atoms the carrier does not have
+    C = CarrierConn(
+        "cgc", FinCarrier.atoms(["a,b", "c1", "c2"]), FinPoset.discrete(["x", "y"]),
+        {"a,b": "x", "c1": "y", "c2": "y"}, {"x": {"a,b"}, "y": {"c1", "c2"}},
+    )
+    path = tmp_path / "pgc.json"
+    fileio.save_domain(t_pgc(C), str(path))
+    with pytest.raises(ShapeMismatch, match=re.escape("'{a,b}'")):
+        fileio.load_domain(str(path))
+
+
+@pytest.mark.parametrize("load, data, field", [
+    (fileio.domain_from_dict, {**gc_file(), "abstract": 5}, "abstract"),
+    (fileio.domain_from_dict, {**gc_file(), "gamma": []}, "gamma"),
+    (fileio.fn_from_dict,
+     {"arity": 1, "over": "concrete", "table": {"a": ["x"]}}, "table['a']"),
+], ids=["abstract", "gamma", "result"])
+def test_malformed_fields_raise_format_errors_naming_them(load, data, field):
+    with pytest.raises(FormatError, match=re.escape(field)):
+        load(data)

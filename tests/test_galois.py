@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galkit import catalog
-from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, TooLarge
+from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch
 from galkit.galois import (
     CarrierConn,
     ClosureOp,
@@ -145,14 +145,9 @@ def test_check_gc_flags_on_sign():
     assert rep.is_gc and rep.is_gi and rep.is_disjunctive
 
 
-def test_check_gc_guards_oversized_carriers(sign_pgi):
-    with pytest.raises(TooLarge):
-        check_gc(sign_pgi)
-
-
 def test_interval_gi_adjunction_sampled():
-    # the carrier is too large for the exhaustive checker, so probe the
-    # adjunction on a deterministic sample of subsets
+    # the carrier is too large to scan every subset, so probe the adjunction
+    # literally on a deterministic sample of them
     gi_d = catalog.builtin("interval_gi_d", 16)
     poset = gi_d.abstract_poset
     values = [str(n) for n in range(-16, 17)]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkit import catalog
+from galkit import catalog, transforms
 from galkit.errors import NotInClass
 from galkit.galois import (
+    GCReport,
     check_cco,
     check_cgc,
     check_cgp,
@@ -86,6 +87,18 @@ def test_ppgc_pcgc_roundtrip_on_seeded_instances():
         C = t_pcgc(G)
         assert check_pcgc(C).ok
         assert precision_cmp(t_ppgc(C), G) == "isomorphic"
+
+
+@pytest.mark.parametrize("transform, make", [
+    (t_gc, lambda: catalog.gen_cgp(3)),
+    (t_ppgc, lambda: catalog.builtin("signconst_pcgc", 64)),
+], ids=["t_gc", "t_ppgc"])
+def test_lifts_refuse_an_output_check_gc_rejects(transform, make, monkeypatch):
+    C = make()
+    monkeypatch.setattr(transforms, "check_gc",
+                        lambda G: GCReport(False, False, False, ("{}", "x")))
+    with pytest.raises(NotInClass, match="adjunction"):
+        transform(C)
 
 
 def test_t_pcgc_abstraction_is_eta_on_singletons():
