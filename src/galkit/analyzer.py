@@ -22,6 +22,7 @@ steer the concrete oracle.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,6 +40,10 @@ STEP_BUDGET = 10_000
 
 KEYWORDS = {"while", "do", "if", "then", "else", "skip"}
 CMP_OPS = ("<=", "!=", ">=", "<", "=", ">")
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq,
+    "!=": operator.ne, ">": operator.gt, ">=": operator.ge,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +386,12 @@ class AbstractSemantics:
             op: ConcreteFn(2, _ArithTable(carrier, op)) for op in "+-*"
         }
         self._memo: dict = {}
+        self._compiled: dict = {}
+        eta, clamp, entry = domain.eta, carrier.clamp, self.op_entry
+        self._lit = lambda n: eta[clamp(n)]
+        self._ops = {
+            op: (lambda b1, b2, op=op: entry(op, b1, b2)) for op in "+-*"
+        }
 
     def op_entry(self, op: str, b1: str, b2: str) -> str:
         key = (op, b1, b2)
@@ -389,15 +400,41 @@ class AbstractSemantics:
         return self._memo[key]
 
     def eval(self, expr, state: dict) -> str:
-        if isinstance(expr, Lit):
-            return self.domain.eta[self.domain.carrier.clamp(expr.value)]
-        if isinstance(expr, Var):
-            if expr.name not in state:
-                raise UnknownVariable(f"variable {expr.name!r} has no value")
-            return state[expr.name]
-        left = self.eval(expr.left, state)
-        right = self.eval(expr.right, state)
-        return self.op_entry(expr.op, left, right)
+        """The abstract value of ``expr`` in ``state``; each expression is
+        compiled once per semantics."""
+        fn = self._compiled.get(expr)
+        if fn is None:
+            fn = self._compiled[expr] = _compile_expr(expr, self._lit, self._ops)
+        return fn(state)
+
+
+def _compile_expr(expr, lit, ops):
+    """Compile an arithmetic expression, or a comparison, into a function
+    ``env -> value``.
+
+    ``lit`` maps an integer literal to its value and is applied here, once;
+    ``ops`` maps each operator symbol to a binary function on values.  A
+    variable missing from ``env`` raises UnknownVariable naming it.
+    """
+    if isinstance(expr, Lit):
+        value = lit(expr.value)
+        return lambda env: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def read(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnknownVariable(f"variable {name!r} has no value") from None
+        return read
+    apply = ops[expr.op]
+    left = _compile_expr(expr.left, lit, ops)
+    if isinstance(expr.right, Lit):
+        value = lit(expr.right.value)
+        return lambda env: apply(left(env), value)
+    right = _compile_expr(expr.right, lit, ops)
+    return lambda env: apply(left(env), right(env))
 
 
 class _ArithTable:
@@ -536,66 +573,95 @@ def format_result(result: AnalysisResult, program: Program, domain: CarrierConn)
 # bounded concrete oracle
 
 
+class _OutOfSteps(Exception):
+    """The concrete oracle's step budget ran out."""
+
+
 def concrete_run(program: Program, carrier, budget: int = STEP_BUDGET) -> dict:
     """Execute the program with clamped integer arithmetic, recording every
     variable valuation seen on entry to each program point; stops quietly
-    when the step budget runs out."""
+    when the step budget runs out.
+
+    Returns a dict from label to the list of environments recorded there,
+    labels in first-visit order; "end" holds the final environment and is
+    present only when the run finished within the budget.  Every entry to a
+    statement, and every return to a loop head, is one step.  Recorded
+    environments are read-only and may be shared between observations: an
+    assignment builds a new dict, so a run never mutates one it recorded.
+    """
     seen: dict = {}
+    by_label: dict = {}
     steps = 0
-
-    def note(label, env):
-        seen.setdefault(label, []).append(dict(env))
-
     clamp = carrier.clamp_int
+    ops = {
+        "+": lambda a, b: clamp(a + b),
+        "-": lambda a, b: clamp(a - b),
+        "*": lambda a, b: clamp(a * b),
+        **_COMPARE,
+    }
 
-    def ev(expr, env):
-        if isinstance(expr, Lit):
-            return clamp(expr.value)
-        if isinstance(expr, Var):
-            return env[expr.name]
-        l, r = ev(expr.left, env), ev(expr.right, env)
-        if expr.op == "+":
-            return clamp(l + r)
-        if expr.op == "-":
-            return clamp(l - r)
-        return clamp(l * r)
+    def recorder(label):
+        envs = by_label.setdefault(label, [])
 
-    def test(cond, env):
-        l, r = ev(cond.left, env), ev(cond.right, env)
-        return {
-            "<": l < r, "<=": l <= r, "=": l == r,
-            "!=": l != r, ">": l > r, ">=": l >= r,
-        }[cond.op]
-
-    def run(stmts, env):
-        nonlocal steps
-        for st in stmts:
+        def note(env):
+            nonlocal steps
             if steps >= budget:
-                return env, False
+                raise _OutOfSteps
             steps += 1
-            note(f"L{st.label}", env)
-            if isinstance(st, Assign):
-                env = dict(env)
-                env[st.var] = ev(st.expr, env)
-            elif isinstance(st, Skip):
-                pass
-            elif isinstance(st, If):
-                branch = st.then if test(st.cond, env) else st.els
-                env, ok = run(branch, env)
-                if not ok:
-                    return env, False
-            elif isinstance(st, While):
-                while test(st.cond, env):
-                    env, ok = run(st.body, env)
-                    if not ok:
-                        return env, False
-                    if steps >= budget:
-                        return env, False
-                    steps += 1
-                    note(f"L{st.label}", env)
-        return env, True
+            if not envs:
+                seen[label] = envs
+            envs.append(env)
+        return note
 
-    env, finished = run(program.body, {})
-    if finished:
-        note("end", env)
+    def block(stmts):
+        compiled = [stmt(st) for st in stmts]
+        if len(compiled) == 1:
+            return compiled[0]
+
+        def run(env):
+            for step in compiled:
+                env = step(env)
+            return env
+        return run
+
+    def stmt(st):
+        note = recorder(f"L{st.label}")
+        if isinstance(st, Assign):
+            var, expr = st.var, _compile_expr(st.expr, clamp, ops)
+
+            def assign(env):
+                note(env)
+                return {**env, var: expr(env)}
+            return assign
+        if isinstance(st, Skip):
+            def skip(env):
+                note(env)
+                return env
+            return skip
+        if isinstance(st, If):
+            cond = _compile_expr(st.cond, clamp, ops)
+            then, els = block(st.then), block(st.els)
+
+            def branch(env):
+                note(env)
+                return then(env) if cond(env) else els(env)
+            return branch
+        if isinstance(st, While):
+            cond, body = _compile_expr(st.cond, clamp, ops), block(st.body)
+
+            def loop(env):
+                note(env)
+                while cond(env):
+                    env = body(env)
+                    note(env)
+                return env
+            return loop
+        raise TypeError(f"not a statement: {st!r}")
+
+    run = block(program.body)
+    try:
+        env = run({})
+    except _OutOfSteps:
+        return seen
+    seen["end"] = [env]
     return seen

@@ -48,6 +48,22 @@ def _require_object(obj, what: str) -> dict:
     return obj
 
 
+def _require_list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise FormatError(f"{what} must be a list, got {type(obj).__name__}")
+    return obj
+
+
+def _pairs(obj, what: str) -> list:
+    return [tuple(_require_list(p, f"{what}[{i}]"))
+            for i, p in enumerate(_require_list(obj, what))]
+
+
+def _set_table(table: dict, what: str) -> dict:
+    return {k: frozenset(_require_list(s, f"{what}[{k!r}]"))
+            for k, s in table.items()}
+
+
 def _parse_carrier(obj) -> FinCarrier:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise FormatError("carrier must be an ints or atoms object")
@@ -56,19 +72,20 @@ def _parse_carrier(obj) -> FinCarrier:
         _require_keys(spec, {"lo", "hi", "mode"}, "carrier.ints")
         return FinCarrier.ints(int(spec["lo"]), int(spec["hi"]), spec["mode"])
     if "atoms" in obj:
-        return FinCarrier.atoms(list(obj["atoms"]))
+        return FinCarrier.atoms(_require_list(obj["atoms"], "carrier.atoms"))
     raise FormatError("carrier must be an ints or atoms object")
 
 
 def _parse_abstract(obj) -> FinPoset:
     _require_keys(obj, {"elements", "leq"}, "abstract")
     return build_poset(
-        list(obj["elements"]), [tuple(p) for p in obj["leq"]]
+        _require_list(obj["elements"], "abstract.elements"),
+        _pairs(obj["leq"], "abstract.leq"),
     )
 
 
 def _parse_order(carrier: FinCarrier, pairs) -> FinPoset:
-    return build_poset(list(carrier.values), [tuple(p) for p in pairs])
+    return build_poset(list(carrier.values), _pairs(pairs, "carrier_order"))
 
 
 def load_domain(path: str):
@@ -108,12 +125,11 @@ def domain_from_dict(data: dict):
     )
     if kind == "cco":
         phi = _require_object(data["phi"], "phi")
-        return ClosureOp(carrier, {a: frozenset(s) for a, s in phi.items()})
+        return ClosureOp(carrier, _set_table(phi, "phi"))
     poset = _parse_abstract(data["abstract"])
     if kind == "gc":
         lat = FinLattice.from_poset(poset)
-        gamma = {d: frozenset(s)
-                 for d, s in _require_object(data["gamma"], "gamma").items()}
+        gamma = _set_table(_require_object(data["gamma"], "gamma"), "gamma")
         alpha_table = {
             frozenset(_split_set(k)): v
             for k, v in _require_object(data["alpha"], "alpha").items()
@@ -128,7 +144,7 @@ def domain_from_dict(data: dict):
             abstract = FinLattice.from_poset(poset)
         except NotCompleteLattice:
             abstract = poset
-    mu = {b: frozenset(s) for b, s in _require_object(data["mu"], "mu").items()}
+    mu = _set_table(_require_object(data["mu"], "mu"), "mu")
     eta = _require_object(data["eta"], "eta")
     return CarrierConn(kind, carrier, abstract, eta, mu, carrier_order=order)
 

@@ -196,17 +196,27 @@ class FinLattice:
         raise NotCompleteLattice((x, y), direction)
 
     def lub(self, members: Iterable[str]) -> str:
-        acc = self.bottom
-        for x in members:
-            self.base.require(x)
-            acc = self._join(acc, x)
+        acc = x = self.bottom
+        try:
+            for x in members:
+                self.base.require(x)
+                acc = self._join(acc, x)
+        except KeyError:
+            # a bound the table lacks raises NotCompleteLattice here; a
+            # KeyError raised by ``members`` itself passes through
+            self.join(acc, x)
+            raise
         return acc
 
     def glb(self, members: Iterable[str]) -> str:
-        acc = self.top
-        for x in members:
-            self.base.require(x)
-            acc = self._meet(acc, x)
+        acc = x = self.top
+        try:
+            for x in members:
+                self.base.require(x)
+                acc = self._meet(acc, x)
+        except KeyError:
+            self.meet(acc, x)
+            raise
         return acc
 
     def join_irreducibles(self) -> frozenset:

@@ -68,11 +68,12 @@ class FinCarrier:
     def clamp_int(self, n: int) -> int:
         """Close an integer result back into the carrier's range per the
         mode, as an int."""
-        if self.lo is None or self.hi is None:
+        lo, hi = self.lo, self.hi
+        if lo is None or hi is None:
             raise ShapeMismatch("clamp on a non-integer carrier")
         if self.mode == MODULAR:
-            return self.lo + (n - self.lo) % (self.hi - self.lo + 1)
-        return min(max(n, self.lo), self.hi)
+            return lo + (n - lo) % (hi - lo + 1)
+        return lo if n < lo else hi if n > hi else n
 
     def clamp(self, n: int) -> str:
         """Close an integer result back into the carrier per the mode."""

@@ -9,8 +9,10 @@ from galkit import catalog
 from galkit.analyzer import (
     Assign,
     BinOp,
+    Cmp,
     If,
     Lit,
+    Program,
     Skip,
     Var,
     While,
@@ -22,7 +24,12 @@ from galkit.analyzer import (
     parse_program,
     program_vars,
 )
-from galkit.errors import DomainMismatch, UseBeforeAssign, WhileSyntaxError
+from galkit.errors import (
+    DomainMismatch,
+    UnknownVariable,
+    UseBeforeAssign,
+    WhileSyntaxError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +154,24 @@ def test_concrete_run_respects_step_budget(signconst):
     seen = concrete_run(p, signconst.carrier, budget=50)
     assert "end" not in seen
     assert len(seen["L2"]) > 1
+
+
+# hand-built programs skip parse_program's use-before-assignment check
+UNASSIGNED_Y = [
+    Program((Assign("x", BinOp("+", Var("y"), Lit(1)), 1),), 1),
+    Program((Assign("x", Lit(1), 1), While(Cmp("<", Var("x"), Var("y")), (), 2)), 2),
+]
+
+
+@pytest.mark.parametrize("program", UNASSIGNED_Y, ids=["assign", "loop-test"])
+def test_the_oracle_names_an_unassigned_variable(signconst, program):
+    with pytest.raises(UnknownVariable, match="'y'"):
+        concrete_run(program, signconst.carrier)
+
+
+def test_the_analysis_names_an_unassigned_variable(signconst):
+    with pytest.raises(UnknownVariable, match="'y'"):
+        analyze(UNASSIGNED_Y[0], signconst)
 
 
 def test_concrete_values_stay_inside_concretizations(signconst):

@@ -30,19 +30,52 @@ Galois connections, mutated ones and arbitrary gammas, with and without
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
 both must agree with the literal image over the product of the argument
 sets, and ``bca_pcgc_entry`` with the literal lub of eta over it.
+
+``concrete_run`` and ``AbstractSemantics.eval`` run while programs compiled
+into closures, and the oracle records environments without copying them.
+Here the oracle must return the same dict, key order included, as the
+literal AST walk that copies every environment it records, on generated
+programs over saturating and modular carriers at every budget up to and
+past exhaustion; ``eval`` must return the same element as the literal
+``isinstance`` chain and make the same ``op_entry`` calls in the same order;
+and ``clamp_int`` must agree with its min/max and modular formulas.
 """
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import program_names, program_text
+
 from galkit import catalog, fileio
-from galkit.analyzer import AbstractSemantics, _ArithTable
-from galkit.errors import NotCompleteLattice, NotInClass, ShapeMismatch, TooLarge
+from galkit.analyzer import (
+    CMP_OPS,
+    AbstractSemantics,
+    Assign,
+    BinOp,
+    Cmp,
+    If,
+    Lit,
+    Program,
+    Skip,
+    Var,
+    While,
+    _ArithTable,
+    concrete_run,
+    parse_program,
+)
+from galkit.errors import (
+    NotCompleteLattice,
+    NotInClass,
+    ShapeMismatch,
+    TooLarge,
+    UnknownVariable,
+)
 from galkit.functions import ConcreteFn, bca_pcgc_entry
 from galkit.galois import (
     CarrierConn,
@@ -113,6 +146,82 @@ def literal_image(f: ConcreteFn, *sets) -> set:
 def literal_bca_entry(C: CarrierConn, f: ConcreteFn, *ys) -> str:
     outs = literal_image(f, *(C.mu[y] for y in ys))
     return C.abstract.lub(C.eta[o] for o in outs)
+
+
+def literal_concrete_run(program: Program, carrier, budget: int) -> dict:
+    """The bounded concrete oracle as an AST walk that copies every
+    environment it records."""
+    seen: dict = {}
+    steps = 0
+
+    def note(label, env):
+        seen.setdefault(label, []).append(dict(env))
+
+    clamp = carrier.clamp_int
+
+    def ev(expr, env):
+        if isinstance(expr, Lit):
+            return clamp(expr.value)
+        if isinstance(expr, Var):
+            return env[expr.name]
+        l, r = ev(expr.left, env), ev(expr.right, env)
+        if expr.op == "+":
+            return clamp(l + r)
+        if expr.op == "-":
+            return clamp(l - r)
+        return clamp(l * r)
+
+    def test(cond, env):
+        l, r = ev(cond.left, env), ev(cond.right, env)
+        return {
+            "<": l < r, "<=": l <= r, "=": l == r,
+            "!=": l != r, ">": l > r, ">=": l >= r,
+        }[cond.op]
+
+    def run(stmts, env):
+        nonlocal steps
+        for st in stmts:
+            if steps >= budget:
+                return env, False
+            steps += 1
+            note(f"L{st.label}", env)
+            if isinstance(st, Assign):
+                env = dict(env)
+                env[st.var] = ev(st.expr, env)
+            elif isinstance(st, Skip):
+                pass
+            elif isinstance(st, If):
+                branch = st.then if test(st.cond, env) else st.els
+                env, ok = run(branch, env)
+                if not ok:
+                    return env, False
+            elif isinstance(st, While):
+                while test(st.cond, env):
+                    env, ok = run(st.body, env)
+                    if not ok:
+                        return env, False
+                    if steps >= budget:
+                        return env, False
+                    steps += 1
+                    note(f"L{st.label}", env)
+        return env, True
+
+    env, finished = run(program.body, {})
+    if finished:
+        note("end", env)
+    return seen
+
+
+def literal_abstract_eval(sem: AbstractSemantics, expr, state: dict) -> str:
+    if isinstance(expr, Lit):
+        return sem.domain.eta[sem.domain.carrier.clamp(expr.value)]
+    if isinstance(expr, Var):
+        if expr.name not in state:
+            raise UnknownVariable(f"variable {expr.name!r} has no value")
+        return state[expr.name]
+    left = literal_abstract_eval(sem, expr.left, state)
+    right = literal_abstract_eval(sem, expr.right, state)
+    return sem.op_entry(expr.op, left, right)
 
 
 def pairwise_additive(G: GaloisConn):
@@ -842,3 +951,166 @@ def test_generic_image_names_the_first_undefined_key_in_sorted_order():
         g.image(set(values))
     with pytest.raises(ShapeMismatch):
         f.image(values)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs: the concrete oracle and the abstract evaluator
+
+
+VARS = ("x", "y", "z")
+ORACLE_CAP = 300
+
+
+def int_carriers():
+    """Saturating ranges of any size and modular ranges of even size."""
+    return st.builds(
+        lambda mode, lo, half, odd: FinCarrier.ints(
+            lo, lo + 2 * half - 1 - (odd and mode == SATURATING), mode),
+        st.sampled_from([SATURATING, MODULAR]), st.integers(-9, 2),
+        st.integers(1, 8), st.booleans(),
+    )
+
+
+LITERALS = st.integers(-40, 40)  # well beyond any carrier bound drawn here
+LABELS = st.integers(1, 6)  # labels may repeat and need not follow the syntax
+NAMES = st.sampled_from(VARS)
+ARITH = st.sampled_from("+-*")
+COMPARISONS = st.sampled_from(CMP_OPS)
+KINDS = st.integers(0, 3)
+
+
+def draw_expr(draw, depth: int):
+    """A literal, a variable or, above depth 0, an operation."""
+    kind = draw(KINDS) if depth else draw(KINDS) % 2
+    if kind == 0:
+        return Lit(draw(LITERALS))
+    if kind == 1:
+        return Var(draw(NAMES))
+    return BinOp(draw(ARITH), draw_expr(draw, depth - 1), draw_expr(draw, depth - 1))
+
+
+def draw_block(draw, depth: int) -> tuple:
+    return tuple(draw_stmt(draw, depth) for _ in range(draw(KINDS)))
+
+
+def draw_stmt(draw, depth: int):
+    """An assignment, a skip or, above depth 0, an if or a while."""
+    kind = draw(KINDS) if depth else draw(KINDS) % 2
+    if kind == 0:
+        return Assign(draw(NAMES), draw_expr(draw, 2), draw(LABELS))
+    if kind == 1:
+        return Skip(draw(LABELS))
+    cond = Cmp(draw(COMPARISONS), draw_expr(draw, 1), draw_expr(draw, 1))
+    if kind == 2:
+        return If(cond, draw_block(draw, depth - 1), draw_block(draw, depth - 1),
+                  draw(LABELS))
+    return While(cond, draw_block(draw, depth - 1), draw(LABELS))
+
+
+st_expr = st.composite(lambda draw: draw_expr(draw, 3))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A carrier and a program of nested statements that assigns every
+    variable first."""
+    init = tuple(Assign(v, Lit(draw(LITERALS)), draw(LABELS)) for v in VARS)
+    body = init + tuple(draw_stmt(draw, 2) for _ in range(draw(KINDS) + 1))
+    return draw(int_carriers()), Program(body, 6)
+
+
+def observations(seen: dict) -> int:
+    return sum(len(envs) for label, envs in seen.items() if label != "end")
+
+
+SPINNER = parse_program(program_text("p08_budget_spinner.while"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+@example((FinCarrier.ints(-4, 4), SPINNER))
+@example((FinCarrier.ints(-4, 3, MODULAR), parse_program(
+    "x := 3; y := 0; while x != 0 do { x := x * 2 - 1; if x >= y then { skip; }"
+    " else { y := y - 9; } }")))
+def test_concrete_run_agrees_with_the_literal_oracle(case):
+    carrier, program = case
+    full = literal_concrete_run(program, carrier, ORACLE_CAP)
+    need = observations(full) if "end" in full else None
+    budgets = set(range(25)) | {ORACLE_CAP}
+    if need is not None:
+        budgets |= {need - 1, need, need + 1}
+    for budget in sorted(b for b in budgets if b >= 0):
+        seen = concrete_run(program, carrier, budget)
+        expected = literal_concrete_run(program, carrier, budget)
+        assert seen == expected
+        assert list(seen) == list(expected)
+        finished = need is not None and need <= budget
+        assert ("end" in seen) == finished
+        assert observations(seen) == (need if finished else budget)
+
+
+@pytest.mark.parametrize("name", program_names())
+def test_the_oracle_never_mutates_a_recorded_environment(name, signconst):
+    # the literal oracle records a copy of each environment when it is seen,
+    # so equal results mean nothing the oracle recorded changed afterwards
+    program = parse_program(program_text(name))
+    seen = concrete_run(program, signconst.carrier, 10_000)
+    assert seen == literal_concrete_run(program, signconst.carrier, 10_000)
+
+
+def test_recorded_environments_are_shared_not_copied(signconst):
+    program = parse_program("x := 1; skip; skip;")
+    seen = concrete_run(program, signconst.carrier)
+    assert seen["L2"][0] is seen["L3"][0] is seen["end"][0]
+
+
+class LoggingSemantics(AbstractSemantics):
+    """Abstract semantics that logs every ``op_entry`` call."""
+
+    def __init__(self, domain):
+        super().__init__(domain)
+        self.log: list = []
+
+    def op_entry(self, op, b1, b2):
+        self.log.append((op, b1, b2))
+        return super().op_entry(op, b1, b2)
+
+
+EVAL_DOMAINS = {
+    "signconst_pcgc": catalog.builtin("signconst_pcgc", 10),
+    "parity": parity_pcgc(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(EVAL_DOMAINS)),
+       st.lists(st_expr(), min_size=1, max_size=3), st.data())
+def test_abstract_eval_agrees_with_the_literal_chain(name, exprs, data):
+    # each expression twice, in fresh states, so compiled ones are reused
+    C = EVAL_DOMAINS[name]
+    sem = LoggingSemantics(C)
+    for expr in exprs + exprs:
+        state = data.draw(st.dictionaries(
+            st.sampled_from(VARS), st.sampled_from(C.abstract.elements)))
+        sem.log = []
+        try:
+            expected = literal_abstract_eval(sem, expr, state)
+        except UnknownVariable as exc:
+            with pytest.raises(UnknownVariable, match=re.escape(str(exc))):
+                sem.eval(expr, state)
+            continue
+        literal_log, sem.log = sem.log, []
+        assert sem.eval(expr, state) == expected
+        assert sem.log == literal_log
+
+
+@settings(max_examples=500, deadline=None)
+@given(int_carriers(), st.one_of(st.integers(-60, 60), st.integers()))
+def test_clamp_int_agrees_with_its_formulas(carrier, n):
+    lo, hi = carrier.lo, carrier.hi
+    if carrier.mode == MODULAR:
+        expected = lo + (n - lo) % (hi - lo + 1)
+    else:
+        expected = min(max(n, lo), hi)
+    assert carrier.clamp_int(n) == expected
+    assert carrier.clamp(n) == str(expected)

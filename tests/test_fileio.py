@@ -201,12 +201,34 @@ def test_loading_rejects_an_alpha_table_over_split_names(tmp_path):
         fileio.load_domain(str(path))
 
 
+def cgc_file() -> dict:
+    """The discrete connection a -> x, b -> y."""
+    return {
+        "kind": "cgc",
+        "carrier": {"atoms": ["a", "b"]},
+        "abstract": {"elements": ["x", "y"], "leq": []},
+        "eta": {"a": "x", "b": "y"},
+        "mu": {"x": ["a"], "y": ["b"]},
+    }
+
+
 @pytest.mark.parametrize("load, data, field", [
     (fileio.domain_from_dict, {**gc_file(), "abstract": 5}, "abstract"),
     (fileio.domain_from_dict, {**gc_file(), "gamma": []}, "gamma"),
     (fileio.fn_from_dict,
      {"arity": 1, "over": "concrete", "table": {"a": ["x"]}}, "table['a']"),
-], ids=["abstract", "gamma", "result"])
+    (fileio.domain_from_dict, {**cgc_file(), "carrier": {"atoms": 5}},
+     "carrier.atoms"),
+    (fileio.domain_from_dict,
+     {**cgc_file(), "abstract": {"elements": ["x"], "leq": 5}}, "abstract.leq"),
+    (fileio.domain_from_dict, {**cgc_file(), "mu": {"x": 5, "y": ["b"]}},
+     "mu['x']"),
+    (fileio.domain_from_dict, {**gc_file(), "gamma": {"x": [], "y": 5}},
+     "gamma['y']"),
+    (fileio.domain_from_dict, {**gc_file(), "carrier_order": [5]},
+     "carrier_order[0]"),
+], ids=["abstract", "gamma", "result", "atoms", "leq", "mu-value",
+        "gamma-value", "order-pair"])
 def test_malformed_fields_raise_format_errors_naming_them(load, data, field):
     with pytest.raises(FormatError, match=re.escape(field)):
         load(data)

@@ -215,3 +215,27 @@ def test_bounds_outside_the_family_raise_not_complete():
         lat.name_of(["a", "b"])
     with pytest.raises(UnknownElement):
         SetLattice.from_family(["a"], [["z"]])
+
+
+def test_lub_and_glb_outside_the_family_name_the_pair():
+    lat = SetLattice.from_family(
+        "abcd", [[], ["c"], ["d"], ["a"], ["b"], ["a", "b", "c", "d"]])
+    with pytest.raises(NotCompleteLattice) as info:
+        lat.lub(["{a}", "{b}"])
+    assert (info.value.pair, info.value.direction) == (("{a}", "{b}"), "lub")
+    lat = SetLattice.from_family("abc", [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
+    with pytest.raises(NotCompleteLattice) as info:
+        lat.glb(["{a,b}", "{b,c}"])
+    assert (info.value.pair, info.value.direction) == (("{a,b}", "{b,c}"), "glb")
+    with pytest.raises(UnknownElement):
+        lat.lub(["{a,b}", "{zz}"])
+
+
+@pytest.mark.parametrize("bound", ["lub", "glb"])
+def test_a_key_error_of_the_members_passes_through_lub_and_glb(bound):
+    lat = powerset_lattice(["a", "b"])
+    names = {"a": "{a}"}
+    with pytest.raises(KeyError, match="'b'"):
+        getattr(lat, bound)(names[x] for x in "ab")
+    with pytest.raises(KeyError, match="'b'"):
+        getattr(lat, bound)(names[x] for x in "b")
