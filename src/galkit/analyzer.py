@@ -475,11 +475,6 @@ class _ArithTable:
         return iter(())
 
 
-def abstract_eval(expr, state: dict, domain: CarrierConn) -> str:
-    """Evaluate an arithmetic expression in an abstract state."""
-    return AbstractSemantics(domain).eval(expr, state)
-
-
 @dataclass
 class AnalysisResult:
     points: dict  # label ("L1".."Lk", "end") -> dict var -> abstract element

@@ -19,7 +19,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, FinPoset, build_poset, iter_downsets, set_name
+from .order import FinLattice, FinPoset, build_poset, iter_downsets, moore_lattice
 from .setops import MODULAR, SATURATING, FinCarrier
 from .functions import AbstractFn, ConcreteFn, FnPair
 from .transforms import t_cgp, t_pgc
@@ -393,33 +393,12 @@ def gen_ppgc(seed: int, amax: int = 8, bmax: int = 8) -> GaloisConn:
     values = [f"a{i}" for i in range(n)]
     blocks = _random_partition(rng, values, min(5, bmax))
     k = len(blocks)
-    family = {frozenset([i]) for i in range(k)}
-    family.add(frozenset(range(k)))
-    family.add(frozenset())
+    family = [[i] for i in range(k)] + [[]]
     for _ in range(rng.randint(0, 3)):
-        size = rng.randint(1, k)
-        family.add(frozenset(rng.sample(range(k), size)))
-    changed = True
-    while changed:
-        changed = False
-        for s in list(family):
-            for t in list(family):
-                if s & t not in family:
-                    family.add(s & t)
-                    changed = True
-    def concretize(ix):
-        out = frozenset()
-        for i in ix:
-            out |= blocks[i]
-        return out
-
-    sets = {concretize(ix) for ix in family}
-    names = {s: set_name(s) for s in sets}
-    up = {names[s]: frozenset(names[t] for t in sets if s <= t) for s in sets}
-    lat = FinLattice.from_poset(FinPoset(sorted(names.values()), up))
-    G = GaloisConn(
-        FinCarrier.atoms(values), lat, {names[s]: s for s in sets}, kind="ppgc",
-    )
+        family.append(rng.sample(range(k), rng.randint(1, k)))
+    lat, gamma = moore_lattice(
+        values, ([v for i in ix for v in blocks[i]] for ix in family))
+    G = GaloisConn(FinCarrier.atoms(values), lat, gamma, kind="ppgc")
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("generated connection is not pre-partitioning")
     return G
@@ -440,25 +419,10 @@ def gen_downsets_gc(seed: int, amax: int = 6) -> GaloisConn:
         if rng.random() < 0.3
     ]
     poset = build_poset(values, pairs)
-    downsets = list(iter_downsets(poset))
-    family = {frozenset(values)}
-    for ds in downsets:
-        if rng.random() < 0.4:
-            family.add(ds)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(family):
-            for t in list(family):
-                if s & t not in family:
-                    family.add(s & t)
-                    changed = True
-    names = {s: set_name(s) for s in family}
-    up = {names[s]: frozenset(names[t] for t in family if s <= t) for s in family}
-    lat = FinLattice.from_poset(FinPoset(sorted(names.values()), up))
+    lat, gamma = moore_lattice(
+        values, [ds for ds in iter_downsets(poset) if rng.random() < 0.4])
     return GaloisConn(
-        FinCarrier.atoms(values), lat, {names[s]: s for s in family},
-        carrier_order=poset, kind="gc",
+        FinCarrier.atoms(values), lat, gamma, carrier_order=poset, kind="gc",
     )
 
 

@@ -54,14 +54,33 @@ def _require_list(obj, what: str) -> list:
     return obj
 
 
+def _name(obj, what: str):
+    if isinstance(obj, (list, dict)):
+        raise FormatError(f"{what} must be a name, got {type(obj).__name__}")
+    return obj
+
+
+def _names(obj, what: str, arity=None) -> list:
+    names = [_name(x, f"{what}[{i}]") for i, x in enumerate(_require_list(obj, what))]
+    if arity is not None and len(names) != arity:
+        raise FormatError(f"{what} must hold {arity} names, got {len(names)}")
+    return names
+
+
 def _pairs(obj, what: str) -> list:
-    return [tuple(_require_list(p, f"{what}[{i}]"))
+    return [tuple(_names(p, f"{what}[{i}]", 2))
             for i, p in enumerate(_require_list(obj, what))]
 
 
 def _set_table(table: dict, what: str) -> dict:
-    return {k: frozenset(_require_list(s, f"{what}[{k!r}]"))
-            for k, s in table.items()}
+    return {k: frozenset(_names(s, f"{what}[{k!r}]")) for k, s in table.items()}
+
+
+def _int(obj, what: str) -> int:
+    try:
+        return int(obj)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} must be an integer, got {obj!r}") from None
 
 
 def _parse_carrier(obj) -> FinCarrier:
@@ -70,16 +89,17 @@ def _parse_carrier(obj) -> FinCarrier:
     if "ints" in obj:
         spec = obj["ints"]
         _require_keys(spec, {"lo", "hi", "mode"}, "carrier.ints")
-        return FinCarrier.ints(int(spec["lo"]), int(spec["hi"]), spec["mode"])
+        return FinCarrier.ints(_int(spec["lo"], "carrier.ints.lo"),
+                               _int(spec["hi"], "carrier.ints.hi"), spec["mode"])
     if "atoms" in obj:
-        return FinCarrier.atoms(_require_list(obj["atoms"], "carrier.atoms"))
+        return FinCarrier.atoms(_names(obj["atoms"], "carrier.atoms"))
     raise FormatError("carrier must be an ints or atoms object")
 
 
 def _parse_abstract(obj) -> FinPoset:
     _require_keys(obj, {"elements", "leq"}, "abstract")
     return build_poset(
-        _require_list(obj["elements"], "abstract.elements"),
+        _names(obj["elements"], "abstract.elements"),
         _pairs(obj["leq"], "abstract.leq"),
     )
 
@@ -131,7 +151,7 @@ def domain_from_dict(data: dict):
         lat = FinLattice.from_poset(poset)
         gamma = _set_table(_require_object(data["gamma"], "gamma"), "gamma")
         alpha_table = {
-            frozenset(_split_set(k)): v
+            frozenset(_split_set(k)): _name(v, f"alpha[{k!r}]")
             for k, v in _require_object(data["alpha"], "alpha").items()
         }
         return GaloisConn(
@@ -145,7 +165,8 @@ def domain_from_dict(data: dict):
         except NotCompleteLattice:
             abstract = poset
     mu = _set_table(_require_object(data["mu"], "mu"), "mu")
-    eta = _require_object(data["eta"], "eta")
+    eta = {x: _name(b, f"eta[{x!r}]")
+           for x, b in _require_object(data["eta"], "eta").items()}
     return CarrierConn(kind, carrier, abstract, eta, mu, carrier_order=order)
 
 
@@ -253,9 +274,7 @@ def fn_from_dict(data: dict):
         raise FormatError(f"over must be concrete or abstract, got {over!r}")
     table = {}
     for key, result in _require_object(data["table"], "table").items():
-        if isinstance(result, (list, dict)):
-            raise FormatError(
-                f"table[{key!r}] must be a name, got {type(result).__name__}")
+        _name(result, f"table[{key!r}]")
         if arity == 1:
             table[key] = result
         else:

@@ -247,39 +247,40 @@ class FinLattice:
 
     @staticmethod
     def from_poset(poset: FinPoset) -> "FinLattice":
-        """Verify completeness and cache the pairwise bound tables.
+        """Verify completeness and tabulate the pairwise bounds.
 
         For a finite poset, existence of all pairwise lubs/glbs plus a top and
-        bottom implies a complete lattice.  Raises NotCompleteLattice with the
-        offending pair otherwise.
+        bottom implies a complete lattice.  Raises NotCompleteLattice otherwise,
+        naming the first pair in ``combinations`` order that lacks a bound
+        (its lub checked first).  The upper bounds of x and y are up(x) & up(y),
+        and the lub is the one whose own up-set is all of them: one dict lookup
+        of that AND of int masks over element positions.  Glbs likewise on
+        down-sets.  Each element keeps a tuple of its n bounds, so a join is
+        ``lub[a][index[b]]``.
         """
         elems = poset.elements
         if not elems:
             raise NotCompleteLattice((), "element")
-        bottom = next((x for x in elems if all(poset.leq(x, y) for y in elems)), None)
-        top = next((x for x in elems if all(poset.leq(y, x) for y in elems)), None)
-        if bottom is None or top is None:
+        idx = poset._index
+        upm = [sum(1 << idx[y] for y in poset._up[x]) for x in elems]
+        dnm = [sum(1 << idx[y] for y in poset._dn[x]) for x in elems]
+        by_up, by_dn = dict(zip(upm, elems)), dict(zip(dnm, elems))
+        full = (1 << len(elems)) - 1
+        top, bottom = by_dn.get(full), by_up.get(full)
+        if top is None or bottom is None:
             raise NotCompleteLattice((), "top" if top is None else "bottom")
-        lub2: dict[tuple[str, str], str] = {}
-        glb2: dict[tuple[str, str], str] = {}
-        for x in elems:
-            lub2[(x, x)] = x
-            glb2[(x, x)] = x
-        for x, y in combinations(elems, 2):
-            ub = poset.up(x) & poset.up(y)
-            least = next((z for z in ub if poset.up(z) >= ub), None)
-            if least is None:
-                raise NotCompleteLattice((x, y), "lub")
-            lb = poset.down(x) & poset.down(y)
-            greatest = next((z for z in lb if poset.down(z) >= lb), None)
-            if greatest is None:
-                raise NotCompleteLattice((x, y), "glb")
-            lub2[(x, y)] = lub2[(y, x)] = least
-            glb2[(x, y)] = glb2[(y, x)] = greatest
+        lub = {x: tuple([by_up.get(u & v) for v in upm]) for x, u in zip(elems, upm)}
+        glb = {x: tuple([by_dn.get(d & e) for e in dnm]) for x, d in zip(elems, dnm)}
+        if any(None in row for row in (*lub.values(), *glb.values())):
+            for (_, x), (j, y) in combinations(enumerate(elems), 2):
+                if lub[x][j] is None:
+                    raise NotCompleteLattice((x, y), "lub")
+                if glb[x][j] is None:
+                    raise NotCompleteLattice((x, y), "glb")
         return FinLattice(
             poset, top, bottom,
-            lambda a, b: lub2[(a, b)],
-            lambda a, b: glb2[(a, b)],
+            lambda a, b: lub[a][idx[b]],
+            lambda a, b: glb[a][idx[b]],
         )
 
 
@@ -326,7 +327,8 @@ class SetLattice(FinLattice):
             members[name] = s
         if not members:
             raise NotCompleteLattice((), "element")
-        names = sorted_elems(members) if by_name else list(members)
+        # a name starts with "{", so sorted_elems would sort it as a string
+        names = sorted(members) if by_name else list(members)
         full, common = 0, mask_of[names[0]]
         for mask in name_of_mask:
             full |= mask
@@ -380,6 +382,33 @@ class SetLattice(FinLattice):
             return self._name[sum(self._bit[x] for x in frozenset(subset))]
         except KeyError:
             raise UnknownElement(f"no element with members {subset!r}") from None
+
+
+def moore_lattice(
+    atoms: Iterable[str], family: Iterable[Iterable[str]],
+) -> tuple[FinLattice, dict[str, frozenset]]:
+    """The Moore family generated by ``family`` (its intersections, with
+    ``atoms`` as the empty one, closed by a worklist on int masks) as a
+    plain FinLattice under inclusion, and each element's subset.  Join is
+    the least member above the union, not the union: the family is named,
+    sorted by name and ordered by :meth:`SetLattice.from_family`, and
+    :meth:`FinLattice.from_poset` tabulates the bounds."""
+    atoms = sorted_elems(atoms)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    try:
+        masks = [sum(bit[x] for x in frozenset(s)) for s in family]
+    except KeyError as exc:
+        raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
+    closed = list(dict.fromkeys([(1 << len(atoms)) - 1, *masks]))
+    seen = set(closed)
+    for i, m in enumerate(closed):  # the scan reaches what it appends
+        for other in closed[:i]:
+            if m & other not in seen:
+                seen.add(m & other)
+                closed.append(m & other)
+    sets = SetLattice.from_family(
+        atoms, ([a for a in atoms if m & bit[a]] for m in closed), by_name=True)
+    return FinLattice.from_poset(sets.base), sets.members
 
 
 def iter_downsets(poset: FinPoset, guard: int = DOWNSETS_GUARD):

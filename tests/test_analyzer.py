@@ -7,6 +7,7 @@ from conftest import program_text
 
 from galkit import catalog
 from galkit.analyzer import (
+    AbstractSemantics,
     Assign,
     BinOp,
     Cmp,
@@ -16,7 +17,6 @@ from galkit.analyzer import (
     Skip,
     Var,
     While,
-    abstract_eval,
     analyze,
     concrete_run,
     format_result,
@@ -100,11 +100,12 @@ def test_program_vars_in_first_assignment_order():
 
 
 def test_abstract_eval_literals_and_ops(signconst):
+    sem = AbstractSemantics(signconst)
     expr = parse_program("r := 2 + 3;").body[0].expr
-    assert abstract_eval(expr, {}, signconst) == "5"
+    assert sem.eval(expr, {}) == "5"
     expr = BinOp("*", Var("x"), Var("y"))
-    assert abstract_eval(expr, {"x": ">0", "y": "<0"}, signconst) == "<0"
-    assert abstract_eval(Lit(1000), {}, signconst) == "64"
+    assert sem.eval(expr, {"x": ">0", "y": "<0"}) == "<0"
+    assert sem.eval(Lit(1000), {}) == "64"
 
 
 def test_analyze_requires_a_pcgc_lattice_domain(parity):

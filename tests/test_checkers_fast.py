@@ -39,10 +39,18 @@ programs over saturating and modular carriers at every budget up to and
 past exhaustion; ``eval`` must return the same element as the literal
 ``isinstance`` chain and make the same ``op_entry`` calls in the same order;
 and ``clamp_int`` must agree with its min/max and modular formulas.
+
+``FinLattice.from_poset`` finds each bound by one up-mask or down-mask
+lookup; here it must agree, top, bottom, every join and meet, and the pair
+and direction of ``NotCompleteLattice``, with the pairwise search on random
+posets, lattices or not, M3, N5 and one element.  ``moore_lattice`` closes
+a family on int masks; the generators built on it must keep the element
+order, up-sets and gamma of the closure loop they used before.
 """
 from __future__ import annotations
 
 import json
+import random
 import re
 from itertools import combinations, product
 
@@ -74,6 +82,7 @@ from galkit.errors import (
     NotInClass,
     ShapeMismatch,
     TooLarge,
+    UnknownElement,
     UnknownVariable,
 )
 from galkit.functions import ConcreteFn, bca_pcgc_entry
@@ -98,6 +107,8 @@ from galkit.order import (
     SetLattice,
     build_poset,
     downsets_lattice,
+    iter_downsets,
+    moore_lattice,
     powerset_lattice,
     scan_order,
     set_name,
@@ -1114,3 +1125,163 @@ def test_clamp_int_agrees_with_its_formulas(carrier, n):
         expected = min(max(n, lo), hi)
     assert carrier.clamp_int(n) == expected
     assert carrier.clamp(n) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# bound tables and Moore families
+
+
+def literal_bounds(poset: FinPoset):
+    """``(top, bottom, lub, glb)`` by the pairwise search, the bounds keyed
+    by ordered pairs: a bottom below every element, a top above every
+    element, and per pair in ``combinations`` order the upper bound whose
+    up-set holds every upper bound (then the lower bound likewise), raising
+    NotCompleteLattice at the first that is missing."""
+    elems = poset.elements
+    if not elems:
+        raise NotCompleteLattice((), "element")
+    bottom = next((x for x in elems if all(poset.leq(x, y) for y in elems)), None)
+    top = next((x for x in elems if all(poset.leq(y, x) for y in elems)), None)
+    if bottom is None or top is None:
+        raise NotCompleteLattice((), "top" if top is None else "bottom")
+    lub = {(x, x): x for x in elems}
+    glb = dict(lub)
+    for x, y in combinations(elems, 2):
+        ub = poset.up(x) & poset.up(y)
+        least = next((z for z in ub if poset.up(z) >= ub), None)
+        if least is None:
+            raise NotCompleteLattice((x, y), "lub")
+        lb = poset.down(x) & poset.down(y)
+        greatest = next((z for z in lb if poset.down(z) >= lb), None)
+        if greatest is None:
+            raise NotCompleteLattice((x, y), "glb")
+        lub[x, y] = lub[y, x] = least
+        glb[x, y] = glb[y, x] = greatest
+    return top, bottom, lub, glb
+
+
+@st.composite
+def listed_posets(draw):
+    """A random poset on up to 8 elements, listed in a random order, often
+    with a least and a greatest element added, and often with a planted
+    bowtie (a, b < c, d), so that many are lattices and many others lack a
+    pairwise lub or glb."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if rank[i] < rank[j] and draw(st.integers(0, 3)) == 0]
+    if n >= 4 and draw(st.booleans()):
+        a, b, c, d = sorted(draw(st.permutations(range(n)))[:4], key=rank.__getitem__)
+        pairs += [(a, c), (a, d), (b, c), (b, d)]
+    names = [str(i) for i in range(n)]
+    pairs = [(str(i), str(j)) for i, j in pairs]
+    if draw(st.integers(0, 3)):
+        pairs += [("⊥", x) for x in names] + [(x, "⊤") for x in names]
+        names += ["⊥", "⊤"]
+    return build_poset(draw(st.permutations(names)), pairs)
+
+
+# x and y have neither a lub nor a glb, and they are the first pair
+DOUBLE_BOWTIE = build_poset(
+    ["x", "y", "l1", "l2", "u1", "u2", "⊥", "⊤"],
+    [(lo, hi) for lo, his in [("⊥", ["l1", "l2"]), ("l1", "xy"), ("l2", "xy"),
+                             ("x", ["u1", "u2"]), ("y", ["u1", "u2"]),
+                             ("u1", ["⊤"]), ("u2", ["⊤"])]
+     for hi in his],
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(listed_posets())
+@example(DOUBLE_BOWTIE)
+@example(m3().base)
+@example(n5().base)
+@example(build_poset(["x"], []))
+@example(FinPoset((), {}))
+def test_from_poset_agrees_with_the_pairwise_search(poset):
+    try:
+        top, bottom, lub, glb = literal_bounds(poset)
+    except NotCompleteLattice as exc:
+        with pytest.raises(NotCompleteLattice) as got:
+            FinLattice.from_poset(poset)
+        assert (got.value.pair, got.value.direction) == (exc.pair, exc.direction)
+        return
+    lat = FinLattice.from_poset(poset)
+    assert (lat.top, lat.bottom) == (top, bottom)
+    pairs = list(product(poset.elements, repeat=2))
+    assert {p: lat.join(*p) for p in pairs} == lub
+    assert {p: lat.meet(*p) for p in pairs} == glb
+
+
+@pytest.mark.parametrize("bound", [
+    lambda lat: lat.join("a", "ghost"),
+    lambda lat: lat.join("ghost", "a"),
+    lambda lat: lat.meet("a", "ghost"),
+    lambda lat: lat.meet("ghost", "a"),
+    lambda lat: lat.lub(["a", "ghost"]),
+    lambda lat: lat.glb(["ghost"]),
+], ids=["join-right", "join-left", "meet-right", "meet-left", "lub", "glb"])
+@pytest.mark.parametrize("make", [m3, n5])
+def test_bounds_of_an_unknown_name_raise_unknown_element(make, bound):
+    with pytest.raises(UnknownElement, match="ghost"):
+        bound(make())
+
+
+def literal_moore(family) -> tuple:
+    """(elements, up-sets, gamma) as the generators built them before
+    ``moore_lattice``: re-scan every pair of sets until no intersection is
+    new, name each set, and compare every pair of sets for up-sets."""
+    family = closed(family, frozenset.__and__)
+    names = {s: set_name(s) for s in family}
+    up = {names[s]: frozenset(names[t] for t in family if s <= t) for s in family}
+    return tuple(sorted(names.values())), up, {names[s]: s for s in family}
+
+
+def ppgc_family(seed: int) -> list:
+    """The family of block unions ``gen_ppgc(seed)`` draws, closed under
+    intersection on block indices as the generator closed it."""
+    rng = random.Random(f"ppgc:{seed}")
+    values = [f"a{i}" for i in range(rng.randint(2, 8))]
+    blocks = catalog._random_partition(rng, values, 5)
+    k = len(blocks)
+    family = {frozenset([i]) for i in range(k)} | {frozenset(range(k)), frozenset()}
+    for _ in range(rng.randint(0, 3)):
+        family.add(frozenset(rng.sample(range(k), rng.randint(1, k))))
+    return [frozenset().union(*(blocks[i] for i in ix))
+            for ix in closed(family, frozenset.__and__)]
+
+
+def downsets_family(seed: int) -> list:
+    """The downsets ``gen_downsets_gc(seed)`` draws, with the whole carrier."""
+    rng = random.Random(f"gc:{seed}")
+    n = rng.randint(2, 6)
+    values = [f"a{i}" for i in range(n)]
+    pairs = [(values[i], values[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3]
+    downsets = list(iter_downsets(build_poset(values, pairs)))
+    return [frozenset(values)] + [ds for ds in downsets if rng.random() < 0.4]
+
+
+@pytest.mark.parametrize("make, family", [
+    (catalog.gen_ppgc, ppgc_family),
+    (catalog.gen_downsets_gc, downsets_family),
+], ids=["gen_ppgc", "gen_downsets_gc"])
+def test_moore_lattices_match_the_closure_loop(make, family):
+    for seed in range(500):
+        G = make(seed)
+        elements, up, gamma = literal_moore(family(seed))
+        assert type(G.abstract) is FinLattice
+        assert G.abstract.elements == elements
+        assert {x: G.abstract.base.up(x) for x in elements} == up
+        assert dict(G.gamma) == gamma
+
+
+def test_a_moore_lattice_joins_to_the_least_member_above_the_union():
+    lat, members = moore_lattice("abc", [["a"], ["b"]])
+    assert lat.elements == ("{a,b,c}", "{a}", "{b}", "{}")
+    assert members == {"{a,b,c}": frozenset("abc"), "{a}": frozenset("a"),
+                       "{b}": frozenset("b"), "{}": frozenset()}
+    assert lat.join("{a}", "{b}") == "{a,b,c}"
+    assert lat.meet("{a}", "{b}") == "{}"
+    with pytest.raises(UnknownElement, match="'d'"):
+        moore_lattice("abc", [["d"]])

@@ -10,7 +10,7 @@ from galkit import catalog, fileio
 from galkit.errors import FormatError, ShapeMismatch
 from galkit.functions import AbstractFn, ConcreteFn
 from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc
-from galkit.order import FinPoset
+from galkit.order import FinLattice, FinPoset
 from galkit.setops import FinCarrier
 from galkit.transforms import t_cco, t_pgc
 
@@ -212,6 +212,16 @@ def cgc_file() -> dict:
     }
 
 
+@pytest.mark.parametrize("kind", ["cgp", "pcgc"])
+def test_ordered_carrier_files_keep_a_poset_that_is_no_lattice(kind):
+    # x and y have no upper bound: the loaded side stays a poset
+    data = {**cgc_file(), "kind": kind}
+    assert type(fileio.domain_from_dict(data).abstract) is FinPoset
+    data["abstract"] = {"elements": ["x", "y"], "leq": [["x", "y"]]}
+    lat = fileio.domain_from_dict(data).abstract
+    assert isinstance(lat, FinLattice) and (lat.bottom, lat.top) == ("x", "y")
+
+
 @pytest.mark.parametrize("load, data, field", [
     (fileio.domain_from_dict, {**gc_file(), "abstract": 5}, "abstract"),
     (fileio.domain_from_dict, {**gc_file(), "gamma": []}, "gamma"),
@@ -227,8 +237,19 @@ def cgc_file() -> dict:
      "gamma['y']"),
     (fileio.domain_from_dict, {**gc_file(), "carrier_order": [5]},
      "carrier_order[0]"),
+    (fileio.domain_from_dict,
+     {**cgc_file(), "carrier": {"ints": {"lo": "q", "hi": 1, "mode": "saturating"}}},
+     "carrier.ints.lo"),
+    (fileio.domain_from_dict,
+     {**cgc_file(), "abstract": {"elements": ["x", "y"], "leq": [["x"]]}},
+     "abstract.leq[0]"),
+    (fileio.domain_from_dict, {**cgc_file(), "eta": {"a": ["x"], "b": "y"}},
+     "eta['a']"),
+    (fileio.domain_from_dict, {**cgc_file(), "mu": {"x": [["a"]], "y": ["b"]}},
+     "mu['x'][0]"),
 ], ids=["abstract", "gamma", "result", "atoms", "leq", "mu-value",
-        "gamma-value", "order-pair"])
+        "gamma-value", "order-pair", "ints-bound", "leq-pair-arity",
+        "eta-value", "mu-member"])
 def test_malformed_fields_raise_format_errors_naming_them(load, data, field):
     with pytest.raises(FormatError, match=re.escape(field)):
         load(data)
