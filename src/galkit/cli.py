@@ -9,6 +9,7 @@ import sys
 from . import analyzer, catalog, fileio, transforms
 from .errors import GalkitError, WhileSyntaxError
 from .functions import (
+    SOUND_VARIANTS,
     FnPair,
     bca_gc,
     bca_pcgc,
@@ -17,6 +18,7 @@ from .functions import (
 )
 from .galois import (
     CarrierConn,
+    ClosureOp,
     GaloisConn,
     check_cgc,
     check_cgp,
@@ -25,21 +27,26 @@ from .galois import (
     precision_cmp,
 )
 
+# each pair's transform, with the class of connection it reads
 TRANSFORMS = {
-    "cgc-pgc": transforms.t_pgc,
-    "pgc-cgc": transforms.t_cgc_of_pgc,
-    "cgc-cco": transforms.t_cco,
-    "cco-cgc": transforms.t_cgc_of_cco,
-    "cgp-gc": transforms.t_gc,
-    "gc-cgp": transforms.t_cgp,
-    "pcgc-ppgc": transforms.t_ppgc,
-    "ppgc-pcgc": transforms.t_pcgc,
+    "cgc-pgc": (CarrierConn, transforms.t_pgc),
+    "pgc-cgc": (GaloisConn, transforms.t_cgc_of_pgc),
+    "cgc-cco": (CarrierConn, transforms.t_cco),
+    "cco-cgc": (ClosureOp, transforms.t_cgc_of_cco),
+    "cgp-gc": (CarrierConn, transforms.t_gc),
+    "gc-cgp": (GaloisConn, transforms.t_cgp),
+    "pcgc-ppgc": (CarrierConn, transforms.t_ppgc),
+    "ppgc-pcgc": (GaloisConn, transforms.t_pcgc),
 }
 
 
 def _cmd_transform(args) -> int:
     conn = fileio.load_domain(args.domain)
-    out = TRANSFORMS[args.pair](conn)
+    source, transform = TRANSFORMS[args.pair]
+    if not isinstance(conn, source):
+        raise GalkitError(f"{args.pair} reads a {source.__name__}, "
+                          f"but {args.domain} holds a {type(conn).__name__}")
+    out = transform(conn)
     text = json.dumps(fileio.domain_to_dict(out), ensure_ascii=False, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -66,9 +73,7 @@ def _cmd_soundcheck(args) -> int:
     _, cf = fileio.load_fn(args.concrete_fn)
     _, af = fileio.load_fn(args.abstract_fn)
     pair = FnPair(conn, cf, af)
-    variants = (
-        ("ημ", "μμ", "ηη", "μη") if args.variant == "all" else (args.variant,)
-    )
+    variants = SOUND_VARIANTS if args.variant == "all" else (args.variant,)
     ok = True
     for v in variants:
         res = cgc_soundness(conn, pair, v)
@@ -184,7 +189,7 @@ def main(argv=None) -> int:
     p.add_argument("concrete_fn")
     p.add_argument("abstract_fn")
     p.add_argument("--variant", default="all",
-                   choices=["ημ", "μμ", "ηη", "μη", "all"])
+                   choices=[*SOUND_VARIANTS, "all"])
     p.add_argument("--complete", action="store_true")
     p.set_defaults(func=_cmd_soundcheck)
 

@@ -265,18 +265,18 @@ class GaloisConn:
         """The extensional image of the induced closure, {gamma(d) | d}."""
         return frozenset(self.gamma.values())
 
-    def iter_concrete(self, guard: int = DOWNSETS_GUARD):
+    def iter_concrete(self):
         """All concrete elements (downsets of the carrier order) in a
         deterministic (size, members) order."""
         poset = self.carrier_poset()
         if poset.is_discrete():
             values = sorted_elems(self.carrier.values)
-            if 2 ** len(values) > guard:
+            if 2 ** len(values) > DOWNSETS_GUARD:
                 raise TooLarge("carrier too big for exhaustive enumeration")
             for combo in subsets_by_size(values):
                 yield frozenset(combo)
         else:
-            subs = sorted(iter_downsets(poset, guard),
+            subs = sorted(iter_downsets(poset),
                           key=lambda s: (len(s), tuple(sorted_elems(s))))
             yield from subs
 
@@ -441,7 +441,8 @@ def _scan_additive(G: GaloisConn):
     if gamma[lat.bottom]:
         return False, (lat.bottom,)
     join = lat.join
-    jirr = lat.join_irreducibles()
+    # element order: the joins made before a failure must not depend on hashing
+    jirr = [j for j in lat.elements if j in lat.join_irreducibles()]
     try:
         if all(gamma[join(x, j)] == gamma[x] | gamma[j]
                for x in lat.elements for j in jirr):

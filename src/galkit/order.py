@@ -2,16 +2,16 @@
 
 All elements are opaque strings; integer-valued elements render as decimal
 strings so that one identifier space works across carriers, abstract domains
-and powerset lattices.  Order relations are stored as full up-set / down-set
-maps after reflexive-transitive closure: carriers are small by design, so
-O(n^2) storage beats walking a Hasse diagram.  Lattices of sets (powersets,
-downsets, disjunctive completions) intern each subset as an int bitmask over
-their atoms and render its name once, so joins never parse names.
+and powerset lattices.  A poset is built from one int up-mask per element
+after reflexive-transitive closure (carriers are small by design, so O(n^2)
+bits beat walking a Hasse diagram) and decodes them into name up-/down-sets
+once.  Lattices of sets intern each subset as an int bitmask over their
+atoms and render its name once, so joins never parse names.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -57,18 +57,25 @@ def set_name(members: Iterable[str]) -> str:
 
 
 class FinPoset:
-    """A finite poset with precomputed up-sets and down-sets."""
+    """A finite poset: bit j of ``upm[i]`` is set when ``elements[i] <=
+    elements[j]``; up-sets and down-sets of names are decoded once."""
 
-    __slots__ = ("elements", "_index", "_up", "_dn")
+    __slots__ = ("elements", "_index", "_upm", "_up", "_dn")
 
-    def __init__(self, elements: Iterable[str], up: Mapping[str, frozenset]):
-        self.elements = tuple(elements)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        self._up = dict(up)
-        dn: dict[str, set] = {x: set() for x in self.elements}
-        for x, ups in self._up.items():
-            for y in ups:
-                dn[y].add(x)
+    def __init__(self, elements: Iterable[str], upm: Iterable[int]):
+        self.elements = elems = tuple(elements)
+        self._index = {x: i for i, x in enumerate(elems)}
+        self._upm = tuple(upm)
+        self._up = up = {}
+        dn: dict[str, list] = {x: [] for x in elems}
+        for x, m in zip(elems, self._upm):
+            ups = []
+            while m:
+                j = m.bit_length() - 1
+                ups.append(elems[j])
+                dn[elems[j]].append(x)
+                m ^= 1 << j
+            up[x] = frozenset(ups)
         self._dn = {x: frozenset(s) for x, s in dn.items()}
 
     # -- basic queries -------------------------------------------------
@@ -114,46 +121,48 @@ class FinPoset:
     @staticmethod
     def discrete(elements: Iterable[str]) -> "FinPoset":
         elems = list(elements)
-        return FinPoset(elems, {x: frozenset([x]) for x in elems})
+        return FinPoset(elems, [1 << i for i in range(len(elems))])
 
 
 def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> FinPoset:
     """Build a poset from the reflexive-transitive closure of ``pairs``.
 
     Rejects duplicate elements, pairs mentioning unknown elements, and
-    closures that violate antisymmetry (i.e. cycles).
+    closures that violate antisymmetry (i.e. cycles), naming the first pair
+    of elements, in element order, that lie on one cycle.
     """
     elems = list(elements)
-    if len(set(elems)) != len(elems):
-        seen: set[str] = set()
-        for x in elems:
-            if x in seen:
-                raise DuplicateElement(f"duplicate element {x!r}")
-            seen.add(x)
-    known = set(elems)
-    succ: dict[str, set[str]] = {x: {x} for x in elems}
+    index: dict[str, int] = {}
+    for x in elems:
+        if x in index:
+            raise DuplicateElement(f"duplicate element {x!r}")
+        index[x] = len(index)
+    upm = [1 << i for i in range(len(elems))]
     for lo, hi in pairs:
-        if lo not in known:
+        if lo not in index:
             raise UnknownElement(f"unknown element {lo!r} in pair")
-        if hi not in known:
+        if hi not in index:
             raise UnknownElement(f"unknown element {hi!r} in pair")
-        succ[lo].add(hi)
-    # transitive closure, then antisymmetry check
+        upm[index[lo]] |= 1 << index[hi]
+    # transitive closure: OR in the masks of the elements above
     changed = True
     while changed:
         changed = False
-        for x in elems:
-            extra = set()
-            for y in succ[x]:
-                extra |= succ[y]
-            if not extra <= succ[x]:
-                succ[x] |= extra
+        for i, m in enumerate(upm):
+            grown, rest = m, m
+            while rest:
+                j = rest.bit_length() - 1
+                grown |= upm[j]
+                rest ^= 1 << j
+            if grown != m:
+                upm[i] = grown
                 changed = True
-    for x in elems:
-        for y in succ[x]:
-            if y != x and x in succ[y]:
-                raise CycleDetected(f"antisymmetry violated by {x!r} and {y!r}")
-    return FinPoset(elems, {x: frozenset(s) for x, s in succ.items()})
+    # x and y lie on one cycle exactly when their closed up-masks are equal
+    if len(set(upm)) != len(upm):
+        i = next(i for i, m in enumerate(upm) if m in upm[i + 1:])
+        y = elems[upm.index(upm[i], i + 1)]
+        raise CycleDetected(f"antisymmetry violated by {elems[i]!r} and {y!r}")
+    return FinPoset(elems, upm)
 
 
 class FinLattice:
@@ -252,18 +261,22 @@ class FinLattice:
         For a finite poset, existence of all pairwise lubs/glbs plus a top and
         bottom implies a complete lattice.  Raises NotCompleteLattice otherwise,
         naming the first pair in ``combinations`` order that lacks a bound
-        (its lub checked first).  The upper bounds of x and y are up(x) & up(y),
-        and the lub is the one whose own up-set is all of them: one dict lookup
-        of that AND of int masks over element positions.  Glbs likewise on
-        down-sets.  Each element keeps a tuple of its n bounds, so a join is
-        ``lub[a][index[b]]``.
+        (its lub checked first).  The upper bounds of x and y are the AND of
+        their up-masks, and the lub is the one whose own up-mask is all of
+        them: one dict lookup.  Glbs likewise on down-masks, the transpose of
+        the up-masks.  Each element keeps a tuple of its n bounds, so a join
+        is ``lub[a][index[b]]``.
         """
         elems = poset.elements
         if not elems:
             raise NotCompleteLattice((), "element")
-        idx = poset._index
-        upm = [sum(1 << idx[y] for y in poset._up[x]) for x in elems]
-        dnm = [sum(1 << idx[y] for y in poset._dn[x]) for x in elems]
+        idx, upm = poset._index, poset._upm
+        dnm = [0] * len(elems)
+        for i, m in enumerate(upm):
+            while m:
+                j = m.bit_length() - 1
+                dnm[j] |= 1 << i
+                m ^= 1 << j
         by_up, by_dn = dict(zip(upm, elems)), dict(zip(dnm, elems))
         full = (1 << len(elems)) - 1
         top, bottom = by_dn.get(full), by_up.get(full)
@@ -336,25 +349,20 @@ class SetLattice(FinLattice):
         top, bottom = name_of_mask.get(full), name_of_mask.get(common)
         if top is None or bottom is None:
             raise NotCompleteLattice((), "top" if top is None else "bottom")
-        # up-sets by intersecting, per member atom, the bitmask (over element
+        # up-masks by intersecting, per member atom, the bitmask (over element
         # positions) of the subsets that hold it: no pairwise subset tests
         holders = dict.fromkeys(atoms, 0)
         for j, name in enumerate(names):
             for x in members[name]:
                 holders[x] |= 1 << j
-        up = {}
+        upm = []
         for name in names:
             sup = (1 << len(names)) - 1
             for x in members[name]:
                 sup &= holders[x]
-            ups = []
-            while sup:
-                low = sup & -sup
-                ups.append(names[low.bit_length() - 1])
-                sup ^= low
-            up[name] = frozenset(ups)
+            upm.append(sup)
         lat = SetLattice(
-            FinPoset(names, up), top, bottom,
+            FinPoset(names, upm), top, bottom,
             lambda a, b: name_of_mask[mask_of[a] | mask_of[b]],
             lambda a, b: name_of_mask[mask_of[a] & mask_of[b]],
         )
@@ -384,6 +392,21 @@ class SetLattice(FinLattice):
             raise UnknownElement(f"no element with members {subset!r}") from None
 
 
+def _closure(start: Iterable, gens: Sequence, op) -> Iterator:
+    """Breadth first, each once, the members of the least family holding
+    ``start`` and ``op(m, g)`` for every member m and every g in ``gens``."""
+    members = list(dict.fromkeys(start))
+    seen = set(members)
+    yield from members
+    for m in members:  # the scan reaches what it appends
+        for g in gens:
+            new = op(m, g)
+            if new not in seen:
+                seen.add(new)
+                members.append(new)
+                yield new
+
+
 def moore_lattice(
     atoms: Iterable[str], family: Iterable[Iterable[str]],
 ) -> tuple[FinLattice, dict[str, frozenset]]:
@@ -399,52 +422,29 @@ def moore_lattice(
         masks = [sum(bit[x] for x in frozenset(s)) for s in family]
     except KeyError as exc:
         raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
-    closed = list(dict.fromkeys([(1 << len(atoms)) - 1, *masks]))
-    seen = set(closed)
-    for i, m in enumerate(closed):  # the scan reaches what it appends
-        for other in closed[:i]:
-            if m & other not in seen:
-                seen.add(m & other)
-                closed.append(m & other)
+    closed = _closure([(1 << len(atoms)) - 1, *masks], masks, int.__and__)
     sets = SetLattice.from_family(
         atoms, ([a for a in atoms if m & bit[a]] for m in closed), by_name=True)
     return FinLattice.from_poset(sets.base), sets.members
 
 
-def iter_downsets(poset: FinPoset, guard: int = DOWNSETS_GUARD):
+def iter_downsets(poset: FinPoset):
     """Yield every downward-closed subset of ``poset`` as a frozenset.
 
-    Enumerates by extending with maximal remaining elements; raises TooLarge
-    if more than ``guard`` downsets would be produced.
+    Grows the empty set breadth first by each element's down-set; raises
+    TooLarge if more than ``DOWNSETS_GUARD`` downsets would be produced.
     """
-    elems = sorted_elems(poset.elements)
-    seen: set[frozenset] = set()
-    frontier = [frozenset()]
-    seen.add(frozenset())
-    while frontier:
-        nxt = []
-        for ds in frontier:
-            yield ds
-            for x in elems:
-                if x in ds:
-                    continue
-                grown = ds | poset.down(x)
-                if grown not in seen:
-                    seen.add(grown)
-                    if len(seen) > guard:
-                        raise TooLarge(
-                            f"more than {guard} downward-closed subsets"
-                        )
-                    nxt.append(grown)
-        frontier = nxt
+    downs = [poset.down(x) for x in sorted_elems(poset.elements)]
+    for count, ds in enumerate(_closure([frozenset()], downs, frozenset.__or__), 1):
+        if count > DOWNSETS_GUARD:
+            raise TooLarge(f"more than {DOWNSETS_GUARD} downward-closed subsets")
+        yield ds
 
 
-def downsets_lattice(poset: FinPoset, guard: int = DOWNSETS_GUARD) -> SetLattice:
+def downsets_lattice(poset: FinPoset) -> SetLattice:
     """The complete lattice of all downward-closed subsets, ordered by
     inclusion: union and intersection of downsets are downsets."""
-    return SetLattice.from_family(
-        poset.elements, iter_downsets(poset, guard), by_name=True,
-    )
+    return SetLattice.from_family(poset.elements, iter_downsets(poset), by_name=True)
 
 
 def subsets_by_size(values: Sequence[str]) -> Iterator[tuple[str, ...]]:
@@ -454,10 +454,10 @@ def subsets_by_size(values: Sequence[str]) -> Iterator[tuple[str, ...]]:
         yield from combinations(values, k)
 
 
-def powerset_lattice(values: Iterable[str], guard: int = DOWNSETS_GUARD) -> SetLattice:
+def powerset_lattice(values: Iterable[str]) -> SetLattice:
     """The powerset of ``values`` as a lattice, subsets listed by size."""
     vals = sorted_elems(values)
-    if 2 ** len(vals) > guard:
+    if 2 ** len(vals) > DOWNSETS_GUARD:
         raise TooLarge(f"powerset of {len(vals)} values exceeds the guard")
     return SetLattice.from_family(vals, subsets_by_size(vals))
 
@@ -465,16 +465,7 @@ def powerset_lattice(values: Iterable[str], guard: int = DOWNSETS_GUARD) -> SetL
 def meet_closure(lat: FinLattice, members: Iterable[str]) -> frozenset:
     """Smallest superset of ``members`` closed under glbs (glb of the empty
     family is the top, which is always included)."""
-    closed = set(members)
-    for x in closed:
+    gens = list(members)
+    for x in gens:
         lat.base.require(x)
-    closed.add(lat.top)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(combinations(sorted_elems(closed), 2)):
-            m = lat.glb([x, y])
-            if m not in closed:
-                closed.add(m)
-                changed = True
-    return frozenset(closed)
+    return frozenset(_closure([lat.top, *gens], gens, lat.meet))

@@ -46,12 +46,24 @@ and direction of ``NotCompleteLattice``, with the pairwise search on random
 posets, lattices or not, M3, N5 and one element.  ``moore_lattice`` closes
 a family on int masks; the generators built on it must keep the element
 order, up-sets and gamma of the closure loop they used before.
+
+``build_poset`` closes int up-masks and ``FinPoset`` decodes them; here the
+up-sets and down-sets must be those of the name-set closure it used before,
+on names that parse as ints, look like set names or hold a comma, and a
+cycle must be named by its first pair in element order.  ``iter_downsets``
+and ``meet_closure`` run on the shared worklist; here they must give the
+same downsets in the same order as the frontier loop, and the same closure
+as the loop that re-scans every pair.  Join counts and cycle witnesses must
+not depend on the hash seed.
 """
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -78,6 +90,7 @@ from galkit.analyzer import (
     parse_program,
 )
 from galkit.errors import (
+    CycleDetected,
     NotCompleteLattice,
     NotInClass,
     ShapeMismatch,
@@ -108,6 +121,7 @@ from galkit.order import (
     build_poset,
     downsets_lattice,
     iter_downsets,
+    meet_closure,
     moore_lattice,
     powerset_lattice,
     scan_order,
@@ -472,12 +486,14 @@ def conn(carrier, lat, gamma) -> GaloisConn:
 
 
 # names that parse as ints (1, 01 and +1 are equal as ints, so sort_key ties
-# them and the stable sort decides), negative ints, and plain names
+# them and the stable sort decides), negative ints, plain names, and names
+# that look like set names or hold a comma
 NAMES = st.sampled_from([
     [str(i) for i in range(8)],
     [str(i) for i in range(-3, 5)],
     ["1", "01", "+1", "2", "x", "y", "-1", "0"],
     [f"b{i}" for i in range(8)],
+    ["a", "b", "a,b", "{a}", "1", "01", "{}", "c"],
 ])
 
 
@@ -538,7 +554,7 @@ class CountingPoset(FinPoset):
     __slots__ = ("leqs",)
 
     def __init__(self, poset: FinPoset):
-        super().__init__(poset.elements, {x: poset.up(x) for x in poset.elements})
+        super().__init__(poset.elements, poset._upm)
         self.leqs = 0
 
     def leq(self, x, y):
@@ -984,7 +1000,7 @@ def int_carriers():
 
 LITERALS = st.integers(-40, 40)  # well beyond any carrier bound drawn here
 LABELS = st.integers(1, 6)  # labels may repeat and need not follow the syntax
-NAMES = st.sampled_from(VARS)
+VAR_NAMES = st.sampled_from(VARS)
 ARITH = st.sampled_from("+-*")
 COMPARISONS = st.sampled_from(CMP_OPS)
 KINDS = st.integers(0, 3)
@@ -996,7 +1012,7 @@ def draw_expr(draw, depth: int):
     if kind == 0:
         return Lit(draw(LITERALS))
     if kind == 1:
-        return Var(draw(NAMES))
+        return Var(draw(VAR_NAMES))
     return BinOp(draw(ARITH), draw_expr(draw, depth - 1), draw_expr(draw, depth - 1))
 
 
@@ -1008,7 +1024,7 @@ def draw_stmt(draw, depth: int):
     """An assignment, a skip or, above depth 0, an if or a while."""
     kind = draw(KINDS) if depth else draw(KINDS) % 2
     if kind == 0:
-        return Assign(draw(NAMES), draw_expr(draw, 2), draw(LABELS))
+        return Assign(draw(VAR_NAMES), draw_expr(draw, 2), draw(LABELS))
     if kind == 1:
         return Skip(draw(LABELS))
     cond = Cmp(draw(COMPARISONS), draw_expr(draw, 1), draw_expr(draw, 1))
@@ -1197,7 +1213,7 @@ DOUBLE_BOWTIE = build_poset(
 @example(m3().base)
 @example(n5().base)
 @example(build_poset(["x"], []))
-@example(FinPoset((), {}))
+@example(FinPoset((), ()))
 def test_from_poset_agrees_with_the_pairwise_search(poset):
     try:
         top, bottom, lub, glb = literal_bounds(poset)
@@ -1285,3 +1301,177 @@ def test_a_moore_lattice_joins_to_the_least_member_above_the_union():
     assert lat.meet("{a}", "{b}") == "{}"
     with pytest.raises(UnknownElement, match="'d'"):
         moore_lattice("abc", [["d"]])
+
+
+# ---------------------------------------------------------------------------
+# posets from up-masks, and the one closure worklist
+
+
+def literal_up_sets(elements, pairs) -> dict:
+    """Up-sets as ``build_poset`` closed them on name sets before it worked
+    on masks: each set takes in the sets of its members until none grows."""
+    succ = {x: {x} for x in elements}
+    for lo, hi in pairs:
+        succ[lo].add(hi)
+    changed = True
+    while changed:
+        changed = False
+        for x in elements:
+            extra = set()
+            for y in succ[x]:
+                extra |= succ[y]
+            if not extra <= succ[x]:
+                succ[x] |= extra
+                changed = True
+    return {x: frozenset(s) for x, s in succ.items()}
+
+
+def literal_downsets(poset: FinPoset) -> list:
+    """Every downset, in the order ``iter_downsets`` yielded them before the
+    worklist: frontier by frontier, each downset grown by the down-set of
+    every element outside it, in sorted order."""
+    elems = sorted_elems(poset.elements)
+    seen = {frozenset()}
+    frontier, out = [frozenset()], []
+    while frontier:
+        nxt = []
+        for ds in frontier:
+            out.append(ds)
+            for x in elems:
+                if x in ds:
+                    continue
+                grown = ds | poset.down(x)
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
+        frontier = nxt
+    return out
+
+
+def literal_meet_closure(lat: FinLattice, members) -> frozenset:
+    """``meet_closure`` as it was before the worklist: re-scan every pair
+    until no glb is new."""
+    closed = set(members) | {lat.top}
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(combinations(sorted_elems(closed), 2)):
+            m = lat.glb([x, y])
+            if m not in closed:
+                closed.add(m)
+                changed = True
+    return frozenset(closed)
+
+
+@st.composite
+def named_relations(draw):
+    """Up to 8 names in a random order and random pairs between them, along
+    a random ranking (so acyclic) or anywhere (so often cyclic)."""
+    names = draw(st.permutations(draw(NAMES)[:draw(st.integers(0, 8))]))
+    if not names:
+        return names, []
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=12))
+    if draw(st.booleans()):
+        rank = {x: i for i, x in enumerate(draw(st.permutations(names)))}
+        pairs = [(x, y) for x, y in pairs if rank[x] <= rank[y]]
+    return names, pairs
+
+
+@st.composite
+def named_posets(draw):
+    names = draw(NAMES)[:draw(st.integers(1, 8))]
+    return draw(named_poset(draw(st.permutations(names))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(named_relations())
+@example((list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]))
+@example((["1", "01", "a,b"], [("01", "a,b"), ("a,b", "1")]))
+def test_build_poset_agrees_with_the_name_set_closure(case):
+    names, pairs = case
+    up = literal_up_sets(names, pairs)
+    cycle = next(((x, y) for i, x in enumerate(names) for y in names[i + 1:]
+                  if y in up[x] and x in up[y]), None)
+    if cycle is not None:
+        # the witness is the first pair in element order on one cycle
+        with pytest.raises(CycleDetected) as got:
+            build_poset(names, pairs)
+        assert str(got.value) == f"antisymmetry violated by {cycle[0]!r} and {cycle[1]!r}"
+        return
+    poset = build_poset(names, pairs)
+    assert poset.elements == tuple(names)
+    assert {x: poset.up(x) for x in names} == up
+    assert {x: poset.down(x) for x in names} == {
+        x: frozenset(y for y in names if x in up[y]) for x in names}
+    assert poset == FinPoset(names, poset._upm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_posets())
+def test_iter_downsets_agrees_with_the_frontier_loop(poset):
+    assert list(iter_downsets(poset)) == literal_downsets(poset)
+
+
+# over atoms a, b and a,b the downsets {a, b} and {"a,b"} share a name
+COMMA_FREE_POSETS = named_posets().filter(lambda p: all("," not in x for x in p.elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(LATTICES, COMMA_FREE_POSETS.map(downsets_lattice)).flatmap(
+    lambda lat: st.tuples(st.just(lat), st.lists(st.sampled_from(lat.elements), max_size=5))))
+def test_meet_closure_agrees_with_the_pairwise_loop(case):
+    lat, members = case
+    assert meet_closure(lat, members) == literal_meet_closure(lat, members)
+    jirr = sorted(lat.join_irreducibles())
+    assert meet_closure(lat, jirr) == literal_meet_closure(lat, jirr)
+
+
+# One slice of the ordered round trip, as perfbench's ``ordered_op`` runs it,
+# counting the joins of each seed, and the witness of a 4-cycle.
+HASH_SEED_SLICE = """
+import json
+from galkit import catalog, galois, transforms
+from galkit.errors import CycleDetected
+from galkit.order import FinLattice, build_poset
+
+joins = 0
+plain_join = FinLattice.join
+
+def counting_join(self, x, y):
+    global joins
+    joins += 1
+    return plain_join(self, x, y)
+
+FinLattice.join = counting_join
+counts = []
+for seed in range(40):
+    joins = 0
+    G = catalog.gen_downsets_gc(seed, amax=6)
+    P = catalog.gen_ppgc(seed)
+    C = transforms.t_cgp(G)
+    galois.check_cgp(C)
+    galois.precision_cmp(transforms.t_gc(C), G)
+    D = transforms.t_pcgc(P)
+    galois.check_pcgc(D)
+    galois.precision_cmp(transforms.t_ppgc(D), P)
+    counts.append(joins)
+try:
+    build_poset("abcd", ["ab", "bc", "cd", "da"])
+except CycleDetected as exc:
+    cycle = str(exc)
+print(json.dumps([counts, cycle]))
+"""
+
+
+def test_join_counts_and_cycle_witnesses_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SLICE],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == "antisymmetry violated by 'a' and 'b'"

@@ -65,6 +65,30 @@ def test_transform_checks_the_adjunction_of_a_wide_ppgc(tmp_path, capsys,
     assert [rep.is_gc for rep in reports] == [True]
 
 
+# the class each transform reads, by the source tag of its pair
+SOURCE_CLASS = {
+    "cgc": galois.CarrierConn, "cgp": galois.CarrierConn, "pcgc": galois.CarrierConn,
+    "pgc": galois.GaloisConn, "gc": galois.GaloisConn, "ppgc": galois.GaloisConn,
+    "cco": galois.ClosureOp,
+}
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_transform_of_a_file_of_another_class_is_an_error(tmp_path, capsys, name):
+    domain = tmp_path / f"{name}.json"
+    assert run(capsys, "builtin", name, "--bound", "12", "--emit", str(domain))[0] == 0
+    loaded = type(fileio.load_domain(str(domain))).__name__
+    for pair in sorted(cli.TRANSFORMS):
+        code, out, err = run(capsys, "transform", pair, str(domain))
+        wanted = SOURCE_CLASS[pair.split("-")[0]].__name__
+        if wanted != loaded:
+            assert (code, out) == (1, ""), pair
+            assert err == (f"error: {pair} reads a {wanted}, "
+                           f"but {domain} holds a {loaded}\n"), pair
+        else:
+            assert code == 0 or err.startswith("error: "), pair
+
+
 def test_bca_subcommand(tmp_path, capsys):
     domain = tmp_path / "sign.json"
     fileio.save_domain(catalog.builtin("sign_pgi", 6), str(domain))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galkit import order
 from galkit.errors import (
     CycleDetected,
     DuplicateElement,
@@ -102,6 +103,14 @@ def test_iter_downsets_guard():
     big = FinPoset.discrete([str(i) for i in range(20)])
     with pytest.raises(TooLarge):
         list(iter_downsets(big))
+
+
+def test_iter_downsets_allows_exactly_the_guard(monkeypatch):
+    monkeypatch.setattr(order, "DOWNSETS_GUARD", 4)
+    # a chain of n elements has n + 1 downsets
+    assert len(list(iter_downsets(build_poset("abc", ["ab", "bc"])))) == 4
+    with pytest.raises(TooLarge, match="more than 4 "):
+        list(iter_downsets(build_poset("abcd", ["ab", "bc", "cd"])))
 
 
 def test_downsets_lattice_joins_are_unions():
