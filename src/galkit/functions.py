@@ -7,7 +7,6 @@ componentwise product order.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping
@@ -27,18 +26,12 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, set_name, sort_key, sorted_elems, subsets_by_size
+from .order import FinLattice, set_name, sort_key, sorted_elems
 from .setops import lift_diamond
 from .transforms import t_cgc_of_pgc, t_pgc
 
 SOUND_VARIANTS = ("ημ", "μμ", "ηη", "μη")
 GC_KINDS = ("sound", "optimal", "backward_complete", "forward_complete", "precise")
-
-# exhaustive backward-completeness checks switch to documented seeded
-# sampling above this carrier size
-EXHAUSTIVE_CARRIER = 12
-SAMPLE_SUBSETS = 4096
-SAMPLE_MAX_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -377,24 +370,64 @@ def pcgc_sound(C: CarrierConn, pair: FnPair) -> CheckResult:
     return pointwise if not pointwise.ok else via_bca
 
 
-def _sampled_subsets(values, rng) -> list[frozenset]:
-    ordered = sorted_elems(values)
-    out = [frozenset([v]) for v in ordered]
-    out.extend(frozenset(p) for p in zip(ordered, ordered[1:]))
-    for _ in range(SAMPLE_SUBSETS):
-        k = rng.randint(1, min(len(ordered), SAMPLE_MAX_SIZE))
-        out.append(frozenset(rng.sample(ordered, k)))
-    return out
+def _backward_tuples(C: CarrierConn, arity: int) -> list:
+    """The tuples of carrier subsets on which backward completeness,
+    lub η(f(X⃗)) = f♯(α(X⃗)) with α(X) = lub η(X), is decided.
+
+    Breadth first from ∅, ``reps`` keeps one smallest subset R with
+    α(R) = y for every y in α's image (at most |B| of them), and ``grown``
+    lists ∅ and every R ∪ {x} by size.  The tuples are those of
+    representatives with one position running through ``grown``, position
+    by position, then every tuple of singletons: at most
+    arity·|B|^(arity-1)·(1 + |B|·|A|) + |A|^arity of them, instead of
+    2^(|A|·arity).
+
+    Proof sketch.  The left side is ⊥ when an argument is ∅, and additive
+    in each argument: at X ∪ X' it is the lub of its values at X and at X'.
+    With the other arguments at representatives, the law on the tuples
+    where one position runs through ``grown`` gives strictness of f♯ (∅
+    there) and f♯(…, y ⊔ η(x), …) = f♯(…, y, …) ⊔ f♯(…, η(x), …) for y in
+    α's image (R, {x} and R ∪ {x} there, R the representative of y).  The
+    singleton tuples give f♯(η(x⃗)) = η(f(x⃗)).  By induction on the sizes
+    of X⃗, these give f♯(α(X⃗)) = lub {f♯(η(x⃗)) | x⃗ ∈ ∏X⃗}, which is the
+    left side.  Conversely the law on every tuple holds on these.
+
+    At arity 2 the singleton tuples are needed: a pair of values that are
+    no representatives lies in no other tuple.  At arity 1 they are in
+    ``grown``, and the first failure is a smallest failing subset: a
+    smallest X = X' ∪ {x} fails with R ∪ {x}, R representing α(X').
+    """
+    lat, eta = C.abstract, C.eta
+    values = sorted_elems(C.carrier.values)
+    reps = {lat.bottom: frozenset()}
+    queue = [lat.bottom]
+    grown = dict.fromkeys([frozenset()])
+    for y in queue:  # the scan reaches what it appends
+        for x in values:
+            G = reps[y] | {x}
+            grown.setdefault(G)
+            z = lat.join(y, eta[x])
+            if z not in reps:
+                reps[z] = G
+                queue.append(z)
+    tuples = dict.fromkeys(
+        (*rest[:i], G, *rest[i:])
+        for i in range(arity)
+        for rest in product(reps.values(), repeat=arity - 1)
+        for G in grown
+    )
+    singletons = [frozenset([x]) for x in values]
+    tuples.update(dict.fromkeys(product(singletons, repeat=arity)))
+    return list(tuples)
 
 
-def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str,
-                       seed: int = 0) -> CheckResult:
+def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str) -> CheckResult:
     """optimal, forward_complete or backward_complete for a purely
     constructive pair.
 
-    Backward completeness quantifies over carrier subsets; carriers beyond
-    EXHAUSTIVE_CARRIER elements are checked on a documented seeded sample
-    (all singletons and adjacent pairs plus random subsets).
+    Backward completeness quantifies over tuples of carrier subsets; it is
+    decided exactly on the polynomial family of :func:`_backward_tuples`,
+    and a witness is a tuple of that family on which the law fails.
     """
     rep = check_pcgc(C)
     if not rep.ok:
@@ -419,12 +452,7 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str,
         return CheckResult(True)
     if kind != "backward_complete":
         raise ShapeMismatch(f"unknown property {kind!r}")
-    values = C.carrier.values
-    if len(values) <= EXHAUSTIVE_CARRIER:
-        subsets = [frozenset(c) for c in subsets_by_size(sorted_elems(values))]
-    else:
-        subsets = _sampled_subsets(values, random.Random(seed))
-    for Xs in product(subsets, repeat=arity):
+    for Xs in _backward_tuples(C, arity):
         outs = f.image(*Xs)
         lhs = lat.lub(C.eta[o] for o in outs)
         rhs = fs(*(lat.lub(C.eta[x] for x in X) for X in Xs))

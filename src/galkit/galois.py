@@ -39,6 +39,7 @@ from .order import (
     FinPoset,
     iter_downsets,
     set_name,
+    sort_key,
     sorted_elems,
     subsets_by_size,
 )
@@ -276,8 +277,9 @@ class GaloisConn:
             for combo in subsets_by_size(values):
                 yield frozenset(combo)
         else:
-            subs = sorted(iter_downsets(poset),
-                          key=lambda s: (len(s), tuple(sorted_elems(s))))
+            subs = sorted(
+                iter_downsets(poset),
+                key=lambda s: (len(s), tuple(map(sort_key, sorted_elems(s)))))
             yield from subs
 
     def __repr__(self):

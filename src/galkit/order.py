@@ -25,9 +25,10 @@ DOWNSETS_GUARD = 2 ** 16
 
 
 def sort_key(v: str):
-    """Sort element names numerically when they parse as ints, else lexically."""
+    """Sort element names numerically when they parse as ints, else lexically;
+    names with the same int value (``1``/``01``, ``10``/``1_0``) by string."""
     try:
-        return (0, int(v), "")
+        return (0, int(v), v)
     except ValueError:
         return (1, 0, v)
 
@@ -39,10 +40,11 @@ def sorted_elems(xs: Iterable[str]) -> list[str]:
 def scan_key(v: str):
     """Order used when scanning carriers for counterexamples: small
     magnitudes first, nonnegative before negative, so witnesses match the
-    values a reader would pick by hand."""
+    values a reader would pick by hand.  Ties on the int value break on the
+    string, as in :func:`sort_key`."""
     try:
         n = int(v)
-        return (0, abs(n), 0 if n >= 0 else 1, "")
+        return (0, abs(n), 0 if n >= 0 else 1, v)
     except ValueError:
         return (1, 0, 0, v)
 

@@ -1,11 +1,11 @@
-"""Finite carriers, map tables, lifting combinators and partition predicates."""
+"""Finite carriers, lifting combinators and partition predicates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import ShapeMismatch, UnknownElement
-from .order import FinLattice, FinPoset, sorted_elems
+from .order import sorted_elems
 
 SATURATING = "saturating"
 MODULAR = "modular"
@@ -80,41 +80,6 @@ class FinCarrier:
         return str(self.clamp_int(n))
 
 
-Domain = Union[FinCarrier, FinPoset]
-
-
-def _domain_values(domain: Domain) -> tuple[str, ...]:
-    if isinstance(domain, FinCarrier):
-        return domain.values
-    return domain.elements
-
-
-@dataclass(frozen=True, eq=False)
-class MapTable:
-    """A total map stored as an explicit table.
-
-    ``entries`` maps every domain value to either a codomain value or, for
-    set-valued maps, a frozenset of codomain values.
-    """
-
-    domain: Domain
-    entries: Mapping[str, object]
-
-    def __post_init__(self):
-        missing = [v for v in _domain_values(self.domain) if v not in self.entries]
-        if missing:
-            raise ShapeMismatch(f"table not total, missing {missing[:3]}")
-
-    def __call__(self, v: str):
-        if v not in self.entries:
-            raise UnknownElement(f"value {v!r} not in table domain")
-        return self.entries[v]
-
-
-def _entries(table) -> Mapping[str, object]:
-    return table.entries if isinstance(table, MapTable) else table
-
-
 def _lookup(table: Mapping, x: str):
     try:
         return table[x]
@@ -124,38 +89,15 @@ def _lookup(table: Mapping, x: str):
 
 def lift_diamond(f, members: Iterable[str]) -> frozenset:
     """Image of a set under a pointwise map: {f(x) | x in X}."""
-    t = _entries(f)
-    return frozenset(_lookup(t, x) for x in members)
+    return frozenset(_lookup(f, x) for x in members)
 
 
 def lift_star(g, members: Iterable[str]) -> frozenset:
     """Union of the pointwise images of a set-valued map."""
-    t = _entries(g)
     out: set = set()
     for x in members:
-        out |= _lookup(t, x)
+        out |= _lookup(g, x)
     return frozenset(out)
-
-
-def lift_lub(lat: FinLattice, k, members: Iterable[str]) -> str:
-    """Least upper bound of the pointwise images; empty set maps to bottom."""
-    t = _entries(k)
-    return lat.lub(_lookup(t, x) for x in members)
-
-
-def lift_singleton(f, a: str) -> frozenset:
-    """One-element set {f(a)}."""
-    t = _entries(f)
-    return frozenset([_lookup(t, a)])
-
-
-def lower_singleton(h, a: str):
-    """Apply a set-consuming map to the singleton {a}.
-
-    ``h`` is a callable over frozensets (e.g. the abstraction side of a
-    Galois connection).
-    """
-    return h(frozenset([a]))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,12 @@ and ``meet_closure`` run on the shared worklist; here they must give the
 same downsets in the same order as the frontier loop, and the same closure
 as the loop that re-scans every pair.  Join counts and cycle witnesses must
 not depend on the hash seed.
+
+``pcgc_pair_property(..., "backward_complete")`` compares lub eta(f(X⃗)) with
+f♯(alpha(X⃗)) only on a polynomial family of tuples of subsets; here its
+verdict must be that of the comparison on every tuple, over generated
+purely constructive connections at arities 1 and 2, each failing witness
+must fail the literal law, and at arity 1 no smaller subset may fail.
 """
 from __future__ import annotations
 
@@ -98,7 +104,15 @@ from galkit.errors import (
     UnknownElement,
     UnknownVariable,
 )
-from galkit.functions import ConcreteFn, bca_pcgc_entry
+from galkit.functions import (
+    AbstractFn,
+    ConcreteFn,
+    FnPair,
+    _backward_tuples,
+    bca_pcgc,
+    bca_pcgc_entry,
+    pcgc_pair_property,
+)
 from galkit.galois import (
     CarrierConn,
     CheckResult,
@@ -978,6 +992,105 @@ def test_generic_image_names_the_first_undefined_key_in_sorted_order():
         g.image(set(values))
     with pytest.raises(ShapeMismatch):
         f.image(values)
+
+
+# ---------------------------------------------------------------------------
+# backward completeness of purely constructive pairs
+
+
+def literal_backward_complete(C: CarrierConn, pair: FnPair) -> CheckResult:
+    """lub eta(f(X⃗)) = f♯(alpha(X⃗)) on every tuple of carrier subsets, the
+    subsets listed by size and the tuples in product order, first failure.
+
+    Each lub over a subset is kept in a table indexed by the subset's mask,
+    as the lub over the subset less its lowest value joined with that
+    value's term, so that a tuple costs one join and one f♯ lookup and all
+    4^8 pairs over 8 values fit in the time of a unit test."""
+    lat, eta = C.abstract, C.eta
+    f, fs = pair.concrete, pair.abstract
+    values = sorted_elems(C.carrier.values)
+    bit = {v: 1 << i for i, v in enumerate(values)}
+    subsets = [(sum(bit[v] for v in c), set_name(c)) for c in subsets_by_size(values)]
+
+    def lubs(term) -> list:
+        """lub {term(v) | v in X} for every mask X."""
+        out = [lat.bottom]
+        for m in range(1, 1 << len(values)):
+            low = m & -m
+            out.append(lat.join(out[m ^ low], term(values[low.bit_length() - 1])))
+        return out
+
+    alpha = lubs(eta.__getitem__)
+    if pair.arity == 1:
+        left = lubs(lambda x: eta[f(x)])
+        for m, X in subsets:
+            if left[m] != fs(alpha[m]):
+                return CheckResult(False, ((X,), left[m], fs(alpha[m])))
+        return CheckResult(True)
+    rows = [lubs(lambda y: eta[f(x, y)]) for x in values]
+    left = {0: [lat.bottom] * len(alpha)}  # left[m1][m2], filled as m1 is reached
+    for m1, X1 in subsets:
+        if m1:
+            low = m1 & -m1
+            left[m1] = list(map(lat.join, left[m1 ^ low], rows[low.bit_length() - 1]))
+        for m2, X2 in subsets:
+            lhs, rhs = left[m1][m2], fs(alpha[m1], alpha[m2])
+            if lhs != rhs:
+                return CheckResult(False, ((X1, X2), lhs, rhs))
+    return CheckResult(True)
+
+
+def backward_cases(seed: int, arity: int):
+    """Over t_pcgc(gen_ppgc(seed)): a random f with a random f♯ and with its
+    best correct approximation, and the best correct approximation of an f
+    constant on blocks (on pairs of blocks at arity 2)."""
+    C = t_pcgc(catalog.gen_ppgc(seed))
+    rng = random.Random(f"backward:{seed}:{arity}")
+    elems = sorted_elems(C.abstract.elements)
+    values = sorted_elems(C.carrier.values)
+    key = (lambda t: t[0]) if arity == 1 else (lambda t: t)
+    f = catalog.gen_fn(rng, C.carrier, arity)
+    yield FnPair(C, f, AbstractFn(
+        arity, {key(ys): rng.choice(elems) for ys in product(elems, repeat=arity)}))
+    yield FnPair(C, f, bca_pcgc(C, f))
+    blocks = C.blocks()
+    out = {bs: rng.choice(values) for bs in product(blocks, repeat=arity)}
+    g = ConcreteFn(arity, {
+        key(xs): out[tuple(C.mu[C.eta[x]] for x in xs)]
+        for xs in product(values, repeat=arity)
+    })
+    yield FnPair(C, g, bca_pcgc(C, g))
+
+
+def members(name: str) -> frozenset:
+    """The subset that ``set_name`` names, for comma-free member names."""
+    return frozenset(x for x in name[1:-1].split(",") if x)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_backward_completeness_agrees_with_every_tuple_of_subsets(arity):
+    verdicts = []
+    for seed in range(200):
+        for pair in backward_cases(seed, arity):
+            C, lat = pair.conn, pair.conn.abstract
+            res = pcgc_pair_property(C, pair, "backward_complete")
+            lit = literal_backward_complete(C, pair)
+            assert res.ok == lit.ok, (seed, res, lit)
+            n, b = len(C.carrier), len(lat.elements)
+            bound = arity * b ** (arity - 1) * (1 + b * n) + n ** arity
+            assert len(_backward_tuples(C, arity)) <= bound
+            verdicts.append(res.ok)
+            if res.ok:
+                continue
+            # the witness fails the literal law, and at arity 1 no smaller
+            # subset does
+            names, lhs, rhs = res.witness
+            Xs = [members(X) for X in names]
+            assert lhs == lat.lub(C.eta[o] for o in pair.concrete.image(*Xs)) != rhs
+            assert rhs == pair.abstract(*(lat.lub(C.eta[x] for x in X) for X in Xs))
+            if arity == 1:
+                assert len(Xs[0]) == len(members(lit.witness[0][0]))
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 completeness checkers."""
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,9 @@ from galkit.functions import (
     pcgc_pair_property,
     pcgc_sound,
 )
+from galkit.galois import CarrierConn, CheckResult
+from galkit.order import powerset_lattice
+from galkit.setops import FinCarrier
 from galkit.transforms import t_pgc
 
 SOUND_VARIANTS = ("ημ", "μμ", "ηη", "μη")
@@ -40,6 +45,33 @@ def sign8():
 
 def neg_fn(carrier) -> ConcreteFn:
     return ConcreteFn(1, {v: carrier.clamp(-int(v)) for v in carrier.values})
+
+
+def square_fn(carrier) -> ConcreteFn:
+    return ConcreteFn(1, {v: carrier.clamp(int(v) ** 2) for v in carrier.values})
+
+
+def mul_fn(carrier) -> ConcreteFn:
+    return ConcreteFn(2, {
+        (a, b): carrier.clamp(int(a) * int(b))
+        for a in carrier.values
+        for b in carrier.values
+    })
+
+
+def first_fn(carrier) -> ConcreteFn:
+    return ConcreteFn(2, {(a, b): a for a in carrier.values for b in carrier.values})
+
+
+def bca_pair(C, f: ConcreteFn) -> FnPair:
+    return FnPair(C, f, bca_pcgc(C, f))
+
+
+def inclusion_pcgc(values, lat, eta) -> CarrierConn:
+    """A purely constructive connection over ``lat`` whose mu is inclusion:
+    mu(y) holds every value whose eta lies below y."""
+    mu = {y: frozenset(v for v in values if lat.leq(eta[v], y)) for y in lat.elements}
+    return CarrierConn("pcgc", FinCarrier.atoms(values), lat, eta, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +269,16 @@ def test_pcgc_sound_rejects_too_small_outputs():
     assert not res.ok
 
 
-def test_signconst_multiplication_is_backward_complete(signconst):
+def test_signconst_multiplication_bca_is_optimal(signconst):
     carrier = signconst.carrier
-    mul = ConcreteFn(
-        2,
-        {
-            (a, b): carrier.clamp(int(a) * int(b))
-            for a in carrier.values
-            for b in carrier.values
-        },
-    )
+    mul = mul_fn(carrier)
     table = {
         (b1, b2): bca_pcgc_entry(signconst, mul, b1, b2)
         for b1 in ("∅", "<0", "≤0", ">0", "≥0", "≠0", "Z", "0", "2", "-2")
         for b2 in ("∅", "<0", "≤0", ">0", "≥0", "≠0", "Z", "0", "2", "-2")
     }
-    # restrict the instance to the sampled abstract square so the property
-    # checker can tabulate it; the exhaustive claim lives in the acceptance
-    # suite via the analyzer oracle
+    # on a square of the 71-element domain, each entry is the lub of the
+    # products; on the 28-element domain, the full table is optimal
     for (b1, b2), out in table.items():
         prods = {
             carrier.clamp(int(x) * int(y))
@@ -264,6 +288,89 @@ def test_signconst_multiplication_is_backward_complete(signconst):
         assert signconst.abstract.lub(
             signconst.eta[p] for p in prods
         ) == out
+    C = catalog.builtin("signconst_pcgc", 10)
+    assert pcgc_pair_property(C, bca_pair(C, mul_fn(C.carrier)), "optimal").ok
+
+
+def test_saturating_multiplication_is_not_backward_complete():
+    C = catalog.builtin("signconst_pcgc", 10)
+    pair = bca_pair(C, mul_fn(C.carrier))
+    res = pcgc_pair_property(C, pair, "backward_complete")
+    assert res == CheckResult(False, (("{-10,-9}", "{-9}"), "10", ">0"))
+    # both literal sides: -10 * -9 and -9 * -9 saturate to 10, while
+    # alpha({-10,-9}) = <0 also holds -1, and -1 * -9 = 9
+    lat = C.abstract
+    Xs = (frozenset({"-10", "-9"}), frozenset({"-9"}))
+    lhs = lat.lub(C.eta[o] for o in pair.concrete.image(*Xs))
+    rhs = pair.abstract(*(lat.lub(C.eta[x] for x in X) for X in Xs))
+    assert (lhs, rhs) == ("10", ">0")
+
+
+def test_binary_backward_completeness_on_21_values_is_decided_quickly():
+    C = catalog.builtin("signconst_pcgc", 10)
+    pair = bca_pair(C, first_fn(C.carrier))
+    start = time.perf_counter()
+    assert pcgc_pair_property(C, pair, "backward_complete").ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_backward_completeness_is_decided_past_twelve_values():
+    # f# differs from the identity only at top, and alpha(X) is top only
+    # when X holds a0..a7 and one of a8..a12: every failing subset has 9
+    # values, more than any sample of at most 8 could hold
+    lat = powerset_lattice([f"r{j}" for j in range(9)])
+    values = [f"a{i}" for i in range(13)]
+    eta = {f"a{i}": lat.name_of([f"r{min(i, 8)}"]) for i in range(13)}
+    C = inclusion_pcgc(values, lat, eta)
+    ident = ConcreteFn(1, {v: v for v in values})
+    same = AbstractFn(1, {y: y for y in lat.elements})
+    assert pcgc_pair_property(C, FnPair(C, ident, same), "backward_complete").ok
+    drop_top = AbstractFn(
+        1, {y: lat.bottom if y == lat.top else y for y in lat.elements})
+    res = pcgc_pair_property(C, FnPair(C, ident, drop_top), "backward_complete")
+    assert not res.ok
+    (X,), lhs, rhs = res.witness
+    assert X.count(",") + 1 == 9 and (lhs, rhs) == (lat.top, lat.bottom)
+
+
+def test_backward_completeness_reaches_pairs_of_non_representatives():
+    # x1 and y1 represent p and q; f leaves {p} only at (x2, y2), and no
+    # tuple that holds a representative holds that pair
+    lat = powerset_lattice(["p", "q"])
+    p, q = lat.name_of(["p"]), lat.name_of(["q"])
+    values = ["x1", "x2", "y1", "y2"]
+    C = inclusion_pcgc(values, lat, {"x1": p, "x2": p, "y1": q, "y2": q})
+    f = ConcreteFn(2, {
+        (a, b): "y1" if (a, b) == ("x2", "y2") else "x1"
+        for a in values for b in values
+    })
+    fs = AbstractFn(2, {
+        (a, b): lat.bottom if lat.bottom in (a, b) else p
+        for a in lat.elements for b in lat.elements
+    })
+    res = pcgc_pair_property(C, FnPair(C, f, fs), "backward_complete")
+    assert res == CheckResult(False, (("{x2}", "{y2}"), q, p))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (neg_fn, CheckResult(True)),
+    (square_fn, CheckResult(
+        False, (("<0",), "{1,4,9,10}", "{1,2,3,4,5,6,7,8,9,10}"))),
+    (first_fn, CheckResult(True)),
+    (mul_fn, CheckResult(False, (
+        ("-10", "Z"), "{-10,0,10}", "{" + ",".join(map(str, range(-10, 11))) + "}"))),
+])
+def test_pcgc_forward_completeness(make, expected):
+    C = catalog.builtin("signconst_pcgc", 10)
+    assert pcgc_pair_property(C, bca_pair(C, make(C.carrier)), "forward_complete") == expected
+
+
+@pytest.mark.parametrize("kind", ["sound", "precise", "backward-complete", ""])
+@pytest.mark.parametrize("make", [neg_fn, mul_fn])
+def test_pcgc_pair_property_rejects_an_unknown_kind(make, kind):
+    C = catalog.builtin("signconst_pcgc", 10)
+    with pytest.raises(ShapeMismatch, match="unknown property"):
+        pcgc_pair_property(C, bca_pair(C, make(C.carrier)), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from galkit.galois import (
     prt,
     renaming_witnesses,
 )
-from galkit.order import FinLattice, FinPoset, build_poset
+from galkit.order import (
+    FinLattice,
+    FinPoset,
+    build_poset,
+    downsets_lattice,
+    set_name,
+)
 from galkit.setops import FinCarrier
 from galkit.transforms import t_cco
 
@@ -280,3 +286,14 @@ def test_generated_downset_gcs_pass_check_gc(seed):
     G = catalog.gen_downsets_gc(seed, amax=5)
     rep = check_gc(G)
     assert rep.is_gc
+
+
+def test_concrete_elements_of_an_ordered_carrier_list_by_size_then_value():
+    # as strings "10" < "3" and "3,10" < "3,9"; the order compares values
+    poset = build_poset(["9", "10", "3"], [("3", "9")])
+    lat = downsets_lattice(poset)
+    G = GaloisConn(FinCarrier.atoms(["9", "10", "3"]), lat, dict(lat.members),
+                   carrier_order=poset, kind="gc")
+    assert [set_name(X) for X in G.iter_concrete()] == [
+        "{}", "{3}", "{10}", "{3,9}", "{3,10}", "{3,9,10}",
+    ]

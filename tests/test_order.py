@@ -1,6 +1,11 @@
 """Posets, lattices, downsets and powersets."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +55,30 @@ def test_set_name_is_canonical():
     lat = powerset_lattice(["a", "b"])
     assert lat.members["{a,b}"] == frozenset({"a", "b"})
     assert lat.members["{}"] == frozenset()
+
+
+ORDER_SLICE = """
+import json
+from galkit.order import scan_order, set_name, sorted_elems
+names = frozenset({"1", "01", "a", "10", "1_0", "-1", "-01"})
+print(json.dumps([set_name(names), sorted_elems(names), scan_order(names)]))
+"""
+
+
+def test_names_with_equal_int_values_sort_by_string_at_any_hash_seed():
+    src = os.path.dirname(os.path.dirname(order.__file__))
+    runs = []
+    for hash_seed in ("1", "5"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", ORDER_SLICE],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1] == [
+        "{-01,-1,01,1,10,1_0,a}",
+        ["-01", "-1", "01", "1", "10", "1_0", "a"],
+        ["01", "1", "-01", "-1", "10", "1_0", "a"],
+    ]
 
 
 def test_build_poset_takes_reflexive_transitive_closure():

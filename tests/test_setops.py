@@ -1,20 +1,10 @@
-"""Carriers, map tables, lifting helpers and partition checks."""
+"""Carriers, lifting helpers and partition checks."""
 from __future__ import annotations
 
 import pytest
 
 from galkit.errors import ShapeMismatch, UnknownElement
-from galkit.order import FinLattice, build_poset
-from galkit.setops import (
-    FinCarrier,
-    MapTable,
-    check_partition,
-    lift_diamond,
-    lift_lub,
-    lift_singleton,
-    lift_star,
-    lower_singleton,
-)
+from galkit.setops import FinCarrier, check_partition, lift_diamond, lift_star
 
 
 def test_saturating_carrier_clamps_at_both_ends():
@@ -60,30 +50,13 @@ def test_carrier_membership_reads_one_cached_set():
     assert hash(c) == hash(FinCarrier.atoms(["a", "b"]))
 
 
-def test_map_table_totality_and_lookup():
-    c = FinCarrier.atoms(["a", "b"])
-    with pytest.raises(ShapeMismatch):
-        MapTable(c, {"a": "x"})
-    t = MapTable(c, {"a": "x", "b": "y"})
-    assert t("a") == "x"
-    with pytest.raises(UnknownElement):
-        t("z")
-
-
 def test_lifting_helpers():
     f = {"a": "x", "b": "y", "c": "x"}
     assert lift_diamond(f, ["a", "c"]) == frozenset({"x"})
     g = {"x": frozenset({"a", "b"}), "y": frozenset({"c"})}
     assert lift_star(g, ["x", "y"]) == frozenset({"a", "b", "c"})
-    assert lift_singleton(f, "b") == frozenset({"y"})
-    assert lower_singleton(lambda X: frozenset(f[x] for x in X), "a") == frozenset({"x"})
-    lat = FinLattice.from_poset(
-        build_poset(["⊥", "x", "y", "⊤"],
-                    [("⊥", "x"), ("⊥", "y"), ("x", "⊤"), ("y", "⊤")])
-    )
-    assert lift_lub(lat, f, ["a", "b"]) == "⊤"
-    assert lift_lub(lat, f, ["a", "c"]) == "x"
-    assert lift_lub(lat, f, []) == "⊥"
+    with pytest.raises(UnknownElement):
+        lift_diamond(f, ["z"])
 
 
 def test_check_partition_accepts_a_partition():
