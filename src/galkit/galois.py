@@ -22,6 +22,7 @@ trusting kind tags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -37,6 +38,7 @@ from .order import (
     scan_order,
     FinLattice,
     FinPoset,
+    FrozenDict,
     iter_downsets,
     set_name,
     sort_key,
@@ -60,18 +62,34 @@ def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
 
 
 class CarrierConn:
-    """A connection given by eta/mu tables over a finite carrier."""
+    """A connection given by eta/mu tables over a finite carrier.
 
-    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu")
+    A connection is immutable: setting an attribute raises AttributeError,
+    and ``eta`` and ``mu`` are read-only mappings whose writes raise
+    TypeError.  So :func:`check_cgc`, :func:`check_cgp` and
+    :func:`check_pcgc` run once per connection, and a repeat call returns
+    the report kept on the instance.
+    """
+
+    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu",
+                 "_verdicts")
 
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
-        self.kind = kind
-        self.carrier = carrier
-        self.carrier_order = carrier_order
-        self.abstract = abstract
-        self.eta = dict(eta)
-        self.mu = {b: frozenset(s) for b, s in mu.items()}
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "carrier", carrier)
+        init(self, "carrier_order", carrier_order)
+        init(self, "abstract", abstract)
+        init(self, "eta", FrozenDict(eta))
+        init(self, "mu", FrozenDict(zip(mu, map(frozenset, mu.values()))))
+        init(self, "_verdicts", {})
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CarrierConn is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CarrierConn is immutable: cannot delete {name!r}")
 
     def _validate(self):
         poset = _abstract_poset(self.abstract)
@@ -119,14 +137,17 @@ class CarrierConn:
 class ClosureOp:
     """A set-valued map phi: A -> P(A) satisfying the closure law.
 
-    The law x in phi(y) <=> phi(x) = phi(y) is checked at construction.
+    The law x in phi(y) <=> phi(x) = phi(y) is checked at construction.  A
+    closure operator is immutable, as a :class:`CarrierConn` is: ``phi`` is
+    a read-only mapping and setting an attribute raises AttributeError.
     """
 
     __slots__ = ("carrier", "phi")
 
     def __init__(self, carrier: FinCarrier, phi: Mapping[str, frozenset]):
-        self.carrier = carrier
-        self.phi = {a: frozenset(s) for a, s in phi.items()}
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(
+            self, "phi", FrozenDict((a, frozenset(s)) for a, s in phi.items()))
         for v in carrier.values:
             if v not in self.phi:
                 raise ShapeMismatch(f"phi not total: missing {v!r}")
@@ -137,21 +158,11 @@ class ClosureOp:
         if not report.ok:
             raise NotInClass(f"closure law fails at {report.witness}")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClosureOp is immutable: cannot set {name!r}")
 
-class FrozenDict(dict):
-    """A dict that refuses every change after construction.
-
-    It stays a ``dict`` (not a mapping proxy), so code that tests
-    ``isinstance(x, dict)``, such as JSON encoders, reads it as before.
-    """
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("read-only mapping")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
+    def __delattr__(self, name):
+        raise AttributeError(f"ClosureOp is immutable: cannot delete {name!r}")
 
 
 class GaloisConn:
@@ -520,6 +531,21 @@ def _eta_monotone_failure(C: CarrierConn, cp: FinPoset, xs, order):
     return wit and ("eta-monotone", *wit)
 
 
+def _once_per_connection(check):
+    """``check`` as a memo: its report is computed once per
+    :class:`CarrierConn`, whose contents cannot change, and kept on the
+    instance keyed by the checker, so a repeat call returns the same report
+    object.  ``__wrapped__`` is the uncached check."""
+    @wraps(check)
+    def memoised(C):
+        report = C._verdicts.get(check)
+        if report is None:
+            report = C._verdicts[check] = check(C)
+        return report
+    return memoised
+
+
+@_once_per_connection
 def check_cgc(C: CarrierConn) -> CheckResult:
     """x in mu(y) <=> eta(x) = y, for every pair.
 
@@ -536,6 +562,7 @@ def check_cgc(C: CarrierConn) -> CheckResult:
     return CheckResult(wit is None, wit)
 
 
+@_once_per_connection
 def check_cgp(C: CarrierConn) -> CheckResult:
     """eta, mu monotone, mu lands in downward-closed sets, and
     x in mu(y) <=> eta(x) <= y.
@@ -563,6 +590,7 @@ def check_cgp(C: CarrierConn) -> CheckResult:
     return CheckResult(wit is None, wit)
 
 
+@_once_per_connection
 def check_pcgc(C: CarrierConn) -> PCGCReport:
     """Condition (1): x in mu(eta(x')) <=> eta(x) = eta(x').
     Condition (2): x in mu(y) <=> eta(x) <= y.  Checked independently.

@@ -109,7 +109,7 @@ def t_gc(C: CarrierConn) -> GaloisConn:
     if not check_cgp(C):
         raise NotInClass("input fails the ordered-connection laws")
     return _checked_gc(GaloisConn(
-        C.carrier, _as_lattice(C.abstract), dict(C.mu),
+        C.carrier, _as_lattice(C.abstract), C.mu,
         carrier_order=C.carrier_poset(), kind="gc",
     ))
 
@@ -120,7 +120,7 @@ def t_cgp(G: GaloisConn) -> CarrierConn:
     poset = G.carrier_poset()
     eta = {a: G.alpha(poset.down(a)) for a in G.carrier.values}
     out = CarrierConn(
-        "cgp", G.carrier, G.abstract, eta, dict(G.gamma), carrier_order=poset,
+        "cgp", G.carrier, G.abstract, eta, G.gamma, carrier_order=poset,
     )
     rep = check_cgp(out)
     if not rep:
@@ -133,7 +133,7 @@ def t_ppgc(C: CarrierConn) -> GaloisConn:
     adjunction over the powerset of its carrier."""
     if not check_pcgc(C).ok:
         raise NotInClass("input fails the purely-constructive conditions")
-    G = GaloisConn(C.carrier, _as_lattice(C.abstract), dict(C.mu), kind="ppgc")
+    G = GaloisConn(C.carrier, _as_lattice(C.abstract), C.mu, kind="ppgc")
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("lifted connection is not pre-partitioning")
     return _checked_gc(G)
@@ -145,7 +145,7 @@ def t_pcgc(G: GaloisConn) -> CarrierConn:
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("input is not pre-partitioning")
     eta = {a: G.alpha([a]) for a in G.carrier.values}
-    out = CarrierConn("pcgc", G.carrier, G.abstract, eta, dict(G.gamma))
+    out = CarrierConn("pcgc", G.carrier, G.abstract, eta, G.gamma)
     rep = check_pcgc(out)
     if not rep.ok:
         raise NotInClass(f"restriction fails at {rep.witness}")

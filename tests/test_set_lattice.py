@@ -5,7 +5,9 @@
 reference constructions below are the earlier string-named ones, built pairwise from
 ``set_name``; when no two subsets share a name the element tuple and the
 order must agree with them, and when names collide the constructor must
-refuse instead of merging.
+refuse instead of merging.  ``powerset_lattice`` shares one lattice per set
+of values; it must be the same object for every order of the values, agree
+with a fresh build, refuse writes, and raise its errors on every call.
 """
 from __future__ import annotations
 
@@ -15,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkit import catalog
-from galkit.errors import DuplicateElement, NotCompleteLattice, UnknownElement
+from galkit import catalog, order
+from galkit.errors import (
+    DuplicateElement,
+    NotCompleteLattice,
+    TooLarge,
+    UnknownElement,
+)
 from galkit.galois import CarrierConn, classify_partitioning, prt
 from galkit.order import (
     FinLattice,
@@ -29,6 +36,7 @@ from galkit.order import (
     set_name,
     sort_key,
     sorted_elems,
+    subsets_by_size,
 )
 from galkit.setops import FinCarrier
 from galkit.transforms import (
@@ -172,6 +180,86 @@ def test_disjunctive_completion_matches_its_definition(C):
     D = disjunctive_completion(G)
     agrees_with(D.abstract_lattice, ref)
     assert classify_partitioning(D).category == "PGC"
+
+
+# -- interned powersets ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_lists(5).flatmap(
+    lambda values: st.tuples(st.just(values), st.permutations(values))))
+def test_powerset_lattice_is_one_object_per_set_of_values(case):
+    values, shuffled = case
+    ref = ref_powerset(values)
+    if len({n for n, _ in ref}) < len(ref):
+        for vs in (values, shuffled, values):
+            with pytest.raises(DuplicateElement):
+                powerset_lattice(vs)
+        return
+    lat = powerset_lattice(values)
+    assert powerset_lattice(shuffled) is lat
+    vals = sorted_elems(values)
+    fresh = SetLattice.from_family(vals, subsets_by_size(vals))
+    assert lat is not fresh
+    assert lat.elements == fresh.elements
+    assert lat.base._upm == fresh.base._upm
+    assert lat.members == fresh.members
+    assert (lat.top, lat.bottom) == (fresh.top, fresh.bottom)
+    for x in lat.elements:
+        for y in lat.elements:
+            assert lat.join(x, y) == fresh.join(x, y)
+            assert lat.meet(x, y) == fresh.meet(x, y)
+    assert lat.join_irreducibles() == fresh.join_irreducibles()
+    assert powerset_lattice(shuffled).join_irreducibles() is lat.join_irreducibles()
+
+
+def test_a_shared_powerset_refuses_writes():
+    lat = powerset_lattice(["a", "b"])
+    for name in ("members", "top", "base", "_join", "_jirr", "_mask"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, None)
+        with pytest.raises(AttributeError):
+            delattr(lat, name)
+    for write in (
+        lambda m: m.__setitem__("{a}", frozenset()),
+        lambda m: m.__delitem__("{a}"),
+        lambda m: m.update({"{c}": frozenset("c")}),
+        lambda m: m.setdefault("{c}", frozenset("c")),
+        lambda m: m.pop("{a}"),
+        lambda m: m.clear(),
+    ):
+        with pytest.raises(TypeError):
+            write(lat.members)
+    again = powerset_lattice(["b", "a"])
+    assert again.top == "{a,b}" and again.members == {
+        "{}": frozenset(), "{a}": frozenset("a"), "{b}": frozenset("b"),
+        "{a,b}": frozenset("ab")}
+
+
+def test_refused_powersets_raise_on_every_call(monkeypatch):
+    for _ in range(3):
+        with pytest.raises(DuplicateElement):
+            powerset_lattice(["a", "b", "a"])
+        with pytest.raises(DuplicateElement):
+            powerset_lattice(["a", "b", "a,b"])
+        with pytest.raises(TooLarge):
+            powerset_lattice([str(i) for i in range(20)])
+    lat = powerset_lattice(["a", "b", "c"])
+    monkeypatch.setattr(order, "DOWNSETS_GUARD", 4)
+    for _ in range(3):
+        with pytest.raises(TooLarge):
+            powerset_lattice(["c", "b", "a"])
+    monkeypatch.undo()
+    assert powerset_lattice(["c", "b", "a"]) is lat
+
+
+def test_powersets_past_the_intern_bound_are_built_afresh(monkeypatch):
+    monkeypatch.setattr(order, "POWERSET_INTERN_VALUES", 2)
+    assert powerset_lattice(["a", "b"]) is powerset_lattice(["b", "a"])
+    lat = powerset_lattice(["a", "b", "c"])
+    again = powerset_lattice(["c", "b", "a"])
+    assert again is not lat
+    assert (again.elements, again.members) == (lat.elements, lat.members)
 
 
 # -- regressions for names that contain commas ----------------------------
