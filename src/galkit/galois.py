@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    NotCompleteLattice,
     NotInClass,
     NotIsomorphic,
     ShapeMismatch,
@@ -268,6 +267,8 @@ class GaloisConn:
             return self.alpha_table[X]
         atoms = self.atoms()
         if not X.issubset(atoms):
+            for x in sorted_elems(X.difference(atoms)):
+                self.carrier.require(x)
             raise ShapeMismatch(
                 f"no best abstraction for {set_name(X)}: not a Galois connection"
             )
@@ -434,18 +435,18 @@ def _gamma_additive(G: GaloisConn):
 def _scan_additive(G: GaloisConn):
     """gamma preserves all lubs.
 
-    For a finite lattice this is the empty lub plus all pairwise lubs, and
-    it suffices to check gamma(bottom) = {} and gamma(x v j) = gamma(x) |
-    gamma(j) for every element x and every join-irreducible j: n * |J|
-    joins instead of n * (n - 1) / 2.  Proof sketch: every y is the lub
-    j1 v ... v jk of the join-irreducibles below it (k = 0 gives the
-    bottom), so by induction on k, gamma(x v y) = gamma(x) | gamma(j1) |
-    ... | gamma(jk); taking x = bottom shows the union of the gamma(ji) is
-    gamma(y).  No distributivity is needed, so this holds in M3 and N5 too,
-    where join-irreducibles are not join-prime.  Conversely the pairwise
-    law implies the reduced one.
+    For a finite lattice this is the empty lub, gamma(bottom) = {}, plus
+    every pairwise lub.  The lattice's :meth:`FinLattice.additivity_plan`
+    names the joins that decide the rest, and gamma is read by element
+    index, so the check calls no ``join``: one union per element of a
+    distributive lattice, n * |J| of them otherwise.  Proof sketch: every y
+    is the lub of the join-irreducibles below it, so the plan's triples
+    make gamma(y) the union of gamma(j) over those j, by induction on their
+    number; on a distributive lattice every j is join-prime, so the
+    join-irreducibles below x v y are those below x plus those below y, and
+    gamma(x v y) = gamma(x) | gamma(y).
 
-    When the reduced check fails, or meets a join the lattice lacks, the
+    When the plan fails, or the lattice lacks a join and so has none, the
     pairwise scan runs, so the verdict, the witness (the first failing pair
     in element order) and any error are those of the pairwise definition.
     """
@@ -453,15 +454,13 @@ def _scan_additive(G: GaloisConn):
     gamma = G.gamma
     if gamma[lat.bottom]:
         return False, (lat.bottom,)
-    join = lat.join
-    # element order: the joins made before a failure must not depend on hashing
-    jirr = [j for j in lat.elements if j in lat.join_irreducibles()]
-    try:
-        if all(gamma[join(x, j)] == gamma[x] | gamma[j]
-               for x in lat.elements for j in jirr):
+    plan = lat.additivity_plan()
+    if plan is not None:
+        g = [gamma[x] for x in lat.elements]
+        triples = iter(plan)
+        if all(g[k] == g[i] | g[j] for i, j, k in zip(triples, triples, triples)):
             return True, None
-    except NotCompleteLattice:
-        pass
+    join = lat.join
     for x, y in combinations(sorted_elems(lat.elements), 2):
         if gamma[join(x, y)] != gamma[x] | gamma[y]:
             return False, (x, y)

@@ -7,10 +7,13 @@ after reflexive-transitive closure (carriers are small by design, so O(n^2)
 bits beat walking a Hasse diagram) and decodes them into name up-/down-sets
 once.  Lattices of sets intern each subset as an int bitmask over their
 atoms and render its name once, so joins never parse names; they are
-immutable, and small powerset lattices are shared by their values.
+immutable, and small powerset lattices are shared by their values.  A
+lattice keeps, once found, the plan of joins that decides whether a map
+into sets preserves every join.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -186,9 +189,13 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Fi
 
 
 class FinLattice:
-    """A finite complete lattice: a poset plus pairwise join/meet functions."""
+    """A finite complete lattice: a poset plus pairwise join/meet functions.
 
-    __slots__ = ("base", "top", "bottom", "_join", "_meet", "_jirr")
+    ``join`` must be defined on every pair, as :meth:`from_poset` verifies;
+    only a :class:`SetLattice` may lack joins.
+    """
+
+    __slots__ = ("base", "top", "bottom", "_join", "_meet", "_jirr", "_plan")
 
     def __init__(self, base, top, bottom, join, meet):
         init = object.__setattr__  # a SetLattice refuses plain assignment
@@ -198,6 +205,7 @@ class FinLattice:
         init(self, "_join", join)
         init(self, "_meet", meet)
         init(self, "_jirr", None)
+        init(self, "_plan", None)
 
     @property
     def elements(self):
@@ -266,6 +274,79 @@ class FinLattice:
             x for x in self.elements
             if self.lub(y for y in self.base.down(x) if y != x) != x
         )
+
+    def additivity_plan(self):
+        """Element-index triples (i, j, k) with elements[k] = elements[i] v
+        elements[j], flattened into one int array, such that a map g into
+        sets with g(bottom) = {} preserves every join exactly when
+        g(elements[k]) = g(elements[i]) | g(elements[j]) for every triple.
+        Found on first use and kept on the lattice, like the
+        join-irreducibles, so connections over one shared lattice share it.
+        None when a join is missing: then only the pairwise scan can say
+        which pair lacks it.  Finite lattices whose join-irreducibles are
+        all join-prime are exactly the distributive ones (Davey & Priestley,
+        *Introduction to Lattices and Order*, 2002, ch. 10).
+
+        * Distributive lattice (every join-irreducible j is join-prime: the
+          lub of the elements not above j is not above j), one triple per
+          y != bottom: y = rest v j, with j a maximal join-irreducible below
+          y and rest the lub of the other join-irreducibles below y.  Proof
+          sketch: by induction on the number of join-irreducibles below y,
+          g(y) is the union of g(j) over the join-irreducibles j <= y (those
+          below rest are exactly the others below y, since j is maximal and
+          each is join-prime).  Join-primeness makes the join-irreducibles
+          below x v y those below x plus those below y, so g(x v y) =
+          g(x) | g(y).
+        * Any other lattice (M3, N5, ...): the n * |J| triples x v j for
+          every element x and join-irreducible j.  Every y is the lub of
+          the join-irreducibles j1 ... jk below it, so by induction on k,
+          g(x v y) = g(x) | g(j1) | ... | g(jk), and x = bottom gives g(y).
+        """
+        if self._plan is None:
+            try:
+                plan = self._find_additivity_plan()
+            except NotCompleteLattice:
+                plan = None
+            # False: found that there is none
+            object.__setattr__(self, "_plan", False if plan is None else plan)
+        return self._plan if self._plan is not False else None
+
+    def _find_additivity_plan(self):
+        if not self._every_join_defined():
+            return None
+        elems, index, up = self.elements, self.base._index, self.base.up
+        # element order: the lubs made before the first non-prime j must
+        # not depend on hashing
+        jirr = [j for j in elems if j in self.join_irreducibles()]
+        plan = []
+
+        def prime(j):  # the lub of the elements not above j is not above j
+            above = up(j)
+            return self.lub(x for x in elems if x not in above) not in above
+
+        down = self.base.down
+        if all(map(prime, jirr)):
+            for y in elems:
+                below = [j for j in jirr if j in down(y)]
+                if not below:  # the bottom
+                    continue
+                # the last of them that no other one lies above
+                j = next(j for j in reversed(below)
+                         if len(up(j).intersection(below)) == 1)
+                rest = self.lub(x for x in below if x != j)
+                plan.extend((index[rest], index[j], index[y]))
+        else:
+            for x in elems:
+                down_x = down(x)
+                for j in jirr:  # x v j is x when j <= x
+                    k = x if j in down_x else self.join(x, j)
+                    plan.extend((index[x], index[j], index[k]))
+        return array("H" if len(elems) <= 1 << 16 else "L", plan)
+
+    def _every_join_defined(self) -> bool:
+        """Whether ``join`` is defined on every pair: true of a FinLattice,
+        and of a set family closed under union."""
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -419,6 +500,13 @@ class SetLattice(FinLattice):
                 out.append(x)
         return frozenset(out)
 
+    def _every_join_defined(self) -> bool:
+        # each element is the bottom or-ed with the join-irreducibles below
+        # it, so the family is closed under union once every x | j is in it
+        name, mask = self._name, self._mask
+        jirr = [mask[j] for j in self.join_irreducibles()]
+        return all(m | j in name for m in name for j in jirr)
+
     def name_of(self, subset: Iterable[str]) -> str:
         """The element whose members are exactly ``subset``."""
         try:
@@ -533,6 +621,24 @@ def _build_powerset(vals: tuple[str, ...]) -> SetLattice:
 
 
 _interned_powerset = lru_cache(maxsize=POWERSET_INTERN_SIZE)(_build_powerset)
+
+
+def lift_powerset(lat: SetLattice, table) -> dict:
+    """Each subset S of the powerset ``lat`` (from :func:`powerset_lattice`)
+    -> the union of ``table[b]`` over its members b, the lifting
+    :func:`galkit.setops.lift_star` computes, with one union per subset:
+    that of S less its lowest-bit member, which the by-size listing puts
+    first, and that member's set."""
+    of_bit = {bit: table[b] for b, bit in lat._bit.items()}
+    by_mask = {0: frozenset()}
+    lifted = {}
+    for name in lat.elements:
+        mask = lat._mask[name]
+        if mask:
+            low = mask & -mask
+            by_mask[mask] = by_mask[mask ^ low] | of_bit[low]
+        lifted[name] = by_mask[mask]
+    return lifted
 
 
 def meet_closure(lat: FinLattice, members: Iterable[str]) -> frozenset:

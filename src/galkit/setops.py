@@ -114,7 +114,9 @@ def check_partition(carrier: FinCarrier, blocks: Iterable[frozenset]) -> Partiti
     """Check that ``blocks`` is a partition of the carrier.
 
     On failure reports the violated clause (``empty_block``, ``overlap`` or
-    ``cover``) together with a witness element or pair.
+    ``cover``) together with a witness element or pair.  The accepting pass
+    visits each block's members as they come; only a failing check sorts,
+    so that the witness is the first in sorted order.
     """
     blocks = [frozenset(b) for b in blocks]
     universe = carrier.value_set()
@@ -126,13 +128,21 @@ def check_partition(carrier: FinCarrier, blocks: Iterable[frozenset]) -> Partiti
             raise UnknownElement(f"block value {next(iter(extra))!r} not in carrier")
         if not b:
             return PartitionReport(False, "empty_block", b)
-    seen: dict[str, frozenset] = {}
-    for b in blocks:
-        for v in sorted_elems(b):
-            if v in seen and seen[v] != b:
-                return PartitionReport(False, "overlap", v)
-            seen[v] = b
-    missing = universe - set(seen)
+    if _first_overlap(blocks, iter) is not None:
+        return PartitionReport(False, "overlap", _first_overlap(blocks, sorted_elems))
+    missing = universe.difference(*blocks)
     if missing:
         return PartitionReport(False, "cover", sorted_elems(missing)[0])
     return PartitionReport(True)
+
+
+def _first_overlap(blocks: list[frozenset], order):
+    """The first value, visiting the blocks in turn and each one's members
+    in ``order``, that an earlier, different block holds; or None."""
+    seen: dict[str, frozenset] = {}
+    for b in blocks:
+        for v in order(b):
+            if v in seen and seen[v] != b:
+                return v
+            seen[v] = b
+    return None

@@ -25,12 +25,12 @@ from .order import (
     FinLattice,
     FinPoset,
     SetLattice,
+    lift_powerset,
     meet_closure,
     powerset_lattice,
     set_name,
     sorted_elems,
 )
-from .setops import lift_star
 
 
 def _as_lattice(abstract) -> FinLattice:
@@ -52,8 +52,7 @@ def t_pgc(C: CarrierConn) -> GaloisConn:
     if not check_cgc(C):
         raise NotInClass("input fails the constructive-connection law")
     lat = powerset_lattice(C.abstract_poset.elements)
-    gamma = {name: lift_star(C.mu, lat.members[name]) for name in lat.elements}
-    G = GaloisConn(C.carrier, lat, gamma, kind="pgc")
+    G = GaloisConn(C.carrier, lat, lift_powerset(lat, C.mu), kind="pgc")
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("lifted connection is not partitioning")
     return G

@@ -1,13 +1,20 @@
 """The fast checkers against their literal definitions, and the per-connection
 memos.
 
-``_gamma_additive`` checks gamma(x v j) = gamma(x) | gamma(j) only for
-join-irreducible j; here it must agree, verdict and witness, with the literal
-scan over all pairs, on powersets, downset lattices and lattices built with
-``FinLattice.from_poset`` (M3, N5 and random closure systems, most of them
-non-distributive) and other set families, whose bottom need not be empty.
+``_gamma_additive`` checks gamma only at the triples of the lattice's
+additivity plan: one join per element of a distributive lattice, x v j for
+every element x and join-irreducible j of any other; here it must agree,
+verdict, witness and ``NotCompleteLattice``, with the literal scan over all
+pairs, on powersets, downset lattices, the Moore lattices of the
+generators, lattices built with ``FinLattice.from_poset`` (M3, N5 and random
+closure systems, most of them non-distributive) and other set families,
+whose bottom need not be empty and which may lack unions; and the plan's
+size must follow the literal distributive law.
 ``classify_partitioning`` as a whole must agree with a literal
-classification, ``alt2prime`` included.
+classification, ``alt2prime`` included.  ``check_partition`` sorts a block
+only once a clause fails, and ``lift_powerset`` lifts a table with one
+union per subset; here they must agree with the sorted loop (witness
+included, on names that tie as ints) and with ``lift_star``.
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
 sets H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
@@ -55,7 +62,7 @@ cycle must be named by its first pair in element order.  ``iter_downsets``
 grows each downset by the elements outside it, and ``meet_closure`` runs
 on the shared worklist; here they must give the same downsets in the same
 order as the frontier loop, and the same closure as the loop that re-scans
-every pair.  Join counts and cycle witnesses must
+every pair.  Join and lub counts and cycle witnesses must
 not depend on the hash seed.
 
 ``pcgc_pair_property(..., "backward_complete")`` compares lub eta(f(X⃗)) with
@@ -99,6 +106,7 @@ from galkit.analyzer import (
 )
 from galkit.errors import (
     CycleDetected,
+    DuplicateElement,
     NotCompleteLattice,
     NotInClass,
     ShapeMismatch,
@@ -137,6 +145,7 @@ from galkit.order import (
     build_poset,
     downsets_lattice,
     iter_downsets,
+    lift_powerset,
     meet_closure,
     moore_lattice,
     powerset_lattice,
@@ -145,22 +154,38 @@ from galkit.order import (
     sorted_elems,
     subsets_by_size,
 )
-from galkit.setops import MODULAR, SATURATING, FinCarrier, check_partition
+from galkit.setops import (
+    MODULAR,
+    SATURATING,
+    FinCarrier,
+    PartitionReport,
+    check_partition,
+    lift_star,
+)
 from galkit.transforms import t_cco, t_cgc_of_pgc, t_pcgc, t_pgc
 
 
 class CountingLattice(FinLattice):
-    """A lattice that counts the joins asked of it."""
+    """A lattice that counts the joins and lubs asked of it; its joins are
+    those of ``lat``, defined where they are."""
 
-    __slots__ = ("joins",)
+    __slots__ = ("joins", "lubs", "lat")
 
     def __init__(self, lat: FinLattice):
         super().__init__(lat.base, lat.top, lat.bottom, lat.join, lat.meet)
-        self.joins = 0
+        self.joins = self.lubs = 0
+        self.lat = lat
 
     def join(self, x, y):
         self.joins += 1
         return super().join(x, y)
+
+    def lub(self, members):
+        self.lubs += 1
+        return super().lub(members)
+
+    def _every_join_defined(self):
+        return self.lat._every_join_defined()
 
 
 class CountingArithTable(_ArithTable):
@@ -448,6 +473,21 @@ def set_family(masks, width) -> SetLattice:
     )
 
 
+def partial_family(masks, width) -> SetLattice:
+    """The lattice of a family of subsets of width atoms with only its union
+    and its intersection added, so that unions of other pairs, its joins,
+    may be missing."""
+    full, common = 0, (1 << width) - 1
+    for m in masks:
+        full |= m
+        common &= m
+    atoms = [f"b{i}" for i in range(width)]
+    return SetLattice.from_family(
+        atoms, [[a for i, a in enumerate(atoms) if m >> i & 1]
+                for m in {*masks, full, common}],
+    )
+
+
 @st.composite
 def poset_of(draw, n):
     pairs = [
@@ -467,13 +507,23 @@ LATTICES = st.one_of(
     st.lists(st.integers(0, 15), min_size=1, max_size=4).map(lambda ms: set_family(ms, 4)),
 )
 
+# and the Moore lattices of the generators (their abstract sides), and set
+# families that may lack unions
+ADDITIVITY_LATTICES = st.one_of(
+    LATTICES,
+    st.integers(0, 499).map(lambda seed: catalog.gen_ppgc(seed).abstract),
+    st.integers(0, 499).map(lambda seed: catalog.gen_downsets_gc(seed, amax=6).abstract),
+    st.lists(st.integers(0, 15), min_size=1, max_size=6).map(
+        lambda ms: partial_family(ms, 4)),
+)
+
 
 @st.composite
-def connections(draw):
+def connections(draw, lattices=LATTICES):
     """A connection with an additive, a nearly additive or an arbitrary
     gamma.  Additive gammas are exactly gamma(x) = {c | not x <= cap(c)}
     for some cap: carrier -> lattice."""
-    lat = draw(LATTICES)
+    lat = draw(lattices)
     carrier = FinCarrier.atoms([f"c{i}" for i in range(draw(st.integers(1, 4)))])
     elems = sorted_elems(lat.elements)
     shape = draw(st.sampled_from(["additive", "perturbed", "arbitrary"]))
@@ -620,19 +670,74 @@ def test_accepting_pcgc_makes_no_leq_calls():
     assert literal_pcgc(D).ok and counting.leqs > 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(connections())
+def outcome(check, G):
+    """``check(G)``, or the pair and direction of the NotCompleteLattice it
+    raises."""
+    try:
+        return check(G)
+    except NotCompleteLattice as exc:
+        return exc.pair, exc.direction
+
+
+M3, N5 = m3(), n5()
+XYZ = FinCarrier.atoms(["x", "y", "z"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(connections(ADDITIVITY_LATTICES))
+# a v b = 1 in both, but gamma(1) holds z as well: only the n * |J| plan
+# sees it, since the one-join-per-element plan checks 1 = 1 v c
+@example((XYZ, M3, {"0": frozenset(), "a": frozenset("x"), "b": frozenset("y"),
+                    "c": frozenset("z"), "1": frozenset("xyz")}))
+@example((XYZ, N5, {"0": frozenset(), "a": frozenset("x"), "b": frozenset("y"),
+                    "c": frozenset("xz"), "1": frozenset("xyz")}))
+# a constant gamma passes every triple: only gamma(bottom) = {} rejects it
+@example((XYZ, powerset_lattice(["b0", "b1"]),
+          dict.fromkeys(["{}", "{b0}", "{b1}", "{b0,b1}"], frozenset("x"))))
 def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     carrier, lat, gamma = case
     G = conn(carrier, lat, gamma)
-    expected = pairwise_additive(G)
-    assert _gamma_additive(G) == expected
+    expected = outcome(pairwise_additive, G)
+    assert outcome(_gamma_additive, G) == expected
 
+    # once its lattice has a plan, a connection's check makes no join
     counting = CountingLattice(lat)
-    assert counting.join_irreducibles() == lat.join_irreducibles()
-    assert _gamma_additive(conn(carrier, counting, gamma)) == expected
-    if expected[0]:
-        assert counting.joins == len(lat.elements) * len(lat.join_irreducibles())
+    counting.additivity_plan()
+    counting.joins = counting.lubs = 0
+    assert outcome(_gamma_additive, conn(carrier, counting, gamma)) == expected
+    if expected == (True, None):
+        assert counting.joins == counting.lubs == 0
+
+
+def literally_distributive(lat: FinLattice) -> bool:
+    """x ^ (y v z) = (x ^ y) v (x ^ z) for every triple."""
+    join, meet = lat.join, lat.meet
+    return all(meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+               for x, y, z in product(lat.elements, repeat=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ADDITIVITY_LATTICES)
+@example(M3)
+@example(N5)
+def test_the_plan_has_n_minus_1_triples_exactly_on_distributive_lattices(lat):
+    plan = lat.additivity_plan()
+    assert lat.additivity_plan() is plan
+    elems = lat.elements
+    try:
+        for x, y in combinations(elems, 2):
+            lat.join(x, y)
+    except NotCompleteLattice:
+        assert plan is None
+        return
+    triples = list(zip(*[iter(plan)] * 3))
+    assert all(lat.join(elems[i], elems[j]) == elems[k] for i, j, k in triples)
+    # bounds by the order alone: a set family's meet need not be the
+    # intersection
+    if literally_distributive(FinLattice.from_poset(lat.base)):
+        assert len(triples) == len(elems) - 1
+    else:
+        assert len(triples) == len(elems) * len(lat.join_irreducibles())
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,6 +747,102 @@ def test_classify_agrees_with_the_literal_classification(case):
     assert classify_partitioning(G) == literal_classify(G)
 
 
+def literal_partition(carrier: FinCarrier, blocks) -> PartitionReport:
+    """The partition clauses in turn, each block's members visited in
+    sorted order."""
+    blocks = [frozenset(b) for b in blocks]
+    universe = carrier.value_set()
+    if not blocks:
+        return PartitionReport(False, "cover", None)
+    for b in blocks:
+        extra = b - universe
+        if extra:
+            raise UnknownElement(f"block value {next(iter(extra))!r} not in carrier")
+        if not b:
+            return PartitionReport(False, "empty_block", b)
+    seen: dict = {}
+    for b in blocks:
+        for v in sorted_elems(b):
+            if v in seen and seen[v] != b:
+                return PartitionReport(False, "overlap", v)
+            seen[v] = b
+    missing = universe - set(seen)
+    if missing:
+        return PartitionReport(False, "cover", sorted_elems(missing)[0])
+    return PartitionReport(True)
+
+
+@st.composite
+def block_families(draw):
+    """Carrier values (some equal as ints, such as 1 and 01) and a family
+    of blocks: a partition, a partition with one value moved, copied or
+    dropped, or arbitrary subsets; empty blocks and repeated blocks
+    included."""
+    values = draw(NAMES)[:draw(st.integers(1, 8))]
+    carrier = FinCarrier.atoms(draw(st.permutations(values)))
+    shape = draw(st.sampled_from(["partition", "perturbed", "arbitrary"]))
+    if shape == "arbitrary":
+        blocks = draw(st.lists(st.sets(st.sampled_from(values)), max_size=5))
+    else:
+        k = draw(st.integers(1, len(values)))
+        blocks = [set() for _ in range(k)]
+        for v in values:
+            blocks[draw(st.integers(0, k - 1))].add(v)
+        if shape == "perturbed":
+            v = draw(st.sampled_from(values))
+            i = draw(st.integers(0, k - 1))
+            if draw(st.booleans()):
+                for b in blocks:
+                    b.discard(v)
+            blocks[i].add(v)
+        if draw(st.booleans()):
+            blocks = [b for b in blocks if b]
+        if blocks and draw(st.booleans()):
+            blocks.append(set(draw(st.sampled_from(blocks))))
+    return carrier, [frozenset(b) for b in draw(st.permutations(blocks))]
+
+
+TIED = FinCarrier.atoms(["1", "01", "2", "x"])
+
+
+@settings(max_examples=600, deadline=None)
+@given(block_families())
+@example((TIED, [frozenset({"1", "x"}), frozenset(), frozenset({"01", "2"})]))
+@example((TIED, [frozenset({"x", "1", "01"}), frozenset({"01", "1", "2"})]))
+@example((TIED, [frozenset({"1", "x"}), frozenset({"01"})]))
+def test_check_partition_agrees_with_the_sorted_loop(case):
+    carrier, blocks = case
+    assert check_partition(carrier, blocks) == literal_partition(carrier, blocks)
+
+
+def test_check_partition_sorts_only_on_failure(monkeypatch):
+    sorts = []
+    monkeypatch.setattr("galkit.setops.sorted_elems",
+                        lambda xs: sorts.append(xs) or sorted_elems(xs))
+    assert check_partition(TIED, [{"1", "x"}, {"01"}, {"2"}])
+    assert sorts == []
+    # 1 and 01 tie as ints, and the string breaks the tie: 01 comes first
+    blocks = [{"x", "1", "01"}, {"01", "1", "2"}]
+    assert check_partition(TIED, blocks) == PartitionReport(False, "overlap", "01")
+    assert sorts
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAMES.flatmap(lambda names: st.tuples(
+    st.lists(st.sampled_from(names), unique=True, max_size=6),
+    st.dictionaries(st.sampled_from(names), st.frozensets(st.sampled_from(names))))))
+def test_lift_powerset_agrees_with_lift_star(case):
+    values, table = case
+    table = {v: table.get(v, frozenset({v})) for v in values}
+    try:
+        lat = powerset_lattice(values)
+    except DuplicateElement:  # a, b and a,b: two subsets named {a,b}
+        return
+    lifted = lift_powerset(lat, table)
+    assert list(lifted) == list(lat.elements)
+    assert lifted == {x: lift_star(table, lat.members[x]) for x in lat.elements}
+
+
 def test_join_irreducibles_of_non_distributive_lattices():
     # neither is join-prime: in M3, a <= b v c = 1 but a is below neither;
     # in N5 (a < c), c <= a v b = 1 but c is below neither
@@ -649,20 +850,29 @@ def test_join_irreducibles_of_non_distributive_lattices():
     assert n5().join_irreducibles() == frozenset("abc")
 
 
-def test_additivity_of_the_256_element_powerset_makes_2048_joins():
+def test_the_256_element_powerset_checks_255_joins_and_calls_none():
     atoms = [f"b{i}" for i in range(8)]
     lat = powerset_lattice(atoms)
+    assert len(lat.additivity_plan()) == 3 * 255
     counting = CountingLattice(lat)
+    assert len(counting.additivity_plan()) == 3 * 255
+    counting.joins = counting.lubs = 0
     G = conn(FinCarrier.atoms(atoms), counting, lat.members)
     assert _gamma_additive(G) == (True, None)
-    assert counting.joins == 256 * 8 == 2048
+    assert counting.joins == counting.lubs == 0
+
+
+def test_m3_and_n5_keep_a_join_per_element_and_join_irreducible():
+    for lat in (m3(), n5()):
+        assert len(lat.additivity_plan()) == 3 * 5 * 3
 
 
 def test_a_missing_join_raises_as_in_the_pairwise_scan():
-    # not closed under union: the singletons' joins are missing, and the
-    # reduced scan meets {c} v {d} before the pairwise scan's {a} v {b}
+    # not closed under union, so there is no plan: the pairwise scan names
+    # {a} v {b}, the first pair in element order
     atoms = ["a", "b", "c", "d"]
     lat = SetLattice.from_family(atoms, [[], ["c"], ["d"], ["a"], ["b"], atoms])
+    assert lat.additivity_plan() is None
     G = conn(FinCarrier.atoms(atoms), lat, lat.members)
     with pytest.raises(NotCompleteLattice) as expected:
         pairwise_additive(G)
@@ -670,6 +880,18 @@ def test_a_missing_join_raises_as_in_the_pairwise_scan():
         _gamma_additive(G)
     assert (got.value.pair, got.value.direction) == (("{a}", "{b}"), "lub")
     assert got.value.pair == expected.value.pair
+
+
+def test_a_family_missing_a_union_has_no_plan_though_the_plan_s_lubs_exist():
+    # every singleton is join-prime and every lub the plan takes exists, in
+    # element order ({1} v {2} v {3} goes through {1,2}); {1} v {4} does not
+    family = ["", "1", "2", "3", "4", "12", "13", "23", "123", "124", "134",
+              "234", "1234"]
+    lat = SetLattice.from_family("1234", family)
+    assert lat.additivity_plan() is None
+    G = conn(FinCarrier.atoms("1234"), lat, lat.members)
+    assert outcome(_gamma_additive, G) == outcome(pairwise_additive, G) == (
+        ("{1}", "{4}"), "lub")
 
 
 @pytest.mark.parametrize("name", ["sign_pgi", "sign_minus_ppgc"])
@@ -1572,26 +1794,34 @@ def test_meet_closure_agrees_with_the_pairwise_loop(case):
     assert meet_closure(lat, jirr) == literal_meet_closure(lat, jirr)
 
 
-# One slice of the ordered round trip, as perfbench's ``ordered_op`` runs it,
-# counting the joins of each seed, and the witness of a 4-cycle.
+# One slice of each round trip, as perfbench's ``ordered_op`` and
+# ``powerset_op`` run them, counting the joins and lubs of each seed (the
+# additivity plans are built on the way), and the witness of a 4-cycle.
 HASH_SEED_SLICE = """
 import json
 from galkit import catalog, galois, transforms
 from galkit.errors import CycleDetected
 from galkit.order import FinLattice, build_poset
 
-joins = 0
-plain_join = FinLattice.join
+joins = lubs = 0
+plain_join, plain_lub = FinLattice.join, FinLattice.lub
 
 def counting_join(self, x, y):
     global joins
     joins += 1
     return plain_join(self, x, y)
 
-FinLattice.join = counting_join
+def counting_lub(self, members):
+    global lubs
+    lubs += 1
+    return plain_lub(self, members)
+
+FinLattice.join, FinLattice.lub = counting_join, counting_lub
 counts = []
 for seed in range(40):
-    joins = 0
+    joins = lubs = 0
+    G = transforms.t_pgc(catalog.gen_cgc(seed, amax=8, bmax=8))
+    transforms.t_cgc_of_pgc(G)
     G = catalog.gen_downsets_gc(seed, amax=6)
     P = catalog.gen_ppgc(seed)
     C = transforms.t_cgp(G)
@@ -1600,7 +1830,7 @@ for seed in range(40):
     D = transforms.t_pcgc(P)
     galois.check_pcgc(D)
     galois.precision_cmp(transforms.t_ppgc(D), P)
-    counts.append(joins)
+    counts.append([joins, lubs])
 try:
     build_poset("abcd", ["ab", "bc", "cd", "da"])
 except CycleDetected as exc:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galkit import catalog
-from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch
+from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, UnknownElement
 from galkit.galois import (
     CarrierConn,
     ClosureOp,
@@ -34,7 +34,7 @@ from galkit.order import (
     set_name,
 )
 from galkit.setops import FinCarrier
-from galkit.transforms import t_cco
+from galkit.transforms import t_cco, t_pgc
 
 
 def tiny_cgc() -> CarrierConn:
@@ -170,6 +170,20 @@ def test_interval_gi_adjunction_sampled():
 
 # ---------------------------------------------------------------------------
 # classification
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.builtin("sign_pgi", 3),
+    lambda: t_pgc(catalog.gen_cgc(3)),
+], ids=["sign_pgi", "t_pgc"])
+def test_alpha_of_a_value_outside_the_carrier_names_it(make):
+    G = make()
+    assert check_gc(G).is_gc
+    with pytest.raises(UnknownElement, match="'zzz'"):
+        G.alpha(["zzz"])
+    # the first value outside the carrier in sorted order, whatever else X holds
+    with pytest.raises(UnknownElement, match="'yyy'"):
+        G.alpha(["zzz", sorted(G.carrier.values)[0], "yyy"])
 
 
 def test_classify_builtins():

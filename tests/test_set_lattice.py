@@ -7,7 +7,9 @@ reference constructions below are the earlier string-named ones, built pairwise 
 order must agree with them, and when names collide the constructor must
 refuse instead of merging.  ``powerset_lattice`` shares one lattice per set
 of values; it must be the same object for every order of the values, agree
-with a fresh build, refuse writes, and raise its errors on every call.
+with a fresh build, refuse writes, and raise its errors on every call; the
+powerset connections of ``t_pgc`` over one set of values share its
+additivity plan, and deciding the second one's additivity calls no join.
 """
 from __future__ import annotations
 
@@ -17,14 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkit import catalog, order
+from galkit import catalog, galois, order
 from galkit.errors import (
     DuplicateElement,
     NotCompleteLattice,
     TooLarge,
     UnknownElement,
 )
-from galkit.galois import CarrierConn, classify_partitioning, prt
+from galkit.galois import (
+    CarrierConn,
+    GaloisConn,
+    check_gc,
+    classify_partitioning,
+    prt,
+)
 from galkit.order import (
     FinLattice,
     FinPoset,
@@ -215,7 +223,8 @@ def test_powerset_lattice_is_one_object_per_set_of_values(case):
 
 def test_a_shared_powerset_refuses_writes():
     lat = powerset_lattice(["a", "b"])
-    for name in ("members", "top", "base", "_join", "_jirr", "_mask"):
+    lat.additivity_plan()
+    for name in ("members", "top", "base", "_join", "_jirr", "_plan", "_mask"):
         with pytest.raises(AttributeError):
             setattr(lat, name, None)
         with pytest.raises(AttributeError):
@@ -234,6 +243,38 @@ def test_a_shared_powerset_refuses_writes():
     assert again.top == "{a,b}" and again.members == {
         "{}": frozenset(), "{a}": frozenset("a"), "{b}": frozenset("b"),
         "{a,b}": frozenset("ab")}
+
+
+def cgc_onto(values, blocks) -> CarrierConn:
+    """The constructive connection of a partition, one abstract value per
+    block, named in ``blocks`` order."""
+    carrier = FinCarrier.atoms([v for block in blocks for v in block])
+    mu = dict(zip(values, map(frozenset, blocks)))
+    eta = {v: b for b, block in mu.items() for v in block}
+    return CarrierConn("cgc", carrier, FinPoset.discrete(values), eta, mu)
+
+
+def test_powerset_connections_share_one_additivity_plan(monkeypatch):
+    values = ["p", "q", "r", "s"]
+    G1 = t_pgc(cgc_onto(values, [["1"], ["2", "3"], ["4"], ["5"]]))
+    lat = G1.abstract_lattice
+    plan = lat.additivity_plan()
+    assert len(plan) == 3 * 15
+    calls = []
+    for name in ("join", "lub"):
+        def counted(self, *args, plain=getattr(FinLattice, name), name=name):
+            if self is lat:
+                calls.append(name)
+            return plain(self, *args)
+        monkeypatch.setattr(FinLattice, name, counted)
+    G2 = t_pgc(cgc_onto(["s", "r", "q", "p"], [["a", "b"], ["c"], ["d"], ["e"]]))
+    assert G2.abstract_lattice is lat and lat.additivity_plan() is plan
+    # deciding the second connection's additivity reads the kept plan and
+    # gamma alone
+    calls.clear()
+    assert galois._scan_additive(G2) == (True, None)
+    assert check_gc(GaloisConn(G2.carrier, lat, dict(G2.gamma))).is_disjunctive
+    assert calls == []
 
 
 def test_refused_powersets_raise_on_every_call(monkeypatch):
