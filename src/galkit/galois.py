@@ -38,6 +38,8 @@ from .order import (
     FinLattice,
     FinPoset,
     FrozenDict,
+    Immutable,
+    bit_positions,
     iter_downsets,
     set_name,
     sort_key,
@@ -47,20 +49,33 @@ from .order import (
 from .setops import FinCarrier, PartitionReport, check_partition
 
 
-def _abstract_poset(abstract) -> FinPoset:
-    return abstract.base if isinstance(abstract, FinLattice) else abstract
+class _Connection(Immutable):
+    """The carrier and abstract posets of a connection record."""
+
+    __slots__ = ()
+
+    @property
+    def abstract_poset(self) -> FinPoset:
+        abstract = self.abstract
+        return abstract.base if isinstance(abstract, FinLattice) else abstract
+
+    def carrier_poset(self) -> FinPoset:
+        if self.carrier_order is not None:
+            return self.carrier_order
+        return FinPoset.discrete(self.carrier.values)
 
 
 def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
     """A table's keys must lie in its domain: a stray entry would leak into
     the table's image (``mu_image``, ``gamma_image``) and so into precision
-    and isomorphism verdicts."""
-    for k in mapping:
-        if k not in domain:
-            raise ShapeMismatch(f"{table} has a key outside the {what}: {k!r}")
+    and isomorphism verdicts.  The table holds every element of its domain,
+    so it has a stray key exactly when it has more keys."""
+    if len(mapping) > len(domain):
+        k = next(k for k in mapping if k not in domain)
+        raise ShapeMismatch(f"{table} has a key outside the {what}: {k!r}")
 
 
-class CarrierConn:
+class CarrierConn(_Connection):
     """A connection given by eta/mu tables over a finite carrier.
 
     A connection is immutable: setting an attribute raises AttributeError,
@@ -84,14 +99,8 @@ class CarrierConn:
         init(self, "_verdicts", {})
         self._validate()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CarrierConn is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CarrierConn is immutable: cannot delete {name!r}")
-
     def _validate(self):
-        poset = _abstract_poset(self.abstract)
+        poset = self.abstract_poset
         for v in self.carrier.values:
             if v not in self.eta:
                 raise ShapeMismatch(f"eta not total: missing {v!r}")
@@ -101,22 +110,13 @@ class CarrierConn:
         for b in poset.elements:
             if b not in self.mu:
                 raise ShapeMismatch(f"mu not total: missing {b!r}")
-            extra = self.mu[b] - self.carrier.value_set()
-            if extra:
-                raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {sorted(extra)[:3]}")
+            if not self.mu[b] <= self.carrier.value_set():
+                extra = sorted(self.mu[b] - self.carrier.value_set())
+                raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {extra[:3]}")
         _reject_stray_keys("mu", self.mu, poset, "abstract poset")
         if self.carrier_order is not None:
             if set(self.carrier_order.elements) != set(self.carrier.values):
                 raise ShapeMismatch("carrier order does not match carrier")
-
-    @property
-    def abstract_poset(self) -> FinPoset:
-        return _abstract_poset(self.abstract)
-
-    def carrier_poset(self) -> FinPoset:
-        if self.carrier_order is not None:
-            return self.carrier_order
-        return FinPoset.discrete(self.carrier.values)
 
     def eta_image(self) -> frozenset:
         return frozenset(self.eta.values())
@@ -133,7 +133,7 @@ class CarrierConn:
         return f"CarrierConn({self.kind}, |A|={len(self.carrier)}, |B|={len(self.abstract_poset)})"
 
 
-class ClosureOp:
+class ClosureOp(Immutable):
     """A set-valued map phi: A -> P(A) satisfying the closure law.
 
     The law x in phi(y) <=> phi(x) = phi(y) is checked at construction.  A
@@ -150,21 +150,14 @@ class ClosureOp:
         for v in carrier.values:
             if v not in self.phi:
                 raise ShapeMismatch(f"phi not total: missing {v!r}")
-            extra = self.phi[v] - carrier.value_set()
-            if extra:
+            if not self.phi[v] <= carrier.value_set():
                 raise ShapeMismatch(f"phi({v!r}) leaves the carrier")
         report = check_cco(self)
         if not report.ok:
             raise NotInClass(f"closure law fails at {report.witness}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ClosureOp is immutable: cannot set {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"ClosureOp is immutable: cannot delete {name!r}")
-
-
-class GaloisConn:
+class GaloisConn(_Connection):
     """An adjunction over the (downward) powerset of a carrier.
 
     ``gamma`` maps abstract elements to carrier subsets, and fixes alpha:
@@ -191,8 +184,7 @@ class GaloisConn:
         init(self, "carrier", carrier)
         init(self, "carrier_order", carrier_order)
         init(self, "abstract", abstract)
-        init(self, "gamma", FrozenDict(
-            (d, frozenset(s)) for d, s in gamma.items()))
+        init(self, "gamma", FrozenDict(zip(gamma, map(frozenset, gamma.values()))))
         init(self, "alpha_table", None if alpha_table is None else FrozenDict(
             (frozenset(k), v) for k, v in alpha_table.items()))
         init(self, "_atoms", None)
@@ -200,19 +192,13 @@ class GaloisConn:
         init(self, "_additive", None)
         self._validate()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GaloisConn is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GaloisConn is immutable: cannot delete {name!r}")
-
     def _validate(self):
-        poset = _abstract_poset(self.abstract)
+        poset = self.abstract_poset
         universe = self.carrier.value_set()
         for d in poset.elements:
             if d not in self.gamma:
                 raise ShapeMismatch(f"gamma not total: missing {d!r}")
-            if self.gamma[d] - universe:
+            if not self.gamma[d] <= universe:
                 raise ShapeMismatch(f"gamma({d!r}) leaves the carrier")
         _reject_stray_keys("gamma", self.gamma, poset, "abstract poset")
         order = self.carrier_order
@@ -228,40 +214,30 @@ class GaloisConn:
                     f"alpha_table({set_name(X)}) = {d!r} not abstract")
 
     @property
-    def abstract_poset(self) -> FinPoset:
-        return _abstract_poset(self.abstract)
-
-    @property
     def abstract_lattice(self) -> FinLattice:
         if not isinstance(self.abstract, FinLattice):
             raise ShapeMismatch("abstract side is not a complete lattice")
         return self.abstract
 
-    def carrier_poset(self) -> FinPoset:
-        if self.carrier_order is not None:
-            return self.carrier_order
-        return FinPoset.discrete(self.carrier.values)
-
     def atoms(self) -> dict:
         """x -> a_x for every carrier value x whose holder set
         H(x) = {d | x in gamma(d)} is up(a_x), read from one pass over
-        gamma and kept on the connection.
+        gamma and kept on the connection: as a mask over abstract positions,
+        H(x) is the up-mask of a_x, found by one lookup.
 
         Then x in gamma(d) <=> a_x <= d, so the least d with X <= gamma(d)
         is the lub of the a_x, x in X: that is alpha(X).  A value missing
         from the map has no best abstraction.
         """
         if self._atoms is None:
-            poset = self.abstract_poset
-            atoms = {}
-            for x, hs in _holders(self, self.gamma).items():
-                a = _least(poset, hs)
-                if a is not None and len(poset.up(a)) == len(hs):
-                    atoms[x] = a
-            object.__setattr__(self, "_atoms", atoms)
+            of_upm = self.abstract_poset._element_of_upm()
+            object.__setattr__(self, "_atoms", {
+                x: of_upm[h] for x, h in _holder_masks(self, self.gamma).items()
+                if h in of_upm})
         return self._atoms
 
     def alpha(self, members: Iterable[str]) -> str:
+        """The ``alpha_table`` entry, else the lub of the members' atoms."""
         X = frozenset(members)
         if self.alpha_table is not None and X in self.alpha_table:
             return self.alpha_table[X]
@@ -272,7 +248,8 @@ class GaloisConn:
             raise ShapeMismatch(
                 f"no best abstraction for {set_name(X)}: not a Galois connection"
             )
-        return self.abstract_lattice.lub(atoms[x] for x in X)
+        lub = self.abstract_lattice.lub
+        return atoms[next(iter(X))] if len(X) == 1 else lub(atoms[x] for x in X)
 
     def gamma_image(self) -> frozenset:
         """The extensional image of the induced closure, {gamma(d) | d}."""
@@ -387,22 +364,6 @@ def check_gc(G: GaloisConn) -> GCReport:
     return GCReport(True, is_gi, is_disj, wit)
 
 
-def _least(poset: FinPoset, S):
-    """The least element of S, or None.  If S has a least element l, every
-    other s in S lies strictly above l and so has a smaller up-set: l is
-    the element of S whose up-set is largest.  The first element is tried
-    before that search, because a holder list built in a linear extension
-    of the order, such as a powerset lattice's by-size order, starts with
-    it."""
-    if not S:
-        return None
-    first = next(iter(S))
-    if poset.up(first).issuperset(S):
-        return first
-    a = max(S, key=lambda d: len(poset.up(d)))
-    return a if poset.up(a).issuperset(S) else None
-
-
 def _adjunction_failure(G: GaloisConn):
     """The first (X, d), X in :meth:`GaloisConn.iter_concrete` order and d
     in element order, at which alpha(X) <= d <=> X <= gamma(d) fails, by
@@ -411,16 +372,21 @@ def _adjunction_failure(G: GaloisConn):
     Enumerates the concrete side, so it raises TooLarge beyond
     ``DOWNSETS_GUARD`` elements."""
     poset = G.abstract_poset
+    elems, index, upm = poset.elements, poset._index, poset._upm
     table = G.alpha_table or {}
     for X in G.iter_concrete():
-        covers = {d for d in poset.elements if X <= G.gamma[d]}
-        aX = table[X] if X in table else _least(poset, covers)
-        if aX is None:
-            return (set_name(X), None)
-        bad = poset.up(aX) ^ covers
+        covers = sum(1 << i for i, d in enumerate(elems) if X <= G.gamma[d])
+        if X in table:
+            i = index[table[X]]
+        else:  # the least cover: the one whose up-set holds every cover
+            i = next((i for i, m in enumerate(upm)
+                      if covers >> i & 1 and m & covers == covers), None)
+            if i is None:
+                return (set_name(X), None)
+        bad = upm[i] ^ covers
         if bad:
-            return (set_name(X), next(d for d in sorted_elems(poset.elements)
-                                      if d in bad))
+            return (set_name(X), next(d for d in sorted_elems(elems)
+                                      if bad >> index[d] & 1))
 
 
 def _gamma_additive(G: GaloisConn):
@@ -469,23 +435,23 @@ def _scan_additive(G: GaloisConn):
 
 # The carrier checkers below test laws between eta and mu that the paper
 # states pairwise.  Fixing x, each law is an equation between the holder set
-# H(x) = {y | x in mu(y)} and a set read off eta(x), so one pass over mu,
-# building every H(x), replaces the pair scans.  A witness is still the
-# first failing pair of the pairwise loop: its x is the first, in that
-# loop's order, whose set of failing y is nonempty, and its y is the first
-# of those in the inner loop's order.  Only a failing check sorts.
+# H(x) = {y | x in mu(y)} and a mask read off eta(x), so one pass over mu,
+# building every H(x) as an int over abstract positions, replaces the pair
+# scans.  A witness is still the first failing pair of the pairwise loop: its
+# x is the first, in that loop's order, whose mask of failing y is nonzero,
+# and its y the first of those in the inner loop's order.  Only a failing
+# check sorts.
 
 
-def _holders(C, table: Mapping) -> dict:
-    """H(x) = {y in B | x in table[y]} for every carrier value x of the
-    connection C, with ``table`` its mu or its gamma, read at the abstract
-    poset's elements (as the pairwise laws read it) in |A| + sum |table[y]|
-    steps.  Each y lands in a list once; lists keep this transient table
-    several times smaller than sets would."""
-    H = {x: [] for x in C.carrier.values}
-    for y in C.abstract_poset.elements:
+def _holder_masks(C, table: Mapping) -> dict:
+    """H(x), bit i set when x is in ``table[elements[i]]``, for every carrier
+    value x of C, with ``table`` its mu or its gamma, read at the abstract
+    poset's elements (as the pairwise laws read it) in |A| + sum |table|."""
+    H = dict.fromkeys(C.carrier.values, 0)
+    for i, y in enumerate(C.abstract_poset.elements):
+        bit = 1 << i
         for x in table[y]:
-            H[x].append(y)
+            H[x] |= bit
     return H
 
 
@@ -498,35 +464,42 @@ def _first_failure(xs, order, witness):
     return next(w for x in order(xs) if (w := witness(x)) is not None)
 
 
-def _first_pair(xs, order, bad, ys):
+def _first_pair(xs, order, bad, ys, index):
     """The pair (x, y) that the loop "for x in order(xs): for y in ys(x)"
-    meets first with y in ``bad(x)``, or None when every ``bad(x)`` is
-    empty."""
-    def witness(x):
-        failing = bad(x)
-        return (x, next(y for y in ys(x) if y in failing)) if failing else None
-    return _first_failure(xs, order, witness)
+    meets first with bit ``index[y]`` set in the mask ``bad(x)``, or None
+    when every ``bad(x)`` is 0.  The accepting pass reads ``bad`` alone."""
+    if not any(map(bad, xs)):
+        return None
+    x, failing = next((x, m) for x in order(xs) if (m := bad(x)))
+    return x, next(y for y in ys(x) if failing >> index[y] & 1)
+
+
+def _holder_law_failure(C: CarrierConn, H: dict, mask_of: Callable[[int], int]):
+    """The first pair (x, y), x in scan order and y in element order, with
+    y in H(x) ^ ``mask_of(i)``, i the position of eta(x)."""
+    bp = C.abstract_poset
+    return _first_pair(C.carrier.values, scan_order,
+                       lambda x: H[x] ^ mask_of(bp._index[C.eta[x]]),
+                       lambda x: sorted_elems(bp.elements), bp._index)
 
 
 def _order_law_failure(C: CarrierConn, H: dict):
     """The first pair (x, y), x in scan order and y in element order,
     breaking x in mu(y) <=> eta(x) <= y.  Fixing x, the law is exactly
     H(x) = up(eta(x)), so the failing y are H(x) ^ up(eta(x))."""
-    bp = C.abstract_poset
-    return _first_pair(C.carrier.values, scan_order,
-                       lambda x: bp.up(C.eta[x]).symmetric_difference(H[x]),
-                       lambda x: sorted_elems(bp.elements))
+    return _holder_law_failure(C, H, C.abstract_poset._upm.__getitem__)
 
 
 def _eta_monotone_failure(C: CarrierConn, cp: FinPoset, xs, order):
     """The first ("eta-monotone", x, x2), x in ``order(xs)`` and x2 in
     element order, with x <= x2 in ``cp`` but not eta(x) <= eta(x2), that
     is, with eta(x2) outside up(eta(x))."""
-    up = C.abstract_poset.up
-    wit = _first_pair(
-        xs, order,
-        lambda x: {x2 for x2 in cp.up(x) if C.eta[x2] not in up(C.eta[x])},
-        lambda x: sorted_elems(cp.up(x)))
+    bp, index = C.abstract_poset, cp._index
+    at = [bp._index[C.eta[x]] for x in cp.elements]
+    # per carrier position, the positions whose eta lies in up(its eta)
+    over = [sum(1 << j for j, b in enumerate(at) if bp._upm[a] >> b & 1) for a in at]
+    wit = _first_pair(xs, order, lambda x: cp._upm[index[x]] & ~over[index[x]],
+                      lambda x: sorted_elems(cp.up(x)), index)
     return wit and ("eta-monotone", *wit)
 
 
@@ -554,10 +527,7 @@ def check_cgc(C: CarrierConn) -> CheckResult:
     H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost
     O(|A| + sum |mu|) on success.
     """
-    H, elements = _holders(C, C.mu), C.abstract_poset.elements
-    wit = _first_pair(C.carrier.values, scan_order,
-                      lambda x: {C.eta[x]}.symmetric_difference(H[x]),
-                      lambda x: sorted_elems(elements))
+    wit = _holder_law_failure(C, _holder_masks(C, C.mu), lambda i: 1 << i)
     return CheckResult(wit is None, wit)
 
 
@@ -571,7 +541,11 @@ def check_cgp(C: CarrierConn) -> CheckResult:
     for every x2 in up(x), x in element order.  mu is checked per b in
     element order: mu(b) downward closed, then mu(b) <= mu(b2) for b2 in
     up(b).  The last law, fixing x, is H(x) = up(eta(x)) (see
-    :func:`check_pcgc`).  No phase calls ``leq`` or sorts on success.
+    :func:`check_pcgc`).  A monotone eta and the last law imply the mu
+    phase: x in mu(b), x' <= x and b <= b2 give eta(x') <= eta(x) <= b <=
+    b2, so x' lies in mu(b) and x in mu(b2).  So the mu phase runs only once
+    the last law fails, to find the first failure.  No phase calls ``leq``
+    or sorts on success.
     """
     cp = C.carrier_poset()
     bp = C.abstract_poset
@@ -579,13 +553,14 @@ def check_cgp(C: CarrierConn) -> CheckResult:
     def mu_witness(b):
         if not cp.is_down_closed(C.mu[b]):
             return ("mu-downclosed", b)
-        bad = {b2 for b2 in bp.up(b) if not C.mu[b] <= C.mu[b2]}
-        return ("mu-monotone", b, next(
-            b2 for b2 in sorted_elems(bp.up(b)) if b2 in bad)) if bad else None
+        b2 = next((b2 for b2 in sorted_elems(bp.up(b))
+                   if not C.mu[b] <= C.mu[b2]), None)
+        return None if b2 is None else ("mu-monotone", b, b2)
 
+    law = _order_law_failure(C, _holder_masks(C, C.mu))
     wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
-           or _first_failure(bp.elements, sorted_elems, mu_witness)
-           or _order_law_failure(C, _holders(C, C.mu)))
+           or law and (_first_failure(bp.elements, sorted_elems, mu_witness)
+                       or law))
     return CheckResult(wit is None, wit)
 
 
@@ -608,12 +583,13 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     scan order whose eta(x') fails.  With a carrier order, eta must also be
     monotone; that tail runs only when (1) and (2) hold.
     """
-    H = _holders(C, C.mu)
+    H = _holder_masks(C, C.mu)
     values = C.carrier.values
-    image = {C.eta[x] for x in values}
+    index = C.abstract_poset._index
+    image = sum(1 << i for i in {index[C.eta[x]] for x in values})
     wit1 = _first_pair(values, scan_order,
-                       lambda x: image.intersection(H[x]) ^ {C.eta[x]},
-                       lambda x: (C.eta[x2] for x2 in scan_order(values)))
+                       lambda x: (H[x] & image) ^ 1 << index[C.eta[x]],
+                       lambda x: (C.eta[x2] for x2 in scan_order(values)), index)
     wit2 = _order_law_failure(C, H)
     # condition (2) subsumes monotonicity of mu; eta-monotonicity is only a
     # constraint when a non-discrete carrier order is supplied
@@ -668,16 +644,13 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     part = check_partition(G.carrier, family)
     lat = G.abstract_lattice
     additive, wit = _gamma_additive(G)
-    poset = lat.base
     universe = G.carrier.value_set()
-    alt2prime = True
-    elems = lat.elements
-    for i, x in enumerate(elems):
-        comparable = poset.up(x) | poset.down(x)
-        if any(G.gamma[lat.join(x, y)] != universe
-               for y in elems[i + 1:] if y not in comparable):
-            alt2prime = False
-            break
+    elems, upm, dnm = lat.elements, lat.base._upm, lat.base._down_masks()
+    full = (1 << len(elems)) - 1
+    # the pairs (x, y), y after x, that are uncomparable, in element order
+    alt2prime = not any(
+        G.gamma[lat.join(x, elems[j])] != universe for i, x in enumerate(elems)
+        for j in bit_positions((full ^ (upm[i] | dnm[i])) >> i << i))
     if part.ok and additive:
         report = ClassifyReport("PGC", alt2prime, part)
     elif part.ok:

@@ -4,8 +4,8 @@ All elements are opaque strings; integer-valued elements render as decimal
 strings so that one identifier space works across carriers, abstract domains
 and powerset lattices.  A poset is built from one int up-mask per element
 after reflexive-transitive closure (carriers are small by design, so O(n^2)
-bits beat walking a Hasse diagram) and decodes them into name up-/down-sets
-once.  Lattices of sets intern each subset as an int bitmask over their
+bits beat walking a Hasse diagram) and decodes name up-/down-sets only on
+demand.  Lattices of sets intern each subset as an int bitmask over their
 atoms and render its name once, so joins never parse names; they are
 immutable, and small powerset lattices are shared by their values.  A
 lattice keeps, once found, the plan of joins that decides whether a map
@@ -14,7 +14,7 @@ into sets preserves every join.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +29,9 @@ from .errors import (
 DOWNSETS_GUARD = 2 ** 16
 
 
+# memoised: a round trip sorts a few dozen names thousands of times, and each
+# name that is no int would raise a ValueError each time
+@lru_cache(maxsize=1024)
 def sort_key(v: str):
     """Sort element names numerically when they parse as ints, else lexically;
     names with the same int value (``1``/``01``, ``10``/``1_0``) by string."""
@@ -42,6 +45,7 @@ def sorted_elems(xs: Iterable[str]) -> list[str]:
     return sorted(xs, key=sort_key)
 
 
+@lru_cache(maxsize=1024)
 def scan_key(v: str):
     """Order used when scanning carriers for counterexamples: small
     magnitudes first, nonnegative before negative, so witnesses match the
@@ -79,27 +83,59 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+class Immutable:
+    """Refuses to set or delete an attribute: an instance fills its slots
+    with ``object.__setattr__`` once, in its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 class FinPoset:
     """A finite poset: bit j of ``upm[i]`` is set when ``elements[i] <=
-    elements[j]``; up-sets and down-sets of names are decoded once."""
+    elements[j]``.  Queries run on the masks.  The down-masks, the element
+    of each up-mask and the name sets of :meth:`up` and :meth:`down` are
+    each built on first use and kept."""
 
-    __slots__ = ("elements", "_index", "_upm", "_up", "_dn")
+    __slots__ = ("elements", "_index", "_upm", "_dnm", "_of_upm", "_names")
 
     def __init__(self, elements: Iterable[str], upm: Iterable[int]):
         self.elements = elems = tuple(elements)
         self._index = {x: i for i, x in enumerate(elems)}
         self._upm = tuple(upm)
-        self._up = up = {}
-        dn: dict[str, list] = {x: [] for x in elems}
-        for x, m in zip(elems, self._upm):
-            ups = []
-            while m:
-                j = m.bit_length() - 1
-                ups.append(elems[j])
-                dn[elems[j]].append(x)
-                m ^= 1 << j
-            up[x] = frozenset(ups)
-        self._dn = {x: frozenset(s) for x, s in dn.items()}
+        self._dnm = self._of_upm = self._names = None
+
+    def _down_masks(self) -> tuple:
+        """Bit i of ``dnm[j]`` is set when ``elements[i] <= elements[j]``."""
+        if self._dnm is None:
+            dnm = [0] * len(self._upm)
+            for i, m in enumerate(self._upm):
+                for j in bit_positions(m):
+                    dnm[j] |= 1 << i
+            self._dnm = tuple(dnm)
+        return self._dnm
+
+    def _element_of_upm(self) -> dict:
+        """Each up-mask -> its element: the lub of a set, when there is
+        one, is the element whose up-mask is the AND of the members'."""
+        if self._of_upm is None:
+            self._of_upm = dict(zip(self._upm, self.elements))
+        return self._of_upm
+
+    def _name_sets(self) -> tuple[dict, dict]:
+        """The up-sets and the down-sets of names, decoded from the masks."""
+        if self._names is None:
+            elems = self.elements
+            self._names = tuple(
+                {x: frozenset(map(elems.__getitem__, bit_positions(m)))
+                 for x, m in zip(elems, masks)}
+                for masks in (self._upm, self._down_masks()))
+        return self._names
 
     # -- basic queries -------------------------------------------------
 
@@ -116,27 +152,28 @@ class FinPoset:
     def leq(self, x: str, y: str) -> bool:
         self.require(x)
         self.require(y)
-        return y in self._up[x]
+        return self._upm[self._index[x]] >> self._index[y] & 1 == 1
 
     def up(self, x: str) -> frozenset:
         self.require(x)
-        return self._up[x]
+        return self._name_sets()[0][x]
 
     def down(self, x: str) -> frozenset:
         self.require(x)
-        return self._dn[x]
+        return self._name_sets()[1][x]
 
     def is_discrete(self) -> bool:
-        return all(len(self._up[x]) == 1 for x in self.elements)
+        return all(m == 1 << i for i, m in enumerate(self._upm))
 
     def is_down_closed(self, members: Iterable[str]) -> bool:
-        ms = set(members)
-        return all(self._dn[x] <= ms for x in ms)
+        dnm, bits = self._down_masks(), {self._index[x] for x in members}
+        mask = sum(1 << i for i in bits)
+        return all(dnm[i] | mask == mask for i in bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinPoset):
             return NotImplemented
-        return set(self.elements) == set(other.elements) and self._up == other._up
+        return self._name_sets()[0] == other._name_sets()[0]
 
     def __repr__(self) -> str:
         return f"FinPoset({len(self.elements)} elements)"
@@ -145,6 +182,14 @@ class FinPoset:
     def discrete(elements: Iterable[str]) -> "FinPoset":
         elems = list(elements)
         return FinPoset(elems, [1 << i for i in range(len(elems))])
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the bits set in ``mask`` (nonnegative), lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> FinPoset:
@@ -186,6 +231,13 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Fi
         y = elems[upm.index(upm[i], i + 1)]
         raise CycleDetected(f"antisymmetry violated by {elems[i]!r} and {y!r}")
     return FinPoset(elems, upm)
+
+
+def _upper_bounds(upm: Sequence[int], members: int) -> int:
+    """The common upper bounds of the elements whose bits are set in
+    ``members``: the AND of their up-masks, all elements when none is."""
+    return reduce(int.__and__, map(upm.__getitem__, bit_positions(members)),
+                  (1 << len(upm)) - 1)
 
 
 class FinLattice:
@@ -234,26 +286,23 @@ class FinLattice:
         raise NotCompleteLattice((x, y), direction)
 
     def lub(self, members: Iterable[str]) -> str:
-        acc = x = self.bottom
+        return self._fold(members, self.bottom, self._join, self.join)
+
+    def glb(self, members: Iterable[str]) -> str:
+        return self._fold(members, self.top, self._meet, self.meet)
+
+    def _fold(self, members, acc, bound, checked):
+        """``bound`` folded over ``members`` from ``acc``; ``checked``, the
+        bound that checks its arguments, names a bound the table lacks."""
+        x = acc
         try:
             for x in members:
                 self.base.require(x)
-                acc = self._join(acc, x)
+                acc = bound(acc, x)
         except KeyError:
             # a bound the table lacks raises NotCompleteLattice here; a
             # KeyError raised by ``members`` itself passes through
-            self.join(acc, x)
-            raise
-        return acc
-
-    def glb(self, members: Iterable[str]) -> str:
-        acc = x = self.top
-        try:
-            for x in members:
-                self.base.require(x)
-                acc = self._meet(acc, x)
-        except KeyError:
-            self.meet(acc, x)
+            checked(acc, x)
             raise
         return acc
 
@@ -270,10 +319,11 @@ class FinLattice:
         return self._jirr
 
     def _find_join_irreducibles(self) -> frozenset:
-        return frozenset(
-            x for x in self.elements
-            if self.lub(y for y in self.base.down(x) if y != x) != x
-        )
+        # the elements strictly below x have x as their lub exactly when
+        # their common upper bounds are the up-set of x
+        upm, dnm = self.base._upm, self.base._down_masks()
+        return frozenset(x for i, x in enumerate(self.elements)
+                         if _upper_bounds(upm, dnm[i] ^ 1 << i) != upm[i])
 
     def additivity_plan(self):
         """Element-index triples (i, j, k) with elements[k] = elements[i] v
@@ -312,36 +362,33 @@ class FinLattice:
         return self._plan if self._plan is not False else None
 
     def _find_additivity_plan(self):
+        # every join is defined, so the lub of a set of elements is the one
+        # whose up-mask is the AND of theirs
         if not self._every_join_defined():
             return None
-        elems, index, up = self.elements, self.base._index, self.base.up
-        # element order: the lubs made before the first non-prime j must
-        # not depend on hashing
-        jirr = [j for j in elems if j in self.join_irreducibles()]
+        base, jset = self.base, self.join_irreducibles()
+        upm, dnm, index, lub = (base._upm, base._down_masks(), base._index,
+                                base._element_of_upm())
+        jirr = [i for i, x in enumerate(self.elements) if x in jset]
+        jmask, full = sum(1 << j for j in jirr), (1 << len(upm)) - 1
         plan = []
-
-        def prime(j):  # the lub of the elements not above j is not above j
-            above = up(j)
-            return self.lub(x for x in elems if x not in above) not in above
-
-        down = self.base.down
-        if all(map(prime, jirr)):
-            for y in elems:
-                below = [j for j in jirr if j in down(y)]
+        # j is join-prime when the lub of the elements not above j is not
+        # above j: its up-set, their common upper bounds, is no subset of j's
+        if all(_upper_bounds(upm, full ^ upm[j]) & ~upm[j] for j in jirr):
+            for k, below in enumerate(dnm):
+                below &= jmask
                 if not below:  # the bottom
                     continue
                 # the last of them that no other one lies above
-                j = next(j for j in reversed(below)
-                         if len(up(j).intersection(below)) == 1)
-                rest = self.lub(x for x in below if x != j)
-                plan.extend((index[rest], index[j], index[y]))
+                j = next(j for j in reversed(jirr)
+                         if below >> j & 1 and upm[j] & below == 1 << j)
+                rest = lub[_upper_bounds(upm, below ^ 1 << j)]
+                plan.extend((index[rest], j, k))
         else:
-            for x in elems:
-                down_x = down(x)
-                for j in jirr:  # x v j is x when j <= x
-                    k = x if j in down_x else self.join(x, j)
-                    plan.extend((index[x], index[j], index[k]))
-        return array("H" if len(elems) <= 1 << 16 else "L", plan)
+            for i, u in enumerate(upm):
+                for j in jirr:
+                    plan.extend((i, j, index[lub[u & upm[j]]]))
+        return array("H" if len(upm) <= 1 << 16 else "L", plan)
 
     def _every_join_defined(self) -> bool:
         """Whether ``join`` is defined on every pair: true of a FinLattice,
@@ -372,14 +419,8 @@ class FinLattice:
         elems = poset.elements
         if not elems:
             raise NotCompleteLattice((), "element")
-        idx, upm = poset._index, poset._upm
-        dnm = [0] * len(elems)
-        for i, m in enumerate(upm):
-            while m:
-                j = m.bit_length() - 1
-                dnm[j] |= 1 << i
-                m ^= 1 << j
-        by_up, by_dn = dict(zip(upm, elems)), dict(zip(dnm, elems))
+        idx, upm, dnm = poset._index, poset._upm, poset._down_masks()
+        by_up, by_dn = poset._element_of_upm(), dict(zip(dnm, elems))
         full = (1 << len(elems)) - 1
         top, bottom = by_dn.get(full), by_up.get(full)
         if top is None or bottom is None:
@@ -399,7 +440,7 @@ class FinLattice:
         )
 
 
-class SetLattice(FinLattice):
+class SetLattice(FinLattice, Immutable):
     """A lattice of subsets under inclusion, whose elements are named after
     their members; ``members`` maps each name back to its subset.
 
@@ -409,12 +450,6 @@ class SetLattice(FinLattice):
     """
 
     __slots__ = ("members", "_bit", "_mask", "_name")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SetLattice is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SetLattice is immutable: cannot delete {name!r}")
 
     @staticmethod
     def from_family(
@@ -468,12 +503,8 @@ class SetLattice(FinLattice):
         for j, name in enumerate(names):
             for x in members[name]:
                 holders[x] |= 1 << j
-        upm = []
-        for name in names:
-            sup = (1 << len(names)) - 1
-            for x in members[name]:
-                sup &= holders[x]
-            upm.append(sup)
+        upm = [reduce(int.__and__, map(holders.__getitem__, members[name]),
+                      (1 << len(names)) - 1) for name in names]
         lat = SetLattice(
             FinPoset(names, upm), top, bottom,
             lambda a, b: name_of_mask[mask_of[a] | mask_of[b]],
@@ -489,16 +520,11 @@ class SetLattice(FinLattice):
     def _find_join_irreducibles(self) -> frozenset:
         # the lub of the elements strictly below x is the union of their
         # masks, starting from the bottom's (the lub of no elements)
-        mask, down = self._mask, self.base.down
-        out = []
-        for x in self.elements:
-            below = mask[self.bottom]
-            for y in down(x):
-                if y != x:
-                    below |= mask[y]
-            if below != mask[x]:
-                out.append(x)
-        return frozenset(out)
+        masks, bottom = [self._mask[x] for x in self.elements], self._mask[self.bottom]
+        return frozenset(
+            x for i, (x, d) in enumerate(zip(self.elements, self.base._down_masks()))
+            if reduce(int.__or__, map(masks.__getitem__, bit_positions(d ^ 1 << i)),
+                      bottom) != masks[i])
 
     def _every_join_defined(self) -> bool:
         # each element is the bottom or-ed with the join-irreducibles below

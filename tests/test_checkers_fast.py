@@ -9,7 +9,10 @@ pairs, on powersets, downset lattices, the Moore lattices of the
 generators, lattices built with ``FinLattice.from_poset`` (M3, N5 and random
 closure systems, most of them non-distributive) and other set families,
 whose bottom need not be empty and which may lack unions; and the plan's
-size must follow the literal distributive law.
+size must follow the literal distributive law.  The plan and the
+join-irreducibles are found from up-masks, each lub the element whose
+up-mask is the AND of the members'; here they must equal those found by
+``FinLattice.lub`` and name sets, on the same lattices.
 ``classify_partitioning`` as a whole must agree with a literal
 classification, ``alt2prime`` included.  ``check_partition`` sorts a block
 only once a clause fails, and ``lift_powerset`` lifts a table with one
@@ -17,13 +20,16 @@ union per subset; here they must agree with the sorted loop (witness
 included, on names that tie as ints) and with ``lift_star``.
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
-sets H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
+masks H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
 ``cond2`` and witness, with the literal pair scans, on passing, nearly
 passing and arbitrary eta/mu over random, M3, N5 and discrete abstract
 posets, with and without (non-discrete) carrier orders, for names that
 parse as ints (some equal as ints, such as ``1`` and ``01``) and names that
 do not, and on the builtins.  Each keeps its report on the immutable
-connection; the kept report must equal that of the uncached check.
+connection; the kept report must equal that of the uncached check.  No
+accepting run of a carrier checker, of ``check_gc``, of
+``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset for a
+set of names (``up``/``down``), on the builtins and generated connections.
 
 ``check_gc`` reads the adjunction off gamma: gamma lands in the downsets,
 every holder set {d | x in gamma(d)} is the up-set of an atom a_x, and every
@@ -33,6 +39,11 @@ every concrete X and abstract d, alpha being the table entry or the least
 gamma-cover, on discrete and ordered carriers, the lattices above, and
 Galois connections, mutated ones and arbitrary gammas, with and without
 (mutated) tables; and alpha must agree with the least gamma-cover.
+``atoms`` finds a_x by looking H(x) up among the up-masks, and alpha of one
+member returns its atom; here both must agree, value or error, with the
+least-element search and the ``lub`` path, with a table entry that wins,
+values outside the carrier, values with no atom and abstract sides that are
+no lattice.
 
 ``ConcreteFn.image`` computes best-correct-approximation entries as a set
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
@@ -55,7 +66,9 @@ posets, lattices or not, M3, N5 and one element.  ``moore_lattice`` closes
 a family on int masks; the generators built on it must keep the element
 order, up-sets and gamma of the closure loop they used before.
 
-``build_poset`` closes int up-masks and ``FinPoset`` decodes them; here the
+``build_poset`` closes int up-masks, and ``FinPoset`` answers ``leq``,
+``is_discrete``, ``is_down_closed`` and ``==`` on them and decodes name sets
+only on demand; here those answers must be the eager decode's, and the
 up-sets and down-sets must be those of the name-set closure it used before,
 on names that parse as ints, look like set names or hold a comma, and a
 cycle must be named by its first pair in element order.  ``iter_downsets``
@@ -79,6 +92,7 @@ import random
 import re
 import subprocess
 import sys
+from array import array
 from itertools import combinations, product
 
 import pytest
@@ -107,6 +121,7 @@ from galkit.analyzer import (
 from galkit.errors import (
     CycleDetected,
     DuplicateElement,
+    GalkitError,
     NotCompleteLattice,
     NotInClass,
     ShapeMismatch,
@@ -167,12 +182,13 @@ from galkit.transforms import t_cco, t_cgc_of_pgc, t_pcgc, t_pgc
 
 class CountingLattice(FinLattice):
     """A lattice that counts the joins and lubs asked of it; its joins are
-    those of ``lat``, defined where they are."""
+    those of ``lat``, defined where they are, and its poset is ``base``, a
+    copy of that of ``lat``, when given."""
 
     __slots__ = ("joins", "lubs", "lat")
 
-    def __init__(self, lat: FinLattice):
-        super().__init__(lat.base, lat.top, lat.bottom, lat.join, lat.meet)
+    def __init__(self, lat: FinLattice, base: FinPoset | None = None):
+        super().__init__(base or lat.base, lat.top, lat.bottom, lat.join, lat.meet)
         self.joins = self.lubs = 0
         self.lat = lat
 
@@ -610,17 +626,40 @@ def carrier_conns(draw):
 
 
 class CountingPoset(FinPoset):
-    """A poset that counts the ``leq`` calls made on it."""
+    """A poset that counts the ``leq`` calls made on it, and the ``up`` and
+    ``down`` calls, each of which returns a set of names."""
 
-    __slots__ = ("leqs",)
+    __slots__ = ("leqs", "name_sets")
 
     def __init__(self, poset: FinPoset):
         super().__init__(poset.elements, poset._upm)
-        self.leqs = 0
+        self.leqs = self.name_sets = 0
 
     def leq(self, x, y):
         self.leqs += 1
         return super().leq(x, y)
+
+    def up(self, x):
+        self.name_sets += 1
+        return super().up(x)
+
+    def down(self, x):
+        self.name_sets += 1
+        return super().down(x)
+
+
+def counted(X):
+    """The connection X over counting copies of its abstract poset and of
+    its carrier order, and the list of those copies."""
+    bp = CountingPoset(X.abstract_poset)
+    abstract = CountingLattice(X.abstract, bp) if isinstance(X.abstract, FinLattice) else bp
+    order = X.carrier_order and CountingPoset(X.carrier_order)
+    posets = [bp] + [order] * (order is not None)
+    if isinstance(X, CarrierConn):
+        return CarrierConn(X.kind, X.carrier, abstract, X.eta, X.mu,
+                           carrier_order=order), posets
+    return GaloisConn(X.carrier, abstract, X.gamma, carrier_order=order,
+                      alpha_table=X.alpha_table, kind=X.kind), posets
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +698,52 @@ def test_monotone_witnesses_follow_each_checker_s_scan():
         False, True, ("eta-monotone", "0", "1"))
     assert check_cgp(C) == literal_cgp(C) == CheckResult(
         False, ("eta-monotone", "-1", "1"))
+
+
+def name_sets_of_accepting_runs(X) -> dict:
+    """The ``up``/``down`` calls each accepting check of X makes, by check:
+    every carrier checker that accepts X, or ``atoms``, ``check_gc`` and
+    ``classify_partitioning`` on a Galois connection, each on a fresh
+    copy."""
+    if isinstance(X, CarrierConn):
+        checks = {f.__name__: f.__wrapped__ for f in (check_cgc, check_cgp, check_pcgc)}
+    else:
+        checks = {"atoms": lambda G: len(G.atoms()) == len(G.carrier),
+                  "check_gc": lambda G: check_gc(G).is_gc,
+                  "classify_partitioning": classify_partitioning}
+    counts = {}
+    for name, check in checks.items():
+        copy, posets = counted(X)
+        try:
+            accepted = check(copy)
+        except ShapeMismatch:  # classification of an ordered carrier
+            continue
+        if accepted:
+            counts[name] = sum(p.name_sets for p in posets)
+    return counts
+
+
+def accepting_runs(connections) -> list:
+    """The connections' accepting runs, among which every check occurs."""
+    runs = [run for X in connections if (run := name_sets_of_accepting_runs(X))]
+    assert {name for run in runs for name in run} == {
+        "check_cgc", "check_cgp", "check_pcgc", "atoms", "check_gc",
+        "classify_partitioning"}
+    return runs
+
+
+def test_accepting_checks_of_the_builtins_decode_no_name_sets():
+    runs = accepting_runs(catalog.builtin(name, 16) for name in catalog.BUILTIN_NAMES)
+    assert runs == [dict.fromkeys(run, 0) for run in runs]
+
+
+def test_accepting_checks_of_generated_connections_decode_no_name_sets():
+    runs = accepting_runs(
+        X for seed in range(40) for X in (
+            catalog.gen("cgc", seed), catalog.gen("cgp", seed),
+            catalog.gen("pgc", seed), catalog.gen("ppgc", seed),
+            catalog.gen_downsets_gc(seed), t_pcgc(catalog.gen_ppgc(seed))))
+    assert runs == [dict.fromkeys(run, 0) for run in runs]
 
 
 def test_accepting_pcgc_makes_no_leq_calls():
@@ -862,6 +947,69 @@ def test_the_256_element_powerset_checks_255_joins_and_calls_none():
     assert counting.joins == counting.lubs == 0
 
 
+def literal_join_irreducibles(lat: FinLattice) -> frozenset:
+    """The elements that differ from the lub of the elements strictly below
+    them, by ``FinLattice.lub``; in a set family, from the union of their
+    subsets."""
+    if isinstance(lat, SetLattice):
+        return frozenset(x for x in lat.elements if lat.members[x] != lat.members[
+            lat.bottom].union(*(lat.members[y] for y in lat.base.down(x) if y != x)))
+    return frozenset(x for x in lat.elements
+                     if lat.lub(y for y in lat.base.down(x) if y != x) != x)
+
+
+def lub_plan(lat: FinLattice):
+    """The additivity plan as it was built from lubs, joins and name up-sets
+    and down-sets, before up-masks, or None."""
+    if not lat._every_join_defined():
+        return None
+    elems, index, up, down = lat.elements, lat.base._index, lat.base.up, lat.base.down
+    jirr = [j for j in elems if j in literal_join_irreducibles(lat)]
+    plan = []
+
+    def prime(j):  # the lub of the elements not above j is not above j
+        return lat.lub(x for x in elems if x not in up(j)) not in up(j)
+
+    try:
+        if all(map(prime, jirr)):
+            for y in elems:
+                below = [j for j in jirr if j in down(y)]
+                if not below:
+                    continue
+                j = next(j for j in reversed(below)
+                         if len(up(j).intersection(below)) == 1)
+                rest = lat.lub(x for x in below if x != j)
+                plan.extend((index[rest], index[j], index[y]))
+        else:
+            for x in elems:
+                for j in jirr:
+                    k = x if j in down(x) else lat.join(x, j)
+                    plan.extend((index[x], index[j], index[k]))
+    except NotCompleteLattice:
+        return None
+    return array("H" if len(elems) <= 1 << 16 else "L", plan)
+
+
+def assert_plan_from_masks_is_the_lub_plan(lat: FinLattice):
+    assert lat.join_irreducibles() == literal_join_irreducibles(lat)
+    assert lat.additivity_plan() == lub_plan(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ADDITIVITY_LATTICES)
+@example(M3)
+@example(N5)
+def test_the_plan_from_up_masks_is_the_lub_plan(lat):
+    assert_plan_from_masks_is_the_lub_plan(lat)
+
+
+@pytest.mark.parametrize("make", [catalog.gen_ppgc, catalog.gen_downsets_gc],
+                         ids=["gen_ppgc", "gen_downsets_gc"])
+def test_the_plans_of_the_generators_lattices_are_the_lub_plans(make):
+    for seed in range(500):
+        assert_plan_from_masks_is_the_lub_plan(make(seed).abstract)
+
+
 def test_m3_and_n5_keep_a_join_per_element_and_join_irreducible():
     for lat in (m3(), n5()):
         assert len(lat.additivity_plan()) == 3 * 5 * 3
@@ -1039,6 +1187,114 @@ def test_check_gc_guards_the_witness_scan_of_oversized_carriers(sign_pgi):
         check_gc(G)
     with pytest.raises(ShapeMismatch, match="no best abstraction"):
         G.alpha(["-1"])
+
+
+# ---------------------------------------------------------------------------
+# atoms by up-mask lookup, and alpha of one member
+
+
+def least(poset: FinPoset, S):
+    """The least element of S, or None, as the atom search found it: the
+    first element when its up-set holds S, else the one with the largest
+    up-set when that holds S."""
+    if not S:
+        return None
+    first = next(iter(S))
+    if poset.up(first).issuperset(S):
+        return first
+    a = max(S, key=lambda d: len(poset.up(d)))
+    return a if poset.up(a).issuperset(S) else None
+
+
+def least_atoms(G: GaloisConn) -> dict:
+    """x -> a_x as :meth:`GaloisConn.atoms` found it before holder masks:
+    the least element of the holder list H(x), kept when its up-set has
+    |H(x)| elements."""
+    poset = G.abstract_poset
+    H = {x: [] for x in G.carrier.values}
+    for d in poset.elements:
+        for x in G.gamma[d]:
+            H[x].append(d)
+    atoms = {}
+    for x, hs in H.items():
+        a = least(poset, hs)
+        if a is not None and len(poset.up(a)) == len(hs):
+            atoms[x] = a
+    return atoms
+
+
+def lub_alpha(G: GaloisConn, members) -> str:
+    """alpha before its one-member shortcut: the ``alpha_table`` entry, else
+    ``FinLattice.lub`` of the members' atoms."""
+    X = frozenset(members)
+    if G.alpha_table is not None and X in G.alpha_table:
+        return G.alpha_table[X]
+    atoms = least_atoms(G)
+    if not X <= atoms.keys():
+        for x in sorted_elems(X - atoms.keys()):
+            G.carrier.require(x)
+        raise ShapeMismatch(
+            f"no best abstraction for {set_name(X)}: not a Galois connection")
+    return G.abstract_lattice.lub(atoms[x] for x in X)
+
+
+def result(f, *args):
+    """``f(*args)``, or the type and message of the GalkitError it raises."""
+    try:
+        return f(*args)
+    except GalkitError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def alpha_cases(draw):
+    """A connection from :func:`gc_conns`, sometimes over its bare abstract
+    poset, so with no lattice to take a lub in."""
+    G = draw(gc_conns())
+    if draw(st.integers(0, 3)) == 0:
+        G = GaloisConn(G.carrier, G.abstract_poset, G.gamma,
+                       carrier_order=G.carrier_order, alpha_table=G.alpha_table)
+    return G
+
+
+SIGN_ATOMS = FinCarrier.atoms(["-1", "0", "1"])
+SIGN_GAMMA = {"bot": set(), "-": {"-1"}, "0": {"0"}, "+": {"1"}, "top": {"-1", "0", "1"}}
+FLAT_SIGNS = lattice_of(["bot", "-", "0", "+", "top"],
+                        [("bot", x) for x in "-0+"] + [(x, "top") for x in "-0+"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha_cases())
+# a table entry for {0} that is not 0's atom, which alpha returns
+@example(GaloisConn(SIGN_ATOMS, FLAT_SIGNS, SIGN_GAMMA,
+                    alpha_table={frozenset(["0"]): "top"}))
+# 0 is held by - and + alone, which have no least element: no atom
+@example(GaloisConn(SIGN_ATOMS, FLAT_SIGNS, {**SIGN_GAMMA, "0": set(),
+                                             "-": {"-1", "0"}, "+": {"0", "1"}}))
+# over the bare poset, every value has an atom but there is no lub
+@example(GaloisConn(SIGN_ATOMS, FLAT_SIGNS.base, SIGN_GAMMA))
+def test_atoms_and_alpha_of_one_member_agree_with_the_lub_path(G):
+    assert G.atoms() == least_atoms(G)
+    for x in (*G.carrier.values, "zzz"):
+        assert result(G.alpha, [x]) == result(lub_alpha, G, [x])
+    assert result(G.alpha, G.carrier.values) == result(lub_alpha, G, G.carrier.values)
+
+
+def test_alpha_of_one_member_raises_as_the_lub_path():
+    sign = GaloisConn(SIGN_ATOMS, FLAT_SIGNS, SIGN_GAMMA)
+    with pytest.raises(UnknownElement, match="'zzz'"):
+        sign.alpha(["zzz"])
+    holed = GaloisConn(SIGN_ATOMS, FLAT_SIGNS, {**SIGN_GAMMA, "0": set(),
+                                                "-": {"-1", "0"}, "+": {"0", "1"}})
+    with pytest.raises(ShapeMismatch, match="no best abstraction for {0}"):
+        holed.alpha(["0"])
+    assert holed.alpha(["1"]) == "+"
+    bare = GaloisConn(SIGN_ATOMS, FLAT_SIGNS.base, SIGN_GAMMA)
+    assert bare.atoms() == {"-1": "-", "0": "0", "1": "+"}
+    with pytest.raises(ShapeMismatch, match="not a complete lattice"):
+        bare.alpha(["0"])
+    with pytest.raises(UnknownElement, match="'zzz'"):
+        bare.alpha(["zzz"])
 
 
 # ---------------------------------------------------------------------------
@@ -1772,6 +2028,53 @@ def test_build_poset_agrees_with_the_name_set_closure(case):
     assert {x: poset.down(x) for x in names} == {
         x: frozenset(y for y in names if x in up[y]) for x in names}
     assert poset == FinPoset(names, poset._upm)
+
+
+def eager_name_sets(poset: FinPoset) -> tuple[dict, dict]:
+    """The up-sets and down-sets of names as ``FinPoset`` decoded them in
+    its constructor, before it decoded them on demand."""
+    elems = poset.elements
+    up, dn = {}, {x: [] for x in elems}
+    for x, m in zip(elems, poset._upm):
+        ups = []
+        while m:
+            j = m.bit_length() - 1
+            ups.append(elems[j])
+            dn[elems[j]].append(x)
+            m ^= 1 << j
+        up[x] = frozenset(ups)
+    return up, {x: frozenset(s) for x, s in dn.items()}
+
+
+@st.composite
+def poset_pairs(draw):
+    """A poset, listed afresh, and another on its names: the same order
+    listed in another order, or any order."""
+    poset = draw(named_posets())
+    names = poset.elements
+    up = eager_name_sets(poset)[0]
+    relisted = build_poset(draw(st.permutations(names)),
+                           [(x, y) for x in names for y in up[x]])
+    other = draw(st.one_of(st.just(relisted), named_poset(list(names))))
+    return FinPoset(names, poset._upm), other
+
+
+@settings(max_examples=400, deadline=None)
+@given(poset_pairs(), st.data())
+def test_queries_on_masks_agree_with_the_eager_name_sets(case, data):
+    poset, other = case
+    names = poset.elements
+    up, down = eager_name_sets(poset)
+    assert poset.is_discrete() == all(len(up[x]) == 1 for x in names)
+    assert {(x, y): poset.leq(x, y) for x in names for y in names} == {
+        (x, y): y in up[x] for x in names for y in names}
+    for _ in range(4):
+        members = data.draw(st.frozensets(st.sampled_from(names)))
+        assert poset.is_down_closed(members) == all(down[x] <= members for x in members)
+    assert poset._names is None  # no query so far decoded a name set
+    assert (poset == other) == (eager_name_sets(other)[0] == up)
+    assert {x: poset.up(x) for x in names} == up
+    assert {x: poset.down(x) for x in names} == down
 
 
 @settings(max_examples=300, deadline=None)
