@@ -204,6 +204,12 @@ class _Parser:
             return self.advance()
         self.fail(f"'{text}'")
 
+    def expect_keyword(self, word: str) -> Token:
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text == word:
+            return self.advance()
+        self.fail(f"'{word}'")
+
     def take_label(self) -> int:
         lbl = self.next_label
         self.next_label += 1
@@ -231,24 +237,15 @@ class _Parser:
             self.advance()
             label = self.take_label()
             cond = self.parse_bexp()
-            kw = self.peek()
-            if not (kw.kind == "ident" and kw.text == "do"):
-                self.fail("'do'")
-            self.advance()
+            self.expect_keyword("do")
             return While(cond, self.parse_block(), label)
         if tok.kind == "ident" and tok.text == "if":
             self.advance()
             label = self.take_label()
             cond = self.parse_bexp()
-            kw = self.peek()
-            if not (kw.kind == "ident" and kw.text == "then"):
-                self.fail("'then'")
-            self.advance()
+            self.expect_keyword("then")
             then = self.parse_block()
-            kw = self.peek()
-            if not (kw.kind == "ident" and kw.text == "else"):
-                self.fail("'else'")
-            self.advance()
+            self.expect_keyword("else")
             return If(cond, then, self.parse_block(), label)
         if tok.kind == "ident" and tok.text == "skip":
             self.advance()
@@ -310,28 +307,22 @@ def _expr_vars(expr):
     return set()
 
 
+def _require_assigned(expr, assigned: set) -> None:
+    used = _expr_vars(expr) - assigned
+    if used:
+        raise UseBeforeAssign(f"variable {sorted(used)[0]!r} used before assignment")
+
+
 def _check_assigned(stmts, assigned: set) -> set:
     for st in stmts:
         if isinstance(st, Assign):
-            used = _expr_vars(st.expr) - assigned
-            if used:
-                raise UseBeforeAssign(
-                    f"variable {sorted(used)[0]!r} used before assignment"
-                )
+            _require_assigned(st.expr, assigned)
             assigned = assigned | {st.var}
         elif isinstance(st, While):
-            used = _expr_vars(st.cond) - assigned
-            if used:
-                raise UseBeforeAssign(
-                    f"variable {sorted(used)[0]!r} used before assignment"
-                )
+            _require_assigned(st.cond, assigned)
             _check_assigned(st.body, set(assigned))
         elif isinstance(st, If):
-            used = _expr_vars(st.cond) - assigned
-            if used:
-                raise UseBeforeAssign(
-                    f"variable {sorted(used)[0]!r} used before assignment"
-                )
+            _require_assigned(st.cond, assigned)
             a1 = _check_assigned(st.then, set(assigned))
             a2 = _check_assigned(st.els, set(assigned))
             assigned = a1 & a2

@@ -35,8 +35,8 @@ GC_KINDS = ("sound", "optimal", "backward_complete", "forward_complete", "precis
 
 
 @dataclass(frozen=True)
-class ConcreteFn:
-    """A total operation on carrier values; binary tables are keyed by
+class TableFn:
+    """A total operation given by its table; binary tables are keyed by
     argument tuples."""
 
     arity: int
@@ -52,6 +52,10 @@ class ConcreteFn:
             return self.table[key]
         except KeyError:
             raise ShapeMismatch(f"operation undefined at {key!r}") from None
+
+
+class ConcreteFn(TableFn):
+    """A total operation on carrier values."""
 
     def image(self, *sets) -> set:
         """{f(x⃗) | x⃗ ∈ sets[0] × … × sets[arity-1]}.
@@ -75,23 +79,8 @@ class ConcreteFn:
                 raise ShapeMismatch(f"result {out!r} leaves the carrier")
 
 
-@dataclass(frozen=True)
-class AbstractFn:
-    """A total operation on abstract elements; same keying as ConcreteFn."""
-
-    arity: int
-    table: Mapping
-
-    def __post_init__(self):
-        if self.arity not in (1, 2):
-            raise ShapeMismatch(f"unsupported arity {self.arity}")
-
-    def __call__(self, *args):
-        key = args[0] if self.arity == 1 else tuple(args)
-        try:
-            return self.table[key]
-        except KeyError:
-            raise ShapeMismatch(f"operation undefined at {key!r}") from None
+class AbstractFn(TableFn):
+    """A total operation on abstract elements."""
 
     def validate(self, elements):
         universe = set(elements)

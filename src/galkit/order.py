@@ -7,8 +7,9 @@ after reflexive-transitive closure (carriers are small by design, so O(n^2)
 bits beat walking a Hasse diagram) and decodes name up-/down-sets only on
 demand.  Lattices of sets intern each subset as an int bitmask over their
 atoms and render its name once, so joins never parse names; they are
-immutable, and small powerset lattices are shared by their values.  A
-lattice keeps, once found, the plan of joins that decides whether a map
+immutable, and small powerset lattices are shared by their values.  Every
+lattice finds a bound by one rule: one AND of two int keys and one lookup.
+A lattice keeps, once found, the plan of joins that decides whether a map
 into sets preserves every join.
 """
 from __future__ import annotations
@@ -233,29 +234,50 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Fi
     return FinPoset(elems, upm)
 
 
-def _upper_bounds(upm: Sequence[int], members: int) -> int:
-    """The common upper bounds of the elements whose bits are set in
-    ``members``: the AND of their up-masks, all elements when none is."""
-    return reduce(int.__and__, map(upm.__getitem__, bit_positions(members)),
-                  (1 << len(upm)) - 1)
+def _and_keys(keys: Sequence[int], members: int, start: int) -> int:
+    """``start`` AND-ed with the keys of the elements whose bits are set in
+    ``members``: from the bottom's join key, the join key of their lub."""
+    return reduce(int.__and__, map(keys.__getitem__, bit_positions(members)), start)
 
 
 class FinLattice:
-    """A finite complete lattice: a poset plus pairwise join/meet functions.
+    """A finite complete lattice: a poset plus one int join key and one int
+    meet key per element, under one bound rule.
 
-    ``join`` must be defined on every pair, as :meth:`from_poset` verifies;
-    only a :class:`SetLattice` may lack joins.
+    The lub of x and y is the element whose join key is the AND of theirs,
+    when one is; the glb likewise on meet keys.  An order lattice is keyed
+    by its poset's up-masks and down-masks: the AND of two up-masks is the
+    set of common upper bounds, and the lub is the least of them, the one
+    whose own up-set is all of them (Davey & Priestley, *Introduction to
+    Lattices and Order*, 2002, ch. 2).  A :class:`SetLattice` is keyed by
+    member masks, so the ANDs are union and intersection.  Either way a key
+    is order-reversing for joins (x <= y exactly when y's join key is a
+    subset of x's), and the top and the bottom are the elements keyed by
+    the AND of all keys.  A bound whose AND keys no element raises
+    NotCompleteLattice when it is asked for; :meth:`from_poset` verifies
+    that none is missing, so only a :class:`SetLattice` may lack one.
     """
 
-    __slots__ = ("base", "top", "bottom", "_join", "_meet", "_jirr", "_plan")
+    __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn",
+                 "_jirr", "_plan")
 
-    def __init__(self, base, top, bottom, join, meet):
+    def __init__(self, base: FinPoset, join_keys: dict, meet_keys: dict):
+        """``join_keys`` and ``meet_keys`` map each key to its element, one
+        key of each kind per element of ``base``."""
+        if not base.elements:
+            raise NotCompleteLattice((), "element")
+        top = join_keys.get(reduce(int.__and__, join_keys))
+        bottom = meet_keys.get(reduce(int.__and__, meet_keys))
+        if top is None or bottom is None:
+            raise NotCompleteLattice((), "top" if top is None else "bottom")
         init = object.__setattr__  # a SetLattice refuses plain assignment
         init(self, "base", base)
         init(self, "top", top)
         init(self, "bottom", bottom)
-        init(self, "_join", join)
-        init(self, "_meet", meet)
+        init(self, "_up", dict(zip(join_keys.values(), join_keys)))
+        init(self, "_of_up", join_keys)
+        init(self, "_dn", dict(zip(meet_keys.values(), meet_keys)))
+        init(self, "_of_dn", meet_keys)
         init(self, "_jirr", None)
         init(self, "_plan", None)
 
@@ -268,42 +290,38 @@ class FinLattice:
 
     def join(self, x: str, y: str) -> str:
         try:
-            return self._join(x, y)
-        except KeyError:
-            self._undefined(x, y, "lub")
+            return self._of_up[self._up[x] & self._up[y]]
+        except KeyError:  # an argument outside the lattice, or no lub
+            return self._fold((x, y), self.bottom, self._up, self._of_up, "lub")
 
     def meet(self, x: str, y: str) -> str:
         try:
-            return self._meet(x, y)
+            return self._of_dn[self._dn[x] & self._dn[y]]
         except KeyError:
-            self._undefined(x, y, "glb")
-
-    def _undefined(self, x: str, y: str, direction: str):
-        """Report a failed bound-table lookup: an argument outside the
-        lattice, or a bound the table does not hold."""
-        self.base.require(x)
-        self.base.require(y)
-        raise NotCompleteLattice((x, y), direction)
+            return self._fold((x, y), self.top, self._dn, self._of_dn, "glb")
 
     def lub(self, members: Iterable[str]) -> str:
-        return self._fold(members, self.bottom, self._join, self.join)
+        return self._fold(members, self.bottom, self._up, self._of_up, "lub")
 
     def glb(self, members: Iterable[str]) -> str:
-        return self._fold(members, self.top, self._meet, self.meet)
+        return self._fold(members, self.top, self._dn, self._of_dn, "glb")
 
-    def _fold(self, members, acc, bound, checked):
-        """``bound`` folded over ``members`` from ``acc``; ``checked``, the
-        bound that checks its arguments, names a bound the table lacks."""
-        x = acc
-        try:
-            for x in members:
+    def _fold(self, members, acc, keys, of_key, direction):
+        """The bound of ``acc`` and ``members``, one member at a time: each
+        AND of the keys so far with the next member's must key an element,
+        or NotCompleteLattice names that pair.  From the bottom (the top)
+        the first step always holds, so a missing bound of x and y is named
+        (x, y).  A KeyError raised by ``members`` itself passes through."""
+        key = keys[acc]
+        for x in members:
+            k = keys.get(x)
+            if k is None:
                 self.base.require(x)
-                acc = bound(acc, x)
-        except KeyError:
-            # a bound the table lacks raises NotCompleteLattice here; a
-            # KeyError raised by ``members`` itself passes through
-            checked(acc, x)
-            raise
+            key &= k
+            bound = of_key.get(key)
+            if bound is None:
+                raise NotCompleteLattice((acc, x), direction)
+            acc = bound
         return acc
 
     def join_irreducibles(self) -> frozenset:
@@ -315,15 +333,14 @@ class FinLattice:
         Every element is the lub of the join-irreducibles below it.
         """
         if self._jirr is None:
-            object.__setattr__(self, "_jirr", self._find_join_irreducibles())
+            # the elements strictly below x have x as their lub exactly when
+            # the AND of their join keys, from the bottom's, is x's key
+            elems, start = self.elements, self._up[self.bottom]
+            keys = [self._up[x] for x in elems]
+            object.__setattr__(self, "_jirr", frozenset(
+                x for i, (x, d) in enumerate(zip(elems, self.base._down_masks()))
+                if _and_keys(keys, d ^ 1 << i, start) != keys[i]))
         return self._jirr
-
-    def _find_join_irreducibles(self) -> frozenset:
-        # the elements strictly below x have x as their lub exactly when
-        # their common upper bounds are the up-set of x
-        upm, dnm = self.base._upm, self.base._down_masks()
-        return frozenset(x for i, x in enumerate(self.elements)
-                         if _upper_bounds(upm, dnm[i] ^ 1 << i) != upm[i])
 
     def additivity_plan(self):
         """Element-index triples (i, j, k) with elements[k] = elements[i] v
@@ -353,28 +370,26 @@ class FinLattice:
           g(x v y) = g(x) | g(j1) | ... | g(jk), and x = bottom gives g(y).
         """
         if self._plan is None:
-            try:
-                plan = self._find_additivity_plan()
-            except NotCompleteLattice:
-                plan = None
+            plan = self._find_additivity_plan()
             # False: found that there is none
             object.__setattr__(self, "_plan", False if plan is None else plan)
         return self._plan if self._plan is not False else None
 
     def _find_additivity_plan(self):
         # every join is defined, so the lub of a set of elements is the one
-        # whose up-mask is the AND of theirs
+        # keyed by the AND of their join keys, from the bottom's
         if not self._every_join_defined():
             return None
-        base, jset = self.base, self.join_irreducibles()
-        upm, dnm, index, lub = (base._upm, base._down_masks(), base._index,
-                                base._element_of_upm())
+        base, jset, of_up, start = (self.base, self.join_irreducibles(),
+                                    self._of_up, self._up[self.bottom])
+        upm, dnm, index = base._upm, base._down_masks(), base._index
+        keys = [self._up[x] for x in self.elements]
         jirr = [i for i, x in enumerate(self.elements) if x in jset]
         jmask, full = sum(1 << j for j in jirr), (1 << len(upm)) - 1
         plan = []
         # j is join-prime when the lub of the elements not above j is not
-        # above j: its up-set, their common upper bounds, is no subset of j's
-        if all(_upper_bounds(upm, full ^ upm[j]) & ~upm[j] for j in jirr):
+        # above j: its join key is no subset of j's
+        if all(_and_keys(keys, full ^ upm[j], start) & ~keys[j] for j in jirr):
             for k, below in enumerate(dnm):
                 below &= jmask
                 if not below:  # the bottom
@@ -382,18 +397,21 @@ class FinLattice:
                 # the last of them that no other one lies above
                 j = next(j for j in reversed(jirr)
                          if below >> j & 1 and upm[j] & below == 1 << j)
-                rest = lub[_upper_bounds(upm, below ^ 1 << j)]
+                rest = of_up[_and_keys(keys, below ^ 1 << j, start)]
                 plan.extend((index[rest], j, k))
         else:
-            for i, u in enumerate(upm):
+            for i, u in enumerate(keys):
                 for j in jirr:
-                    plan.extend((i, j, index[lub[u & upm[j]]]))
+                    plan.extend((i, j, index[of_up[u & keys[j]]]))
         return array("H" if len(upm) <= 1 << 16 else "L", plan)
 
     def _every_join_defined(self) -> bool:
-        """Whether ``join`` is defined on every pair: true of a FinLattice,
-        and of a set family closed under union."""
-        return True
+        """Whether ``join`` is defined on every pair.  Each element's join
+        key is the bottom's AND-ed with those of the join-irreducibles below
+        it, so every join is defined once every x v j is."""
+        of_up = self._of_up
+        jkeys = [self._up[j] for j in self.join_irreducibles()]
+        return all(u & j in of_up for u in of_up for j in jkeys)
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -405,51 +423,41 @@ class FinLattice:
 
     @staticmethod
     def from_poset(poset: FinPoset) -> "FinLattice":
-        """Verify completeness and tabulate the pairwise bounds.
+        """The lattice of ``poset``, keyed by its up-masks and down-masks,
+        once verified complete; no bound is kept.
 
         For a finite poset, existence of all pairwise lubs/glbs plus a top and
         bottom implies a complete lattice.  Raises NotCompleteLattice otherwise,
         naming the first pair in ``combinations`` order that lacks a bound
-        (its lub checked first).  The upper bounds of x and y are the AND of
-        their up-masks, and the lub is the one whose own up-mask is all of
-        them: one dict lookup.  Glbs likewise on down-masks, the transpose of
-        the up-masks.  Each element keeps a tuple of its n bounds, so a join
-        is ``lub[a][index[b]]``.
+        (its lub checked first): x and y have a lub exactly when the AND of
+        their up-masks is the up-mask of an element, and a glb likewise on
+        down-masks.  One pass over the pairs checks both ANDs.
         """
-        elems = poset.elements
-        if not elems:
-            raise NotCompleteLattice((), "element")
-        idx, upm, dnm = poset._index, poset._upm, poset._down_masks()
-        by_up, by_dn = poset._element_of_upm(), dict(zip(dnm, elems))
-        full = (1 << len(elems)) - 1
-        top, bottom = by_dn.get(full), by_up.get(full)
-        if top is None or bottom is None:
-            raise NotCompleteLattice((), "top" if top is None else "bottom")
-        lub = {x: tuple([by_up.get(u & v) for v in upm]) for x, u in zip(elems, upm)}
-        glb = {x: tuple([by_dn.get(d & e) for e in dnm]) for x, d in zip(elems, dnm)}
-        if any(None in row for row in (*lub.values(), *glb.values())):
-            for (_, x), (j, y) in combinations(enumerate(elems), 2):
-                if lub[x][j] is None:
+        elems, upm, dnm = poset.elements, poset._upm, poset._down_masks()
+        lat = FinLattice(poset, poset._element_of_upm(), dict(zip(dnm, elems)))
+        of_up, of_dn = lat._of_up, lat._of_dn
+        for i, (x, u, d) in enumerate(zip(elems, upm, dnm), 1):
+            for y, v, e in zip(elems[i:], upm[i:], dnm[i:]):
+                if u & v not in of_up:
                     raise NotCompleteLattice((x, y), "lub")
-                if glb[x][j] is None:
+                if d & e not in of_dn:
                     raise NotCompleteLattice((x, y), "glb")
-        return FinLattice(
-            poset, top, bottom,
-            lambda a, b: lub[a][idx[b]],
-            lambda a, b: glb[a][idx[b]],
-        )
+        return lat
 
 
 class SetLattice(FinLattice, Immutable):
     """A lattice of subsets under inclusion, whose elements are named after
-    their members; ``members`` maps each name back to its subset.
+    their members; ``members`` maps each name back to its subset.  A
+    subset's meet key is its member mask over the sorted atoms and its join
+    key the complement of that mask, so a meet ANDs the masks and a join
+    takes their union.
 
     A set lattice is immutable, so that one can be shared (see
     :func:`powerset_lattice`): setting an attribute raises AttributeError,
     and ``members`` is a read-only mapping whose writes raise TypeError.
     """
 
-    __slots__ = ("members", "_bit", "_mask", "_name")
+    __slots__ = ("members", "_bit")
 
     @staticmethod
     def from_family(
@@ -457,22 +465,22 @@ class SetLattice(FinLattice, Immutable):
     ) -> "SetLattice":
         """The lattice of a family of subsets of ``atoms``.
 
-        The family must be closed under union and intersection, so that join
-        is union and meet is intersection; a bound outside the family raises
-        NotCompleteLattice when it is asked for.  Each subset is interned as
-        an int bitmask over the sorted atoms, so join and meet are ``|`` and
-        ``&``, and named once, as :func:`set_name` would name it.  Elements
-        keep the family's order, or are sorted by name when ``by_name``.
-        Raises DuplicateElement when two subsets get the same name: over the
-        atoms ``a``, ``b`` and ``a,b``, both ``{a, b}`` and ``{"a,b"}``
-        would be named ``{a,b}``.
+        Join is union and meet is intersection, so a bound outside the
+        family, in a family not closed under them, raises NotCompleteLattice
+        when it is asked for; the union and the intersection of the whole
+        family must be members, as the top and the bottom.  Each subset is
+        interned as an int bitmask over the sorted atoms, its meet key, and
+        named once, as :func:`set_name` would name it.  Elements keep the
+        family's order, or are sorted by name when ``by_name``.  Raises
+        DuplicateElement when two subsets get the same name: over the atoms
+        ``a``, ``b`` and ``a,b``, both ``{a, b}`` and ``{"a,b"}`` would be
+        named ``{a,b}``.
         """
         atoms = sorted_elems(atoms)
         bit = {a: 1 << i for i, a in enumerate(atoms)}
         if len(bit) != len(atoms):
             raise DuplicateElement("set lattice over duplicated atoms")
-        mask_of: dict[str, int] = {}
-        name_of_mask: dict[int, str] = {}
+        of_mask: dict[int, str] = {}
         members: dict[str, frozenset] = {}
         for subset in family:
             s = frozenset(subset)
@@ -481,22 +489,12 @@ class SetLattice(FinLattice, Immutable):
             except KeyError as exc:
                 raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
             name = "{" + ",".join(sorted(s, key=bit.__getitem__)) + "}"
-            if name in mask_of:
+            if name in members:
                 raise DuplicateElement(f"two subsets are both named {name!r}")
-            mask_of[name] = mask
-            name_of_mask[mask] = name
+            of_mask[mask] = name
             members[name] = s
-        if not members:
-            raise NotCompleteLattice((), "element")
         # a name starts with "{", so sorted_elems would sort it as a string
         names = sorted(members) if by_name else list(members)
-        full, common = 0, mask_of[names[0]]
-        for mask in name_of_mask:
-            full |= mask
-            common &= mask
-        top, bottom = name_of_mask.get(full), name_of_mask.get(common)
-        if top is None or bottom is None:
-            raise NotCompleteLattice((), "top" if top is None else "bottom")
         # up-masks by intersecting, per member atom, the bitmask (over element
         # positions) of the subsets that hold it: no pairwise subset tests
         holders = dict.fromkeys(atoms, 0)
@@ -505,38 +503,18 @@ class SetLattice(FinLattice, Immutable):
                 holders[x] |= 1 << j
         upm = [reduce(int.__and__, map(holders.__getitem__, members[name]),
                       (1 << len(names)) - 1) for name in names]
-        lat = SetLattice(
-            FinPoset(names, upm), top, bottom,
-            lambda a, b: name_of_mask[mask_of[a] | mask_of[b]],
-            lambda a, b: name_of_mask[mask_of[a] & mask_of[b]],
-        )
+        full = (1 << len(atoms)) - 1
+        lat = SetLattice(FinPoset(names, upm),
+                         {full ^ m: x for m, x in of_mask.items()}, of_mask)
         init = object.__setattr__
         init(lat, "members", FrozenDict(members))
         init(lat, "_bit", bit)
-        init(lat, "_mask", mask_of)
-        init(lat, "_name", name_of_mask)
         return lat
-
-    def _find_join_irreducibles(self) -> frozenset:
-        # the lub of the elements strictly below x is the union of their
-        # masks, starting from the bottom's (the lub of no elements)
-        masks, bottom = [self._mask[x] for x in self.elements], self._mask[self.bottom]
-        return frozenset(
-            x for i, (x, d) in enumerate(zip(self.elements, self.base._down_masks()))
-            if reduce(int.__or__, map(masks.__getitem__, bit_positions(d ^ 1 << i)),
-                      bottom) != masks[i])
-
-    def _every_join_defined(self) -> bool:
-        # each element is the bottom or-ed with the join-irreducibles below
-        # it, so the family is closed under union once every x | j is in it
-        name, mask = self._name, self._mask
-        jirr = [mask[j] for j in self.join_irreducibles()]
-        return all(m | j in name for m in name for j in jirr)
 
     def name_of(self, subset: Iterable[str]) -> str:
         """The element whose members are exactly ``subset``."""
         try:
-            return self._name[sum(self._bit[x] for x in frozenset(subset))]
+            return self._of_dn[sum(self._bit[x] for x in frozenset(subset))]
         except KeyError:
             raise UnknownElement(f"no element with members {subset!r}") from None
 
@@ -564,7 +542,7 @@ def moore_lattice(
     plain FinLattice under inclusion, and each element's subset.  Join is
     the least member above the union, not the union: the family is named,
     sorted by name and ordered by :meth:`SetLattice.from_family`, and
-    :meth:`FinLattice.from_poset` tabulates the bounds."""
+    :meth:`FinLattice.from_poset` keys the bounds by its up-masks."""
     atoms = sorted_elems(atoms)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
     try:
@@ -659,7 +637,7 @@ def lift_powerset(lat: SetLattice, table) -> dict:
     by_mask = {0: frozenset()}
     lifted = {}
     for name in lat.elements:
-        mask = lat._mask[name]
+        mask = lat._dn[name]
         if mask:
             low = mask & -mask
             by_mask[mask] = by_mask[mask ^ low] | of_bit[low]

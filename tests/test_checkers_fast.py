@@ -62,9 +62,15 @@ and ``clamp_int`` must agree with its min/max and modular formulas.
 ``FinLattice.from_poset`` finds each bound by one up-mask or down-mask
 lookup; here it must agree, top, bottom, every join and meet, and the pair
 and direction of ``NotCompleteLattice``, with the pairwise search on random
-posets, lattices or not, M3, N5 and one element.  ``moore_lattice`` closes
-a family on int masks; the generators built on it must keep the element
-order, up-sets and gamma of the closure loop they used before.
+posets, lattices or not, M3, N5 and one element.  Every lattice folds
+``lub`` and ``glb`` over its int keys one member at a time; here both must
+agree, value or ``NotCompleteLattice`` pair and direction, with a literal
+pairwise fold of the least common upper bound (greatest lower bound), or
+of the union (intersection) in a set lattice, on random lists of members,
+also on set families that lack unions and with names outside the lattice.
+``moore_lattice`` closes a family on int masks; the generators built on it
+must keep the element order, up-sets and gamma of the closure loop they
+used before.
 
 ``build_poset`` closes int up-masks, and ``FinPoset`` answers ``leq``,
 ``is_discrete``, ``is_down_closed`` and ``==`` on them and decodes name sets
@@ -188,7 +194,7 @@ class CountingLattice(FinLattice):
     __slots__ = ("joins", "lubs", "lat")
 
     def __init__(self, lat: FinLattice, base: FinPoset | None = None):
-        super().__init__(base or lat.base, lat.top, lat.bottom, lat.join, lat.meet)
+        super().__init__(base or lat.base, lat._of_up, lat._of_dn)
         self.joins = self.lubs = 0
         self.lat = lat
 
@@ -1040,6 +1046,66 @@ def test_a_family_missing_a_union_has_no_plan_though_the_plan_s_lubs_exist():
     G = conn(FinCarrier.atoms("1234"), lat, lat.members)
     assert outcome(_gamma_additive, G) == outcome(pairwise_additive, G) == (
         ("{1}", "{4}"), "lub")
+
+
+def literal_bound(lat: FinLattice, x: str, y: str, direction: str) -> str:
+    """The lub (glb) of x and y by definition: the least common upper bound
+    (the greatest common lower bound) in the poset or, in a set lattice,
+    the element whose subset is the union (intersection) of theirs."""
+    lat.base.require(x)
+    lat.base.require(y)
+    if isinstance(lat, SetLattice):
+        op = frozenset.union if direction == "lub" else frozenset.intersection
+        bound = op(lat.members[x], lat.members[y])
+        found = [z for z in lat.elements if lat.members[z] == bound]
+    else:
+        near = lat.base.up if direction == "lub" else lat.base.down
+        common = near(x) & near(y)
+        found = [z for z in common if near(z) >= common]
+    if not found:
+        raise NotCompleteLattice((x, y), direction)
+    return found[0]
+
+
+def literal_fold(lat: FinLattice, members, direction: str) -> str:
+    acc = lat.bottom if direction == "lub" else lat.top
+    for x in members:
+        acc = literal_bound(lat, acc, x, direction)
+    return acc
+
+
+def bound_outcome(f, *args):
+    """``f(*args)``, or the pair and direction of the NotCompleteLattice it
+    raises, or the class of any other GalkitError."""
+    try:
+        return f(*args)
+    except NotCompleteLattice as exc:
+        return exc.pair, exc.direction
+    except GalkitError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ADDITIVITY_LATTICES, st.data())
+def test_lub_and_glb_agree_with_the_literal_pairwise_fold(lat, data):
+    members = data.draw(st.lists(st.sampled_from([*lat.elements, "zz"]), max_size=6))
+    for direction, fold, pair in (("lub", lat.lub, lat.join), ("glb", lat.glb, lat.meet)):
+        assert bound_outcome(fold, members) == bound_outcome(
+            literal_fold, lat, members, direction)
+        for x, y in zip(members, members[1:]):
+            assert bound_outcome(pair, x, y) == bound_outcome(
+                literal_bound, lat, x, y, direction)
+
+
+def test_a_fold_names_the_first_missing_intermediate_union():
+    # the union of all three is a member, but {a} v {b} is not
+    lat = SetLattice.from_family("abc", [[], ["a"], ["b"], ["c"], ["a", "b", "c"]])
+    for members in (["{a}", "{b}", "{c}"], ["{a}", "{b}"]):
+        assert bound_outcome(lat.lub, members) == bound_outcome(
+            literal_fold, lat, members, "lub") == (("{a}", "{b}"), "lub")
+    assert bound_outcome(lat.join, "{a}", "{b}") == (("{a}", "{b}"), "lub")
+    assert lat.lub(["{a}", "{a,b,c}", "{b}"]) == "{a,b,c}"
+    assert lat.glb(["{a,b,c}", "{a}", "{b}"]) == "{}"
 
 
 @pytest.mark.parametrize("name", ["sign_pgi", "sign_minus_ppgc"])
