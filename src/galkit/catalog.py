@@ -19,7 +19,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, FinPoset, build_poset, iter_downsets, moore_lattice
+from .order import FinLattice, FinPoset, build_poset, downset_masks, moore_lattice_of_masks
 from .setops import MODULAR, SATURATING, FinCarrier
 from .functions import AbstractFn, ConcreteFn, FnPair
 from .transforms import t_cgp, t_pgc
@@ -391,13 +391,13 @@ def gen_ppgc(seed: int, amax: int = 8, bmax: int = 8) -> GaloisConn:
     rng = random.Random(f"ppgc:{seed}")
     n = rng.randint(2, amax)
     values = [f"a{i}" for i in range(n)]
-    blocks = _random_partition(rng, values, min(5, bmax))
-    k = len(blocks)
-    family = [[i] for i in range(k)] + [[]]
+    blocks = [sum(1 << values.index(v) for v in b)  # as masks over the values
+              for b in _random_partition(rng, values, min(5, bmax))]
+    family = blocks + [0]
     for _ in range(rng.randint(0, 3)):
-        family.append(rng.sample(range(k), rng.randint(1, k)))
-    lat, gamma = moore_lattice(
-        values, ([v for i in ix for v in blocks[i]] for ix in family))
+        # sample picks by position: the draws of the block indices before
+        family.append(sum(rng.sample(blocks, rng.randint(1, len(blocks)))))
+    lat, gamma = moore_lattice_of_masks(values, family)
     G = GaloisConn(FinCarrier.atoms(values), lat, gamma, kind="ppgc")
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("generated connection is not pre-partitioning")
@@ -419,8 +419,8 @@ def gen_downsets_gc(seed: int, amax: int = 6) -> GaloisConn:
         if rng.random() < 0.3
     ]
     poset = build_poset(values, pairs)
-    lat, gamma = moore_lattice(
-        values, [ds for ds in iter_downsets(poset) if rng.random() < 0.4])
+    lat, gamma = moore_lattice_of_masks(
+        values, [ds for ds in downset_masks(poset) if rng.random() < 0.4])
     return GaloisConn(
         FinCarrier.atoms(values), lat, gamma, carrier_order=poset, kind="gc",
     )

@@ -26,12 +26,7 @@ from functools import wraps
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .errors import (
-    NotInClass,
-    NotIsomorphic,
-    ShapeMismatch,
-    TooLarge,
-)
+from .errors import NotInClass, NotIsomorphic, ShapeMismatch, TooLarge
 from .order import (
     DOWNSETS_GUARD,
     scan_order,
@@ -266,10 +261,8 @@ class GaloisConn(_Connection):
             for combo in subsets_by_size(values):
                 yield frozenset(combo)
         else:
-            subs = sorted(
-                iter_downsets(poset),
-                key=lambda s: (len(s), tuple(map(sort_key, sorted_elems(s)))))
-            yield from subs
+            yield from sorted(iter_downsets(poset), key=lambda s: (
+                len(s), tuple(map(sort_key, sorted_elems(s)))))
 
     def __repr__(self):
         return (f"GaloisConn(|A|={len(self.carrier)}, "

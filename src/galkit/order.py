@@ -167,9 +167,13 @@ class FinPoset:
         return all(m == 1 << i for i, m in enumerate(self._upm))
 
     def is_down_closed(self, members: Iterable[str]) -> bool:
-        dnm, bits = self._down_masks(), {self._index[x] for x in members}
-        mask = sum(1 << i for i in bits)
-        return all(dnm[i] | mask == mask for i in bits)
+        try:
+            dnm, bits = self._down_masks(), {self._index[x] for x in members}
+        except KeyError as exc:  # an unknown member, named as leq and up name it
+            raise UnknownElement(f"element {exc.args[0]!r} not in poset") from None
+        # each member lies in its own down-set: the union is the members' set
+        # exactly when every down-set lies in it
+        return reduce(int.__or__, map(dnm.__getitem__, bits), 0) == sum(1 << i for i in bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinPoset):
@@ -255,7 +259,9 @@ class FinLattice:
     subset of x's), and the top and the bottom are the elements keyed by
     the AND of all keys.  A bound whose AND keys no element raises
     NotCompleteLattice when it is asked for; :meth:`from_poset` verifies
-    that none is missing, so only a :class:`SetLattice` may lack one.
+    that none is missing and a Moore lattice lacks none by construction
+    (see :func:`moore_lattice_of_masks`), so only a :class:`SetLattice` may
+    lack one.
     """
 
     __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn",
@@ -470,42 +476,15 @@ class SetLattice(FinLattice, Immutable):
         when it is asked for; the union and the intersection of the whole
         family must be members, as the top and the bottom.  Each subset is
         interned as an int bitmask over the sorted atoms, its meet key, and
-        named once, as :func:`set_name` would name it.  Elements keep the
-        family's order, or are sorted by name when ``by_name``.  Raises
-        DuplicateElement when two subsets get the same name: over the atoms
-        ``a``, ``b`` and ``a,b``, both ``{a, b}`` and ``{"a,b"}`` would be
-        named ``{a,b}``.
+        named and ordered by :func:`_set_family`.  Elements keep the
+        family's order, or are sorted by name when ``by_name``.
         """
         atoms = sorted_elems(atoms)
         bit = {a: 1 << i for i, a in enumerate(atoms)}
-        if len(bit) != len(atoms):
-            raise DuplicateElement("set lattice over duplicated atoms")
-        of_mask: dict[int, str] = {}
-        members: dict[str, frozenset] = {}
-        for subset in family:
-            s = frozenset(subset)
-            try:
-                mask = sum(bit[x] for x in s)
-            except KeyError as exc:
-                raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
-            name = "{" + ",".join(sorted(s, key=bit.__getitem__)) + "}"
-            if name in members:
-                raise DuplicateElement(f"two subsets are both named {name!r}")
-            of_mask[mask] = name
-            members[name] = s
-        # a name starts with "{", so sorted_elems would sort it as a string
-        names = sorted(members) if by_name else list(members)
-        # up-masks by intersecting, per member atom, the bitmask (over element
-        # positions) of the subsets that hold it: no pairwise subset tests
-        holders = dict.fromkeys(atoms, 0)
-        for j, name in enumerate(names):
-            for x in members[name]:
-                holders[x] |= 1 << j
-        upm = [reduce(int.__and__, map(holders.__getitem__, members[name]),
-                      (1 << len(names)) - 1) for name in names]
+        poset, mask_of, members = _set_family(atoms, _masks(bit, family), by_name)
         full = (1 << len(atoms)) - 1
-        lat = SetLattice(FinPoset(names, upm),
-                         {full ^ m: x for m, x in of_mask.items()}, of_mask)
+        lat = SetLattice(poset, {full ^ m: x for x, m in mask_of.items()},
+                         dict(zip(mask_of.values(), mask_of)))
         init = object.__setattr__
         init(lat, "members", FrozenDict(members))
         init(lat, "_bit", bit)
@@ -534,47 +513,111 @@ def _closure(start: Iterable, gens: Sequence, op) -> Iterator:
                 yield new
 
 
+def _masks(bit: dict, family: Iterable[Iterable[str]]) -> list[int]:
+    """Each subset of ``family`` as the OR of its members' bits."""
+    try:
+        return [sum(bit[x] for x in frozenset(s)) for s in family]
+    except KeyError as exc:
+        raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
+
+
+def _set_family(atoms: list[str], masks: Iterable[int], by_name: bool):
+    """The one construction of a family of subsets of the sorted ``atoms``,
+    each given as an int mask over them: name each subset once, as
+    :func:`set_name` would, list the names in the given order or sorted by
+    name when ``by_name``, and order them by inclusion.  Returns that poset,
+    and each name's mask and members, in the given order.
+
+    Raises DuplicateElement over duplicated atoms, and when two subsets get
+    the same name: over the atoms ``a``, ``b`` and ``a,b``, both ``{a, b}``
+    and ``{"a,b"}`` would be named ``{a,b}``.
+    """
+    if len(set(atoms)) != len(atoms):
+        raise DuplicateElement("set lattice over duplicated atoms")
+    mask_of, members = {}, {}
+    for m in masks:
+        subset = [atoms[i] for i in bit_positions(m)]
+        name = "{" + ",".join(subset) + "}"
+        if name in mask_of:
+            raise DuplicateElement(f"two subsets are both named {name!r}")
+        mask_of[name], members[name] = m, frozenset(subset)
+    # a name starts with "{", so sorted_elems would sort it as a string
+    names = sorted(mask_of) if by_name else list(mask_of)
+    # up-masks by intersecting, per member atom, the bitmask (over element
+    # positions) of the subsets that hold it: no pairwise subset tests
+    ms, full = [mask_of[x] for x in names], (1 << len(names)) - 1
+    holders = [sum(1 << j for j, m in enumerate(ms) if m >> i & 1) for i in range(len(atoms))]
+    return FinPoset(names, [_and_keys(holders, m, full) for m in ms]), mask_of, members
+
+
 def moore_lattice(
     atoms: Iterable[str], family: Iterable[Iterable[str]],
 ) -> tuple[FinLattice, dict[str, frozenset]]:
     """The Moore family generated by ``family`` (its intersections, with
-    ``atoms`` as the empty one, closed by a worklist on int masks) as a
-    plain FinLattice under inclusion, and each element's subset.  Join is
-    the least member above the union, not the union: the family is named,
-    sorted by name and ordered by :meth:`SetLattice.from_family`, and
-    :meth:`FinLattice.from_poset` keys the bounds by its up-masks."""
+    ``atoms`` as the empty one) as a plain FinLattice under inclusion, and
+    each element's subset; see :func:`moore_lattice_of_masks`."""
     atoms = sorted_elems(atoms)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
-    try:
-        masks = [sum(bit[x] for x in frozenset(s)) for s in family]
-    except KeyError as exc:
-        raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
+    return moore_lattice_of_masks(atoms, _masks(bit, family))
+
+
+def moore_lattice_of_masks(
+    atoms: Sequence[str], masks: Iterable[int],
+) -> tuple[FinLattice, dict[str, frozenset]]:
+    """:func:`moore_lattice` of a family given as int masks, bit i standing
+    for ``atoms[i]``: the family is closed under intersection by a worklist
+    on the masks (moved first to the bits of the sorted atoms), named,
+    sorted by name and ordered by :func:`_set_family`, and keyed by its
+    up-masks and down-masks.  Join is the least member above the union, not
+    the union.
+
+    No bound is checked, as :meth:`FinLattice.from_poset` would: a family
+    closed under intersection that holds the whole set is a complete lattice
+    under inclusion (a topped intersection-structure; Davey & Priestley,
+    *Introduction to Lattices and Order*, 2002).  The meet of any
+    members is their intersection, a member; their join is the meet of the
+    members above all of them, among which is the whole set.  So every AND
+    of two up-masks (down-masks) is the up-mask (down-mask) of an element.
+    """
+    atoms, masks = list(atoms), list(masks)
+    if any(m >> len(atoms) for m in masks):  # a bit past the atoms, or a negative int
+        raise UnknownElement(f"a mask has a bit outside the {len(atoms)} atoms")
+    if atoms != sorted_elems(atoms):  # moved to the bits of the sorted atoms
+        return moore_lattice(atoms, ([atoms[i] for i in bit_positions(m)] for m in masks))
     closed = _closure([(1 << len(atoms)) - 1, *masks], masks, int.__and__)
-    sets = SetLattice.from_family(
-        atoms, ([a for a in atoms if m & bit[a]] for m in closed), by_name=True)
-    return FinLattice.from_poset(sets.base), sets.members
+    poset, _, gamma = _set_family(atoms, closed, by_name=True)
+    keys = poset._element_of_upm(), dict(zip(poset._down_masks(), poset.elements))
+    return FinLattice(poset, *keys), gamma
 
 
-def iter_downsets(poset: FinPoset):
-    """Yield every downward-closed subset of ``poset`` as a frozenset.
+def downset_masks(poset: FinPoset) -> Iterator[int]:
+    """Yield every downward-closed subset of ``poset`` as an int mask over
+    its element positions.
 
     Breadth first from the empty set: each downset, in the order found, is
-    grown by the down-set of every element outside it, in sorted order (an
-    element inside it would add nothing).  Raises TooLarge if more than
+    grown by the down-set of every element, in sorted order (one inside it
+    gives it back, already found).  Raises TooLarge if more than
     ``DOWNSETS_GUARD`` downsets would be produced.
     """
-    downs = [(x, poset.down(x)) for x in sorted_elems(poset.elements)]
-    found, seen = [frozenset()], {frozenset()}
+    dnm, index = poset._down_masks(), poset._index
+    downs = [dnm[index[x]] for x in sorted_elems(poset.elements)]
+    found, seen = [0], {0}
     for count, ds in enumerate(found, 1):  # the scan reaches what it appends
         if count > DOWNSETS_GUARD:
             raise TooLarge(f"more than {DOWNSETS_GUARD} downward-closed subsets")
         yield ds
-        for x, down in downs:
-            if x not in ds:
-                grown = ds | down
-                if grown not in seen:
-                    seen.add(grown)
-                    found.append(grown)
+        for down in downs:
+            grown = ds | down
+            if grown not in seen:
+                seen.add(grown)
+                found.append(grown)
+
+
+def iter_downsets(poset: FinPoset):
+    """Yield every downward-closed subset of ``poset`` as a frozenset, in
+    the order of :func:`downset_masks`."""
+    elems = poset.elements
+    yield from (frozenset(map(elems.__getitem__, bit_positions(m))) for m in downset_masks(poset))
 
 
 def downsets_lattice(poset: FinPoset) -> SetLattice:
