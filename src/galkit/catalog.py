@@ -395,7 +395,7 @@ def gen_ppgc(seed: int, amax: int = 8, bmax: int = 8) -> GaloisConn:
               for b in _random_partition(rng, values, min(5, bmax))]
     family = blocks + [0]
     for _ in range(rng.randint(0, 3)):
-        # sample picks by position: the draws of the block indices before
+        # sample picks by position, so its draws depend only on len(blocks)
         family.append(sum(rng.sample(blocks, rng.randint(1, len(blocks)))))
     lat, gamma = moore_lattice_of_masks(values, family)
     G = GaloisConn(FinCarrier.atoms(values), lat, gamma, kind="ppgc")

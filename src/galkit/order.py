@@ -481,10 +481,9 @@ class SetLattice(FinLattice, Immutable):
         """
         atoms = sorted_elems(atoms)
         bit = {a: 1 << i for i, a in enumerate(atoms)}
-        poset, mask_of, members = _set_family(atoms, _masks(bit, family), by_name)
+        poset, of_mask, members = _set_family(atoms, _masks(bit, family), by_name)
         full = (1 << len(atoms)) - 1
-        lat = SetLattice(poset, {full ^ m: x for x, m in mask_of.items()},
-                         dict(zip(mask_of.values(), mask_of)))
+        lat = SetLattice(poset, {full ^ m: x for m, x in of_mask.items()}, of_mask)
         init = object.__setattr__
         init(lat, "members", FrozenDict(members))
         init(lat, "_bit", bit)
@@ -516,7 +515,7 @@ def _closure(start: Iterable, gens: Sequence, op) -> Iterator:
 def _masks(bit: dict, family: Iterable[Iterable[str]]) -> list[int]:
     """Each subset of ``family`` as the OR of its members' bits."""
     try:
-        return [sum(bit[x] for x in frozenset(s)) for s in family]
+        return [sum(map(bit.__getitem__, frozenset(s))) for s in family]
     except KeyError as exc:
         raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
 
@@ -526,7 +525,7 @@ def _set_family(atoms: list[str], masks: Iterable[int], by_name: bool):
     each given as an int mask over them: name each subset once, as
     :func:`set_name` would, list the names in the given order or sorted by
     name when ``by_name``, and order them by inclusion.  Returns that poset,
-    and each name's mask and members, in the given order.
+    each mask's name and each name's members, in the given order.
 
     Raises DuplicateElement over duplicated atoms, and when two subsets get
     the same name: over the atoms ``a``, ``b`` and ``a,b``, both ``{a, b}``
@@ -534,20 +533,24 @@ def _set_family(atoms: list[str], masks: Iterable[int], by_name: bool):
     """
     if len(set(atoms)) != len(atoms):
         raise DuplicateElement("set lattice over duplicated atoms")
-    mask_of, members = {}, {}
+    of_mask, members = {}, {}
     for m in masks:
-        subset = [atoms[i] for i in bit_positions(m)]
+        subset = list(map(atoms.__getitem__, bit_positions(m)))
         name = "{" + ",".join(subset) + "}"
-        if name in mask_of:
+        if name in members:
             raise DuplicateElement(f"two subsets are both named {name!r}")
-        mask_of[name], members[name] = m, frozenset(subset)
+        of_mask[m], members[name] = name, frozenset(subset)
     # a name starts with "{", so sorted_elems would sort it as a string
-    names = sorted(mask_of) if by_name else list(mask_of)
+    names = sorted(members) if by_name else list(members)
     # up-masks by intersecting, per member atom, the bitmask (over element
     # positions) of the subsets that hold it: no pairwise subset tests
-    ms, full = [mask_of[x] for x in names], (1 << len(names)) - 1
-    holders = [sum(1 << j for j, m in enumerate(ms) if m >> i & 1) for i in range(len(atoms))]
-    return FinPoset(names, [_and_keys(holders, m, full) for m in ms]), mask_of, members
+    holders = dict.fromkeys(atoms, 0)
+    for j, name in enumerate(names):
+        for x in members[name]:
+            holders[x] |= 1 << j
+    full = (1 << len(names)) - 1
+    upm = [reduce(int.__and__, map(holders.__getitem__, members[x]), full) for x in names]
+    return FinPoset(names, upm), of_mask, members
 
 
 def moore_lattice(
@@ -601,16 +604,10 @@ def downset_masks(poset: FinPoset) -> Iterator[int]:
     """
     dnm, index = poset._down_masks(), poset._index
     downs = [dnm[index[x]] for x in sorted_elems(poset.elements)]
-    found, seen = [0], {0}
-    for count, ds in enumerate(found, 1):  # the scan reaches what it appends
+    for count, ds in enumerate(_closure([0], downs, int.__or__), 1):
         if count > DOWNSETS_GUARD:
             raise TooLarge(f"more than {DOWNSETS_GUARD} downward-closed subsets")
         yield ds
-        for down in downs:
-            grown = ds | down
-            if grown not in seen:
-                seen.add(grown)
-                found.append(grown)
 
 
 def iter_downsets(poset: FinPoset):
