@@ -68,9 +68,18 @@ agree, value or ``NotCompleteLattice`` pair and direction, with a literal
 pairwise fold of the least common upper bound (greatest lower bound), or
 of the union (intersection) in a set lattice, on random lists of members,
 also on set families that lack unions and with names outside the lattice.
-``moore_lattice`` closes a family on int masks; the generators built on it
-must keep the element order, up-sets and gamma of the closure loop they
-used before.
+``moore_lattice`` closes a family on int masks and builds one plain lattice,
+keyed by the up-masks and down-masks of inclusion, with no ``SetLattice``
+and no pairwise validation; the generators built on it must keep the element order,
+up-sets and gamma of the closure loop they used before.  Here, on random
+atoms (names that tie as ints, hold a comma or a brace, or are not ASCII)
+and random families, given as names or as masks over atoms in any order,
+its elements, up-sets and members must be the closure loop's (or both
+builds must refuse a clash of names), every join must be the least member
+above the union and every meet the intersection, ``from_poset`` must
+accept its poset and find the same join-irreducibles and additivity plan,
+and the generators must make no ``from_poset`` call and build no
+``SetLattice``.
 
 ``build_poset`` closes int up-masks, and ``FinPoset`` answers ``leq``,
 ``is_discrete``, ``is_down_closed`` and ``==`` on them and decodes name sets
@@ -78,10 +87,10 @@ only on demand; here those answers must be the eager decode's, and the
 up-sets and down-sets must be those of the name-set closure it used before,
 on names that parse as ints, look like set names or hold a comma, and a
 cycle must be named by its first pair in element order.  ``iter_downsets``
-grows each downset by the elements outside it, and ``meet_closure`` runs
-on the shared worklist; here they must give the same downsets in the same
-order as the frontier loop, and the same closure as the loop that re-scans
-every pair.  Join and lub counts and cycle witnesses must
+decodes the downsets that ``downset_masks`` finds on int masks, and
+``meet_closure`` runs on the shared worklist; here they must give the same
+downsets in the same order as the frontier loop, and the same closure as
+the loop that re-scans every pair.  Join and lub counts and cycle witnesses must
 not depend on the hash seed.
 
 ``pcgc_pair_property(..., "backward_complete")`` compares lub eta(f(X⃗)) with
@@ -169,6 +178,7 @@ from galkit.order import (
     lift_powerset,
     meet_closure,
     moore_lattice,
+    moore_lattice_of_masks,
     powerset_lattice,
     scan_order,
     set_name,
@@ -1990,6 +2000,77 @@ def test_a_moore_lattice_joins_to_the_least_member_above_the_union():
     assert lat.meet("{a}", "{b}") == "{}"
     with pytest.raises(UnknownElement, match="'d'"):
         moore_lattice("abc", [["d"]])
+
+
+# atoms that tie as ints, hold a comma or a brace, or are not ASCII
+MOORE_ATOMS = st.lists(
+    st.one_of(st.sampled_from(["1", "01", "10", "1_0", "-1", "a", "b", "a,b", "{}",
+                               "é", "∅", "⊤"]),
+              st.text(max_size=2)),
+    max_size=5, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MOORE_ATOMS.flatmap(lambda atoms: st.tuples(
+    st.just(atoms), st.permutations(atoms),
+    st.lists(st.integers(0, 2 ** len(atoms) - 1), max_size=5))))
+@example((["a", "b", "a,b"], ["a,b", "b", "a"], [0b011, 0b100]))
+@example((["1", "01", "é"], ["é", "01", "1"], [0b001, 0b010]))
+def test_a_moore_lattice_is_built_once_and_agrees_with_the_closure_loop(case):
+    atoms, order, masks = case
+    family = [frozenset(a for i, a in enumerate(order) if m >> i & 1) for m in masks]
+    elements, up, gamma = literal_moore([frozenset(atoms), *family])
+    if len(set(elements)) < len(elements):  # two sets share a name
+        for build in (lambda: moore_lattice(atoms, family),
+                      lambda: moore_lattice_of_masks(order, masks)):
+            with pytest.raises(DuplicateElement, match="two subsets are both named"):
+                build()
+        return
+    lat, members = moore_lattice(atoms, family)
+    by_masks, by_masks_members = moore_lattice_of_masks(order, masks)
+    assert type(lat) is FinLattice and type(by_masks) is FinLattice
+    assert lat.elements == by_masks.elements == elements
+    assert {x: lat.base.up(x) for x in elements} == up
+    assert by_masks.base == lat.base
+    assert members == by_masks_members == gamma
+    for x, y in product(elements, repeat=2):
+        union = members[x] | members[y]
+        # the least member above the union: the intersection of all of them
+        above = [s for s in members.values() if union <= s]
+        assert members[lat.join(x, y)] == frozenset.intersection(*above)
+        assert members[lat.meet(x, y)] == members[x] & members[y]
+    # the validation the build skips accepts it, and finds the same structure
+    checked = FinLattice.from_poset(lat.base)
+    assert (checked.top, checked.bottom) == (lat.top, lat.bottom)
+    assert checked.join_irreducibles() == lat.join_irreducibles()
+    assert checked.additivity_plan() == lat.additivity_plan()
+
+
+def test_a_moore_lattice_refuses_masks_outside_its_atoms():
+    for masks in ([0b100], [-1]):
+        with pytest.raises(UnknownElement, match="outside the 2 atoms"):
+            moore_lattice_of_masks(["a", "b"], masks)
+
+
+def test_the_generators_build_one_plain_lattice_per_moore_family(monkeypatch):
+    built, checked = [], []
+    plain_init, plain_from_poset = FinLattice.__init__, FinLattice.from_poset
+
+    def counting_init(self, *args):
+        built.append(type(self))
+        plain_init(self, *args)
+
+    def counting_from_poset(poset):
+        checked.append(poset)
+        return plain_from_poset(poset)
+
+    monkeypatch.setattr(FinLattice, "__init__", counting_init)
+    monkeypatch.setattr(FinLattice, "from_poset", staticmethod(counting_from_poset))
+    for seed in range(40):
+        catalog.gen_ppgc(seed)
+        catalog.gen_downsets_gc(seed)
+    assert checked == []
+    assert built == [FinLattice] * 80
 
 
 # ---------------------------------------------------------------------------

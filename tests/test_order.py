@@ -102,6 +102,13 @@ def test_poset_unknown_element():
         p.leq("a", "zzz")
 
 
+def test_is_down_closed_names_an_unknown_member():
+    p = build_poset(["a", "b"], [("a", "b")])
+    with pytest.raises(UnknownElement, match="element 'zzz' not in poset"):
+        p.is_down_closed(["a", "zzz"])
+    assert p.is_down_closed(["a"]) and not p.is_down_closed(["b"])
+
+
 def test_lattice_from_diamond():
     lat = FinLattice.from_poset(diamond())
     assert lat.join("a", "b") == "⊤"

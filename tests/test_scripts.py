@@ -1,10 +1,13 @@
 """The scripts under ``scripts/`` run from a checkout with ``src`` on
 PYTHONPATH, as README shows, and exit 0; ``roundtrip_fuzz`` counts a seed
-whose check fails or whose transform raises, also under ``python -O``."""
+whose check fails or whose transform raises, also under ``python -O``; and
+``bench_trajectory`` measures two commits of a repository in one session."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -71,3 +74,46 @@ def test_roundtrip_fuzz_counts_failed_checks_under_python_O():
     )
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "0/2 seeds passed" in proc.stdout
+
+
+def test_bench_trajectory_measures_two_commits_in_one_session(tmp_path):
+    # a repository of its own: a checkout under test may be shallow or no
+    # repository at all (a ``git archive`` copy)
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench", os.path.join("tests", "programs")):
+        shutil.copytree(os.path.join(ROOT, part), repo / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
+                        "-c", "user.email=bench@example.invalid", *args],
+                       check=True, capture_output=True, timeout=60)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (repo / "NOTE").write_text("two\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "two")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "bench_trajectory.py"),
+         "--repo", str(repo), "--out", str(out), "--pairs", "1", "--seconds", "1",
+         "--seed", "1", "--workload", "analyze-corpus", "old=HEAD~1", "new=HEAD"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    docs = {}
+    for label in ("old", "new"):
+        with open(out / f"BENCH_{label}.json", encoding="utf-8") as fh:
+            docs[label] = json.load(fh)
+    assert docs["old"]["session"] == docs["new"]["session"]
+    assert docs["old"]["sha"] != docs["new"]["sha"]
+    assert all(len(d["sha"]) == 40 and d["seeds"] == [1] for d in docs.values())
+    for name in ("throughput_ops_per_s", "setup_s", "peak_rss_mb"):
+        metrics = [d["workloads"]["analyze-corpus"]["metrics"][name] for d in docs.values()]
+        for m in metrics:
+            assert len(m["runs"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["runs"][0]
+        assert sum(m["wins"] for m in metrics) <= 1  # a tie is a win for none
+    assert all(d["workloads"]["analyze-corpus"]["correct"] for d in docs.values())
+    assert all(d["workloads"]["analyze-corpus"]["failed"] == 0 for d in docs.values())

@@ -13,6 +13,7 @@ additivity plan, and deciding the second one's additivity calls no join.
 """
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,7 @@ from galkit.order import (
     build_poset,
     downsets_lattice,
     iter_downsets,
+    moore_lattice,
     powerset_lattice,
     set_name,
     sort_key,
@@ -318,6 +320,24 @@ def test_ambiguous_set_names_are_refused():
         powerset_lattice(["a", "b", "a,b"])
     with pytest.raises(DuplicateElement):
         SetLattice.from_family(["a"], [["a"], ["a"]])
+
+
+@pytest.mark.parametrize("build", [SetLattice.from_family, moore_lattice],
+                         ids=["from_family", "moore_lattice"])
+def test_both_naming_errors_say_what_clashed(build):
+    with pytest.raises(DuplicateElement, match="^set lattice over duplicated atoms$"):
+        build(["a", "b", "a"], [[], ["a", "b"]])
+    # over the atoms a, b and a,b the subsets {a, b} and {"a,b"} share a name
+    with pytest.raises(DuplicateElement,
+                       match=re.escape("two subsets are both named '{a,b}'")):
+        build(["a", "b", "a,b"], [[], ["a", "b"], ["a,b"], ["a", "b", "a,b"]])
+
+
+def test_a_member_listed_twice_counts_once():
+    lat = SetLattice.from_family(["a", "b"], [[], ["a", "a"], ["a", "b", "b"]])
+    assert lat.elements == ("{}", "{a}", "{a,b}")
+    _, members = moore_lattice(["a", "b"], [["a", "a"]])
+    assert members == {"{a,b}": frozenset("ab"), "{a}": frozenset("a")}
 
 
 @pytest.mark.parametrize("lat", [
