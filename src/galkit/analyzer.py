@@ -574,6 +574,21 @@ def concrete_run(program: Program, carrier, budget: int = STEP_BUDGET) -> dict:
     statement, and every return to a loop head, is one step.  Recorded
     environments are read-only and may be shared between observations: an
     assignment builds a new dict, so a run never mutates one it recorded.
+
+    A run that does not terminate is not executed to the end of its budget.
+    Control is structured and there are no procedures, so what follows an
+    arrival at a loop head depends only on that loop occurrence and the
+    environment; each compiled loop keeps its own table keyed by the
+    environment's items, so a label or a ``While`` node that occurs twice is
+    two loops.  The carrier is finite, so a run that does not terminate
+    arrives at some loop head twice in one state, and from the first of those
+    arrivals it repeats with period P, the steps between them.  On the first
+    repeat the loop notes the step and every label's list length; on the
+    second, one period later, it appends the observations of that period
+    k = ⌊(budget − steps)/P⌋ times and adds k·P to the steps, then runs the
+    fewer than P remaining steps, so the budget runs out at the step where a
+    run of every step would stop.  So a spinning loop costs its transient
+    plus two periods of execution; the lists are still filled in full.
     """
     seen: dict = {}
     by_label: dict = {}
@@ -634,13 +649,34 @@ def concrete_run(program: Program, carrier, budget: int = STEP_BUDGET) -> dict:
             return branch
         if isinstance(st, While):
             cond, body = _compile_expr(st.cond, clamp, ops), block(st.body)
+            # environment items -> step of the first arrival, then (step,
+            # every label's list length) at the first repeat; the labels are
+            # read at run time, as a period may pass labels compiled later
+            arrivals: dict = {}
+
+            def repeat(key, mark):
+                nonlocal steps
+                if type(mark) is int:
+                    arrivals[key] = (steps, [len(envs) for envs in by_label.values()])
+                    return
+                start, lengths = mark
+                k = (budget - steps) // (steps - start)
+                for envs, n in zip(by_label.values(), lengths):
+                    envs.extend(envs[n:] * k)
+                steps += k * (steps - start)
 
             def loop(env):
-                note(env)
-                while cond(env):
-                    env = body(env)
+                while True:
                     note(env)
-                return env
+                    key = tuple(env.items())
+                    mark = arrivals.get(key)
+                    if mark is None:
+                        arrivals[key] = steps
+                    else:
+                        repeat(key, mark)
+                    if not cond(env):
+                        return env
+                    env = body(env)
             return loop
         raise TypeError(f"not a statement: {st!r}")
 

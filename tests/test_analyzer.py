@@ -152,9 +152,13 @@ def test_concrete_run_records_entry_environments(signconst):
 
 def test_concrete_run_respects_step_budget(signconst):
     p = parse_program(program_text("p08_budget_spinner.while"))
-    seen = concrete_run(p, signconst.carrier, budget=50)
-    assert "end" not in seen
-    assert len(seen["L2"]) > 1
+    for budget, counts in [
+        (50, {"L1": 1, "L2": 25, "L3": 24}),
+        (10_000, {"L1": 1, "L2": 5000, "L3": 4999}),
+    ]:
+        seen = concrete_run(p, signconst.carrier, budget=budget)
+        assert "end" not in seen
+        assert {label: len(envs) for label, envs in seen.items()} == counts
 
 
 # hand-built programs skip parse_program's use-before-assignment check

@@ -55,7 +55,10 @@ into closures, and the oracle records environments without copying them.
 Here the oracle must return the same dict, key order included, as the
 literal AST walk that copies every environment it records, on generated
 programs over saturating and modular carriers at every budget up to and
-past exhaustion; ``eval`` must return the same element as the literal
+past exhaustion, and on programs that never terminate (repeated labels, a
+loop node used twice, a cycle through an outer loop) at the budgets that
+end around whole periods of the first state a loop head meets twice;
+``eval`` must return the same element as the literal
 ``isinstance`` chain and make the same ``op_entry`` calls in the same order;
 and ``clamp_int`` must agree with its min/max and modular formulas.
 
@@ -108,7 +111,8 @@ import re
 import subprocess
 import sys
 from array import array
-from itertools import combinations, product
+from dataclasses import replace
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -246,14 +250,18 @@ def literal_bca_entry(C: CarrierConn, f: ConcreteFn, *ys) -> str:
     return C.abstract.lub(C.eta[o] for o in outs)
 
 
-def literal_concrete_run(program: Program, carrier, budget: int) -> dict:
+def literal_concrete_run(program: Program, carrier, budget: int,
+                         trail: list | None = None) -> dict:
     """The bounded concrete oracle as an AST walk that copies every
-    environment it records."""
+    environment it records; ``trail``, when given, also receives each
+    observation as a (label, environment) pair, in step order."""
     seen: dict = {}
     steps = 0
 
     def note(label, env):
         seen.setdefault(label, []).append(dict(env))
+        if trail is not None:
+            trail.append((label, dict(env)))
 
     clamp = carrier.clamp_int
 
@@ -1788,6 +1796,136 @@ def test_recorded_environments_are_shared_not_copied(signconst):
     program = parse_program("x := 1; skip; skip;")
     seen = concrete_run(program, signconst.carrier)
     assert seen["L2"][0] is seen["L3"][0] is seen["end"][0]
+
+
+def relabel(program: Program) -> tuple:
+    """A copy of the program in which every statement occurrence has a label
+    of its own (a node used twice gets two), so that (label, environment) is
+    one state of the run; and the labels of its loops."""
+    labels = count(1)
+    loops: set = set()
+
+    def block(stmts):
+        return tuple(stmt(s) for s in stmts)
+
+    def stmt(s):
+        label = next(labels)
+        if isinstance(s, While):
+            loops.add(f"L{label}")
+            return While(s.cond, block(s.body), label)
+        if isinstance(s, If):
+            return If(s.cond, block(s.then), block(s.els), label)
+        return replace(s, label=label)
+
+    body = block(program.body)
+    return Program(body, next(labels) - 1), loops
+
+
+def first_loop_repeat(program: Program, carrier, cap: int):
+    """(s1, P) for the first state at a loop head that the literal run meets
+    twice within ``cap`` steps, at steps s1 and s1 + P; None if there is none."""
+    unique, loops = relabel(program)
+    trail: list = []
+    literal_concrete_run(unique, carrier, cap, trail)
+    first: dict = {}
+    for step, (label, env) in enumerate(trail, 1):
+        if label in loops:
+            state = (label, frozenset(env.items()))
+            if state in first:
+                return first[state], step - first[state]
+            first[state] = step
+    return None
+
+
+@st.composite
+def spinning_cases(draw):
+    """A carrier and a program that never terminates: after assigning every
+    variable it loops on ``v = v``, and that loop's body runs one drawn loop
+    twice, as the same ``While`` node, between drawn statements."""
+    init = tuple(Assign(v, Lit(draw(LITERALS)), draw(LABELS)) for v in VARS)
+    inner = While(Cmp(draw(COMPARISONS), draw_expr(draw, 1), draw_expr(draw, 1)),
+                  draw_block(draw, 1), draw(LABELS))
+    body = (draw_block(draw, 1) + (inner,) + draw_block(draw, 1) + (inner,)
+            + draw_block(draw, 1))
+    var = draw(VAR_NAMES)
+    spin = While(Cmp("=", Var(var), Var(var)), body, draw(LABELS))
+    return draw(int_carriers()), Program(init + draw_block(draw, 1) + (spin,), 6)
+
+
+REUSED = While(Cmp("<", Var("y"), Lit(2)),
+               (Assign("y", BinOp("+", Var("y"), Lit(1)), 4),), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spinning_cases())
+@example((FinCarrier.ints(-4, 4), SPINNER))
+# x climbs to the top of the carrier before the states at the head repeat
+@example((FinCarrier.ints(-4, 4), parse_program(
+    "x := 0; y := 0; while y = y do { x := x + 1; }")))
+# the inner loop meets its state again first, one outer iteration later, and
+# its period spans the ``skip`` compiled after it
+@example((FinCarrier.ints(-4, 4), parse_program(
+    "x := 0; while x = x do { j := 0; while j < 2 do { j := j + 1; } skip; }")))
+# one While node at two places: the first exits in the state the second
+# enters in, which is no repeat
+@example((FinCarrier.ints(-4, 4), Program((Assign("x", Lit(0), 1), While(
+    Cmp("=", Var("x"), Var("x")), (Assign("y", Lit(0), 2), REUSED, REUSED), 2)), 4)))
+def test_concrete_run_skips_whole_periods_of_a_spinning_run(case):
+    carrier, program = case
+    budgets = {ORACLE_CAP}
+    repeat = first_loop_repeat(program, carrier, ORACLE_CAP)
+    if repeat is not None:
+        s1, period = repeat
+        budgets |= {s1 + k * period + d for k in range(1, 6) for d in (-1, 0, 1)}
+    for budget in sorted(b for b in budgets if b <= ORACLE_CAP):
+        seen = concrete_run(program, carrier, budget)
+        expected = literal_concrete_run(program, carrier, budget)
+        assert seen == expected
+        assert list(seen) == list(expected)
+        assert observations(seen) == budget and "end" not in seen
+
+
+class CountingCarrier(FinCarrier):
+    """A carrier that counts its ``clamp_int`` calls."""
+
+    clamps = 0
+
+    def clamp_int(self, n: int) -> int:
+        object.__setattr__(self, "clamps", self.clamps + 1)
+        return super().clamp_int(n)
+
+
+# the clamp_int calls of a run that executes every step: one per literal when
+# the program is compiled, and one per + - * it evaluates
+STEP_BY_STEP_CLAMPS = {
+    "p01_doubling_loop.while": 6,
+    "p02_straightline.while": 9,
+    "p03_sign_split.while": 5,
+    "p04_nested_loops.while": 36,
+    "p05_countdown.while": 24,
+    "p06_accumulate_product.while": 14,
+    "p07_skip_and_comments.while": 3,
+    "p09_branch_join.while": 5,
+    "p10_loop_with_branch.while": 13,
+}
+
+
+@pytest.mark.parametrize("name", program_names())
+def test_only_a_spinning_run_skips_steps(name, signconst):
+    program = parse_program(program_text(name))
+    c = signconst.carrier
+    clamps = []
+    for budget in (10_000, 1_000_000):
+        carrier = CountingCarrier(c.values, c.mode, c.lo, c.hi)
+        seen = concrete_run(program, carrier, budget)
+        clamps.append(carrier.clamps)
+    if "end" in seen:
+        assert clamps == [STEP_BY_STEP_CLAMPS[name]] * 2
+    else:
+        # p08: its three literals, and x + 0 in each of the two periods run
+        # before the second repeat at the loop head, whatever the budget
+        assert name == "p08_budget_spinner.while"
+        assert clamps == [5, 5]
 
 
 class LoggingSemantics(AbstractSemantics):
