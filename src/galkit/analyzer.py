@@ -360,7 +360,16 @@ def parse_program(text: str) -> Program:
 class AbstractSemantics:
     """Transfer functions over a purely constructive connection whose
     abstract side is a complete lattice; binary operator tables are computed
-    entry by entry and memoized."""
+    entry by entry and memoized.
+
+    An entry f♯(b1, b2) = lub {eta(o) | o ∈ f(mu(b1), mu(b2))} depends on
+    the connection alone, which cannot change, and on the arithmetic of
+    ``op``, which its carrier fixes.  So the entries are kept on the
+    connection, in one dict of its kept verdicts keyed by ``(op, b1, b2)``:
+    every semantics built over the same connection reads and fills them, at
+    most 3·|B|² of them, and they are freed with the connection.  A domain
+    that is refused keeps none.  Compiled expressions stay per semantics.
+    """
 
     def __init__(self, domain: CarrierConn):
         if not isinstance(domain.abstract, FinLattice):
@@ -376,7 +385,7 @@ class AbstractSemantics:
         self.ops = {
             op: ConcreteFn(2, _ArithTable(carrier, op)) for op in "+-*"
         }
-        self._memo: dict = {}
+        self._memo: dict = domain._verdicts.setdefault(AbstractSemantics, {})
         self._compiled: dict = {}
         eta, clamp, entry = domain.eta, carrier.clamp, self.op_entry
         self._lit = lambda n: eta[clamp(n)]
@@ -474,7 +483,13 @@ class AnalysisResult:
 
 def analyze(program: Program, domain: CarrierConn) -> AnalysisResult:
     """Forward Kleene iteration; loop heads join the entry state with the
-    body's exit until stabilization, recorded per program point."""
+    body's exit until stabilization, recorded per program point.
+
+    Each call builds its own :class:`AbstractSemantics`, so expressions are
+    compiled per analysis, but the operator entries it computes are kept on
+    ``domain``: a later analysis over the same connection reuses them.  A
+    single analysis in a fresh process gains nothing from that.
+    """
     sem = AbstractSemantics(domain)
     lat = sem.lat
     variables = program_vars(program)

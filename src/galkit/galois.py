@@ -77,7 +77,8 @@ class CarrierConn(_Connection):
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
     TypeError.  So :func:`check_cgc`, :func:`check_cgp` and
     :func:`check_pcgc` run once per connection, and a repeat call returns
-    the report kept on the instance.
+    the report kept on the instance; the analyzer keeps its operator entries
+    there too (see :class:`galkit.analyzer.AbstractSemantics`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu",

@@ -535,11 +535,20 @@ def _set_family(atoms: list[str], masks: Iterable[int], by_name: bool):
         raise DuplicateElement("set lattice over duplicated atoms")
     of_mask, members = {}, {}
     for m in masks:
-        subset = list(map(atoms.__getitem__, bit_positions(m)))
-        name = "{" + ",".join(subset) + "}"
+        # a subset less its lowest member, once named, gives its name and
+        # members; the by-size listing of a powerset names it first
+        low = m & -m
+        rest = of_mask.get(m ^ low) if m else None
+        if rest is None:
+            subset = list(map(atoms.__getitem__, bit_positions(m)))
+            name, subset = "{" + ",".join(subset) + "}", frozenset(subset)
+        else:
+            atom = atoms[low.bit_length() - 1]
+            name = "{" + atom + ("," + rest[1:] if m != low else "}")
+            subset = members[rest] | {atom}
         if name in members:
             raise DuplicateElement(f"two subsets are both named {name!r}")
-        of_mask[m], members[name] = name, frozenset(subset)
+        of_mask[m], members[name] = name, subset
     # a name starts with "{", so sorted_elems would sort it as a string
     names = sorted(members) if by_name else list(members)
     # up-masks by intersecting, per member atom, the bitmask (over element

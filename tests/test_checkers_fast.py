@@ -62,6 +62,15 @@ end around whole periods of the first state a loop head meets twice;
 ``isinstance`` chain and make the same ``op_entry`` calls in the same order;
 and ``clamp_int`` must agree with its min/max and modular formulas.
 
+``AbstractSemantics`` keeps its operator entries on the connection, for
+every later analysis over it.  Here the corpus, analyzed twice in a random
+order interleaved over two connections that differ only in their bound,
+must give the points (label and variable order included) and iteration
+counts of an analysis over a freshly built connection that keeps no entry;
+a pass over the corpus must compute each entry it asks for once, a second
+pass none, and a connection from another ``builtin`` call all of them
+again; and a domain that ``analyze`` refuses must keep none.
+
 ``FinLattice.from_poset`` finds each bound by one up-mask or down-mask
 lookup; here it must agree, top, bottom, every join and meet, and the pair
 and direction of ``NotCompleteLattice``, with the pairwise search on random
@@ -104,6 +113,7 @@ must fail the literal law, and at arity 1 no smaller subset may fail.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -120,7 +130,7 @@ from hypothesis import strategies as st
 
 from conftest import program_names, program_text
 
-from galkit import catalog, fileio
+from galkit import analyzer, catalog, fileio
 from galkit.analyzer import (
     CMP_OPS,
     AbstractSemantics,
@@ -134,11 +144,13 @@ from galkit.analyzer import (
     Var,
     While,
     _ArithTable,
+    analyze,
     concrete_run,
     parse_program,
 )
 from galkit.errors import (
     CycleDetected,
+    DomainMismatch,
     DuplicateElement,
     GalkitError,
     NotCompleteLattice,
@@ -1978,6 +1990,109 @@ def test_clamp_int_agrees_with_its_formulas(carrier, n):
         expected = min(max(n, lo), hi)
     assert carrier.clamp_int(n) == expected
     assert carrier.clamp(n) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# best-correct-approximation entries kept on the connection
+
+
+KEPT_DOMAINS = {
+    "signconst_pcgc(64)": lambda: catalog.builtin("signconst_pcgc", 64),
+    "signconst_pcgc(10)": lambda: catalog.builtin("signconst_pcgc", 10),
+}
+
+
+class UnkeptSemantics(AbstractSemantics):
+    """Abstract semantics that computes every operator entry afresh."""
+
+    def op_entry(self, op, b1, b2):
+        return bca_pcgc_entry(self.domain, self.ops[op], b1, b2)
+
+
+def result_items(result):
+    """An analysis result as lists, so that label and variable order count."""
+    points = [(label, list(state.items())) for label, state in result.points.items()]
+    return points, result.iterations
+
+
+@functools.lru_cache(maxsize=None)
+def unkept_result(domain: str, name: str):
+    """``name`` analyzed over a freshly built ``domain``, every entry
+    computed by ``bca_pcgc_entry`` where it is needed and none kept."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "AbstractSemantics", UnkeptSemantics)
+        result = analyze(parse_program(program_text(name)), KEPT_DOMAINS[domain]())
+    return result_items(result)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations([(d, n) for d in KEPT_DOMAINS for n in program_names()]))
+def test_kept_entries_change_no_analysis(order):
+    # two connections that keep their entries across the analyses, in an
+    # interleaved order, twice over: the second pass reads every entry
+    shared = {d: make() for d, make in KEPT_DOMAINS.items()}
+    for d, name in order + order:
+        result = analyze(parse_program(program_text(name)), shared[d])
+        assert result_items(result) == unkept_result(d, name)
+
+
+def corpus_entry_calls(monkeypatch, domain):
+    """The entries ``op_entry`` asks for and the ``bca_pcgc_entry`` calls
+    made, as (connection, op, b1, b2), while the corpus is analyzed over
+    ``domain``."""
+    asked, computed = [], []
+    op_entry, compute = AbstractSemantics.op_entry, analyzer.bca_pcgc_entry
+
+    def logged_op_entry(self, op, b1, b2):
+        asked.append((op, b1, b2))
+        return op_entry(self, op, b1, b2)
+
+    def logged_compute(C, f, b1, b2):
+        computed.append((C, f.table.op, b1, b2))
+        return compute(C, f, b1, b2)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(AbstractSemantics, "op_entry", logged_op_entry)
+        mp.setattr(analyzer, "bca_pcgc_entry", logged_compute)
+        for name in program_names():
+            analyze(parse_program(program_text(name)), domain)
+    return asked, computed
+
+
+def test_each_entry_is_computed_once_per_connection(monkeypatch):
+    C = catalog.builtin("signconst_pcgc", 64)
+    asked, computed = corpus_entry_calls(monkeypatch, C)
+    assert sorted(computed) == sorted((C, *key) for key in set(asked))
+    again, recomputed = corpus_entry_calls(monkeypatch, C)
+    assert again == asked
+    assert recomputed == []
+    # a connection built by another builtin call computes every entry again
+    C2 = catalog.builtin("signconst_pcgc", 64)
+    assert corpus_entry_calls(monkeypatch, C2)[1] == [(C2, *k[1:]) for k in computed]
+
+
+def refused_domains():
+    """A lattice domain that fails ``check_pcgc``, as eta moves 1 to >0,
+    and a purely constructive one over a carrier of atoms, which has no
+    arithmetic."""
+    C = catalog.builtin("signconst_pcgc", 10)
+    bad = CarrierConn(C.kind, C.carrier, C.abstract, {**C.eta, "1": ">0"}, C.mu)
+    chain = FinLattice.from_poset(build_poset(["⊥", "x", "⊤"], [("⊥", "x"), ("x", "⊤")]))
+    atoms = CarrierConn(
+        "pcgc", FinCarrier(("a", "b")), chain, {"a": "x", "b": "x"},
+        {"⊥": set(), "x": {"a", "b"}, "⊤": {"a", "b"}},
+    )
+    return bad, atoms
+
+
+def test_a_refused_domain_keeps_no_entries():
+    program = parse_program("x := 1; y := x + x;")
+    for domain, ok in zip(refused_domains(), (False, True)):
+        assert check_pcgc(domain).ok is ok
+        for _ in range(2):
+            with pytest.raises(DomainMismatch):
+                analyze(program, domain)
+        assert list(domain._verdicts) == [check_pcgc.__wrapped__]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from a checkout with ``src`` on
-PYTHONPATH, as README shows, and exit 0; ``roundtrip_fuzz`` counts a seed
+PYTHONPATH, as README shows, and exit 0; ``analyze_corpus`` prints the
+checked-in expected output; ``roundtrip_fuzz`` counts a seed
 whose check fails or whose transform raises, also under ``python -O``; and
 ``bench_trajectory`` measures two commits of a repository in one session."""
 from __future__ import annotations
@@ -17,21 +18,35 @@ from galkit.errors import GalkitError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FUZZ = os.path.join(ROOT, "scripts", "roundtrip_fuzz.py")
+# the stdout of scripts/analyze_corpus.py over tests/programs, at the default
+# domain and bound
+CORPUS_EXPECTED = os.path.join(ROOT, "tests", "programs", "analyze_corpus.expected")
 
 
 @pytest.mark.parametrize(
     "script", ["analyze_corpus", "reproduce_tables", "roundtrip_fuzz"]
 )
 def test_script_runs_from_a_checkout(script):
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def run_script(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", f"{script}.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        encoding="utf-8",
     )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_corpus_output_is_pinned():
+    with open(CORPUS_EXPECTED, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run_script("analyze_corpus").stdout == expected
 
 
 def load_roundtrip_fuzz():
