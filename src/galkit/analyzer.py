@@ -141,15 +141,15 @@ def _tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit() or (
+        if ch.isdecimal() or (
             ch == "-"
             and i + 1 < n
-            and text[i + 1].isdigit()
+            and text[i + 1].isdecimal()
             and (not tokens or tokens[-1].kind not in ("int", "ident")
                  and tokens[-1].text != ")")
         ):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -372,6 +372,9 @@ class AbstractSemantics:
     """
 
     def __init__(self, domain: CarrierConn):
+        if not isinstance(domain, CarrierConn):
+            raise DomainMismatch(
+                f"analysis domain needs a CarrierConn, not a {type(domain).__name__}")
         if not isinstance(domain.abstract, FinLattice):
             raise DomainMismatch("analysis domain needs a complete lattice")
         rep = check_pcgc(domain)

@@ -290,6 +290,9 @@ class GCReport:
     is_disjunctive: bool
     witness: object = None
 
+    def __bool__(self):
+        return self.is_gc
+
 
 @dataclass(frozen=True)
 class PCGCReport:
@@ -337,8 +340,11 @@ def check_gc(G: GaloisConn) -> GCReport:
     and a table entry must be the least upper bound of its key's atoms.
     Then alpha is onto exactly when gamma is injective, so that is
     ``is_gi``.  When (ii) or (iii) fails, :func:`_adjunction_failure` scans
-    the concrete elements for the first failing (X, d).
+    the concrete elements for the first failing (X, d).  An argument that is
+    no GaloisConn raises ShapeMismatch naming its class.
     """
+    if not isinstance(G, GaloisConn):
+        raise ShapeMismatch(f"check_gc needs a GaloisConn, not a {type(G).__name__}")
     poset = G.abstract_poset
     order = G.carrier_order
     if order is not None:
@@ -501,9 +507,14 @@ def _once_per_connection(check):
     """``check`` as a memo: its report is computed once per
     :class:`CarrierConn`, whose contents cannot change, and kept on the
     instance keyed by the checker, so a repeat call returns the same report
-    object.  ``__wrapped__`` is the uncached check."""
+    object.  An argument that is no CarrierConn raises ShapeMismatch naming
+    its class.
+    ``__wrapped__`` is the uncached check."""
     @wraps(check)
     def memoised(C):
+        if not isinstance(C, CarrierConn):
+            raise ShapeMismatch(f"{check.__name__} needs a CarrierConn, "
+                                f"not a {type(C).__name__}")
         report = C._verdicts.get(check)
         if report is None:
             report = C._verdicts[check] = check(C)

@@ -76,6 +76,17 @@ def test_syntax_errors_carry_positions():
         parse_program("x := 1")  # missing semicolon
 
 
+@pytest.mark.parametrize("text, col", [("x := ²;", 6), ("x := -²;", 7), ("x := 12³;", 8)],
+                         ids=["start", "after-minus", "extend"])
+def test_a_digit_that_is_not_decimal_is_a_syntax_error(text, col):
+    # "²".isdigit() holds, but int("²") raises ValueError
+    with pytest.raises(WhileSyntaxError, match="unexpected character") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    # a name may still hold one, as str.isalnum allows
+    assert program_vars(parse_program("x² := 1; y := x²;")) == ["x²", "y"]
+
+
 def test_use_before_assign_rules():
     with pytest.raises(UseBeforeAssign):
         parse_program("x := y;")
@@ -112,6 +123,12 @@ def test_analyze_requires_a_pcgc_lattice_domain(parity):
     p = parse_program("x := 1;")
     with pytest.raises(DomainMismatch):
         analyze(p, parity)  # discrete abstract side, no lattice
+
+
+@pytest.mark.parametrize("name", ["sign_pgi", "sign_minus_ppgc", "interval_gi_d"])
+def test_analyze_refuses_a_galois_connection(name):
+    with pytest.raises(DomainMismatch, match="not a GaloisConn"):
+        analyze(parse_program("x := 1;"), catalog.builtin(name, 10))
 
 
 def test_analyze_branch_join(signconst):

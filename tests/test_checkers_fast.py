@@ -74,7 +74,12 @@ again; and a domain that ``analyze`` refuses must keep none.
 ``FinLattice.from_poset`` finds each bound by one up-mask or down-mask
 lookup; here it must agree, top, bottom, every join and meet, and the pair
 and direction of ``NotCompleteLattice``, with the pairwise search on random
-posets, lattices or not, M3, N5 and one element.  Every lattice folds
+posets, lattices or not, with classes of 2-5 twins planted or not, M3, N5,
+M5, the ``signconst_pcgc`` domain, bowties of twins and one element.  It
+accepts after testing one pair per two classes of twins (elements with
+the same strict up-set and strict down-set); here those classes must not
+merge elements that share only their up-set, and the ``signconst_pcgc``
+build must test as many pairs at bound 256 as at bound 16.  Every lattice folds
 ``lub`` and ``glb`` over its int keys one member at a time; here both must
 agree, value or ``NotCompleteLattice`` pair and direction, with a literal
 pairwise fold of the least common upper bound (greatest lower bound), or
@@ -130,7 +135,7 @@ from hypothesis import strategies as st
 
 from conftest import program_names, program_text
 
-from galkit import analyzer, catalog, fileio
+from galkit import analyzer, catalog, fileio, order
 from galkit.analyzer import (
     CMP_OPS,
     AbstractSemantics,
@@ -2149,6 +2154,54 @@ def listed_posets(draw):
     return build_poset(draw(st.permutations(names)), pairs)
 
 
+@st.composite
+def twinned_posets(draw):
+    """A poset of :func:`listed_posets` with twins planted: up to three of
+    its elements get 1-4 copies each, which share that element's strict
+    up-set and strict down-set, so each class of twins holds 2-5 members;
+    listed in a random order."""
+    poset = draw(listed_posets())
+    elems = poset.elements
+    pairs = [(x, y) for x in elems for y in poset.up(x) if y != x]
+    names = list(elems)
+    for x in draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3, unique=True)):
+        for c in range(draw(st.integers(1, 4))):
+            twin = f"{x}'{c}"
+            names.append(twin)
+            pairs += [(y, twin) for y in poset.down(x) if y != x]
+            pairs += [(twin, y) for y in poset.up(x) if y != x]
+    return build_poset(draw(st.permutations(names)), pairs)
+
+
+def twins_between(k: int) -> FinPoset:
+    """M_k: an antichain of k twins between a bottom and a top."""
+    mids = [f"m{i}" for i in range(k)]
+    return build_poset(["⊥", *mids, "⊤"],
+                       [("⊥", m) for m in mids] + [(m, "⊤") for m in mids])
+
+
+def u_above_p_and_q(elements) -> FinPoset:
+    """u1 and u2 are twins above p and q, which are no twins as e < p: p
+    and q lack a lub, and u1 and u2 a glb."""
+    return build_poset(elements, [("⊥", "e"), ("e", "p"), ("⊥", "q")]
+                       + [(lo, u) for lo in "pq" for u in ("u1", "u2")]
+                       + [("u1", "⊤"), ("u2", "⊤")])
+
+
+# the twins l1, l2 below the twins a, b: neither pair has an inner bound
+TWIN_BOWTIE = build_poset(
+    ["⊥", "l1", "l2", "a", "b", "⊤"],
+    [("⊥", "l1"), ("⊥", "l2"), ("a", "⊤"), ("b", "⊤")]
+    + [(lo, hi) for lo in ("l1", "l2") for hi in "ab"],
+)
+# the first pair that lacks a bound is (u2, u1), and u1 is not the first
+# member of its class
+TWIN_WITNESS = u_above_p_and_q(["u2", "p", "u1", "q", "e", "⊥", "⊤"])
+# the first pair that lacks a bound, (p, q), is not one the twin check tests
+UNTESTED_WITNESS = u_above_p_and_q(["p", "q", "u1", "u2", "e", "⊥", "⊤"])
+SIGNCONST_16 = catalog.builtin("signconst_pcgc", 16).abstract.base
+
+
 # x and y have neither a lub nor a glb, and they are the first pair
 DOUBLE_BOWTIE = build_poset(
     ["x", "y", "l1", "l2", "u1", "u2", "⊥", "⊤"],
@@ -2160,12 +2213,17 @@ DOUBLE_BOWTIE = build_poset(
 
 
 @settings(max_examples=600, deadline=None)
-@given(listed_posets())
+@given(st.one_of(listed_posets(), twinned_posets()))
 @example(DOUBLE_BOWTIE)
 @example(m3().base)
 @example(n5().base)
 @example(build_poset(["x"], []))
 @example(FinPoset((), ()))
+@example(SIGNCONST_16)
+@example(twins_between(5))
+@example(TWIN_BOWTIE)
+@example(TWIN_WITNESS)
+@example(UNTESTED_WITNESS)
 def test_from_poset_agrees_with_the_pairwise_search(poset):
     try:
         top, bottom, lub, glb = literal_bounds(poset)
@@ -2179,6 +2237,43 @@ def test_from_poset_agrees_with_the_pairwise_search(poset):
     pairs = list(product(poset.elements, repeat=2))
     assert {p: lat.join(*p) for p in pairs} == lub
     assert {p: lat.meet(*p) for p in pairs} == glb
+
+
+@pytest.mark.parametrize("poset, missing", [
+    (TWIN_BOWTIE, (("l1", "l2"), "lub")),
+    (TWIN_WITNESS, (("u2", "u1"), "glb")),
+    (UNTESTED_WITNESS, (("p", "q"), "lub")),
+], ids=["bowtie", "twin-witness", "untested-witness"])
+def test_from_poset_names_the_first_pair_without_a_bound(poset, missing):
+    with pytest.raises(NotCompleteLattice) as got:
+        FinLattice.from_poset(poset)
+    assert (got.value.pair, got.value.direction) == missing
+
+
+def test_twins_share_their_strict_up_set_and_down_set():
+    # p and q share their strict up-set, not their strict down-set, so
+    # they are no twins; u1 and u2 are
+    poset = UNTESTED_WITNESS
+    pairs = order._twin_pairs(poset._upm, poset._down_masks())
+    names = [(poset.elements[i], poset.elements[j]) for i, j in pairs]
+    assert names == [("u1", "u2"), *combinations(["p", "q", "u1", "e", "⊥", "⊤"], 2)]
+
+
+def test_the_accepting_check_tests_as_many_pairs_at_every_bound(monkeypatch):
+    tested = []
+    plain = order._twin_pairs
+
+    def counting(upm, dnm):
+        pairs = plain(upm, dnm)
+        tested.append((len(upm), len(pairs)))
+        return pairs
+
+    monkeypatch.setattr(order, "_twin_pairs", counting)
+    for bound in (16, 256):
+        catalog.builtin("signconst_pcgc", bound)
+    # ten classes: 45 pairs of them, and one pair in each of the two that
+    # hold more than one element
+    assert tested == [(40, 47), (520, 47)]
 
 
 @pytest.mark.parametrize("bound", [

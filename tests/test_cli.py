@@ -209,6 +209,13 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_analyze_a_superscript_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.while"
+    bad.write_text("x := 1;\ny := ²;\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and "2:6: unexpected character '²'" in err
+
+
 def test_analyze_domain_error_exit_code(capsys):
     path = os.path.join(PROGRAMS_DIR, "p01_doubling_loop.while")
     code, _, err = run(capsys, "analyze", path, "--domain", "parity")

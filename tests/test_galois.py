@@ -151,6 +151,35 @@ def test_check_gc_flags_on_sign():
     assert rep.is_gc and rep.is_gi and rep.is_disjunctive
 
 
+def test_a_failing_gc_report_is_false():
+    chain = FinLattice.from_poset(build_poset(["⊥", "x", "⊤"], [("⊥", "x"), ("x", "⊤")]))
+    # a lies in gamma(x) but not in gamma(⊤): gamma is not monotone
+    bad = GaloisConn(FinCarrier.atoms(["a", "b"]), chain,
+                     {"⊥": set(), "x": {"a"}, "⊤": {"b"}})
+    rep = check_gc(bad)
+    assert not rep.is_gc and not rep
+    assert check_gc(catalog.builtin("sign_pgi", 7))
+
+
+@pytest.mark.parametrize("check", [check_cgc, check_cgp, check_pcgc],
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["sign_pgi", "sign_minus_ppgc", "interval_gi_d"])
+def test_carrier_checkers_refuse_a_galois_connection(check, name):
+    with pytest.raises(ShapeMismatch, match=f"{check.__name__} needs a CarrierConn, "
+                                            "not a GaloisConn"):
+        check(catalog.builtin(name, 10))
+
+
+def test_checkers_refuse_the_other_connection_classes(parity):
+    closure = t_cco(parity)
+    assert isinstance(closure, ClosureOp)
+    with pytest.raises(ShapeMismatch, match="not a ClosureOp"):
+        check_pcgc(closure)
+    for conn in (parity, closure):
+        with pytest.raises(ShapeMismatch, match=f"not a {type(conn).__name__}"):
+            check_gc(conn)
+
+
 def test_interval_gi_adjunction_sampled():
     # the carrier is too large to scan every subset, so probe the adjunction
     # literally on a deterministic sample of them
