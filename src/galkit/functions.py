@@ -22,6 +22,7 @@ from .galois import (
     CarrierConn,
     CheckResult,
     GaloisConn,
+    _singleton_alpha,
     check_cgc,
     check_pcgc,
     classify_partitioning,
@@ -456,11 +457,6 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str) -> CheckResult:
 # block preservation and pair transforms
 
 
-def _block_reps(G: GaloisConn) -> dict:
-    """Abstraction of each singleton, keyed by carrier value."""
-    return {a: G.alpha([a]) for a in sorted_elems(G.carrier.values)}
-
-
 def is_block_preserving(G: GaloisConn, g_sharp: AbstractFn) -> CheckResult:
     """Every abstracted singleton maps, under g_sharp, to some abstracted
     singleton."""
@@ -468,7 +464,7 @@ def is_block_preserving(G: GaloisConn, g_sharp: AbstractFn) -> CheckResult:
         raise ShapeMismatch("connection is not partitioning")
     if g_sharp.arity != 1:
         raise ShapeMismatch("block preservation is defined for unary maps")
-    reps = _block_reps(G)
+    reps = _singleton_alpha(G, sorted_elems(G.carrier.values))
     images = set(reps.values())
     for a in sorted_elems(reps):
         if g_sharp(reps[a]) not in images:

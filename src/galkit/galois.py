@@ -320,6 +320,13 @@ class ClassifyReport:
 # checkers
 
 
+def _require(cls, fn: str, X) -> None:
+    """Raise ShapeMismatch naming the class of X, before anything reads a
+    slot of it, unless X is a ``cls``."""
+    if not isinstance(X, cls):
+        raise ShapeMismatch(f"{fn} needs a {cls.__name__}, not a {type(X).__name__}")
+
+
 def check_gc(G: GaloisConn) -> GCReport:
     """The adjunction alpha(X) <= d <=> X <= gamma(d), for every concrete X
     and abstract d; also report insertion and disjunctivity status.
@@ -343,8 +350,7 @@ def check_gc(G: GaloisConn) -> GCReport:
     the concrete elements for the first failing (X, d).  An argument that is
     no GaloisConn raises ShapeMismatch naming its class.
     """
-    if not isinstance(G, GaloisConn):
-        raise ShapeMismatch(f"check_gc needs a GaloisConn, not a {type(G).__name__}")
+    _require(GaloisConn, "check_gc", G)
     poset = G.abstract_poset
     order = G.carrier_order
     if order is not None:
@@ -512,9 +518,7 @@ def _once_per_connection(check):
     ``__wrapped__`` is the uncached check."""
     @wraps(check)
     def memoised(C):
-        if not isinstance(C, CarrierConn):
-            raise ShapeMismatch(f"{check.__name__} needs a CarrierConn, "
-                                f"not a {type(C).__name__}")
+        _require(CarrierConn, check.__name__, C)
         report = C._verdicts.get(check)
         if report is None:
             report = C._verdicts[check] = check(C)
@@ -606,7 +610,12 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
 
 
 def check_cco(phi) -> CheckResult:
-    """x in phi(y) <=> phi(x) = phi(y), for every pair."""
+    """x in phi(y) <=> phi(x) = phi(y), for every pair, of a
+    :class:`ClosureOp` or a mapping; anything else raises ShapeMismatch
+    naming its class."""
+    if not isinstance(phi, (ClosureOp, Mapping)):
+        raise ShapeMismatch("check_cco needs a ClosureOp or a mapping, "
+                            f"not a {type(phi).__name__}")
     table = phi.phi if isinstance(phi, ClosureOp) else {
         a: frozenset(s) for a, s in phi.items()
     }
@@ -622,13 +631,28 @@ def check_cco(phi) -> CheckResult:
 # partitioning structure
 
 
+def _singleton_alpha(G: GaloisConn, values) -> dict:
+    """a -> alpha({a}) for each carrier value a of ``values``, in their
+    order.  With no ``alpha_table`` over a lattice in which every carrier
+    value has an atom, alpha({a}) is the atom a_x, so the map is read off
+    :meth:`GaloisConn.atoms`.  Otherwise each ``G.alpha([a])`` is called in
+    the order of ``values``, so a table entry wins and the first value
+    without a best abstraction raises, with alpha's own error."""
+    if G.alpha_table is None and isinstance(G.abstract, FinLattice):
+        atoms = G.atoms()
+        if len(atoms) == len(G.carrier.values):
+            return {a: atoms[a] for a in values}
+    return {a: G.alpha([a]) for a in values}
+
+
 def prt(G: GaloisConn) -> list[frozenset]:
     """The family {gamma(alpha({a}))} over the carrier, deduplicated in
     deterministic order."""
+    _require(GaloisConn, "prt", G)
     if G.carrier_order is not None and not G.carrier_order.is_discrete():
         raise ShapeMismatch("prt needs a plain powerset concrete domain")
-    return list(dict.fromkeys(
-        G.gamma[G.alpha([a])] for a in sorted_elems(G.carrier.values)))
+    reps = _singleton_alpha(G, sorted_elems(G.carrier.values))
+    return list(dict.fromkeys(G.gamma[d] for d in reps.values()))
 
 
 def classify_partitioning(G: GaloisConn) -> ClassifyReport:
@@ -643,6 +667,7 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     and kept on the instance; later calls on the same connection return
     that same report object.
     """
+    _require(GaloisConn, "classify_partitioning", G)
     if G._classified is not None:
         return G._classified
     family = prt(G)
@@ -662,8 +687,9 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
         report = ClassifyReport("PPGC", alt2prime, part, wit)
     else:
         report = ClassifyReport("neither", alt2prime, part, part.witness)
-    # the only attribute set after construction: a memo of a function of
-    # the connection's immutable contents
+    # set after construction, as the atoms (by :meth:`GaloisConn.atoms` or
+    # :func:`galkit.transforms.t_pgc`) and the additivity verdict are: a
+    # memo of a function of the connection's immutable contents
     object.__setattr__(G, "_classified", report)
     return report
 
@@ -751,6 +777,7 @@ def renaming_witnesses(C1: CarrierConn, C2: CarrierConn):
 
 def is_cgi(C: CarrierConn) -> bool:
     """eta surjective onto the abstract side."""
+    _require(CarrierConn, "is_cgi", C)
     return C.eta_image() == frozenset(C.abstract_poset.elements)
 
 

@@ -245,7 +245,7 @@ def _and_keys(keys: Sequence[int], members: int, start: int) -> int:
 
 
 def _twin_pairs(upm: Sequence[int], dnm: Sequence[int]) -> list[tuple[int, int]]:
-    """The index pairs whose bounds decide every pair's (see
+    """The index pairs whose lubs decide every pair's (see
     :meth:`FinLattice.from_poset`): elements are grouped by their strict
     up-mask and strict down-mask, and the pairs are the first two members
     of each class that has two, then every two classes' first members."""
@@ -367,10 +367,11 @@ class FinLattice:
         g(elements[k]) = g(elements[i]) | g(elements[j]) for every triple.
         Found on first use and kept on the lattice, like the
         join-irreducibles, so connections over one shared lattice share it.
-        None when a join is missing: then only the pairwise scan can say
-        which pair lacks it.  Finite lattices whose join-irreducibles are
-        all join-prime are exactly the distributive ones (Davey & Priestley,
-        *Introduction to Lattices and Order*, 2002, ch. 10).
+        None when a join is missing (see :meth:`_every_join_defined`): then
+        only the pairwise scan can say which pair lacks it.  Finite lattices
+        whose join-irreducibles are all join-prime are exactly the
+        distributive ones (Davey & Priestley, *Introduction to Lattices and
+        Order*, 2002, ch. 10).
 
         * Distributive lattice (every join-irreducible j is join-prime: the
           lub of the elements not above j is not above j), one triple per
@@ -424,12 +425,13 @@ class FinLattice:
         return array("H" if len(upm) <= 1 << 16 else "L", plan)
 
     def _every_join_defined(self) -> bool:
-        """Whether ``join`` is defined on every pair.  Each element's join
-        key is the bottom's AND-ed with those of the join-irreducibles below
-        it, so every join is defined once every x v j is."""
-        of_up = self._of_up
-        jkeys = [self._up[j] for j in self.join_irreducibles()]
-        return all(u & j in of_up for u in of_up for j in jkeys)
+        """Whether ``join`` is defined on every pair: always, for a plain
+        lattice.  One is built only by :meth:`from_poset`, which returns it
+        once every pair has a lub, or by :func:`moore_lattice_of_masks`,
+        whose family is closed under intersection and holds the top, so
+        that every set of members has a least member above its union.  Only
+        a :class:`SetLattice` may lack a join, and it scans for one."""
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -444,12 +446,13 @@ class FinLattice:
         """The lattice of ``poset``, keyed by its up-masks and down-masks,
         once verified complete; no bound is kept.
 
-        For a finite poset, existence of all pairwise lubs/glbs plus a top and
-        bottom implies a complete lattice.  Raises NotCompleteLattice otherwise,
-        naming the first pair in ``combinations`` order that lacks a bound
-        (its lub checked first): x and y have a lub exactly when the AND of
-        their up-masks is the up-mask of an element, and a glb likewise on
-        down-masks.
+        For a finite poset, existence of all pairwise lubs plus a top and
+        bottom implies a complete lattice: the glb of x and y is then the lub
+        of their lower bounds, a set that holds the bottom.  Raises
+        NotCompleteLattice otherwise, naming the first pair in
+        ``combinations`` order that lacks a bound (its lub checked first): x
+        and y have a lub exactly when the AND of their up-masks is the
+        up-mask of an element, and a glb likewise on down-masks.
 
         It first tests only the pairs of :func:`_twin_pairs`, one per two
         classes of twins (elements with the same strict up-set and the
@@ -459,16 +462,16 @@ class FinLattice:
         and Order*, 2002, ch. 2).  Transpositions inside each class move any
         pair onto a tested one: two twins onto the first two members of
         their class, two others onto the first members of theirs.  So when
-        every tested bound exists, all do.  That costs O(n) to group and
-        O(k^2) pair tests for k classes; ``signconst_pcgc`` has k = 10 at
-        every bound.  When a tested bound is missing, one pass over all
-        pairs finds the first one.
+        every tested lub exists, all do, and so do all glbs.  That costs
+        O(n) to group and O(k^2) lub tests for k classes; ``signconst_pcgc``
+        has k = 10 at every bound.  When a tested lub is missing, one pass
+        over all pairs, testing lub and then glb, finds the first pair that
+        lacks a bound.
         """
         elems, upm, dnm = poset.elements, poset._upm, poset._down_masks()
         lat = FinLattice(poset, poset._element_of_upm(), dict(zip(dnm, elems)))
         of_up, of_dn = lat._of_up, lat._of_dn
-        if all(upm[i] & upm[j] in of_up and dnm[i] & dnm[j] in of_dn
-               for i, j in _twin_pairs(upm, dnm)):
+        if all(upm[i] & upm[j] in of_up for i, j in _twin_pairs(upm, dnm)):
             return lat
         for i, (x, u, d) in enumerate(zip(elems, upm, dnm), 1):
             for y, v, e in zip(elems[i:], upm[i:], dnm[i:]):
@@ -516,6 +519,15 @@ class SetLattice(FinLattice, Immutable):
         init(lat, "members", FrozenDict(members))
         init(lat, "_bit", bit)
         return lat
+
+    def _every_join_defined(self) -> bool:
+        """Whether ``join`` is defined on every pair: a family need not be
+        closed under union.  Each element's join key is the bottom's AND-ed
+        with those of the join-irreducibles below it, so every join is
+        defined once every x v j is: n * |J| lookups."""
+        of_up = self._of_up
+        jkeys = [self._up[j] for j in self.join_irreducibles()]
+        return all(u & j in of_up for u in of_up for j in jkeys)
 
     def name_of(self, subset: Iterable[str]) -> str:
         """The element whose members are exactly ``subset``."""

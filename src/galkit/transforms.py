@@ -12,6 +12,7 @@ from .galois import (
     CarrierConn,
     ClosureOp,
     GaloisConn,
+    _singleton_alpha,
     check_cco,
     check_cgc,
     check_cgp,
@@ -48,11 +49,26 @@ def _checked_gc(G: GaloisConn) -> GaloisConn:
 
 def t_pgc(C: CarrierConn) -> GaloisConn:
     """Lift a constructive connection to the partitioning connection
-    between the powersets of its carrier and abstract values."""
+    between the powersets of its carrier and abstract values.
+
+    The atom of each x is the singleton {eta(x)}, so the lift gets its
+    atoms from eta instead of reading every membership of gamma (see
+    :meth:`GaloisConn.atoms`).  Proof: ``check_cgc`` gives x in mu(b) <=>
+    b = eta(x).  When gamma({b}) = mu(b) for every b, checked here in |B|
+    set comparisons, and gamma is additive, which
+    :func:`classify_partitioning` checks before this returns, gamma(S) is
+    the union of mu(b) over b in S, so x in gamma(S) <=> eta(x) in S: the
+    holder set of x is up({eta(x)}).  A lift that broke additivity would
+    not classify as PGC, and this would raise before returning it.
+    """
     if not check_cgc(C):
         raise NotInClass("input fails the constructive-connection law")
     lat = powerset_lattice(C.abstract_poset.elements)
     G = GaloisConn(C.carrier, lat, lift_powerset(lat, C.mu), kind="pgc")
+    singleton = {b: lat._of_dn[bit] for b, bit in lat._bit.items()}
+    if all(G.gamma[s] == C.mu[b] for b, s in singleton.items()):
+        object.__setattr__(G, "_atoms", {
+            x: singleton[C.eta[x]] for x in C.carrier.values})
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("lifted connection is not partitioning")
     return G
@@ -63,13 +79,8 @@ def t_cgc_of_pgc(G: GaloisConn) -> CarrierConn:
     its block representatives."""
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("input is not a partitioning connection")
-    eta = {}
-    reps = {}
-    for a in sorted_elems(G.carrier.values):
-        d = G.alpha([a])
-        eta[a] = d
-        reps.setdefault(d, d)
-    elements = sorted_elems(reps)
+    eta = _singleton_alpha(G, sorted_elems(G.carrier.values))
+    elements = sorted_elems(set(eta.values()))
     mu = {d: G.gamma[d] for d in elements}
     out = CarrierConn("cgc", G.carrier, FinPoset.discrete(elements), eta, mu)
     rep = check_cgc(out)
@@ -143,7 +154,7 @@ def t_pcgc(G: GaloisConn) -> CarrierConn:
     singleton abstraction."""
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("input is not pre-partitioning")
-    eta = {a: G.alpha([a]) for a in G.carrier.values}
+    eta = _singleton_alpha(G, G.carrier.values)
     out = CarrierConn("pcgc", G.carrier, G.abstract, eta, G.gamma)
     rep = check_pcgc(out)
     if not rep.ok:

@@ -12,7 +12,9 @@ whose bottom need not be empty and which may lack unions; and the plan's
 size must follow the literal distributive law.  The plan and the
 join-irreducibles are found from up-masks, each lub the element whose
 up-mask is the AND of the members'; here they must equal those found by
-``FinLattice.lub`` and name sets, on the same lattices.
+``FinLattice.lub`` and name sets, on the same lattices, and there must be a
+plan exactly when ``join`` answers every pair (only a ``SetLattice`` scans
+for a missing one).
 ``classify_partitioning`` as a whole must agree with a literal
 classification, ``alt2prime`` included.  ``check_partition`` sorts a block
 only once a clause fails, and ``lift_powerset`` lifts a table with one
@@ -43,7 +45,15 @@ Galois connections, mutated ones and arbitrary gammas, with and without
 member returns its atom; here both must agree, value or error, with the
 least-element search and the ``lub`` path, with a table entry that wins,
 values outside the carrier, values with no atom and abstract sides that are
-no lattice.
+no lattice.  ``_singleton_alpha`` reads alpha of each singleton off the
+atoms when there is no table and every value has one; here it must agree,
+values and their order or the first error, with alpha of each value in the
+caller's order, on those connections with their values renamed to names
+that tie as ints or hold ``,{}``, in three orders.  ``t_pgc`` gives its lift
+the atoms {eta(x)}; here they must equal the atoms found from gamma by a
+fresh connection, on criterion 4's 500 connections and on drawn ones with
+junk values, and a warm powerset round trip must call ``GaloisConn.alpha``
+no time and build holder masks once, for ``check_cgc`` of its output.
 
 ``ConcreteFn.image`` computes best-correct-approximation entries as a set
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
@@ -135,7 +145,7 @@ from hypothesis import strategies as st
 
 from conftest import program_names, program_text
 
-from galkit import analyzer, catalog, fileio, order
+from galkit import analyzer, catalog, fileio, galois, order
 from galkit.analyzer import (
     CMP_OPS,
     AbstractSemantics,
@@ -187,6 +197,7 @@ from galkit.galois import (
     check_gc,
     check_pcgc,
     classify_partitioning,
+    nonempty_iso,
     prt,
 )
 from galkit.order import (
@@ -999,10 +1010,20 @@ def literal_join_irreducibles(lat: FinLattice) -> frozenset:
                      if lat.lub(y for y in lat.base.down(x) if y != x) != x)
 
 
+def every_join_defined(lat: FinLattice) -> bool:
+    """Whether ``join`` answers every pair, by asking it of each."""
+    try:
+        for x, y in combinations(lat.elements, 2):
+            lat.join(x, y)
+    except NotCompleteLattice:
+        return False
+    return True
+
+
 def lub_plan(lat: FinLattice):
     """The additivity plan as it was built from lubs, joins and name up-sets
-    and down-sets, before up-masks, or None."""
-    if not lat._every_join_defined():
+    and down-sets, before up-masks, or None when a join is missing."""
+    if not every_join_defined(lat):
         return None
     elems, index, up, down = lat.elements, lat.base._index, lat.base.up, lat.base.down
     jirr = [j for j in elems if j in literal_join_irreducibles(lat)]
@@ -1396,6 +1417,135 @@ def test_alpha_of_one_member_raises_as_the_lub_path():
         bare.alpha(["0"])
     with pytest.raises(UnknownElement, match="'zzz'"):
         bare.alpha(["zzz"])
+
+
+def items_or_error(f, *args):
+    """The items of the dict ``f(*args)``, in order, or the type and message
+    of the GalkitError it raises."""
+    out = result(f, *args)
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+def alpha_of_each(G: GaloisConn, values) -> dict:
+    return {a: G.alpha([a]) for a in values}
+
+
+@st.composite
+def singleton_cases(draw):
+    """A connection of :func:`alpha_cases` with its carrier values renamed
+    to names that tie as ints or hold ``,{}``, and its values in a random
+    order."""
+    G = draw(alpha_cases())
+    new = dict(zip(G.carrier.values, draw(st.permutations(draw(NAMES)))))
+    names = lambda X: frozenset(new[x] for x in X)
+    order = G.carrier_order
+    if order is not None:
+        order = build_poset([new[x] for x in order.elements],
+                            [(new[x], new[y]) for x in order.elements
+                             for y in order.up(x) if y != x])
+    G = GaloisConn(
+        FinCarrier.atoms([new[x] for x in G.carrier.values]), G.abstract,
+        {d: names(s) for d, s in G.gamma.items()}, carrier_order=order,
+        alpha_table=None if G.alpha_table is None else {
+            names(X): d for X, d in G.alpha_table.items()})
+    return G, draw(st.permutations(G.carrier.values))
+
+
+# -1 and 1 are each held by - and +, which have no least element: neither
+# has an atom
+TWO_HOLES = GaloisConn(SIGN_ATOMS, FLAT_SIGNS, {
+    **SIGN_GAMMA, "-": {"-1", "1"}, "+": {"-1", "1"}})
+
+
+@settings(max_examples=500, deadline=None)
+@given(singleton_cases())
+# a table that lists {0}, whose entry wins over 0's atom
+@example((GaloisConn(SIGN_ATOMS, FLAT_SIGNS, SIGN_GAMMA,
+                     alpha_table={frozenset(["0"]): "top"}), ["1", "0", "-1"]))
+# two values without an atom: the first in the caller's order raises
+@example((TWO_HOLES, ["1", "0", "-1"]))
+@example((TWO_HOLES, ["-1", "0", "1"]))
+# every value has an atom, but there is no lattice to take a lub in
+@example((GaloisConn(SIGN_ATOMS, FLAT_SIGNS.base, SIGN_GAMMA), ["0", "1", "-1"]))
+def test_singleton_alpha_agrees_with_alpha_of_each_value(case):
+    G, values = case
+    for order in (values, values[::-1], sorted_elems(values)):
+        assert (items_or_error(galois._singleton_alpha, G, order)
+                == items_or_error(alpha_of_each, G, order))
+
+
+def test_alpha_of_each_value_names_the_first_value_without_an_atom():
+    assert TWO_HOLES.atoms() == {"0": "0"}
+    for values, first in ((["1", "0", "-1"], "1"), (["-1", "0", "1"], "-1")):
+        with pytest.raises(ShapeMismatch, match=f"^no best abstraction for {{{first}}}"):
+            galois._singleton_alpha(TWO_HOLES, values)
+
+
+def fresh_atoms(G: GaloisConn) -> dict:
+    """The atoms of a connection over G's gamma that keeps none yet."""
+    return rebuilt(G).atoms()
+
+
+# abstract values that tie as ints, but hold no separator: a lift names
+# each set of them
+ABSTRACT_NAMES = st.sampled_from([
+    [str(i) for i in range(6)],
+    ["1", "01", "+1", "2", "x", "-1"],
+    [f"b{i}" for i in range(6)],
+])
+
+
+@st.composite
+def junk_cgcs(draw):
+    """A constructive connection over carrier values from :data:`NAMES`:
+    eta onto some of its abstract values and mu eta's fibres, so the other
+    abstract values are junk, concretized to nothing."""
+    values = draw(NAMES)[:draw(st.integers(1, 6))]
+    elements = draw(ABSTRACT_NAMES)[:draw(st.integers(1, 6))]
+    eta = {a: draw(st.sampled_from(elements)) for a in values}
+    mu = {b: {a for a in values if eta[a] == b} for b in elements}
+    return CarrierConn("cgc", FinCarrier.atoms(draw(st.permutations(values))),
+                       FinPoset.discrete(draw(st.permutations(elements))), eta, mu)
+
+
+def test_the_lift_of_each_criterion_4_connection_keeps_its_gamma_s_atoms():
+    for seed in range(500):
+        G = t_pgc(catalog.gen_cgc(seed, amax=8, bmax=8))
+        assert G._atoms == fresh_atoms(G), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(junk_cgcs())
+def test_the_lift_keeps_its_gamma_s_atoms(C):
+    G = t_pgc(C)
+    assert G._atoms == fresh_atoms(G)
+    assert list(G._atoms) == list(C.carrier.values)
+
+
+def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
+    C = catalog.gen_cgc(11, amax=8, bmax=8)
+    assert len(C.carrier.values) > 2
+
+    def round_trip():
+        G = t_pgc(C)
+        classify_partitioning(G)
+        assert nonempty_iso(t_cgc_of_pgc(G), C)
+
+    round_trip()  # keeps check_cgc's report on C
+    calls = {"alpha": 0, "holder masks": 0}
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(GaloisConn, "alpha", counting("alpha", GaloisConn.alpha))
+    monkeypatch.setattr(galois, "_holder_masks",
+                        counting("holder masks", galois._holder_masks))
+    round_trip()
+    # those of check_cgc on the collapsed connection
+    assert calls == {"alpha": 0, "holder masks": 1}
 
 
 # ---------------------------------------------------------------------------

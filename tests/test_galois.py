@@ -180,6 +180,25 @@ def test_checkers_refuse_the_other_connection_classes(parity):
             check_gc(conn)
 
 
+@pytest.mark.parametrize("check, needs, refused", [
+    (check_cco, "a ClosureOp or a mapping", ["parity", "sign_pgi"]),
+    (classify_partitioning, "a GaloisConn", ["parity", "closure"]),
+    (prt, "a GaloisConn", ["parity", "closure"]),
+    (is_cgi, "a CarrierConn", ["sign_pgi", "closure"]),
+], ids=["check_cco", "classify_partitioning", "prt", "is_cgi"])
+def test_the_other_checkers_refuse_the_wrong_connection_class(check, needs, refused):
+    parity = catalog.builtin("parity", 8)
+    conns = {"parity": parity, "sign_pgi": catalog.builtin("sign_pgi", 8),
+             "closure": t_cco(parity)}
+    for name in refused:
+        conn = conns[name]
+        with pytest.raises(ShapeMismatch, match=f"^{check.__name__} needs {needs}, "
+                                                f"not a {type(conn).__name__}$"):
+            check(conn)
+    # the classes each accepts still pass
+    assert check_cco(conns["closure"]) and check_cco(dict(conns["closure"].phi))
+
+
 def test_interval_gi_adjunction_sampled():
     # the carrier is too large to scan every subset, so probe the adjunction
     # literally on a deterministic sample of them
