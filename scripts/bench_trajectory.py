@@ -12,7 +12,10 @@ of them alike.  For each workload and end-to-end metric a file holds every
 run's value, their median and quartiles, and the number of pairs in which
 the commit read strictly best of all the commits (a tie is a win for none).
 The files of one invocation share a ``session`` id: only files with the same
-session were measured side by side, so only they can be compared.
+session were measured side by side, so only they can be compared.  Each file
+also records ``src_tree``, the hash of the commit's ``src/`` tree, so that a
+file measured on one commit can be tied to another commit with the same
+library code (a scratch commit and the one merged from it).
 """
 from __future__ import annotations
 
@@ -33,9 +36,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def resolve(repo: str, rev: str) -> str:
-    """The full SHA of the commit ``rev`` names in ``repo``."""
+    """The full SHA of the object ``rev`` names in ``repo``: a commit as
+    ``<rev>^{commit}``, a tree as ``<commit>:<path>``."""
     return subprocess.run(
-        ["git", "-C", repo, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        ["git", "-C", repo, "rev-parse", "--verify", rev],
         check=True, capture_output=True, text=True).stdout.strip()
 
 
@@ -118,7 +122,7 @@ def main(argv=None) -> int:
     commits = dict(c.split("=", 1) for c in args.commits)
     if len(commits) < 2 or len(commits) < len(args.commits):
         ap.error("give two or more commits with distinct labels")
-    shas = {label: resolve(args.repo, rev) for label, rev in commits.items()}
+    shas = {label: resolve(args.repo, f"{rev}^{{commit}}") for label, rev in commits.items()}
     session = f"{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}-{uuid.uuid4().hex[:8]}"
     labels = list(shas)
     seeds = [args.seed + i for i in range(args.pairs)]
@@ -142,6 +146,7 @@ def main(argv=None) -> int:
     for label in labels:
         doc = {
             "label": label, "sha": shas[label], "session": session,
+            "src_tree": resolve(args.repo, f"{shas[label]}:src"),
             "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
             "machine": platform.machine(), "seconds": seconds, "seeds": seeds,
             "against": [other for other in labels if other != label],

@@ -119,13 +119,16 @@ class Token:
     col: int
 
 
+# operator symbols: a two-character one wins over its first character
+_SYMBOLS2 = frozenset((":=", "<=", ">=", "!="))
+_SYMBOLS1 = frozenset(";{}()+-*<>=")
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     i = 0
     n = len(text)
-    symbols = (":=", "<=", ">=", "!=", ";", "{", "}", "(", ")",
-               "+", "-", "*", "<", ">", "=")
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -163,14 +166,14 @@ def _tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                tokens.append(Token("op", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise WhileSyntaxError(f"unexpected character {ch!r}", line, col)
+        sym = text[i:i + 2]
+        if sym not in _SYMBOLS2:
+            if ch not in _SYMBOLS1:
+                raise WhileSyntaxError(f"unexpected character {ch!r}", line, col)
+            sym = ch
+        tokens.append(Token("op", sym, line, col))
+        col += len(sym)
+        i += len(sym)
     tokens.append(Token("eof", "", line, col))
     return tokens
 

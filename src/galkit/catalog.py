@@ -397,8 +397,8 @@ def gen_ppgc(seed: int, amax: int = 8, bmax: int = 8) -> GaloisConn:
     for _ in range(rng.randint(0, 3)):
         # sample picks by position, so its draws depend only on len(blocks)
         family.append(sum(rng.sample(blocks, rng.randint(1, len(blocks)))))
-    lat, gamma = moore_lattice_of_masks(values, family)
-    G = GaloisConn(FinCarrier.atoms(values), lat, gamma, kind="ppgc")
+    lat = moore_lattice_of_masks(values, family)
+    G = GaloisConn(FinCarrier.atoms(values), lat, lat.members, kind="ppgc")
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("generated connection is not pre-partitioning")
     return G
@@ -419,10 +419,10 @@ def gen_downsets_gc(seed: int, amax: int = 6) -> GaloisConn:
         if rng.random() < 0.3
     ]
     poset = build_poset(values, pairs)
-    lat, gamma = moore_lattice_of_masks(
+    lat = moore_lattice_of_masks(
         values, [ds for ds in downset_masks(poset) if rng.random() < 0.4])
     return GaloisConn(
-        FinCarrier.atoms(values), lat, gamma, carrier_order=poset, kind="gc",
+        FinCarrier.atoms(values), lat, lat.members, carrier_order=poset, kind="gc",
     )
 
 

@@ -180,7 +180,11 @@ class GaloisConn(_Connection):
         init(self, "carrier", carrier)
         init(self, "carrier_order", carrier_order)
         init(self, "abstract", abstract)
-        init(self, "gamma", FrozenDict(zip(gamma, map(frozenset, gamma.values()))))
+        if not (type(gamma) is FrozenDict and all(type(s) is frozenset for s in gamma.values())):
+            # a read-only table of frozensets, such as a SetLattice's
+            # members, is kept as it is
+            gamma = FrozenDict(zip(gamma, map(frozenset, gamma.values())))
+        init(self, "gamma", gamma)
         init(self, "alpha_table", None if alpha_table is None else FrozenDict(
             (frozenset(k), v) for k, v in alpha_table.items()))
         init(self, "_atoms", None)
@@ -418,20 +422,18 @@ def _scan_additive(G: GaloisConn):
     join-irreducibles below x v y are those below x plus those below y, and
     gamma(x v y) = gamma(x) | gamma(y).
 
-    When the plan fails, or the lattice lacks a join and so has none, the
-    pairwise scan runs, so the verdict, the witness (the first failing pair
-    in element order) and any error are those of the pairwise definition.
+    When the plan fails, the pairwise scan runs, so the verdict and the
+    witness (the first failing pair in element order) are those of the
+    pairwise definition.
     """
     lat = G.abstract_lattice
     gamma = G.gamma
     if gamma[lat.bottom]:
         return False, (lat.bottom,)
-    plan = lat.additivity_plan()
-    if plan is not None:
-        g = [gamma[x] for x in lat.elements]
-        triples = iter(plan)
-        if all(g[k] == g[i] | g[j] for i, j, k in zip(triples, triples, triples)):
-            return True, None
+    g = [gamma[x] for x in lat.elements]
+    triples = iter(lat.additivity_plan())
+    if all(g[k] == g[i] | g[j] for i, j, k in zip(triples, triples, triples)):
+        return True, None
     join = lat.join
     for x, y in combinations(sorted_elems(lat.elements), 2):
         if gamma[join(x, y)] != gamma[x] | gamma[y]:
@@ -698,25 +700,12 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
 # precision and isomorphism
 
 
-def union_closure(blocks: Iterable[frozenset], guard: int = 2 ** 14) -> frozenset:
-    """All unions of the given family, including the empty union."""
-    blocks = list(dict.fromkeys(blocks))
-    if 2 ** len(blocks) > guard:
-        raise TooLarge("too many blocks for union closure")
-    closed = {frozenset()}
-    for b in blocks:
-        closed |= {c | b for c in closed}
-    return frozenset(closed)
-
-
-def _precision_images(X) -> frozenset:
-    if isinstance(X, GaloisConn):
-        return frozenset(X.gamma_image() | {frozenset()})
-    if isinstance(X, CarrierConn):
-        # a carrier-level connection implicitly represents every union of its
-        # concretization images; compare those extensional families
-        return union_closure(X.mu_image())
-    raise ShapeMismatch(f"cannot compare {type(X).__name__}")
+def _unions_within(F1: frozenset, F2: frozenset) -> bool:
+    """Every union of members of F1 is a union of members of F2, in
+    |F1| * |F2| subset tests: exactly when each X in F1 is the union of the
+    members of F2 inside X (that union lies in X, and then a union of
+    members of F1 is the union of those members of F2)."""
+    return all(X == frozenset().union(*(Y for Y in F2 if Y <= X)) for X in F1)
 
 
 def precision_cmp(X1, X2) -> str:
@@ -729,13 +718,21 @@ def precision_cmp(X1, X2) -> str:
         raise ShapeMismatch("cannot compare connections of different shapes")
     if X1.carrier.value_set() != X2.carrier.value_set():
         raise ShapeMismatch("connections have different carriers")
-    img1 = _precision_images(X1)
-    img2 = _precision_images(X2)
-    if img1 == img2:
+    if isinstance(X1, GaloisConn):
+        img1, img2 = (X.gamma_image() | {frozenset()} for X in (X1, X2))
+        finer, coarser = img2 <= img1, img1 <= img2
+    elif isinstance(X1, CarrierConn):
+        # a carrier-level connection implicitly represents every union of its
+        # concretization images; compare those extensional families
+        img1, img2 = X1.mu_image(), X2.mu_image()
+        finer, coarser = _unions_within(img2, img1), _unions_within(img1, img2)
+    else:
+        raise ShapeMismatch(f"cannot compare {type(X1).__name__}")
+    if finer and coarser:
         return "isomorphic"
-    if img2 < img1:
+    if finer:
         return "strictly_finer"
-    if img1 < img2:
+    if coarser:
         return "strictly_coarser"
     return "incomparable"
 

@@ -5,12 +5,14 @@ strings so that one identifier space works across carriers, abstract domains
 and powerset lattices.  A poset is built from one int up-mask per element
 after reflexive-transitive closure (carriers are small by design, so O(n^2)
 bits beat walking a Hasse diagram) and decodes name up-/down-sets only on
-demand.  Lattices of sets intern each subset as an int bitmask over their
-atoms and render its name once, so joins never parse names; they are
-immutable, and small powerset lattices are shared by their values.  Every
-lattice finds a bound by one rule: one AND of two int keys and one lookup.
-A lattice keeps, once found, the plan of joins that decides whether a map
-into sets preserves every join.
+demand.  Every lattice is complete and finds a bound by one rule: one AND
+of two int keys and one lookup.  A lattice of sets comes from one
+constructor, :class:`SetLattice`, over a family closed under intersection;
+it interns each subset as an int bitmask over its atoms and renders its
+name once, so joins never parse names.  It is immutable, and small
+powerset lattices are shared by their values.  A lattice keeps, once
+found, the plan of joins that decides whether a map into sets preserves
+every join.
 """
 from __future__ import annotations
 
@@ -260,30 +262,29 @@ class FinLattice:
     """A finite complete lattice: a poset plus one int join key and one int
     meet key per element, under one bound rule.
 
-    The lub of x and y is the element whose join key is the AND of theirs,
-    when one is; the glb likewise on meet keys.  An order lattice is keyed
-    by its poset's up-masks and down-masks: the AND of two up-masks is the
-    set of common upper bounds, and the lub is the least of them, the one
-    whose own up-set is all of them (Davey & Priestley, *Introduction to
-    Lattices and Order*, 2002, ch. 2).  A :class:`SetLattice` is keyed by
-    member masks, so the ANDs are union and intersection.  Either way a key
-    is order-reversing for joins (x <= y exactly when y's join key is a
-    subset of x's), and the top and the bottom are the elements keyed by
-    the AND of all keys.  A bound whose AND keys no element raises
-    NotCompleteLattice when it is asked for; :meth:`from_poset` verifies
-    that none is missing and a Moore lattice lacks none by construction
-    (see :func:`moore_lattice_of_masks`), so only a :class:`SetLattice` may
-    lack one.
+    The lub of x and y is the element whose join key is the AND of theirs;
+    the glb likewise on meet keys.  The join key of every lattice is its
+    poset's up-mask: the AND of two up-masks is the set of common upper
+    bounds, and the lub is the least of them, the one whose own up-set is
+    all of them (Davey & Priestley, *Introduction to Lattices and Order*,
+    2002, ch. 2).  An order lattice is met by down-masks likewise, and a
+    :class:`SetLattice` by member masks, so its meet is intersection.  The
+    top and the bottom are the elements keyed by the AND of all keys.
+    :meth:`from_poset` verifies that no bound is missing, and a
+    :class:`SetLattice` lacks none by construction; a lattice built around
+    a poset or meet keys that lack a bound raises NotCompleteLattice when
+    that bound is asked for.
     """
 
     __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn",
                  "_jirr", "_plan")
 
-    def __init__(self, base: FinPoset, join_keys: dict, meet_keys: dict):
-        """``join_keys`` and ``meet_keys`` map each key to its element, one
-        key of each kind per element of ``base``."""
+    def __init__(self, base: FinPoset, meet_keys: dict):
+        """``meet_keys`` maps each meet key to its element, one key per
+        element of ``base``."""
         if not base.elements:
             raise NotCompleteLattice((), "element")
+        join_keys = base._element_of_upm()
         top = join_keys.get(reduce(int.__and__, join_keys))
         bottom = meet_keys.get(reduce(int.__and__, meet_keys))
         if top is None or bottom is None:
@@ -292,7 +293,7 @@ class FinLattice:
         init(self, "base", base)
         init(self, "top", top)
         init(self, "bottom", bottom)
-        init(self, "_up", dict(zip(join_keys.values(), join_keys)))
+        init(self, "_up", dict(zip(base.elements, base._upm)))
         init(self, "_of_up", join_keys)
         init(self, "_dn", dict(zip(meet_keys.values(), meet_keys)))
         init(self, "_of_dn", meet_keys)
@@ -353,8 +354,7 @@ class FinLattice:
         if self._jirr is None:
             # the elements strictly below x have x as their lub exactly when
             # the AND of their join keys, from the bottom's, is x's key
-            elems, start = self.elements, self._up[self.bottom]
-            keys = [self._up[x] for x in elems]
+            elems, keys, start = self.elements, self.base._upm, self._up[self.bottom]
             object.__setattr__(self, "_jirr", frozenset(
                 x for i, (x, d) in enumerate(zip(elems, self.base._down_masks()))
                 if _and_keys(keys, d ^ 1 << i, start) != keys[i]))
@@ -367,9 +367,9 @@ class FinLattice:
         g(elements[k]) = g(elements[i]) | g(elements[j]) for every triple.
         Found on first use and kept on the lattice, like the
         join-irreducibles, so connections over one shared lattice share it.
-        None when a join is missing (see :meth:`_every_join_defined`): then
-        only the pairwise scan can say which pair lacks it.  Finite lattices
-        whose join-irreducibles are all join-prime are exactly the
+        Every join is defined, so the lub of a set of elements is the one
+        keyed by the AND of their join keys, from the bottom's.  Finite
+        lattices whose join-irreducibles are all join-prime are exactly the
         distributive ones (Davey & Priestley, *Introduction to Lattices and
         Order*, 2002, ch. 10).
 
@@ -388,27 +388,17 @@ class FinLattice:
           the join-irreducibles j1 ... jk below it, so by induction on k,
           g(x v y) = g(x) | g(j1) | ... | g(jk), and x = bottom gives g(y).
         """
-        if self._plan is None:
-            plan = self._find_additivity_plan()
-            # False: found that there is none
-            object.__setattr__(self, "_plan", False if plan is None else plan)
-        return self._plan if self._plan is not False else None
-
-    def _find_additivity_plan(self):
-        # every join is defined, so the lub of a set of elements is the one
-        # keyed by the AND of their join keys, from the bottom's
-        if not self._every_join_defined():
-            return None
+        if self._plan is not None:
+            return self._plan
         base, jset, of_up, start = (self.base, self.join_irreducibles(),
                                     self._of_up, self._up[self.bottom])
         upm, dnm, index = base._upm, base._down_masks(), base._index
-        keys = [self._up[x] for x in self.elements]
         jirr = [i for i, x in enumerate(self.elements) if x in jset]
         jmask, full = sum(1 << j for j in jirr), (1 << len(upm)) - 1
         plan = []
         # j is join-prime when the lub of the elements not above j is not
-        # above j: its join key is no subset of j's
-        if all(_and_keys(keys, full ^ upm[j], start) & ~keys[j] for j in jirr):
+        # above j: its up-mask is no subset of j's
+        if all(_and_keys(upm, full ^ upm[j], start) & ~upm[j] for j in jirr):
             for k, below in enumerate(dnm):
                 below &= jmask
                 if not below:  # the bottom
@@ -416,22 +406,14 @@ class FinLattice:
                 # the last of them that no other one lies above
                 j = next(j for j in reversed(jirr)
                          if below >> j & 1 and upm[j] & below == 1 << j)
-                rest = of_up[_and_keys(keys, below ^ 1 << j, start)]
+                rest = of_up[_and_keys(upm, below ^ 1 << j, start)]
                 plan.extend((index[rest], j, k))
         else:
-            for i, u in enumerate(keys):
+            for i, u in enumerate(upm):
                 for j in jirr:
-                    plan.extend((i, j, index[of_up[u & keys[j]]]))
-        return array("H" if len(upm) <= 1 << 16 else "L", plan)
-
-    def _every_join_defined(self) -> bool:
-        """Whether ``join`` is defined on every pair: always, for a plain
-        lattice.  One is built only by :meth:`from_poset`, which returns it
-        once every pair has a lub, or by :func:`moore_lattice_of_masks`,
-        whose family is closed under intersection and holds the top, so
-        that every set of members has a least member above its union.  Only
-        a :class:`SetLattice` may lack a join, and it scans for one."""
-        return True
+                    plan.extend((i, j, index[of_up[u & upm[j]]]))
+        object.__setattr__(self, "_plan", array("H" if len(upm) <= 1 << 16 else "L", plan))
+        return self._plan
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -469,7 +451,7 @@ class FinLattice:
         lacks a bound.
         """
         elems, upm, dnm = poset.elements, poset._upm, poset._down_masks()
-        lat = FinLattice(poset, poset._element_of_upm(), dict(zip(dnm, elems)))
+        lat = FinLattice(poset, dict(zip(dnm, elems)))
         of_up, of_dn = lat._of_up, lat._of_dn
         if all(upm[i] & upm[j] in of_up for i, j in _twin_pairs(upm, dnm)):
             return lat
@@ -483,11 +465,29 @@ class FinLattice:
 
 
 class SetLattice(FinLattice, Immutable):
-    """A lattice of subsets under inclusion, whose elements are named after
-    their members; ``members`` maps each name back to its subset.  A
-    subset's meet key is its member mask over the sorted atoms and its join
-    key the complement of that mask, so a meet ANDs the masks and a join
-    takes their union.
+    """The lattice of a family of subsets under inclusion, whose elements
+    are named after their members; ``members`` maps each name back to its
+    subset.
+
+    ``masks`` gives each subset as an int over ``atoms``, bit i standing for
+    ``atoms[i]``; atoms in any order are moved first to the bits of the
+    sorted atoms.  The family must be closed under intersection and hold a
+    member above all the others: then it is a complete lattice under
+    inclusion (a topped intersection-structure; Davey & Priestley,
+    *Introduction to Lattices and Order*, 2002, ch. 2), whose meet is
+    intersection and whose join is the least member above the union.  So
+    no bound is checked, as :meth:`FinLattice.from_poset` would: every AND
+    of two member masks is a member's, and every AND of two up-masks, the
+    set of the members above both, is the up-mask of the intersection of
+    those members.  A subset's join key is its up-mask and its meet key its
+    member mask.
+
+    Each subset is named once, as :func:`set_name` would name it, and the
+    elements keep the order of ``masks``, or are sorted by name when
+    ``by_name``.  Raises DuplicateElement over duplicated atoms and when
+    two subsets get the same name (over the atoms ``a``, ``b`` and ``a,b``,
+    both ``{a, b}`` and ``{"a,b"}`` would be named ``{a,b}``), and
+    UnknownElement for a mask with a bit outside the atoms.
 
     A set lattice is immutable, so that one can be shared (see
     :func:`powerset_lattice`): setting an attribute raises AttributeError,
@@ -496,38 +496,48 @@ class SetLattice(FinLattice, Immutable):
 
     __slots__ = ("members", "_bit")
 
-    @staticmethod
-    def from_family(
-        atoms: Iterable[str], family: Iterable[Iterable[str]], by_name: bool = False,
-    ) -> "SetLattice":
-        """The lattice of a family of subsets of ``atoms``.
-
-        Join is union and meet is intersection, so a bound outside the
-        family, in a family not closed under them, raises NotCompleteLattice
-        when it is asked for; the union and the intersection of the whole
-        family must be members, as the top and the bottom.  Each subset is
-        interned as an int bitmask over the sorted atoms, its meet key, and
-        named and ordered by :func:`_set_family`.  Elements keep the
-        family's order, or are sorted by name when ``by_name``.
-        """
-        atoms = sorted_elems(atoms)
-        bit = {a: 1 << i for i, a in enumerate(atoms)}
-        poset, of_mask, members = _set_family(atoms, _masks(bit, family), by_name)
-        full = (1 << len(atoms)) - 1
-        lat = SetLattice(poset, {full ^ m: x for m, x in of_mask.items()}, of_mask)
+    def __init__(self, atoms: Iterable[str], masks: Iterable[int], by_name: bool = False):
+        atoms, masks = list(atoms), list(masks)
+        if len(set(atoms)) != len(atoms):
+            raise DuplicateElement("set lattice over duplicated atoms")
+        if any(m >> len(atoms) for m in masks):  # a bit past the atoms, or a negative int
+            raise UnknownElement(f"a mask has a bit outside the {len(atoms)} atoms")
+        order = sorted_elems(atoms)
+        if order != atoms:
+            moved = [1 << order.index(a) for a in atoms]
+            masks = [sum(map(moved.__getitem__, bit_positions(m))) for m in masks]
+            atoms = order
+        of_mask, members = {}, {}
+        for m in masks:
+            # a subset less its lowest member, once named, gives its name and
+            # members; the by-size listing of a powerset names it first
+            low = m & -m
+            rest = of_mask.get(m ^ low) if m else None
+            if rest is None:
+                subset = list(map(atoms.__getitem__, bit_positions(m)))
+                name, subset = "{" + ",".join(subset) + "}", frozenset(subset)
+            else:
+                atom = atoms[low.bit_length() - 1]
+                name = "{" + atom + ("," + rest[1:] if m != low else "}")
+                subset = members[rest] | {atom}
+            if name in members:
+                raise DuplicateElement(f"two subsets are both named {name!r}")
+            of_mask[m], members[name] = name, subset
+        # a name starts with "{", so sorted_elems would sort it as a string
+        names = sorted(members) if by_name else list(members)
+        # up-masks by intersecting, per member atom, the bitmask (over element
+        # positions) of the subsets that hold it: no pairwise subset tests
+        holders = dict.fromkeys(atoms, 0)
+        for j, name in enumerate(names):
+            for x in members[name]:
+                holders[x] |= 1 << j
+        full = (1 << len(names)) - 1
+        poset = FinPoset(names, [reduce(int.__and__, map(holders.__getitem__, members[x]), full)
+                                 for x in names])
+        super().__init__(poset, of_mask)
         init = object.__setattr__
-        init(lat, "members", FrozenDict(members))
-        init(lat, "_bit", bit)
-        return lat
-
-    def _every_join_defined(self) -> bool:
-        """Whether ``join`` is defined on every pair: a family need not be
-        closed under union.  Each element's join key is the bottom's AND-ed
-        with those of the join-irreducibles below it, so every join is
-        defined once every x v j is: n * |J| lookups."""
-        of_up = self._of_up
-        jkeys = [self._up[j] for j in self.join_irreducibles()]
-        return all(u & j in of_up for u in of_up for j in jkeys)
+        init(self, "members", FrozenDict(members))
+        init(self, "_bit", _bits(tuple(atoms)))
 
     def name_of(self, subset: Iterable[str]) -> str:
         """The element whose members are exactly ``subset``."""
@@ -535,6 +545,14 @@ class SetLattice(FinLattice, Immutable):
             return self._of_dn[sum(self._bit[x] for x in frozenset(subset))]
         except KeyError:
             raise UnknownElement(f"no element with members {subset!r}") from None
+
+
+# shared by the lattices over one tuple of atoms: the generators build a
+# Moore lattice per seed over a handful of them
+@lru_cache(maxsize=64)
+def _bits(atoms: tuple[str, ...]) -> FrozenDict:
+    """Each atom -> its bit."""
+    return FrozenDict((a, 1 << i) for i, a in enumerate(atoms))
 
 
 def _closure(start: Iterable, gens: Sequence, op) -> Iterator:
@@ -552,94 +570,15 @@ def _closure(start: Iterable, gens: Sequence, op) -> Iterator:
                 yield new
 
 
-def _masks(bit: dict, family: Iterable[Iterable[str]]) -> list[int]:
-    """Each subset of ``family`` as the OR of its members' bits."""
-    try:
-        return [sum(map(bit.__getitem__, frozenset(s))) for s in family]
-    except KeyError as exc:
-        raise UnknownElement(f"{exc.args[0]!r} is not an atom") from None
-
-
-def _set_family(atoms: list[str], masks: Iterable[int], by_name: bool):
-    """The one construction of a family of subsets of the sorted ``atoms``,
-    each given as an int mask over them: name each subset once, as
-    :func:`set_name` would, list the names in the given order or sorted by
-    name when ``by_name``, and order them by inclusion.  Returns that poset,
-    each mask's name and each name's members, in the given order.
-
-    Raises DuplicateElement over duplicated atoms, and when two subsets get
-    the same name: over the atoms ``a``, ``b`` and ``a,b``, both ``{a, b}``
-    and ``{"a,b"}`` would be named ``{a,b}``.
-    """
-    if len(set(atoms)) != len(atoms):
-        raise DuplicateElement("set lattice over duplicated atoms")
-    of_mask, members = {}, {}
-    for m in masks:
-        # a subset less its lowest member, once named, gives its name and
-        # members; the by-size listing of a powerset names it first
-        low = m & -m
-        rest = of_mask.get(m ^ low) if m else None
-        if rest is None:
-            subset = list(map(atoms.__getitem__, bit_positions(m)))
-            name, subset = "{" + ",".join(subset) + "}", frozenset(subset)
-        else:
-            atom = atoms[low.bit_length() - 1]
-            name = "{" + atom + ("," + rest[1:] if m != low else "}")
-            subset = members[rest] | {atom}
-        if name in members:
-            raise DuplicateElement(f"two subsets are both named {name!r}")
-        of_mask[m], members[name] = name, subset
-    # a name starts with "{", so sorted_elems would sort it as a string
-    names = sorted(members) if by_name else list(members)
-    # up-masks by intersecting, per member atom, the bitmask (over element
-    # positions) of the subsets that hold it: no pairwise subset tests
-    holders = dict.fromkeys(atoms, 0)
-    for j, name in enumerate(names):
-        for x in members[name]:
-            holders[x] |= 1 << j
-    full = (1 << len(names)) - 1
-    upm = [reduce(int.__and__, map(holders.__getitem__, members[x]), full) for x in names]
-    return FinPoset(names, upm), of_mask, members
-
-
-def moore_lattice(
-    atoms: Iterable[str], family: Iterable[Iterable[str]],
-) -> tuple[FinLattice, dict[str, frozenset]]:
-    """The Moore family generated by ``family`` (its intersections, with
-    ``atoms`` as the empty one) as a plain FinLattice under inclusion, and
-    each element's subset; see :func:`moore_lattice_of_masks`."""
-    atoms = sorted_elems(atoms)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    return moore_lattice_of_masks(atoms, _masks(bit, family))
-
-
-def moore_lattice_of_masks(
-    atoms: Sequence[str], masks: Iterable[int],
-) -> tuple[FinLattice, dict[str, frozenset]]:
-    """:func:`moore_lattice` of a family given as int masks, bit i standing
-    for ``atoms[i]``: the family is closed under intersection by a worklist
-    on the masks (moved first to the bits of the sorted atoms), named,
-    sorted by name and ordered by :func:`_set_family`, and keyed by its
-    up-masks and down-masks.  Join is the least member above the union, not
-    the union.
-
-    No bound is checked, as :meth:`FinLattice.from_poset` would: a family
-    closed under intersection that holds the whole set is a complete lattice
-    under inclusion (a topped intersection-structure; Davey & Priestley,
-    *Introduction to Lattices and Order*, 2002).  The meet of any
-    members is their intersection, a member; their join is the meet of the
-    members above all of them, among which is the whole set.  So every AND
-    of two up-masks (down-masks) is the up-mask (down-mask) of an element.
-    """
-    atoms, masks = list(atoms), list(masks)
-    if any(m >> len(atoms) for m in masks):  # a bit past the atoms, or a negative int
-        raise UnknownElement(f"a mask has a bit outside the {len(atoms)} atoms")
-    if atoms != sorted_elems(atoms):  # moved to the bits of the sorted atoms
-        return moore_lattice(atoms, ([atoms[i] for i in bit_positions(m)] for m in masks))
-    closed = _closure([(1 << len(atoms)) - 1, *masks], masks, int.__and__)
-    poset, _, gamma = _set_family(atoms, closed, by_name=True)
-    keys = poset._element_of_upm(), dict(zip(poset._down_masks(), poset.elements))
-    return FinLattice(poset, *keys), gamma
+def moore_lattice_of_masks(atoms: Sequence[str], masks: Iterable[int]) -> SetLattice:
+    """The Moore family generated by a family given as int masks, bit i
+    standing for ``atoms[i]``: its intersections, with the whole set as the
+    empty one, closed by a worklist on the masks, as a :class:`SetLattice`
+    sorted by name.  Its join is the least member above the union, not the
+    union."""
+    masks = list(masks)
+    return SetLattice(atoms, _closure([(1 << len(atoms)) - 1, *masks], masks, int.__and__),
+                      by_name=True)
 
 
 def downset_masks(poset: FinPoset) -> Iterator[int]:
@@ -664,12 +603,6 @@ def iter_downsets(poset: FinPoset):
     the order of :func:`downset_masks`."""
     elems = poset.elements
     yield from (frozenset(map(elems.__getitem__, bit_positions(m))) for m in downset_masks(poset))
-
-
-def downsets_lattice(poset: FinPoset) -> SetLattice:
-    """The complete lattice of all downward-closed subsets, ordered by
-    inclusion: union and intersection of downsets are downsets."""
-    return SetLattice.from_family(poset.elements, iter_downsets(poset), by_name=True)
 
 
 def subsets_by_size(values: Sequence[str]) -> Iterator[tuple[str, ...]]:
@@ -710,7 +643,8 @@ def powerset_lattice(values: Iterable[str]) -> SetLattice:
 
 
 def _build_powerset(vals: tuple[str, ...]) -> SetLattice:
-    return SetLattice.from_family(vals, subsets_by_size(vals))
+    # every union of distinct bits is a sum
+    return SetLattice(vals, map(sum, subsets_by_size([1 << i for i in range(len(vals))])))
 
 
 _interned_powerset = lru_cache(maxsize=POWERSET_INTERN_SIZE)(_build_powerset)

@@ -7,7 +7,7 @@ block representatives are named after their least carrier member.
 """
 from __future__ import annotations
 
-from .errors import NotInClass
+from .errors import NotInClass, TooLarge
 from .galois import (
     CarrierConn,
     ClosureOp,
@@ -20,7 +20,6 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
     prt,
-    union_closure,
 )
 from .order import (
     FinLattice,
@@ -31,6 +30,7 @@ from .order import (
     powerset_lattice,
     set_name,
     sorted_elems,
+    subsets_by_size,
 )
 
 
@@ -174,12 +174,29 @@ def least_disjunctive_basis(G: GaloisConn) -> frozenset:
 
 def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     """Close the concretization images under unions, yielding a partitioning
-    connection over all unions of blocks."""
+    connection over all unions of blocks.
+
+    The blocks gamma(alpha({a})) partition the carrier, so the union and
+    the intersection of two block unions are block unions again: the family
+    of all block unions is closed under both and holds the carrier, and its
+    lattice needs no closure pass.  Every gamma(d) lies in it when alpha({x}) is the atom
+    a_x of each x: then x is in gamma(d) exactly when a_x <= d, so gamma(d)
+    is the union of the blocks gamma(a_x), x in gamma(d).  An ``alpha_table``
+    that disagrees with gamma can break that, and then the input is refused.
+    """
     cls = classify_partitioning(G)
     if cls.category not in ("PGC", "PPGC"):
         raise NotInClass("input is not pre-partitioning")
-    family = union_closure(prt(G), guard=2 ** 12) | G.gamma_image()
-    lat = SetLattice.from_family(G.carrier.values, family, by_name=True)
+    blocks = prt(G)
+    if len(blocks) > 12:
+        raise TooLarge("too many blocks for union closure")
+    values = G.carrier.values
+    bit = {v: 1 << i for i, v in enumerate(values)}
+    # blocks are disjoint, so each set of them has its own union, its sum
+    family = set(map(sum, subsets_by_size([sum(map(bit.__getitem__, b)) for b in blocks])))
+    if any(sum(map(bit.__getitem__, g)) not in family for g in G.gamma.values()):
+        raise NotInClass("a concretization is no union of blocks: not a Galois connection")
+    lat = SetLattice(values, family, by_name=True)
     out = GaloisConn(G.carrier, lat, lat.members, kind="pgc")
     if classify_partitioning(out).category != "PGC":
         raise NotInClass("completion failed to produce a partitioning connection")

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from galkit import catalog
+from galkit.order import FinPoset, SetLattice, downset_masks, moore_lattice_of_masks
 
 PROGRAMS_DIR = os.path.join(os.path.dirname(__file__), "programs")
 
@@ -13,6 +14,13 @@ PROGRAMS_DIR = os.path.join(os.path.dirname(__file__), "programs")
 def program_text(name: str) -> str:
     with open(os.path.join(PROGRAMS_DIR, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def downsets_lattice(poset: FinPoset) -> SetLattice:
+    """The lattice of the downsets of ``poset``: they are closed under
+    intersection and hold the whole poset, so they are their own Moore
+    family."""
+    return moore_lattice_of_masks(poset.elements, downset_masks(poset))
 
 
 def program_names() -> list[str]:

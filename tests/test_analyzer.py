@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import program_text
+from conftest import program_names, program_text
 
 from galkit import catalog
 from galkit.analyzer import (
     AbstractSemantics,
+    Token,
+    _tokenize,
     Assign,
     BinOp,
     Cmp,
@@ -85,6 +89,92 @@ def test_a_digit_that_is_not_decimal_is_a_syntax_error(text, col):
     assert (err.value.line, err.value.col) == (1, col)
     # a name may still hold one, as str.isalnum allows
     assert program_vars(parse_program("x² := 1; y := x²;")) == ["x²", "y"]
+
+
+def literal_tokenize(text: str) -> list[Token]:
+    """The tokenizer as it tried each symbol with ``str.startswith``, the
+    two-character ones first."""
+    tokens, line, col, i, n = [], 1, 1, 0, len(text)
+    symbols = (":=", "<=", ">=", "!=", ";", "{", "}", "(", ")",
+               "+", "-", "*", "<", ">", "=")
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdecimal() or (
+            ch == "-" and i + 1 < n and text[i + 1].isdecimal()
+            and (not tokens or tokens[-1].kind not in ("int", "ident")
+                 and tokens[-1].text != ")")
+        ):
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("int", text[i:j], line, col))
+            col, i = col + j - i, j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col, i = col + j - i, j
+            continue
+        for sym in symbols:
+            if text.startswith(sym, i):
+                tokens.append(Token("op", sym, line, col))
+                col, i = col + len(sym), i + len(sym)
+                break
+        else:
+            raise WhileSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def token_outcome(tokenize, text):
+    """The tokens, or the message, line and column of the syntax error."""
+    try:
+        return tokenize(text)
+    except WhileSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus program with a few characters replaced, inserted or
+    deleted, drawn from the symbols, their near misses and the text's own."""
+    text = program_text(draw(st.sampled_from(program_names())))
+    chars = st.sampled_from(list(":=<>!;{}()+-*#\n 0a_é²?"))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        if kind == "replace":
+            text = text[:i] + draw(chars) + text[i + 1:]
+        elif kind == "insert":
+            text = text[:i] + draw(chars) + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_corpus_texts())
+# a symbol's first character at the end of the text
+@example("x :")
+@example("x !")
+@example("x <")
+@example("")
+def test_the_tokenizer_agrees_with_the_startswith_loop(text):
+    assert token_outcome(_tokenize, text) == token_outcome(literal_tokenize, text)
 
 
 def test_use_before_assign_rules():

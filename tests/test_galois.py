@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import downsets_lattice
+
 from galkit import catalog
 from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, UnknownElement
 from galkit.galois import (
@@ -30,7 +32,6 @@ from galkit.order import (
     FinLattice,
     FinPoset,
     build_poset,
-    downsets_lattice,
     set_name,
 )
 from galkit.setops import FinCarrier
@@ -281,6 +282,58 @@ def test_incomparable_partitions():
     C2 = split([("a", "c"), ("b", "d")])
     assert precision_cmp(C1, C2) == "incomparable"
     assert precision_cmp(C1, C1) == "isomorphic"
+
+
+def union_closure(family) -> frozenset:
+    """Every union of members of ``family``, the empty one included."""
+    closed = {frozenset()}
+    for block in family:
+        closed |= {c | block for c in closed}
+    return frozenset(closed)
+
+
+def literal_precision_cmp(C1: CarrierConn, C2: CarrierConn) -> str:
+    """The precision order as the comparison of the union closures of the
+    concretization images."""
+    img1, img2 = union_closure(C1.mu_image()), union_closure(C2.mu_image())
+    if img1 == img2:
+        return "isomorphic"
+    if img2 < img1:
+        return "strictly_finer"
+    if img1 < img2:
+        return "strictly_coarser"
+    return "incomparable"
+
+
+@st.composite
+def carrier_conns(draw, values=("a", "b", "c", "d")):
+    """A connection over ``values`` with up to 5 abstract elements and an
+    arbitrary mu, so images may overlap, repeat, be empty or miss values."""
+    names = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
+    subsets = st.frozensets(st.sampled_from(values))
+    mu = {b: draw(subsets) for b in names}
+    eta = {v: draw(st.sampled_from(names)) for v in values}
+    return CarrierConn("pcgc", FinCarrier.atoms(values), FinPoset.discrete(names), eta, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(carrier_conns(), carrier_conns())
+def test_precision_cmp_agrees_with_the_union_closures(C1, C2):
+    for X, Y in ((C1, C2), (C2, C1), (C1, C1)):
+        assert precision_cmp(X, Y) == literal_precision_cmp(X, Y)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_precision_decides_identity_connections_of_many_blocks(n):
+    values = [str(i) for i in range(n)]
+    C = CarrierConn("cgc", FinCarrier.atoms(values), FinPoset.discrete(values),
+                    {v: v for v in values}, {v: frozenset([v]) for v in values})
+    assert check_cgc(C)
+    assert precision_cmp(C, C) == "isomorphic"
+    f12, f21 = renaming_witnesses(C, C)
+    assert f12 == f21 == {v: v for v in values}
+    assert precision_cmp(C, one_block(values)) == "strictly_finer"
+    assert precision_cmp(one_block(values), C) == "strictly_coarser"
 
 
 def test_precision_requires_shared_carrier():

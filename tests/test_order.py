@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import downsets_lattice
+
 from galkit import order
 from galkit.errors import (
     CycleDetected,
@@ -22,7 +24,6 @@ from galkit.order import (
     FinLattice,
     FinPoset,
     build_poset,
-    downsets_lattice,
     iter_downsets,
     meet_closure,
     powerset_lattice,

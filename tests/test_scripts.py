@@ -125,6 +125,10 @@ def test_bench_trajectory_measures_two_commits_in_one_session(tmp_path):
     assert docs["old"]["session"] == docs["new"]["session"]
     assert docs["old"]["sha"] != docs["new"]["sha"]
     assert all(len(d["sha"]) == 40 and d["seeds"] == [1] for d in docs.values())
+    # the second commit changes no file under src/: both name the same tree
+    src_tree = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD:src"],
+                              check=True, capture_output=True, text=True).stdout.strip()
+    assert docs["old"]["src_tree"] == docs["new"]["src_tree"] == src_tree
     for name in ("throughput_ops_per_s", "setup_s", "peak_rss_mb"):
         metrics = [d["workloads"]["analyze-corpus"]["metrics"][name] for d in docs.values()]
         for m in metrics:

@@ -1,12 +1,22 @@
 """Set-family lattices against their literal definitions.
 
-``powerset_lattice``, ``downsets_lattice`` and the lattice built by
-``disjunctive_completion`` all come from ``SetLattice.from_family``.  The
-reference constructions below are the earlier string-named ones, built pairwise from
-``set_name``; when no two subsets share a name the element tuple and the
-order must agree with them, and when names collide the constructor must
-refuse instead of merging.  ``powerset_lattice`` shares one lattice per set
-of values; it must be the same object for every order of the values, agree
+Every lattice of sets is a ``SetLattice``, built by its one constructor
+from int masks of a family closed under intersection: ``powerset_lattice``
+passes the powerset by size, ``moore_lattice_of_masks`` (the generators'
+Moore families, and the downsets of a poset) closes its family and sorts
+it by name, and ``disjunctive_completion`` passes its block unions.  On
+each of those, join must be the least member above the union, meet the
+intersection, ``lub`` and ``glb`` of a pair the same, top and bottom the
+union and the intersection of all members, the join-irreducibles the
+members that are no join of the members below them, and the additivity
+plan that of the order lattice of the same poset, each triple a literal
+join.  The reference constructions below are the earlier string-named
+ones, built pairwise from ``set_name``; when no two subsets share a name
+the element tuple and the members must agree with them, and when names
+collide the constructor must refuse instead of merging.
+``least_disjunctive_basis`` reads a Moore lattice that is a whole powerset
+as it reads a powerset.  ``powerset_lattice`` shares one lattice per set of
+values; it must be the same object for every order of the values, agree
 with a fresh build, refuse writes, and raise its errors on every call; the
 powerset connections of ``t_pgc`` over one set of values share its
 additivity plan, and deciding the second one's additivity calls no join.
@@ -17,13 +27,14 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import downsets_lattice
 
 from galkit import catalog, galois, order
 from galkit.errors import (
     DuplicateElement,
-    NotCompleteLattice,
     TooLarge,
     UnknownElement,
 )
@@ -39,18 +50,17 @@ from galkit.order import (
     FinPoset,
     SetLattice,
     build_poset,
-    downsets_lattice,
     iter_downsets,
-    moore_lattice,
+    moore_lattice_of_masks,
     powerset_lattice,
     set_name,
     sort_key,
     sorted_elems,
-    subsets_by_size,
 )
 from galkit.setops import FinCarrier
 from galkit.transforms import (
     disjunctive_completion,
+    least_disjunctive_basis,
     t_cco,
     t_cgc_of_cco,
     t_cgc_of_pgc,
@@ -85,21 +95,43 @@ def ref_completion(G):
 
 
 def agrees_with(lat, ref):
-    """The literal definitions, and the earlier construction when it named
-    every subset apart."""
-    members = lat.members
-    assert set(members) == set(lat.elements)
-    everything = frozenset().union(*members.values())
-    assert members[lat.top] == everything
-    assert members[lat.bottom] == frozenset.intersection(*members.values())
-    for x in lat.elements:
-        for y in lat.elements:
-            assert members[lat.join(x, y)] == members[x] | members[y]
-            assert members[lat.meet(x, y)] == members[x] & members[y]
+    """The literal definitions of a lattice of an intersection-closed
+    family, and the earlier construction when it named every subset apart."""
+    members, elems = lat.members, lat.elements
+    assert set(members) == set(elems)
+    sets = list(members.values())
+    name = {s: x for x, s in members.items()}
+    assert len(name) == len(elems)
+    assert members[lat.top] == frozenset().union(*sets)
+    assert members[lat.bottom] == frozenset.intersection(*sets)
+
+    def least_above(s):
+        """The join of members whose union is s: the intersection of the
+        members above s, or s itself when it is one."""
+        return name.get(s) or name[frozenset.intersection(*(t for t in sets if s <= t))]
+
+    joins = {}
+    for x in elems:
+        for y in elems:
+            joins[x, y] = least_above(members[x] | members[y])
+            assert lat.join(x, y) == lat.lub([x, y]) == joins[x, y]
+            assert lat.meet(x, y) == lat.glb([x, y]) == name[members[x] & members[y]]
             assert lat.leq(x, y) == (members[x] <= members[y])
+    jirr = {x for x in elems if least_above(frozenset().union(
+        *(s for s in sets if s < members[x]))) != x}
+    assert lat.join_irreducibles() == jirr
+    # one triple per element above the bottom exactly when every
+    # join-irreducible j is join-prime: j <= x v y puts j below x or y
+    prime = all(not members[j] <= members[joins[x, y]] or members[j] <= members[x]
+                or members[j] <= members[y] for j in jirr for x, y in joins)
+    plan = lat.additivity_plan()
+    triples = list(zip(*[iter(plan)] * 3))
+    assert len(triples) == (len(elems) - 1 if prime else len(elems) * len(jirr))
+    assert all(elems[k] == joins[elems[i], elems[j]] for i, j, k in triples)
+    assert plan == FinLattice.from_poset(lat.base).additivity_plan()
     names = [n for n, _ in ref]
     if len(set(names)) == len(names):
-        assert lat.elements == tuple(names)
+        assert elems == tuple(names)
         assert all(members[n] == s for n, s in ref)
 
 
@@ -107,6 +139,7 @@ def agrees_with(lat, ref):
 
 ATOMS = st.one_of(
     st.integers(min_value=-12, max_value=12).map(str),
+    st.sampled_from(["01", "+1", "1_0", " 10", "-01"]),  # tie with ints above
     st.text(alphabet="abxy", min_size=1, max_size=2),
     st.text(alphabet="ab{},", min_size=1, max_size=3),
 )
@@ -151,45 +184,78 @@ def partitioned(draw):
     )
 
 
+def completed(G):
+    D = disjunctive_completion(G)
+    assert classify_partitioning(D).category == "PGC"
+    return D.abstract_lattice
+
+
+# each a build of a lattice from a catalog connection, and the reference
+# it must agree with
+CATALOG_SET_LATTICES = st.one_of(
+    st.integers(0, 499).map(catalog.gen_ppgc).map(
+        lambda G: (lambda: G.abstract, ref_by_name(G.gamma.values()))),
+    st.integers(0, 499).map(catalog.gen_downsets_gc).map(
+        lambda G: (lambda: G.abstract, ref_by_name(G.gamma.values()))),
+)
+
+
+def check_build(build, ref):
+    """A build agrees with its reference, or refuses when names collide."""
+    if len({n for n, _ in ref}) < len(ref):
+        with pytest.raises(DuplicateElement):
+            build()
+        return None
+    lat = build()
+    assert type(lat) is SetLattice
+    agrees_with(lat, ref)
+    return lat
+
+
 # -- differential tests ---------------------------------------------------
 
 
+# eight values, four of them equal as ints and two holding "{}" or ","
+EIGHT = ["1", "01", "1_0", "+1", "a", "{}", "b,c", "-1"]
+
+
 @settings(max_examples=150, deadline=None)
-@given(atom_lists(4))
+@given(atom_lists(8))
+@example(EIGHT)
 def test_powerset_matches_its_definition(values):
-    ref = ref_powerset(values)
-    if len({n for n, _ in ref}) < len(ref):
-        with pytest.raises(DuplicateElement):
-            powerset_lattice(values)
-        return
-    agrees_with(powerset_lattice(values), ref)
+    check_build(lambda: powerset_lattice(values), ref_powerset(values))
 
 
 @settings(max_examples=100, deadline=None)
 @given(posets())
 def test_downsets_match_their_definition(p):
-    ref = ref_downsets(p)
-    if len({n for n, _ in ref}) < len(ref):
-        with pytest.raises(DuplicateElement):
-            downsets_lattice(p)
-        return
-    lat = downsets_lattice(p)
-    agrees_with(lat, ref)
-    assert {lat.members[n] for n in lat.elements} == set(iter_downsets(p))
+    lat = check_build(lambda: downsets_lattice(p), ref_downsets(p))
+    if lat is not None:
+        assert {lat.members[n] for n in lat.elements} == set(iter_downsets(p))
 
 
 @settings(max_examples=100, deadline=None)
 @given(partitioned())
 def test_disjunctive_completion_matches_its_definition(C):
     G = t_pgc(C)
-    ref = ref_completion(G)
-    if len({n for n, _ in ref}) < len(ref):
-        with pytest.raises(DuplicateElement):
-            disjunctive_completion(G)
-        return
-    D = disjunctive_completion(G)
-    agrees_with(D.abstract_lattice, ref)
-    assert classify_partitioning(D).category == "PGC"
+    check_build(lambda: completed(G), ref_completion(G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(CATALOG_SET_LATTICES)
+def test_catalog_set_lattices_match_their_definition(case):
+    check_build(*case)
+
+
+def test_the_least_disjunctive_basis_of_a_moore_powerset_is_that_of_the_powerset():
+    # the intersections of the pairs of three atoms are all of the powerset
+    lat = moore_lattice_of_masks(["a", "b", "c"], [0b011, 0b101, 0b110])
+    powerset = powerset_lattice(["a", "b", "c"])
+    assert set(lat.elements) == set(powerset.elements)
+    carrier = FinCarrier.atoms(["a", "b", "c"])
+    bases = [least_disjunctive_basis(GaloisConn(carrier, L, L.members))
+             for L in (lat, powerset)]
+    assert bases[0] == bases[1] == {"{a}", "{b}", "{c}", "{}", "{a,b,c}"}
 
 
 # -- interned powersets ---------------------------------------------------
@@ -208,8 +274,7 @@ def test_powerset_lattice_is_one_object_per_set_of_values(case):
         return
     lat = powerset_lattice(values)
     assert powerset_lattice(shuffled) is lat
-    vals = sorted_elems(values)
-    fresh = SetLattice.from_family(vals, subsets_by_size(vals))
+    fresh = order._build_powerset(tuple(sorted_elems(values)))
     assert lat is not fresh
     assert lat.elements == fresh.elements
     assert lat.base._upm == fresh.base._upm
@@ -318,26 +383,34 @@ def test_lifting_a_closure_with_comma_names_is_partitioning():
 def test_ambiguous_set_names_are_refused():
     with pytest.raises(DuplicateElement):
         powerset_lattice(["a", "b", "a,b"])
-    with pytest.raises(DuplicateElement):
-        SetLattice.from_family(["a"], [["a"], ["a"]])
+    with pytest.raises(DuplicateElement, match=re.escape("two subsets are both named '{a}'")):
+        SetLattice(["a"], [0b1, 0b1])
 
 
-@pytest.mark.parametrize("build", [SetLattice.from_family, moore_lattice],
-                         ids=["from_family", "moore_lattice"])
+@pytest.mark.parametrize("build", [SetLattice, moore_lattice_of_masks],
+                         ids=["SetLattice", "moore_lattice"])
 def test_both_naming_errors_say_what_clashed(build):
     with pytest.raises(DuplicateElement, match="^set lattice over duplicated atoms$"):
-        build(["a", "b", "a"], [[], ["a", "b"]])
+        build(["a", "b", "a"], [0b000, 0b011, 0b111])
     # over the atoms a, b and a,b the subsets {a, b} and {"a,b"} share a name
     with pytest.raises(DuplicateElement,
                        match=re.escape("two subsets are both named '{a,b}'")):
-        build(["a", "b", "a,b"], [[], ["a", "b"], ["a,b"], ["a", "b", "a,b"]])
+        build(["a", "b", "a,b"], [0b000, 0b011, 0b100, 0b111])
 
 
 def test_a_member_listed_twice_counts_once():
-    lat = SetLattice.from_family(["a", "b"], [[], ["a", "a"], ["a", "b", "b"]])
-    assert lat.elements == ("{}", "{a}", "{a,b}")
-    _, members = moore_lattice(["a", "b"], [["a", "a"]])
-    assert members == {"{a,b}": frozenset("ab"), "{a}": frozenset("a")}
+    lat = moore_lattice_of_masks(["b", "a"], [0b10, 0b10])
+    assert lat.elements == ("{a,b}", "{a}")
+    assert lat.members == {"{a,b}": frozenset("ab"), "{a}": frozenset("a")}
+
+
+def test_atoms_in_any_order_name_the_same_subsets():
+    lat = SetLattice(["b", "a", "c"], [0b000, 0b001, 0b011, 0b111])
+    assert lat.elements == ("{}", "{b}", "{a,b}", "{a,b,c}")
+    assert lat.join("{b}", "{a,b}") == "{a,b}" and lat.name_of("ab") == "{a,b}"
+    for subset in ("a", "z"):
+        with pytest.raises(UnknownElement, match="no element with members"):
+            lat.name_of(subset)
 
 
 @pytest.mark.parametrize("lat", [
@@ -352,32 +425,6 @@ def test_bounds_of_unknown_names_raise_unknown_element(lat):
             op(x, "{zz}")
         with pytest.raises(UnknownElement):
             op("{zz}", x)
-
-
-def test_bounds_outside_the_family_raise_not_complete():
-    family = [[], ["a"], ["b"], ["a", "b", "c"]]
-    lat = SetLattice.from_family(["a", "b", "c"], family)
-    assert lat.join("{a}", "{a,b,c}") == "{a,b,c}"
-    with pytest.raises(NotCompleteLattice):
-        lat.join("{a}", "{b}")
-    with pytest.raises(UnknownElement):
-        lat.name_of(["a", "b"])
-    with pytest.raises(UnknownElement):
-        SetLattice.from_family(["a"], [["z"]])
-
-
-def test_lub_and_glb_outside_the_family_name_the_pair():
-    lat = SetLattice.from_family(
-        "abcd", [[], ["c"], ["d"], ["a"], ["b"], ["a", "b", "c", "d"]])
-    with pytest.raises(NotCompleteLattice) as info:
-        lat.lub(["{a}", "{b}"])
-    assert (info.value.pair, info.value.direction) == (("{a}", "{b}"), "lub")
-    lat = SetLattice.from_family("abc", [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
-    with pytest.raises(NotCompleteLattice) as info:
-        lat.glb(["{a,b}", "{b,c}"])
-    assert (info.value.pair, info.value.direction) == (("{a,b}", "{b,c}"), "glb")
-    with pytest.raises(UnknownElement):
-        lat.lub(["{a,b}", "{zz}"])
 
 
 @pytest.mark.parametrize("bound", ["lub", "glb"])

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galkit import catalog, transforms
-from galkit.errors import NotInClass
+from galkit.errors import NotInClass, TooLarge
 from galkit.galois import (
+    GaloisConn,
     GCReport,
+    check_gc,
     check_cco,
     check_cgc,
     check_cgp,
@@ -17,7 +19,8 @@ from galkit.galois import (
     nonempty_iso,
     precision_cmp,
 )
-from galkit.order import set_name
+from galkit.order import moore_lattice_of_masks, powerset_lattice, set_name
+from galkit.setops import FinCarrier
 from galkit.transforms import (
     disjunctive_completion,
     least_disjunctive_basis,
@@ -120,6 +123,29 @@ def test_disjunctive_completion_of_ppgc_is_pgc():
     for b in blocks:
         closed |= {c | b for c in closed}
     assert D.gamma_image() == frozenset(closed)
+
+
+def test_disjunctive_completion_refuses_a_gamma_that_is_no_union_of_blocks():
+    # the table puts x and y in one block, yet gamma({p}) = {x}: no Galois
+    # connection, though its blocks partition the carrier and gamma is additive
+    lat = powerset_lattice(["p", "q"])
+    gamma = {"{}": set(), "{p}": {"x"}, "{q}": {"y"}, "{p,q}": {"x", "y"}}
+    G = GaloisConn(FinCarrier.atoms(["x", "y"]), lat, gamma,
+                   alpha_table={frozenset("x"): "{p,q}", frozenset("y"): "{p,q}"})
+    assert classify_partitioning(G).category == "PGC" and not check_gc(G)
+    with pytest.raises(NotInClass, match="no union of blocks"):
+        disjunctive_completion(G)
+
+
+def test_disjunctive_completion_refuses_more_than_12_blocks():
+    # the singletons of 13 values, their intersections and the whole set:
+    # 13 blocks, whose unions would be 2^13 elements
+    values = [f"v{i:02}" for i in range(13)]
+    lat = moore_lattice_of_masks(values, [1 << i for i in range(13)])
+    G = GaloisConn(FinCarrier.atoms(values), lat, lat.members)
+    assert classify_partitioning(G).category == "PPGC"
+    with pytest.raises(TooLarge, match="too many blocks for union closure"):
+        disjunctive_completion(G)
 
 
 def test_disjunctive_completion_fixes_disjunctive_domains():
