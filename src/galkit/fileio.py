@@ -12,7 +12,8 @@ Domain files:
 }
 Kind "gc" replaces "eta"/"mu" with "alpha" (keyed by canonical sorted subset
 strings) and "gamma"; kind "cco" replaces them with "phi".  Unknown keys are
-rejected.
+rejected.  gamma alone fixes a Galois connection, so each "alpha" entry must
+be alpha of its key as gamma gives it, or the load raises ShapeMismatch.
 
 Function files: {"arity": 1|2, "over": "concrete"|"abstract",
 "table": {"<arg>" or "<arg1>,<arg2>": "<result>", ...}}.
@@ -150,14 +151,21 @@ def domain_from_dict(data: dict):
     if kind == "gc":
         lat = FinLattice.from_poset(poset)
         gamma = _set_table(_require_object(data["gamma"], "gamma"), "gamma")
-        alpha_table = {
-            frozenset(_split_set(k)): _name(v, f"alpha[{k!r}]")
-            for k, v in _require_object(data["alpha"], "alpha").items()
-        }
-        return GaloisConn(
-            carrier, lat, gamma, carrier_order=order,
-            alpha_table=alpha_table, kind="gc",
-        )
+        alpha = {frozenset(_split_set(k)): _name(v, f"alpha[{k!r}]")
+                 for k, v in _require_object(data["alpha"], "alpha").items()}
+        G = GaloisConn(carrier, lat, gamma, carrier_order=order, kind="gc")
+        # keys and entries in their domains first; then gamma alone fixes
+        # each entry (a key over a value without an atom raises alpha's error)
+        for X, d in alpha.items():
+            if not X <= carrier.value_set() or (
+                    order is not None and not order.is_down_closed(X)):
+                raise ShapeMismatch(f"alpha has a key outside the concrete domain: {set_name(X)!r}")
+            if d not in poset:
+                raise ShapeMismatch(f"alpha({set_name(X)}) = {d!r} not abstract")
+        for X, d in alpha.items():
+            if (least := G.alpha(X)) != d:
+                raise ShapeMismatch(f"alpha({set_name(X)}) = {d!r}, but gamma gives {least!r}")
+        return G
     abstract = poset
     if kind in ("cgp", "pcgc"):
         try:
@@ -189,10 +197,10 @@ def _order_pairs(poset: FinPoset):
     )
 
 
-def _alpha_table(conn: GaloisConn) -> dict:
+def _alpha_entries(conn: GaloisConn) -> dict:
     """Tabulated abstraction.  Exhaustive for small carriers; for large ones
-    the table covers singletons and the empty set, and the loaded connection
-    derives every other subset's abstraction as the lub of its atoms."""
+    the table covers the empty set and the principal downsets, which the
+    loader checks against gamma as it checks every entry."""
     poset = conn.carrier_poset()
     small = poset.is_discrete() and 2 ** len(poset) <= 4096
     if small or not poset.is_discrete():
@@ -202,7 +210,7 @@ def _alpha_table(conn: GaloisConn) -> dict:
             pass
     table = {set_name(()): conn.alpha(())}
     for a in conn.carrier.values:
-        table[set_name([a])] = conn.alpha([a])
+        table[set_name(poset.down(a))] = conn.alpha(poset.down(a))
     return table
 
 
@@ -221,7 +229,7 @@ def domain_to_dict(conn) -> dict:
                 "elements": list(conn.abstract_poset.elements),
                 "leq": _order_pairs(conn.abstract_poset),
             },
-            "alpha": _alpha_table(conn),
+            "alpha": _alpha_entries(conn),
             "gamma": {d: sorted_elems(s) for d, s in sorted(conn.gamma.items())},
         }
         if conn.carrier_order is not None and not conn.carrier_order.is_discrete():

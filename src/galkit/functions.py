@@ -22,6 +22,7 @@ from .galois import (
     CarrierConn,
     CheckResult,
     GaloisConn,
+    _require,
     _singleton_alpha,
     check_cgc,
     check_pcgc,
@@ -145,6 +146,7 @@ def bca_gc(G: GaloisConn, f) -> AbstractFn:
     ``f`` is either a callable on carrier subsets or a unary ConcreteFn,
     which is lifted pointwise.
     """
+    _require(GaloisConn, "bca_gc", G)
     if isinstance(f, ConcreteFn):
         if f.arity != 1:
             raise ShapeMismatch("lattice-level tabulation needs a unary map")
@@ -197,6 +199,7 @@ def bca_pcgc(C: CarrierConn, f: ConcreteFn) -> AbstractFn:
 def gc_pair_property(G: GaloisConn, pair: GCPair, kind: str) -> CheckResult:
     """Check one of sound / optimal / backward_complete / forward_complete /
     precise for a lattice-level pair, exhaustively."""
+    _require(GaloisConn, "gc_pair_property", G)
     if kind not in GC_KINDS:
         raise ShapeMismatch(f"unknown property {kind!r}")
     poset = G.abstract_poset

@@ -10,10 +10,10 @@ Two record shapes cover every connection class:
   (downward) powerset of a carrier.  The concrete lattice stays implicit,
   and ``gamma`` alone fixes the connection: alpha(X) is the lub of the
   atoms a_x, x in X, where a_x is the least abstract element whose
-  concretization holds x (Cousot & Cousot, POPL 1979).  A loaded ``alpha``
-  table answers the subsets it lists.  alpha never enumerates the concrete
-  side, and :func:`check_gc` does so only to name the witness of a failing
-  connection, so large carriers stay usable.
+  concretization holds x (Cousot & Cousot, POPL 1979); a domain file's
+  ``alpha`` table is checked against gamma where it is loaded.  Neither
+  alpha nor :func:`check_gc`, witness included, enumerates the concrete
+  side, so large carriers stay usable.
 
 All checkers return the first counterexample in a deterministic element
 order, and transforms re-run the target checker on their outputs instead of
@@ -156,25 +156,21 @@ class ClosureOp(Immutable):
 class GaloisConn(_Connection):
     """An adjunction over the (downward) powerset of a carrier.
 
-    ``gamma`` maps abstract elements to carrier subsets, and fixes alpha:
-    ``alpha(X)`` is the entry of ``alpha_table`` when that table holds X,
-    and otherwise the lub of the atoms a_x, x in X (see :meth:`atoms`).
-    ``alpha_table`` keys must be concrete elements (carrier subsets,
-    down-closed under a carrier order) and its values abstract elements;
-    :func:`check_gc` checks that each value is the lub of its key's atoms.
+    ``gamma`` maps abstract elements to carrier subsets, and alone fixes
+    alpha: ``alpha(X)`` is the lub of the atoms a_x, x in X (see
+    :meth:`atoms`), the least d with X <= gamma(d).
 
     A connection is immutable: setting an attribute raises AttributeError,
-    and ``gamma`` and ``alpha_table`` are read-only mappings whose writes
-    raise TypeError.  So the atom map, the report of
+    and ``gamma`` is a read-only mapping whose writes raise TypeError.  So
+    the atom map, the report of
     :func:`classify_partitioning` and the additivity verdict are computed
     once and kept on the instance.
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
-                 "alpha_table", "_atoms", "_classified", "_additive")
+                 "_atoms", "_classified", "_additive")
 
-    def __init__(self, carrier, abstract, gamma, carrier_order=None,
-                 alpha_table=None, kind="gc"):
+    def __init__(self, carrier, abstract, gamma, carrier_order=None, kind="gc"):
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "carrier", carrier)
@@ -185,8 +181,6 @@ class GaloisConn(_Connection):
             # members, is kept as it is
             gamma = FrozenDict(zip(gamma, map(frozenset, gamma.values())))
         init(self, "gamma", gamma)
-        init(self, "alpha_table", None if alpha_table is None else FrozenDict(
-            (frozenset(k), v) for k, v in alpha_table.items()))
         init(self, "_atoms", None)
         init(self, "_classified", None)
         init(self, "_additive", None)
@@ -204,14 +198,6 @@ class GaloisConn(_Connection):
         order = self.carrier_order
         if order is not None and set(order.elements) != set(self.carrier.values):
             raise ShapeMismatch("carrier order does not match carrier")
-        for X, d in (self.alpha_table or {}).items():
-            if not X <= universe or (
-                    order is not None and not order.is_down_closed(X)):
-                raise ShapeMismatch("alpha_table has a key outside the "
-                                    f"concrete domain: {set_name(X)!r}")
-            if d not in poset:
-                raise ShapeMismatch(
-                    f"alpha_table({set_name(X)}) = {d!r} not abstract")
 
     @property
     def abstract_lattice(self) -> FinLattice:
@@ -237,10 +223,9 @@ class GaloisConn(_Connection):
         return self._atoms
 
     def alpha(self, members: Iterable[str]) -> str:
-        """The ``alpha_table`` entry, else the lub of the members' atoms."""
+        """The lub of the members' atoms: a member without one has no best
+        abstraction, and one outside the carrier raises UnknownElement."""
         X = frozenset(members)
-        if self.alpha_table is not None and X in self.alpha_table:
-            return self.alpha_table[X]
         atoms = self.atoms()
         if not X.issubset(atoms):
             for x in sorted_elems(X.difference(atoms)):
@@ -335,24 +320,23 @@ def check_gc(G: GaloisConn) -> GCReport:
     """The adjunction alpha(X) <= d <=> X <= gamma(d), for every concrete X
     and abstract d; also report insertion and disjunctivity status.
 
-    Read off gamma in O(|A| + sum |gamma| + sum |X| over ``alpha_table``)
-    steps, plus one down-set inclusion per member of each gamma(d) under a
-    carrier order, it holds exactly when:
+    Read off gamma in O(|A| + sum |gamma|) steps, plus one down-set
+    inclusion per member of each gamma(d) under a carrier order, at any
+    carrier size, it holds exactly when:
 
     * (i) every gamma(d) is a downset of the carrier order, as a map into
       the concrete domain must be (witness ``("gamma-downclosed", d)``,
       d in element order);
     * (ii) every holder set H(x) = {d | x in gamma(d)} is up(a_x) for an
-      atom a_x (see :meth:`GaloisConn.atoms`);
-    * (iii) every ``alpha_table`` entry is the lub of its key's atoms.
+      atom a_x (see :meth:`GaloisConn.atoms`).
 
     Sufficiency: alpha(X) <= d <=> every a_x <= d <=> X <= gamma(d).
-    Necessity: given (i), H(x) is the set of upper bounds of alpha(down(x)),
-    and a table entry must be the least upper bound of its key's atoms.
+    Necessity: given (i), H(x) is the set of upper bounds of alpha(down(x)).
     Then alpha is onto exactly when gamma is injective, so that is
-    ``is_gi``.  When (ii) or (iii) fails, :func:`_adjunction_failure` scans
-    the concrete elements for the first failing (X, d).  An argument that is
-    no GaloisConn raises ShapeMismatch naming its class.
+    ``is_gi``.  When (ii) fails, :func:`_adjunction_failure` names the first
+    failing (X, d) in one more pass over gamma and a sort of the carrier,
+    enumerating nothing.  An argument that is no GaloisConn raises
+    ShapeMismatch naming its class.
     """
     _require(GaloisConn, "check_gc", G)
     poset = G.abstract_poset
@@ -364,10 +348,7 @@ def check_gc(G: GaloisConn) -> GCReport:
                        else ("gamma-downclosed", d)))
         if wit is not None:
             return GCReport(False, False, False, wit)
-    atoms = G.atoms()
-    if len(atoms) < len(G.carrier.values) or any(
-            G.abstract_lattice.lub(atoms[x] for x in X) != d
-            for X, d in (G.alpha_table or {}).items()):
+    if len(G.atoms()) < len(G.carrier.values):
         return GCReport(False, False, False, _adjunction_failure(G))
     is_gi = len(set(G.gamma.values())) == len(G.gamma)
     is_disj, wit = _gamma_additive(G)
@@ -376,27 +357,47 @@ def check_gc(G: GaloisConn) -> GCReport:
 
 def _adjunction_failure(G: GaloisConn):
     """The first (X, d), X in :meth:`GaloisConn.iter_concrete` order and d
-    in element order, at which alpha(X) <= d <=> X <= gamma(d) fails, by
-    the literal definition: alpha(X) is the ``alpha_table`` entry or else
-    the least d with X <= gamma(d), and (X, None) when there is none.
-    Enumerates the concrete side, so it raises TooLarge beyond
-    ``DOWNSETS_GUARD`` elements."""
+    in element order, at which alpha(X) <= d <=> X <= gamma(d) fails, with
+    alpha(X) the least d with X <= gamma(d), and (X, None) when there is
+    none; for a connection that meets condition (i) of :func:`check_gc` and
+    fails (ii).  It enumerates no concrete element.
+
+    X fails exactly when its covers C(X) = {d | X <= gamma(d)} are not
+    up(m) for their least element m: (X, None) when there is no m, and
+    otherwise (X, d) for the first d of up(m) ^ C(X).
+
+    * X = {}: C({}) holds every element, which is up(m) exactly when m is
+      least.  So {} fails only over an abstract poset with no least
+      element, and it comes first.
+    * Otherwise C(X) is the AND of the holder sets H(x), x in X.  When
+      every x in X has an atom, that is the AND of the up(a_x), the upper
+      bounds of the atoms, which is up of their lub: X passes.  So a
+      failing X holds a value y with no atom.  X is a downset, so
+      down(y) <= X, and by (i) every gamma(d) that holds y holds down(y):
+      C(down(y)) = H(y), which is no up(m), so down(y) fails too.  It has
+      at most |X| members, and is X when it has |X|, so it comes no later
+      than X in (size, members) order.
+
+    So the witness is down(y) for the first, in that order, of the values
+    y without an atom, and its d is read off H(y).  The lub step needs
+    every lub: over a bare poset that is no lattice this raises
+    NotCompleteLattice.
+    """
     poset = G.abstract_poset
     elems, index, upm = poset.elements, poset._index, poset._upm
-    table = G.alpha_table or {}
-    for X in G.iter_concrete():
-        covers = sum(1 << i for i, d in enumerate(elems) if X <= G.gamma[d])
-        if X in table:
-            i = index[table[X]]
-        else:  # the least cover: the one whose up-set holds every cover
-            i = next((i for i, m in enumerate(upm)
-                      if covers >> i & 1 and m & covers == covers), None)
-            if i is None:
-                return (set_name(X), None)
-        bad = upm[i] ^ covers
-        if bad:
-            return (set_name(X), next(d for d in sorted_elems(elems)
-                                      if bad >> index[d] & 1))
+    if (1 << len(elems)) - 1 not in poset._element_of_upm():
+        return ("{}", None)
+    if not isinstance(G.abstract, FinLattice):
+        FinLattice.from_poset(poset)
+    down, atoms = G.carrier_poset().down, G.atoms()
+    y = min((x for x in sorted_elems(G.carrier.values) if x not in atoms),
+            key=lambda x: (len(down(x)), tuple(map(sort_key, sorted_elems(down(x))))))
+    X, covers = set_name(down(y)), _holder_masks(G, G.gamma)[y]
+    least = next((i for i in bit_positions(covers) if upm[i] & covers == covers), None)
+    if least is None:
+        return (X, None)
+    bad = upm[least] ^ covers
+    return (X, next(d for d in sorted_elems(elems) if bad >> index[d] & 1))
 
 
 def _gamma_additive(G: GaloisConn):
@@ -635,12 +636,12 @@ def check_cco(phi) -> CheckResult:
 
 def _singleton_alpha(G: GaloisConn, values) -> dict:
     """a -> alpha({a}) for each carrier value a of ``values``, in their
-    order.  With no ``alpha_table`` over a lattice in which every carrier
-    value has an atom, alpha({a}) is the atom a_x, so the map is read off
+    order.  Over a lattice in which every carrier value has an atom,
+    alpha({a}) is the atom a_x, so the map is read off
     :meth:`GaloisConn.atoms`.  Otherwise each ``G.alpha([a])`` is called in
-    the order of ``values``, so a table entry wins and the first value
-    without a best abstraction raises, with alpha's own error."""
-    if G.alpha_table is None and isinstance(G.abstract, FinLattice):
+    the order of ``values``, so the first value without a best abstraction
+    raises, with alpha's own error."""
+    if isinstance(G.abstract, FinLattice):
         atoms = G.atoms()
         if len(atoms) == len(G.carrier.values):
             return {a: atoms[a] for a in values}
@@ -739,6 +740,8 @@ def precision_cmp(X1, X2) -> str:
 
 def nonempty_iso(C1: CarrierConn, C2: CarrierConn) -> bool:
     """Equality of the concretization images, ignoring empty sets."""
+    _require(CarrierConn, "nonempty_iso", C1)
+    _require(CarrierConn, "nonempty_iso", C2)
     if C1.carrier.value_set() != C2.carrier.value_set():
         raise ShapeMismatch("connections have different carriers")
     empty = frozenset([frozenset()])
@@ -746,18 +749,20 @@ def nonempty_iso(C1: CarrierConn, C2: CarrierConn) -> bool:
 
 
 def _renaming(C1: CarrierConn, C2: CarrierConn) -> dict:
-    """Each eta(a) of C1 -> the first element of C2 with the same block."""
-    out = {}
-    for a in sorted_elems(C1.carrier.values):
-        blk = C1.mu[C1.eta[a]]
-        out[C1.eta[a]] = next(b for b in sorted_elems(C2.abstract_poset.elements)
-                              if C2.mu[b] == blk)
-    return out
+    """Each eta(a) of C1 -> the first element of C2 with the same block,
+    read from one map of each block of C2 to its first element."""
+    first = {C2.mu[b]: b for b in reversed(sorted_elems(C2.abstract_poset.elements))}
+    blocks = {C1.eta[a]: C1.mu[C1.eta[a]] for a in sorted_elems(C1.carrier.values)}
+    if not first.keys() >= set(blocks.values()):
+        raise NotIsomorphic("a block of one connection is no block of the other")
+    return {b: first[blk] for b, blk in blocks.items()}
 
 
 def renaming_witnesses(C1: CarrierConn, C2: CarrierConn):
     """Mutually inverse renamings between the eta-images of two isomorphic
     connections, built by matching concretization blocks."""
+    _require(CarrierConn, "renaming_witnesses", C1)
+    _require(CarrierConn, "renaming_witnesses", C2)
     if precision_cmp(C1, C2) != "isomorphic":
         raise NotIsomorphic("connections are not isomorphic")
     f12, f21 = _renaming(C1, C2), _renaming(C2, C1)

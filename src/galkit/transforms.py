@@ -12,6 +12,7 @@ from .galois import (
     CarrierConn,
     ClosureOp,
     GaloisConn,
+    _require,
     _singleton_alpha,
     check_cco,
     check_cgc,
@@ -127,6 +128,7 @@ def t_gc(C: CarrierConn) -> GaloisConn:
 def t_cgp(G: GaloisConn) -> CarrierConn:
     """Restrict an adjunction over downsets back to carrier level via
     principal downsets."""
+    _require(GaloisConn, "t_cgp", G)
     poset = G.carrier_poset()
     eta = {a: G.alpha(poset.down(a)) for a in G.carrier.values}
     out = CarrierConn(
@@ -165,6 +167,7 @@ def t_pcgc(G: GaloisConn) -> CarrierConn:
 def least_disjunctive_basis(G: GaloisConn) -> frozenset:
     """The smallest family whose disjunctive completion recovers the whole
     powerset abstract domain: the meet-closure of its join-irreducibles."""
+    _require(GaloisConn, "least_disjunctive_basis", G)
     lat = G.abstract_lattice
     if not (isinstance(lat, SetLattice)
             and len(lat.elements) == 2 ** len(lat.members[lat.top])):
@@ -179,10 +182,11 @@ def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     The blocks gamma(alpha({a})) partition the carrier, so the union and
     the intersection of two block unions are block unions again: the family
     of all block unions is closed under both and holds the carrier, and its
-    lattice needs no closure pass.  Every gamma(d) lies in it when alpha({x}) is the atom
-    a_x of each x: then x is in gamma(d) exactly when a_x <= d, so gamma(d)
-    is the union of the blocks gamma(a_x), x in gamma(d).  An ``alpha_table``
-    that disagrees with gamma can break that, and then the input is refused.
+    lattice needs no closure pass.  Every gamma(d) lies in it, since alpha
+    is read off gamma: alpha({x}) is the atom a_x of x, and x is in
+    gamma(d) exactly when a_x <= d.  For y in the block gamma(a_x) that
+    gives a_y <= a_x <= d, so gamma(a_x) <= gamma(d) for every x in
+    gamma(d), and gamma(d) is the union of those blocks.
     """
     cls = classify_partitioning(G)
     if cls.category not in ("PGC", "PPGC"):
@@ -193,9 +197,7 @@ def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     values = G.carrier.values
     bit = {v: 1 << i for i, v in enumerate(values)}
     # blocks are disjoint, so each set of them has its own union, its sum
-    family = set(map(sum, subsets_by_size([sum(map(bit.__getitem__, b)) for b in blocks])))
-    if any(sum(map(bit.__getitem__, g)) not in family for g in G.gamma.values()):
-        raise NotInClass("a concretization is no union of blocks: not a Galois connection")
+    family = map(sum, subsets_by_size([sum(map(bit.__getitem__, b)) for b in blocks]))
     lat = SetLattice(values, family, by_name=True)
     out = GaloisConn(G.carrier, lat, lat.members, kind="pgc")
     if classify_partitioning(out).category != "PGC":

@@ -32,26 +32,28 @@ accepting run of a carrier checker, of ``check_gc``, of
 set of names (``up``/``down``), on the builtins and generated connections.
 
 ``check_gc`` reads the adjunction off gamma: gamma lands in the downsets,
-every holder set {d | x in gamma(d)} is the up-set of an atom a_x, and every
-``alpha_table`` entry is the lub of its key's atoms.  Here it must agree,
-verdict, ``is_gi``, ``is_disjunctive`` and witness, with the literal scan of
-every concrete X and abstract d, alpha being the table entry or the least
-gamma-cover, on discrete and ordered carriers, the lattices above, and
-Galois connections, mutated ones and arbitrary gammas, with and without
-(mutated) tables; and alpha must agree with the least gamma-cover.
+and every holder set {d | x in gamma(d)} is the up-set of an atom a_x.  When
+a value has no atom, it names the witness from the values without one,
+enumerating nothing.  Here it must agree, verdict, ``is_gi``,
+``is_disjunctive`` and witness, with the literal scan of every concrete X and
+abstract d, alpha being the least gamma-cover, on discrete and ordered
+carriers, the lattices above, bare posets, and Galois connections, mutated
+ones and arbitrary gammas; and alpha must agree with the least gamma-cover.
+gamma is alpha's only source: a file's ``alpha`` table is checked where it
+is loaded, so moving any one entry of a saved file makes it fail to load.
 ``atoms`` finds a_x by looking H(x) up among the up-masks, and alpha of one
 member returns its atom; here both must agree, value or error, with the
-least-element search and the ``lub`` path, with a table entry that wins,
-values outside the carrier, values with no atom and abstract sides that are
-no lattice.  ``_singleton_alpha`` reads alpha of each singleton off the
-atoms when there is no table and every value has one; here it must agree,
-values and their order or the first error, with alpha of each value in the
-caller's order, on those connections with their values renamed to names
-that tie as ints or hold ``,{}``, in three orders.  ``t_pgc`` gives its lift
-the atoms {eta(x)}; here they must equal the atoms found from gamma by a
-fresh connection, on criterion 4's 500 connections and on drawn ones with
-junk values, and a warm powerset round trip must call ``GaloisConn.alpha``
-no time and build holder masks once, for ``check_cgc`` of its output.
+least-element search and the ``lub`` path, with values outside the carrier,
+values with no atom and abstract sides that are no lattice.
+``_singleton_alpha`` reads alpha of each singleton off the atoms when every
+value has one; here it must agree, values and their order or the first
+error, with alpha of each value in the caller's order, on those connections
+with their values renamed to names that tie as ints or hold ``,{}``, in
+three orders.  ``t_pgc`` gives its lift the atoms {eta(x)}; here they must
+equal the atoms found from gamma by a fresh connection, on criterion 4's
+500 connections and on drawn ones with junk values, and a warm powerset
+round trip must call ``GaloisConn.alpha`` no time and build holder masks
+once, for ``check_cgc`` of its output.
 
 ``ConcreteFn.image`` computes best-correct-approximation entries as a set
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
@@ -166,7 +168,6 @@ from galkit.errors import (
     NotCompleteLattice,
     NotInClass,
     ShapeMismatch,
-    TooLarge,
     UnknownElement,
     UnknownVariable,
 )
@@ -389,18 +390,17 @@ def least_cover(G: GaloisConn, X):
 def literal_gc(G: GaloisConn) -> GCReport:
     """gamma lands in the downsets of the carrier order, then
     alpha(X) <= d <=> X <= gamma(d) for every concrete X and abstract d,
-    alpha(X) being the table entry or the least gamma-cover, scanned pair
-    by pair; alpha onto for ``is_gi``."""
+    alpha(X) being the least gamma-cover, scanned pair by pair; alpha onto
+    for ``is_gi``."""
     poset = G.abstract_poset
     elems = sorted_elems(poset.elements)
     cp = G.carrier_poset()
     for d in elems:
         if not cp.is_down_closed(G.gamma[d]):
             return GCReport(False, False, False, ("gamma-downclosed", d))
-    table = G.alpha_table or {}
     seen = set()
     for X in G.iter_concrete():
-        aX = table[X] if X in table else least_cover(G, X)
+        aX = least_cover(G, X)
         if aX is None:
             return GCReport(False, False, False, (set_name(X), None))
         seen.add(aX)
@@ -556,18 +556,24 @@ ADDITIVITY_LATTICES = st.one_of(
 
 @st.composite
 def connections(draw, lattices=LATTICES):
-    """A connection with an additive, a nearly additive or an arbitrary
-    gamma.  Additive gammas are exactly gamma(x) = {c | not x <= cap(c)}
-    for some cap: carrier -> lattice."""
+    """A connection with an additive, a nearly additive, an arbitrary or a
+    Galois gamma.  Additive gammas are exactly gamma(x) = {c | not x <=
+    cap(c)} for some cap: carrier -> lattice; Galois ones are
+    gamma(x) = {c | atom(c) <= x} for some atom: carrier -> lattice, so
+    that every value has an atom."""
     lat = draw(lattices)
     carrier = FinCarrier.atoms([f"c{i}" for i in range(draw(st.integers(1, 4)))])
     elems = sorted_elems(lat.elements)
-    shape = draw(st.sampled_from(["additive", "perturbed", "arbitrary"]))
+    shape = draw(st.sampled_from(["additive", "perturbed", "arbitrary", "galois"]))
     if shape == "arbitrary":
         values = st.frozensets(st.sampled_from(carrier.values))
         gamma = {x: draw(values) for x in elems}
         if draw(st.integers(0, 3)):  # mostly past the bottom check
             gamma[lat.bottom] = frozenset()
+    elif shape == "galois":
+        atom = {c: draw(st.sampled_from(elems)) for c in carrier.values}
+        gamma = {x: frozenset(c for c in carrier.values if lat.leq(atom[c], x))
+                 for x in elems}
     else:
         cap = {c: draw(st.sampled_from(elems)) for c in carrier.values}
         gamma = {
@@ -578,13 +584,6 @@ def connections(draw, lattices=LATTICES):
             x = draw(st.sampled_from(elems))
             gamma[x] ^= {draw(st.sampled_from(carrier.values))}
     return carrier, lat, gamma
-
-
-def conn(carrier, lat, gamma) -> GaloisConn:
-    """A connection whose table abstracts every singleton to the top, so
-    that classification reads one block, gamma(top), whatever gamma is."""
-    return GaloisConn(carrier, lat, gamma,
-                      alpha_table={(c,): lat.top for c in carrier.values})
 
 
 # names that parse as ints (1, 01 and +1 are equal as ints, so sort_key ties
@@ -679,7 +678,7 @@ def counted(X):
         return CarrierConn(X.kind, X.carrier, abstract, X.eta, X.mu,
                            carrier_order=order), posets
     return GaloisConn(X.carrier, abstract, X.gamma, carrier_order=order,
-                      alpha_table=X.alpha_table, kind=X.kind), posets
+                      kind=X.kind), posets
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +791,7 @@ XYZ = FinCarrier.atoms(["x", "y", "z"])
           dict.fromkeys(["{}", "{b0}", "{b1}", "{b0,b1}"], frozenset("x"))))
 def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     carrier, lat, gamma = case
-    G = conn(carrier, lat, gamma)
+    G = GaloisConn(carrier, lat, gamma)
     expected = pairwise_additive(G)
     assert _gamma_additive(G) == expected
 
@@ -800,7 +799,7 @@ def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     counting = CountingLattice(lat)
     counting.additivity_plan()
     counting.joins = counting.lubs = 0
-    assert _gamma_additive(conn(carrier, counting, gamma)) == expected
+    assert _gamma_additive(GaloisConn(carrier, counting, gamma)) == expected
     if expected == (True, None):
         assert counting.joins == counting.lubs == 0
 
@@ -833,8 +832,19 @@ def test_the_plan_has_n_minus_1_triples_exactly_on_distributive_lattices(lat):
 @settings(max_examples=200, deadline=None)
 @given(connections())
 def test_classify_agrees_with_the_literal_classification(case):
-    G = conn(*case)
-    assert classify_partitioning(G) == literal_classify(G)
+    # alpha is read off gamma, so a value without an atom has no block:
+    # classification raises alpha's error at the first such value.  So no
+    # connection hands check_partition an empty or a missing block; the
+    # "cover" and "empty_block" clauses are covered by
+    # test_check_partition_agrees_with_the_sorted_loop and by
+    # test_setops.py::test_check_partition_clauses.
+    G = GaloisConn(*case)
+    missing = [x for x in sorted_elems(G.carrier.values) if x not in least_atoms(G)]
+    if missing:
+        with pytest.raises(ShapeMismatch, match=f"^no best abstraction for {{{missing[0]}}}"):
+            classify_partitioning(G)
+    else:
+        assert classify_partitioning(G) == literal_classify(G)
 
 
 def literal_partition(carrier: FinCarrier, blocks) -> PartitionReport:
@@ -947,7 +957,7 @@ def test_the_256_element_powerset_checks_255_joins_and_calls_none():
     counting = CountingLattice(lat)
     assert len(counting.additivity_plan()) == 3 * 255
     counting.joins = counting.lubs = 0
-    G = conn(FinCarrier.atoms(atoms), counting, lat.members)
+    G = GaloisConn(FinCarrier.atoms(atoms), counting, lat.members)
     assert _gamma_additive(G) == (True, None)
     assert counting.joins == counting.lubs == 0
 
@@ -1071,9 +1081,7 @@ def gc_conns(draw):
     """A connection over up to four carrier values, unordered, discretely
     ordered or (mostly) ordered: a Galois connection,
     gamma(d) = {x | a_x <= d} for a monotone atom map a, that connection
-    with one membership flipped, or an arbitrary gamma.  Its alpha table is
-    absent, exact (the least gamma-covers), or part of it with, sometimes,
-    one value changed."""
+    with one membership flipped, or an arbitrary gamma."""
     lat = draw(LATTICES)
     n = draw(st.integers(1, 4))
     values = [f"c{i}" for i in range(n)]
@@ -1096,49 +1104,85 @@ def gc_conns(draw):
                  for d in elems}
         if shape == "perturbed":
             gamma[draw(st.sampled_from(elems))] ^= {draw(st.sampled_from(values))}
-    G = GaloisConn(FinCarrier.atoms(values), lat, gamma, carrier_order=order)
-    tabled = draw(st.sampled_from(["none", "exact", "partial"]))
-    if tabled == "none":
-        return G
-    table = {X: least_cover(G, X) for X in G.iter_concrete()}
-    table = {X: d for X, d in table.items() if d is not None}
-    if tabled == "partial" and table:
-        keys = draw(st.lists(st.sampled_from(list(table)), unique=True))
-        table = {X: table[X] for X in keys}
-        if table and draw(st.booleans()):
-            table[draw(st.sampled_from(keys))] = draw(st.sampled_from(elems))
-    return GaloisConn(G.carrier, lat, gamma, carrier_order=order,
-                      alpha_table=table)
+    return GaloisConn(FinCarrier.atoms(values), lat, gamma, carrier_order=order)
+
+
+@st.composite
+def alpha_cases(draw):
+    """A connection from :func:`gc_conns`, sometimes over its bare abstract
+    poset, so with no lattice to take a lub in."""
+    G = draw(gc_conns())
+    if draw(st.integers(0, 3)) == 0:
+        G = GaloisConn(G.carrier, G.abstract_poset, G.gamma,
+                       carrier_order=G.carrier_order)
+    return G
+
+
+DIAMOND = powerset_lattice(["p", "q"])
+
+
+def diamond_gc(values, pairs, gamma) -> GaloisConn:
+    """A connection into the powerset of {p, q}, gamma given by name."""
+    return GaloisConn(FinCarrier.atoms(values), DIAMOND, gamma,
+                      carrier_order=build_poset(values, pairs))
+
+
+ALL_ABC = frozenset("abc")
 
 
 @settings(max_examples=600, deadline=None)
-@given(gc_conns())
+@given(alpha_cases())
+# b has no atom, and down(b) = {a, b} is the first failing X
+@example(diamond_gc(["a", "b"], [("a", "b")], {
+    "{}": {"a"}, "{p}": {"a", "b"}, "{q}": {"a", "b"}, "{p,q}": {"a", "b"}}))
+# no least abstract element: {} fails first
+@example(GaloisConn(FinCarrier.atoms(["x"]), build_poset(["p", "q"], []),
+                    {"p": {"x"}, "q": {"x"}}))
+# b and c have no atom; c comes after b, but down(c) = {c} is smaller than
+# down(b) = {a, b}
+@example(diamond_gc(["a", "b", "c"], [("a", "b")], {
+    "{}": {"a"}, "{p}": ALL_ABC, "{q}": ALL_ABC, "{p,q}": ALL_ABC}))
+# b's least cover {p} has an up-set other than its holder set: the witness
+# names {p,q}, which does not hold b
+@example(diamond_gc(["a", "b"], [("a", "b")], {
+    "{}": {"a"}, "{p}": {"a", "b"}, "{q}": {"a"}, "{p,q}": {"a"}}))
 def test_check_gc_agrees_with_the_literal_scan(G):
-    rep = check_gc(G)
-    assert rep == literal_gc(G)
-    if rep.is_gc:
+    rep = result(check_gc, G)
+    assert rep == result(literal_gc, G)
+    if isinstance(rep, GCReport) and rep.is_gc:
         # alpha is the least gamma-cover of every carrier subset, concrete
         # or not
         for X in map(frozenset, subsets_by_size(G.carrier.values)):
             assert G.alpha(X) == least_cover(G, X)
 
 
+def test_check_gc_needs_a_lattice_to_name_a_value_s_witness():
+    # the bare poset bot < p, q has no top, so p and q have no lub: d has
+    # no atom, yet {a, b}, whose atoms are p and q, fails before
+    # down(d) = {c, d}
+    poset = build_poset(["bot", "p", "q"], [("bot", "p"), ("bot", "q")])
+    G = GaloisConn(FinCarrier.atoms(["a", "b", "c", "d"]), poset,
+                   {"bot": {"c"}, "p": {"a", "c", "d"}, "q": {"b", "c", "d"}},
+                   carrier_order=build_poset(["a", "b", "c", "d"], [("c", "d")]))
+    assert literal_gc(G).witness == ("{a,b}", None)
+    with pytest.raises(NotCompleteLattice, match="no top"):
+        check_gc(G)
+
+
+def test_a_galois_connection_takes_no_alpha_table():
+    lat = powerset_lattice(["x"])
+    with pytest.raises(TypeError):
+        GaloisConn(FinCarrier.atoms(["x"]), lat, lat.members, alpha_table={})
+
+
 def gamma_mutants(G: GaloisConn):
-    """G with each single membership of gamma flipped, and, when G has an
-    alpha table, with each of its first 40 entries moved to the next
-    element."""
+    """G with each single membership of gamma flipped."""
     values = sorted_elems(G.carrier.values)
     for d in sorted_elems(G.gamma):
         for x in values:
             yield GaloisConn(
                 G.carrier, G.abstract, {**G.gamma, d: G.gamma[d] ^ {x}},
-                carrier_order=G.carrier_order, alpha_table=G.alpha_table)
-    elems = G.abstract_poset.elements
-    for X in list(G.alpha_table or {})[:40]:
-        moved = elems[(elems.index(G.alpha_table[X]) + 1) % len(elems)]
-        yield GaloisConn(
-            G.carrier, G.abstract, G.gamma, carrier_order=G.carrier_order,
-            alpha_table={**G.alpha_table, X: moved})
+                carrier_order=G.carrier_order)
 
 
 MUTATED = {
@@ -1159,6 +1203,20 @@ def test_check_gc_agrees_with_the_literal_scan_on_mutants(name):
     assert check_gc(G) == literal_gc(G)
     for M in gamma_mutants(G):
         assert check_gc(M) == literal_gc(M)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.builtin("sign_pgi", 2),
+    lambda: t_pgc(catalog.gen_cgc(3, amax=5, bmax=3)),
+], ids=["sign_pgi", "t_pgc"])
+def test_moving_any_alpha_entry_of_a_saved_file_fails_its_load(make):
+    data = fileio.domain_to_dict(make())
+    fileio.domain_from_dict(data)
+    elems = data["abstract"]["elements"]
+    for key, d in data["alpha"].items():
+        moved = elems[(elems.index(d) + 1) % len(elems)]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"alpha({key}) = {moved!r}, but")):
+            fileio.domain_from_dict({**data, "alpha": {**data["alpha"], key: moved}})
 
 
 def a_below_b(gamma_bot) -> GaloisConn:
@@ -1192,13 +1250,14 @@ def test_check_gc_decides_connections_too_large_to_scan(name, bound, expected):
 
 def test_check_gc_guards_the_witness_scan_of_oversized_carriers(sign_pgi):
     # without -1 in gamma(<0), -1 is held by ≤0, ≠0 and Z, which have no
-    # least element: finding the first failing X means enumerating 2^129
-    gamma = {**sign_pgi.gamma, "<0": sign_pgi.gamma["<0"] - {"-1"}}
-    G = GaloisConn(sign_pgi.carrier, sign_pgi.abstract, gamma)
-    with pytest.raises(TooLarge):
-        check_gc(G)
-    with pytest.raises(ShapeMismatch, match="no best abstraction"):
-        G.alpha(["-1"])
+    # least element; the witness is down(-1) = {-1}, found without
+    # enumerating the 2^17 or 2^129 concrete subsets
+    for G in (catalog.builtin("sign_pgi", 8), sign_pgi):
+        gamma = {**G.gamma, "<0": G.gamma["<0"] - {"-1"}}
+        G = GaloisConn(G.carrier, G.abstract, gamma)
+        assert check_gc(G) == GCReport(False, False, False, ("{-1}", None))
+        with pytest.raises(ShapeMismatch, match="no best abstraction"):
+            G.alpha(["-1"])
 
 
 # ---------------------------------------------------------------------------
@@ -1236,11 +1295,9 @@ def least_atoms(G: GaloisConn) -> dict:
 
 
 def lub_alpha(G: GaloisConn, members) -> str:
-    """alpha before its one-member shortcut: the ``alpha_table`` entry, else
-    ``FinLattice.lub`` of the members' atoms."""
+    """alpha before its one-member shortcut: ``FinLattice.lub`` of the
+    members' atoms."""
     X = frozenset(members)
-    if G.alpha_table is not None and X in G.alpha_table:
-        return G.alpha_table[X]
     atoms = least_atoms(G)
     if not X <= atoms.keys():
         for x in sorted_elems(X - atoms.keys()):
@@ -1258,17 +1315,6 @@ def result(f, *args):
         return type(exc), str(exc)
 
 
-@st.composite
-def alpha_cases(draw):
-    """A connection from :func:`gc_conns`, sometimes over its bare abstract
-    poset, so with no lattice to take a lub in."""
-    G = draw(gc_conns())
-    if draw(st.integers(0, 3)) == 0:
-        G = GaloisConn(G.carrier, G.abstract_poset, G.gamma,
-                       carrier_order=G.carrier_order, alpha_table=G.alpha_table)
-    return G
-
-
 SIGN_ATOMS = FinCarrier.atoms(["-1", "0", "1"])
 SIGN_GAMMA = {"bot": set(), "-": {"-1"}, "0": {"0"}, "+": {"1"}, "top": {"-1", "0", "1"}}
 FLAT_SIGNS = lattice_of(["bot", "-", "0", "+", "top"],
@@ -1277,9 +1323,6 @@ FLAT_SIGNS = lattice_of(["bot", "-", "0", "+", "top"],
 
 @settings(max_examples=500, deadline=None)
 @given(alpha_cases())
-# a table entry for {0} that is not 0's atom, which alpha returns
-@example(GaloisConn(SIGN_ATOMS, FLAT_SIGNS, SIGN_GAMMA,
-                    alpha_table={frozenset(["0"]): "top"}))
 # 0 is held by - and + alone, which have no least element: no atom
 @example(GaloisConn(SIGN_ATOMS, FLAT_SIGNS, {**SIGN_GAMMA, "0": set(),
                                              "-": {"-1", "0"}, "+": {"0", "1"}}))
@@ -1335,9 +1378,7 @@ def singleton_cases(draw):
                              for y in order.up(x) if y != x])
     G = GaloisConn(
         FinCarrier.atoms([new[x] for x in G.carrier.values]), G.abstract,
-        {d: names(s) for d, s in G.gamma.items()}, carrier_order=order,
-        alpha_table=None if G.alpha_table is None else {
-            names(X): d for X, d in G.alpha_table.items()})
+        {d: names(s) for d, s in G.gamma.items()}, carrier_order=order)
     return G, draw(st.permutations(G.carrier.values))
 
 
@@ -1349,9 +1390,6 @@ TWO_HOLES = GaloisConn(SIGN_ATOMS, FLAT_SIGNS, {
 
 @settings(max_examples=500, deadline=None)
 @given(singleton_cases())
-# a table that lists {0}, whose entry wins over 0's atom
-@example((GaloisConn(SIGN_ATOMS, FLAT_SIGNS, SIGN_GAMMA,
-                     alpha_table={frozenset(["0"]): "top"}), ["1", "0", "-1"]))
 # two values without an atom: the first in the caller's order raises
 @example((TWO_HOLES, ["1", "0", "-1"]))
 @example((TWO_HOLES, ["-1", "0", "1"]))
@@ -1473,7 +1511,6 @@ def test_additivity_is_computed_once_per_connection(make):
     counting = CountingLattice(G.abstract_lattice)
     H = GaloisConn(
         G.carrier, counting, dict(G.gamma), carrier_order=G.carrier_order,
-        alpha_table=G.alpha_table,
     )
     classify_partitioning(H)
     joins = counting.joins
@@ -1510,15 +1547,6 @@ def test_connections_are_immutable():
     assert isinstance(G.gamma, dict)
     assert json.loads(json.dumps(G.gamma, default=sorted)) == {
         k: sorted(v) for k, v in G.gamma.items()}
-
-    lat = powerset_lattice(["x"])
-    T = GaloisConn(
-        FinCarrier.atoms(["x"]), lat, lat.members,
-        alpha_table={(): "{}", ("x",): "{x}"},
-    )
-    with pytest.raises(TypeError):
-        T.alpha_table[frozenset()] = "{x}"
-    assert T.alpha([]) == "{}"
 
 
 @settings(max_examples=300, deadline=None)

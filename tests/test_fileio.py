@@ -10,7 +10,7 @@ from galkit import catalog, fileio
 from galkit.errors import FormatError, ShapeMismatch
 from galkit.functions import AbstractFn, ConcreteFn
 from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc
-from galkit.order import FinLattice, FinPoset
+from galkit.order import FinLattice, FinPoset, build_poset
 from galkit.setops import FinCarrier
 from galkit.transforms import t_cco, t_pgc
 
@@ -61,6 +61,21 @@ def test_gc_roundtrip_large_falls_back_to_derived_alpha(sign_pgi):
     assert back.gamma == sign_pgi.gamma
     assert back.alpha(["3", "5"]) == sign_pgi.alpha(["3", "5"])
     assert back.alpha(["-2", "2"]) == sign_pgi.alpha(["-2", "2"])
+
+
+def test_a_large_ordered_carrier_saves_principal_downsets_and_loads_back():
+    # 17 values with a00 <= a01 have 3 * 2^15 downsets, past the guard, so
+    # the table falls back to one key per value; {a01} is no downset
+    values = [f"a{i:02}" for i in range(17)]
+    G = GaloisConn(
+        FinCarrier.atoms(values),
+        FinLattice.from_poset(build_poset(["lo", "hi"], [("lo", "hi")])),
+        {"lo": set(), "hi": set(values)},
+        carrier_order=build_poset(values, [("a00", "a01")]))
+    data = fileio.domain_to_dict(G)
+    back = fileio.domain_from_dict(json.loads(json.dumps(data)))
+    assert back.gamma == G.gamma and back.carrier_order == G.carrier_order
+    assert list(data["alpha"]) == ["{}", "{a00}", "{a00,a01}", *(f"{{{v}}}" for v in values[2:])]
 
 
 def test_cco_roundtrip():

@@ -10,10 +10,12 @@ from conftest import downsets_lattice
 
 from galkit import catalog
 from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, UnknownElement
+from galkit.functions import AbstractFn, GCPair, bca_gc, gc_pair_property
 from galkit.galois import (
     CarrierConn,
     ClosureOp,
     GaloisConn,
+    _renaming,
     check_cco,
     check_cgc,
     check_cgp,
@@ -33,9 +35,10 @@ from galkit.order import (
     FinPoset,
     build_poset,
     set_name,
+    sorted_elems,
 )
 from galkit.setops import FinCarrier
-from galkit.transforms import t_cco, t_pgc
+from galkit.transforms import least_disjunctive_basis, t_cco, t_cgc_of_pgc, t_cgp, t_pgc
 
 
 def tiny_cgc() -> CarrierConn:
@@ -179,6 +182,32 @@ def test_checkers_refuse_the_other_connection_classes(parity):
     for conn in (parity, closure):
         with pytest.raises(ShapeMismatch, match=f"not a {type(conn).__name__}"):
             check_gc(conn)
+
+
+def _pair_property(conn):
+    pair = GCPair(conn, lambda X: X, AbstractFn(1, {b: b for b in conn.abstract_poset.elements}))
+    return gc_pair_property(conn, pair, "sound")
+
+
+# each function, called on a connection of the wrong class, the class it
+# needs and the builtin it is given
+WRONG_CLASS = {
+    "nonempty_iso": (lambda G: nonempty_iso(G, G), "CarrierConn", "sign_pgi"),
+    "renaming_witnesses": (lambda G: renaming_witnesses(G, G), "CarrierConn", "sign_pgi"),
+    "bca_gc": (lambda C: bca_gc(C, lambda X: X), "GaloisConn", "parity"),
+    "gc_pair_property": (_pair_property, "GaloisConn", "parity"),
+    "least_disjunctive_basis": (least_disjunctive_basis, "GaloisConn", "parity"),
+    "t_cgp": (t_cgp, "GaloisConn", "parity"),
+}
+
+
+@pytest.mark.parametrize("fn", WRONG_CLASS)
+def test_public_functions_refuse_the_wrong_connection_class(fn):
+    call, needs, given = WRONG_CLASS[fn]
+    conn = catalog.builtin(given, 8)
+    with pytest.raises(ShapeMismatch, match=f"^{fn} needs a {needs}, "
+                                            f"not a {type(conn).__name__}$"):
+        call(conn)
 
 
 @pytest.mark.parametrize("check, needs, refused", [
@@ -334,6 +363,51 @@ def test_precision_decides_identity_connections_of_many_blocks(n):
     assert f12 == f21 == {v: v for v in values}
     assert precision_cmp(C, one_block(values)) == "strictly_finer"
     assert precision_cmp(one_block(values), C) == "strictly_coarser"
+
+
+def per_value_renaming(C1: CarrierConn, C2: CarrierConn) -> dict:
+    """Each eta(a) of C1 -> the first element of C2 with the same block,
+    sorting and scanning C2's elements again for every carrier value."""
+    out = {}
+    for a in sorted_elems(C1.carrier.values):
+        blk = C1.mu[C1.eta[a]]
+        out[C1.eta[a]] = next(b for b in sorted_elems(C2.abstract_poset.elements)
+                              if C2.mu[b] == blk)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["cgc", "cgp"])
+def test_renamings_agree_with_the_per_value_search(kind):
+    for seed in range(60):
+        C = catalog.gen(kind, seed)
+        # the same blocks under other names, in another element order
+        D = t_cgc_of_pgc(t_pgc(C)) if kind == "cgc" else C
+        for X, Y in ((C, D), (D, C)):
+            assert list(_renaming(X, Y).items()) == list(per_value_renaming(X, Y).items())
+        assert renaming_witnesses(C, D) == (per_value_renaming(C, D), per_value_renaming(D, C))
+
+
+def test_a_renaming_picks_the_first_element_with_the_block():
+    # p and q share the block {a}: C1's x goes to p, though eta2(a) = q
+    values = FinCarrier.atoms(["a", "b"])
+    C1 = CarrierConn("cgc", values, FinPoset.discrete(["x", "y"]),
+                     {"a": "x", "b": "y"}, {"x": {"a"}, "y": {"b"}})
+    C2 = CarrierConn("pcgc", values, FinPoset.discrete(["q", "r", "p"]),
+                     {"a": "q", "b": "r"}, {"p": {"a"}, "q": {"a"}, "r": {"b"}})
+    assert _renaming(C1, C2) == per_value_renaming(C1, C2) == {"x": "p", "y": "r"}
+
+
+def test_renaming_refuses_a_block_the_other_side_lacks():
+    # {a, b} is the union of the blocks {a} and {b}, so the two are
+    # isomorphic, yet no element of the first has the block {a, b}
+    values = FinCarrier.atoms(["a", "b"])
+    C1 = CarrierConn("cgc", values, FinPoset.discrete(["x", "y"]),
+                     {"a": "x", "b": "y"}, {"x": {"a"}, "y": {"b"}})
+    C2 = CarrierConn("pcgc", values, FinPoset.discrete(["x", "y", "z"]),
+                     {"a": "z", "b": "y"}, {"x": {"a"}, "y": {"b"}, "z": {"a", "b"}})
+    assert precision_cmp(C1, C2) == "isomorphic"
+    with pytest.raises(NotIsomorphic, match="no block of the other"):
+        renaming_witnesses(C1, C2)
 
 
 def test_precision_requires_shared_carrier():

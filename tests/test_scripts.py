@@ -1,8 +1,9 @@
 """The scripts under ``scripts/`` run from a checkout with ``src`` on
 PYTHONPATH, as README shows, and exit 0; ``analyze_corpus`` prints the
 checked-in expected output; ``roundtrip_fuzz`` counts a seed
-whose check fails or whose transform raises, also under ``python -O``; and
-``bench_trajectory`` measures two commits of a repository in one session."""
+whose check fails or whose transform raises, also under ``python -O``;
+``bench_trajectory`` measures two commits of a repository in one session;
+and ``code_lines`` counts neither blank lines, comments nor docstrings."""
 from __future__ import annotations
 
 import importlib.util
@@ -136,3 +137,35 @@ def test_bench_trajectory_measures_two_commits_in_one_session(tmp_path):
         assert sum(m["wins"] for m in metrics) <= 1  # a tie is a win for none
     assert all(d["workloads"]["analyze-corpus"]["correct"] for d in docs.values())
     assert all(d["workloads"]["analyze-corpus"]["failed"] == 0 for d in docs.values())
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+import os
+
+# a comment
+def f(x):
+    """A docstring."""
+    return (x +
+            1)  # a trailing comment
+
+
+VALUE = """a string that is no docstring,
+over two lines"""
+'''
+
+
+def test_code_lines_counts_neither_blanks_comments_nor_docstrings(tmp_path):
+    package = tmp_path / "src" / "galkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(CODE_LINES_FIXTURE)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "code_lines.py"),
+         "--root", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # import, def, the two lines of the return and the two of VALUE
+    assert json.loads(proc.stdout) == {
+        "modules": {"__init__.py": 0, "mod.py": 6}, "total": 6}

@@ -1,12 +1,15 @@
 """Conversions between connection classes and disjunctive completions."""
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkit import catalog, transforms
-from galkit.errors import NotInClass, TooLarge
+from galkit import catalog, cli, fileio, transforms
+from galkit.errors import NotInClass, ShapeMismatch, TooLarge
 from galkit.galois import (
     GaloisConn,
     GCReport,
@@ -125,16 +128,35 @@ def test_disjunctive_completion_of_ppgc_is_pgc():
     assert D.gamma_image() == frozenset(closed)
 
 
-def test_disjunctive_completion_refuses_a_gamma_that_is_no_union_of_blocks():
-    # the table puts x and y in one block, yet gamma({p}) = {x}: no Galois
-    # connection, though its blocks partition the carrier and gamma is additive
-    lat = powerset_lattice(["p", "q"])
-    gamma = {"{}": set(), "{p}": {"x"}, "{q}": {"y"}, "{p,q}": {"x", "y"}}
-    G = GaloisConn(FinCarrier.atoms(["x", "y"]), lat, gamma,
-                   alpha_table={frozenset("x"): "{p,q}", frozenset("y"): "{p,q}"})
-    assert classify_partitioning(G).category == "PGC" and not check_gc(G)
-    with pytest.raises(NotInClass, match="no union of blocks"):
-        disjunctive_completion(G)
+def two_blocks_in_one() -> dict:
+    """A file whose alpha puts x and y in one block, {p,q}, though
+    gamma({p}) = {x} and gamma({q}) = {y}: no Galois connection.  Its
+    blocks would partition the carrier and its gamma is additive."""
+    return {
+        "kind": "gc",
+        "carrier": {"atoms": ["x", "y"]},
+        "abstract": {"elements": ["{}", "{p}", "{q}", "{p,q}"],
+                     "leq": [["{}", "{p}"], ["{}", "{q}"], ["{p}", "{p,q}"], ["{q}", "{p,q}"]]},
+        "alpha": {"{}": "{}", "{x}": "{p,q}", "{y}": "{p,q}", "{x,y}": "{p,q}"},
+        "gamma": {"{}": [], "{p}": ["x"], "{q}": ["y"], "{p,q}": ["x", "y"]},
+    }
+
+
+def test_loading_refuses_an_alpha_that_puts_two_blocks_in_one():
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "alpha({x}) = '{p,q}', but gamma gives '{p}'")):
+        fileio.domain_from_dict(two_blocks_in_one())
+
+
+def test_transform_pgc_cgc_refuses_an_alpha_that_puts_two_blocks_in_one(tmp_path, capsys):
+    # the loaded alpha once made this a 1-block PGC, collapsed to
+    # eta = {x: {p,q}, y: {p,q}}
+    path = tmp_path / "two_blocks.json"
+    path.write_text(json.dumps(two_blocks_in_one()))
+    assert cli.main(["transform", "pgc-cgc", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha({x})" in captured.err
 
 
 def test_disjunctive_completion_refuses_more_than_12_blocks():
