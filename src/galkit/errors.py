@@ -22,10 +22,11 @@ class TooLarge(GalkitError):
 
 
 class NotCompleteLattice(GalkitError):
-    """A poset is missing a lub or glb; carries the offending pair."""
+    """A poset is missing a lub or glb; carries the offending pair.  A
+    missing top, bottom or element has no pair, ``()``, and is named alone."""
 
     def __init__(self, pair, direction):
-        super().__init__(f"no {direction} for pair {pair}")
+        super().__init__(f"no {direction} for pair {pair}" if pair else f"no {direction}")
         self.pair = pair
         self.direction = direction
 

@@ -36,6 +36,7 @@ from .order import (
     Immutable,
     bit_positions,
     iter_downsets,
+    powerset_lattice,
     set_name,
     sort_key,
     sorted_elems,
@@ -164,7 +165,8 @@ class GaloisConn(_Connection):
     and ``gamma`` is a read-only mapping whose writes raise TypeError.  So
     the atom map, the report of
     :func:`classify_partitioning` and the additivity verdict are computed
-    once and kept on the instance.
+    once and kept on the instance; a powerset lift sets the atoms and the
+    verdict from its construction (see :func:`_lift_powerset`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
@@ -257,6 +259,39 @@ class GaloisConn(_Connection):
     def __repr__(self):
         return (f"GaloisConn(|A|={len(self.carrier)}, "
                 f"|D|={len(self.abstract_poset)})")
+
+
+def _lift_powerset(C: CarrierConn) -> GaloisConn:
+    """The powerset lift of a constructive connection C, for
+    :func:`galkit.transforms.t_pgc`, which checks C first: the connection
+    from the subsets of C's carrier to those of its abstract values, with
+    gamma(S) the union of mu(b) over b in S.  Beside the constructor's
+    shape checks, it keeps what the construction proves instead of
+    checking it again.
+
+    gamma is built by doubling: g[m] is the union of mu(b) over the atoms b
+    whose bits are set in the mask m.  Once the atoms of the bits below k
+    are in, g holds every mask below 2^k, and the atom b of bit k appends
+    g[m] | mu(b) at m + 2^k.  gamma reads g at each element's mask, in the
+    lattice's element order.
+
+    * Additivity, kept as the verdict ``(True, None)``: gamma({}) = {} and
+      gamma(S | T) = gamma(S) | gamma(T), each being the union of mu over
+      its members.
+    * Atoms, kept as x -> {eta(x)}: gamma({b}) = mu(b), and ``check_cgc``
+      gives x in mu(b) <=> b = eta(x), so x in gamma(S) <=> eta(x) in S.
+      The holder set of x is up({eta(x)}) (see :meth:`GaloisConn.atoms`).
+    """
+    lat = powerset_lattice(C.abstract_poset.elements)
+    g = [frozenset()]
+    for mu_b in map(C.mu.__getitem__, lat._bit):
+        g += [x | mu_b for x in g]
+    gamma = FrozenDict(zip(lat._of_dn.values(), map(g.__getitem__, lat._of_dn)))
+    G = GaloisConn(C.carrier, lat, gamma, kind="pgc")
+    object.__setattr__(G, "_atoms", {
+        x: lat._of_dn[lat._bit[C.eta[x]]] for x in C.carrier.values})
+    object.__setattr__(G, "_additive", (True, None))
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +726,8 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     else:
         report = ClassifyReport("neither", alt2prime, part, part.witness)
     # set after construction, as the atoms (by :meth:`GaloisConn.atoms` or
-    # :func:`galkit.transforms.t_pgc`) and the additivity verdict are: a
-    # memo of a function of the connection's immutable contents
+    # :func:`_lift_powerset`) and the additivity verdict are: a memo of a
+    # function of the connection's immutable contents
     object.__setattr__(G, "_classified", report)
     return report
 

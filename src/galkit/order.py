@@ -650,24 +650,6 @@ def _build_powerset(vals: tuple[str, ...]) -> SetLattice:
 _interned_powerset = lru_cache(maxsize=POWERSET_INTERN_SIZE)(_build_powerset)
 
 
-def lift_powerset(lat: SetLattice, table) -> dict:
-    """Each subset S of the powerset ``lat`` (from :func:`powerset_lattice`)
-    -> the union of ``table[b]`` over its members b, the lifting
-    :func:`galkit.setops.lift_star` computes, with one union per subset:
-    that of S less its lowest-bit member, which the by-size listing puts
-    first, and that member's set."""
-    of_bit = {bit: table[b] for b, bit in lat._bit.items()}
-    by_mask = {0: frozenset()}
-    lifted = {}
-    for name in lat.elements:
-        mask = lat._dn[name]
-        if mask:
-            low = mask & -mask
-            by_mask[mask] = by_mask[mask ^ low] | of_bit[low]
-        lifted[name] = by_mask[mask]
-    return lifted
-
-
 def meet_closure(lat: FinLattice, members: Iterable[str]) -> frozenset:
     """Smallest superset of ``members`` closed under glbs (glb of the empty
     family is the top, which is always included)."""

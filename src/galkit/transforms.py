@@ -12,6 +12,7 @@ from .galois import (
     CarrierConn,
     ClosureOp,
     GaloisConn,
+    _lift_powerset,
     _require,
     _singleton_alpha,
     check_cco,
@@ -26,9 +27,7 @@ from .order import (
     FinLattice,
     FinPoset,
     SetLattice,
-    lift_powerset,
     meet_closure,
-    powerset_lattice,
     set_name,
     sorted_elems,
     subsets_by_size,
@@ -52,24 +51,18 @@ def t_pgc(C: CarrierConn) -> GaloisConn:
     """Lift a constructive connection to the partitioning connection
     between the powersets of its carrier and abstract values.
 
-    The atom of each x is the singleton {eta(x)}, so the lift gets its
-    atoms from eta instead of reading every membership of gamma (see
-    :meth:`GaloisConn.atoms`).  Proof: ``check_cgc`` gives x in mu(b) <=>
-    b = eta(x).  When gamma({b}) = mu(b) for every b, checked here in |B|
-    set comparisons, and gamma is additive, which
-    :func:`classify_partitioning` checks before this returns, gamma(S) is
-    the union of mu(b) over b in S, so x in gamma(S) <=> eta(x) in S: the
-    holder set of x is up({eta(x)}).  A lift that broke additivity would
-    not classify as PGC, and this would raise before returning it.
+    The lift is built by :func:`galkit.galois._lift_powerset`, whose gamma
+    is gamma(S) = the union of mu(b) over b in S, by construction.  So
+    gamma is additive and gives each x the atom {eta(x)}, and the lift
+    keeps both facts instead of checking them again; the proofs are in
+    that function's docstring.  The input still runs ``check_cgc``, and
+    the output :func:`classify_partitioning`, which checks that the blocks
+    partition the carrier: a lift that fails raises instead of being
+    returned.
     """
     if not check_cgc(C):
         raise NotInClass("input fails the constructive-connection law")
-    lat = powerset_lattice(C.abstract_poset.elements)
-    G = GaloisConn(C.carrier, lat, lift_powerset(lat, C.mu), kind="pgc")
-    singleton = {b: lat._of_dn[bit] for b, bit in lat._bit.items()}
-    if all(G.gamma[s] == C.mu[b] for b, s in singleton.items()):
-        object.__setattr__(G, "_atoms", {
-            x: singleton[C.eta[x]] for x in C.carrier.values})
+    G = _lift_powerset(C)
     if classify_partitioning(G).category != "PGC":
         raise NotInClass("lifted connection is not partitioning")
     return G

@@ -15,9 +15,8 @@ the members'; here they must equal those found by ``FinLattice.lub`` and
 name sets, on the same lattices.
 ``classify_partitioning`` as a whole must agree with a literal
 classification, ``alt2prime`` included.  ``check_partition`` sorts a block
-only once a clause fails, and ``lift_powerset`` lifts a table with one
-union per subset; here they must agree with the sorted loop (witness
-included, on names that tie as ints) and with ``lift_star``.
+only once a clause fails; here it must agree with the sorted loop (witness
+included, on names that tie as ints).
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
 masks H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
@@ -49,11 +48,18 @@ values with no atom and abstract sides that are no lattice.
 value has one; here it must agree, values and their order or the first
 error, with alpha of each value in the caller's order, on those connections
 with their values renamed to names that tie as ints or hold ``,{}``, in
-three orders.  ``t_pgc`` gives its lift the atoms {eta(x)}; here they must
-equal the atoms found from gamma by a fresh connection, on criterion 4's
-500 connections and on drawn ones with junk values, and a warm powerset
-round trip must call ``GaloisConn.alpha`` no time and build holder masks
-once, for ``check_cgc`` of its output.
+three orders.  ``t_pgc``'s powerset lift builds gamma by doubling and keeps
+what the construction proves: the atoms {eta(x)} and the additivity verdict
+(True, None).  Here gamma must equal
+``lift_star`` at every subset, in element order, and the atoms and the
+verdict those found from gamma by a fresh, validated connection, by the
+plan scan and by the pairwise definition, on criterion 4's 500
+connections and on drawn ones with junk values; a gamma given by hand over
+a powerset still gets its checks.  A warm powerset round trip must call
+``GaloisConn.alpha`` and ``_scan_additive`` no time and build holder masks
+once, for ``check_cgc`` of its output.  A
+loaded ``alpha`` table is compared in file order, so a failing load names
+the first failing key of the file.
 
 ``ConcreteFn.image`` computes best-correct-approximation entries as a set
 image; the analyzer's ``_ArithTable`` supplies its own integer ``image``. Here
@@ -202,7 +208,6 @@ from galkit.order import (
     SetLattice,
     build_poset,
     iter_downsets,
-    lift_powerset,
     meet_closure,
     moore_lattice_of_masks,
     powerset_lattice,
@@ -927,22 +932,6 @@ def test_check_partition_sorts_only_on_failure(monkeypatch):
     assert sorts
 
 
-@settings(max_examples=200, deadline=None)
-@given(NAMES.flatmap(lambda names: st.tuples(
-    st.lists(st.sampled_from(names), unique=True, max_size=6),
-    st.dictionaries(st.sampled_from(names), st.frozensets(st.sampled_from(names))))))
-def test_lift_powerset_agrees_with_lift_star(case):
-    values, table = case
-    table = {v: table.get(v, frozenset({v})) for v in values}
-    try:
-        lat = powerset_lattice(values)
-    except DuplicateElement:  # a, b and a,b: two subsets named {a,b}
-        return
-    lifted = lift_powerset(lat, table)
-    assert list(lifted) == list(lat.elements)
-    assert lifted == {x: lift_star(table, lat.members[x]) for x in lat.elements}
-
-
 def test_join_irreducibles_of_non_distributive_lattices():
     # neither is join-prime: in M3, a <= b v c = 1 but a is below neither;
     # in N5 (a < c), c <= a v b = 1 but c is below neither
@@ -1215,8 +1204,25 @@ def test_moving_any_alpha_entry_of_a_saved_file_fails_its_load(make):
     elems = data["abstract"]["elements"]
     for key, d in data["alpha"].items():
         moved = elems[(elems.index(d) + 1) % len(elems)]
-        with pytest.raises(ShapeMismatch, match=re.escape(f"alpha({key}) = {moved!r}, but")):
+        message = f"alpha({key}) = {moved!r}, but gamma gives {d!r}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             fileio.domain_from_dict({**data, "alpha": {**data["alpha"], key: moved}})
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["saved", "reversed"])
+def test_a_load_names_the_first_alpha_key_without_a_best_abstraction(step):
+    # dropped from every gamma(d), x has no atom: the first key in file
+    # order that holds x raises alpha's own error
+    data = fileio.domain_to_dict(t_pgc(catalog.gen_cgc(3, amax=5, bmax=3)))
+    values = data["carrier"]["atoms"]
+    x = values[0]
+    gamma = {d: [v for v in s if v != x] for d, s in data["gamma"].items()}
+    alpha = dict(list(data["alpha"].items())[::step])
+    first = next(key for key in alpha if x in fileio._split_set(key))
+    assert len(values) > 2 and first == (f"{{{x}}}" if step == 1 else set_name(values))
+    message = f"no best abstraction for {first}: not a Galois connection"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        fileio.domain_from_dict({**data, "gamma": gamma, "alpha": alpha})
 
 
 def a_below_b(gamma_bot) -> GaloisConn:
@@ -1436,6 +1442,50 @@ def junk_cgcs(draw):
                        FinPoset.discrete(draw(st.permutations(elements))), eta, mu)
 
 
+def assert_the_lift_keeps_what_its_gamma_gives(C: CarrierConn):
+    """The powerset lift of C against lift_star and against its gamma
+    rebuilt through the validated constructor: gamma(S) is the union of
+    mu(b) over b in S, at every subset in element order, and the kept
+    additivity verdict is that of the plan scan and of the pairwise
+    definition."""
+    G = galois._lift_powerset(C)
+    lat = G.abstract_lattice
+    assert list(G.gamma.items()) == [(x, lift_star(C.mu, lat.members[x])) for x in lat.elements]
+    fresh = rebuilt(G)
+    assert G._additive == galois._scan_additive(fresh) == pairwise_additive(fresh) == (True, None)
+
+
+def test_the_lift_of_each_criterion_4_connection_keeps_what_its_gamma_gives():
+    for seed in range(500):
+        assert_the_lift_keeps_what_its_gamma_gives(catalog.gen_cgc(seed, amax=8, bmax=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(junk_cgcs())
+def test_lift_powerset_agrees_with_lift_star(C):
+    assert_the_lift_keeps_what_its_gamma_gives(C)
+
+
+# the powerset {p, q} over one value z: gamma is no lift, and gets every
+# check of a gamma given by hand
+PQ = powerset_lattice(["p", "q"])
+Z_GAMMA = {"{}": set(), "{p}": set(), "{q}": set(), "{p,q}": {"z"}}
+
+
+def test_a_hand_given_gamma_over_a_powerset_is_checked_for_additivity():
+    # z's atom is {p,q}: its block {z} partitions the carrier, but
+    # gamma({p} v {q}) = {z} is no union of gamma({p}) and gamma({q})
+    G = GaloisConn(FinCarrier.atoms(["z"]), PQ, Z_GAMMA)
+    rep = classify_partitioning(G)
+    assert rep == literal_classify(G)
+    assert (rep.category, rep.witness) == ("PPGC", ("{p}", "{q}"))
+
+
+def test_a_hand_given_gamma_over_a_powerset_must_stay_inside_the_carrier():
+    with pytest.raises(ShapeMismatch, match=re.escape("gamma('{p,q}') leaves the carrier")):
+        GaloisConn(FinCarrier.atoms(["z"]), PQ, {**Z_GAMMA, "{p,q}": {"z", "w"}})
+
+
 def test_the_lift_of_each_criterion_4_connection_keeps_its_gamma_s_atoms():
     for seed in range(500):
         G = t_pgc(catalog.gen_cgc(seed, amax=8, bmax=8))
@@ -1460,7 +1510,7 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
         assert nonempty_iso(t_cgc_of_pgc(G), C)
 
     round_trip()  # keeps check_cgc's report on C
-    calls = {"alpha": 0, "holder masks": 0}
+    calls = {"alpha": 0, "holder masks": 0, "additivity scan": 0}
 
     def counting(name, f):
         def wrapper(*args):
@@ -1471,9 +1521,12 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
     monkeypatch.setattr(GaloisConn, "alpha", counting("alpha", GaloisConn.alpha))
     monkeypatch.setattr(galois, "_holder_masks",
                         counting("holder masks", galois._holder_masks))
+    monkeypatch.setattr(galois, "_scan_additive",
+                        counting("additivity scan", galois._scan_additive))
     round_trip()
-    # those of check_cgc on the collapsed connection
-    assert calls == {"alpha": 0, "holder masks": 1}
+    # those of check_cgc on the collapsed connection; the lift keeps its
+    # additivity verdict
+    assert calls == {"alpha": 0, "holder masks": 1, "additivity scan": 0}
 
 
 # ---------------------------------------------------------------------------

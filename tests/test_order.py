@@ -125,6 +125,17 @@ def test_lattice_rejects_incomplete_posets():
         FinLattice.from_poset(two_tops)
 
 
+@pytest.mark.parametrize("poset, message", [
+    (build_poset(["bot", "p", "q"], [("bot", "p"), ("bot", "q")]), "no top"),
+    (build_poset(["p", "q", "top"], [("p", "top"), ("q", "top")]), "no bottom"),
+    (build_poset([], []), "no element"),
+], ids=["top", "bottom", "element"])
+def test_a_missing_top_bottom_or_element_is_named_without_a_pair(poset, message):
+    with pytest.raises(NotCompleteLattice, match=f"^{message}$") as got:
+        FinLattice.from_poset(poset)
+    assert got.value.pair == ()
+
+
 def test_iter_downsets_on_chain():
     chain = build_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     downsets = set(iter_downsets(chain))
