@@ -22,7 +22,7 @@ trusting kind tags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -34,6 +34,7 @@ from .order import (
     FinPoset,
     FrozenDict,
     Immutable,
+    _and_keys,
     bit_positions,
     iter_downsets,
     powerset_lattice,
@@ -76,14 +77,16 @@ class CarrierConn(_Connection):
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
-    TypeError.  So :func:`check_cgc`, :func:`check_cgp` and
-    :func:`check_pcgc` run once per connection, and a repeat call returns
-    the report kept on the instance; the analyzer keeps its operator entries
-    there too (see :class:`galkit.analyzer.AbstractSemantics`).
+    TypeError.  So the constructor's pass over mu keeps the holder masks
+    H(x) = {y | x in mu(y)} that every carrier checker reads, and
+    :func:`check_cgc`, :func:`check_cgp` and :func:`check_pcgc` run once
+    per connection, a repeat call returning the report kept on the
+    instance; the analyzer keeps its operator entries there too (see
+    :class:`galkit.analyzer.AbstractSemantics`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu",
-                 "_verdicts")
+                 "_holders", "_verdicts")
 
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
         init = object.__setattr__
@@ -97,6 +100,9 @@ class CarrierConn(_Connection):
         self._validate()
 
     def _validate(self):
+        """The shape checks, whose pass over mu at the abstract elements
+        also keeps H(x), bit i set when x is in mu(elements[i]), for every
+        carrier value x: a member outside the carrier has no H to set."""
         poset = self.abstract_poset
         for v in self.carrier.values:
             if v not in self.eta:
@@ -104,12 +110,18 @@ class CarrierConn(_Connection):
             if self.eta[v] not in poset:
                 raise ShapeMismatch(f"eta({v!r}) = {self.eta[v]!r} not abstract")
         _reject_stray_keys("eta", self.eta, self.carrier, "carrier")
-        for b in poset.elements:
+        H = dict.fromkeys(self.carrier.values, 0)
+        for i, b in enumerate(poset.elements):
             if b not in self.mu:
                 raise ShapeMismatch(f"mu not total: missing {b!r}")
-            if not self.mu[b] <= self.carrier.value_set():
+            bit = 1 << i
+            try:
+                for x in self.mu[b]:
+                    H[x] |= bit
+            except KeyError:
                 extra = sorted(self.mu[b] - self.carrier.value_set())
-                raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {extra[:3]}")
+                raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {extra[:3]}") from None
+        object.__setattr__(self, "_holders", H)
         _reject_stray_keys("mu", self.mu, poset, "abstract poset")
         if self.carrier_order is not None:
             if set(self.carrier_order.elements) != set(self.carrier.values):
@@ -163,14 +175,15 @@ class GaloisConn(_Connection):
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``gamma`` is a read-only mapping whose writes raise TypeError.  So
-    the atom map, the report of
-    :func:`classify_partitioning` and the additivity verdict are computed
-    once and kept on the instance; a powerset lift sets the atoms and the
-    verdict from its construction (see :func:`_lift_powerset`).
+    the holder masks (see :meth:`holder_masks`), the atom map and the
+    additivity verdict are computed once and kept on the instance, and so
+    are the reports of :func:`check_gc` and :func:`classify_partitioning`,
+    keyed by checker; a powerset lift sets the atoms and the verdict from
+    its construction (see :func:`_lift_powerset`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
-                 "_atoms", "_classified", "_additive")
+                 "_holders", "_atoms", "_additive", "_verdicts")
 
     def __init__(self, carrier, abstract, gamma, carrier_order=None, kind="gc"):
         init = object.__setattr__
@@ -183,9 +196,10 @@ class GaloisConn(_Connection):
             # members, is kept as it is
             gamma = FrozenDict(zip(gamma, map(frozenset, gamma.values())))
         init(self, "gamma", gamma)
+        init(self, "_holders", None)
         init(self, "_atoms", None)
-        init(self, "_classified", None)
         init(self, "_additive", None)
+        init(self, "_verdicts", {})
         self._validate()
 
     def _validate(self):
@@ -207,10 +221,17 @@ class GaloisConn(_Connection):
             raise ShapeMismatch("abstract side is not a complete lattice")
         return self.abstract
 
+    def holder_masks(self) -> dict:
+        """x -> H(x) = {d | x in gamma(d)}, as a mask over abstract
+        positions, for every carrier value x: read from one pass over gamma
+        on first use and kept on the connection."""
+        if self._holders is None:
+            object.__setattr__(self, "_holders", _holder_masks(self, self.gamma))
+        return self._holders
+
     def atoms(self) -> dict:
-        """x -> a_x for every carrier value x whose holder set
-        H(x) = {d | x in gamma(d)} is up(a_x), read from one pass over
-        gamma and kept on the connection: as a mask over abstract positions,
+        """x -> a_x for every carrier value x whose holder set H(x) is
+        up(a_x), kept on the connection: as a mask over abstract positions,
         H(x) is the up-mask of a_x, found by one lookup.
 
         Then x in gamma(d) <=> a_x <= d, so the least d with X <= gamma(d)
@@ -220,8 +241,7 @@ class GaloisConn(_Connection):
         if self._atoms is None:
             of_upm = self.abstract_poset._element_of_upm()
             object.__setattr__(self, "_atoms", {
-                x: of_upm[h] for x, h in _holder_masks(self, self.gamma).items()
-                if h in of_upm})
+                x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm})
         return self._atoms
 
     def alpha(self, members: Iterable[str]) -> str:
@@ -351,38 +371,59 @@ def _require(cls, fn: str, X) -> None:
         raise ShapeMismatch(f"{fn} needs a {cls.__name__}, not a {type(X).__name__}")
 
 
+def _once_per_connection(cls):
+    """A decorator making a checker of ``cls`` instances a memo: its report
+    is computed once per connection, whose contents cannot change, and kept
+    in the instance's ``_verdicts`` keyed by the checker, so a repeat call
+    returns the same report object.  An argument that is no ``cls`` raises
+    ShapeMismatch naming its class.  ``__wrapped__`` is the uncached check."""
+    def decorate(check):
+        @wraps(check)
+        def memoised(X):
+            _require(cls, check.__name__, X)
+            report = X._verdicts.get(check)
+            if report is None:
+                report = X._verdicts[check] = check(X)
+            return report
+        return memoised
+    return decorate
+
+
+@_once_per_connection(GaloisConn)
 def check_gc(G: GaloisConn) -> GCReport:
     """The adjunction alpha(X) <= d <=> X <= gamma(d), for every concrete X
     and abstract d; also report insertion and disjunctivity status.
 
-    Read off gamma in O(|A| + sum |gamma|) steps, plus one down-set
-    inclusion per member of each gamma(d) under a carrier order, at any
-    carrier size, it holds exactly when:
+    Read off the holder masks H(x) = {d | x in gamma(d)} (see
+    :meth:`GaloisConn.holder_masks`) in O(|A| + sum |gamma|) steps, plus one
+    AND per pair x' <= x of a carrier order, at any carrier size, it holds
+    exactly when:
 
     * (i) every gamma(d) is a downset of the carrier order, as a map into
-      the concrete domain must be (witness ``("gamma-downclosed", d)``,
-      d in element order);
-    * (ii) every holder set H(x) = {d | x in gamma(d)} is up(a_x) for an
-      atom a_x (see :meth:`GaloisConn.atoms`).
+      the concrete domain must be: that is, H(x) <= H(x') for every
+      x' <= x, so the failing d are the bits of H(x) & ~H(x') (witness
+      ``("gamma-downclosed", d)`` for the first of them in element order);
+    * (ii) every H(x) is up(a_x) for an atom a_x (see
+      :meth:`GaloisConn.atoms`).
 
     Sufficiency: alpha(X) <= d <=> every a_x <= d <=> X <= gamma(d).
     Necessity: given (i), H(x) is the set of upper bounds of alpha(down(x)).
     Then alpha is onto exactly when gamma is injective, so that is
     ``is_gi``.  When (ii) fails, :func:`_adjunction_failure` names the first
     failing (X, d) in one more pass over gamma and a sort of the carrier,
-    enumerating nothing.  An argument that is no GaloisConn raises
-    ShapeMismatch naming its class.
+    enumerating nothing.  The report is kept on the connection, and an
+    argument that is no GaloisConn raises ShapeMismatch naming its class.
     """
-    _require(GaloisConn, "check_gc", G)
-    poset = G.abstract_poset
     order = G.carrier_order
     if order is not None:
-        wit = _first_failure(
-            poset.elements, sorted_elems,
-            lambda d: (None if order.is_down_closed(G.gamma[d])
-                       else ("gamma-downclosed", d)))
-        if wit is not None:
-            return GCReport(False, False, False, wit)
+        h = list(map(G.holder_masks().__getitem__, order.elements))
+        # the d in H(x) but not in every H(x'), x' <= x: H(x) & ~(their AND)
+        bad = reduce(int.__or__, (hx & ~_and_keys(h, dn, hx)
+                                  for hx, dn in zip(h, order._down_masks())), 0)
+        if bad:
+            poset = G.abstract_poset
+            return GCReport(False, False, False, ("gamma-downclosed", next(
+                d for d in sorted_elems(poset.elements) if bad >> poset._index[d] & 1)))
     if len(G.atoms()) < len(G.carrier.values):
         return GCReport(False, False, False, _adjunction_failure(G))
     is_gi = len(set(G.gamma.values())) == len(G.gamma)
@@ -427,7 +468,7 @@ def _adjunction_failure(G: GaloisConn):
     down, atoms = G.carrier_poset().down, G.atoms()
     y = min((x for x in sorted_elems(G.carrier.values) if x not in atoms),
             key=lambda x: (len(down(x)), tuple(map(sort_key, sorted_elems(down(x))))))
-    X, covers = set_name(down(y)), _holder_masks(G, G.gamma)[y]
+    X, covers = set_name(down(y)), G.holder_masks()[y]
     least = next((i for i in bit_positions(covers) if upm[i] & covers == covers), None)
     if least is None:
         return (X, None)
@@ -445,51 +486,61 @@ def _gamma_additive(G: GaloisConn):
 
 
 def _scan_additive(G: GaloisConn):
-    """gamma preserves all lubs.
+    """gamma preserves all lubs: ``(True, None)``, or ``(False, witness)``
+    with the witness ``(bottom,)`` when gamma(bottom) != {} and otherwise
+    the first pair (x, y), in sorted order, with gamma(x v y) !=
+    gamma(x) | gamma(y).
 
-    For a finite lattice this is the empty lub, gamma(bottom) = {}, plus
-    every pairwise lub.  The lattice's :meth:`FinLattice.additivity_plan`
-    names the joins that decide the rest, and gamma is read by element
-    index, so the check calls no ``join``: one union per element of a
-    distributive lattice, n * |J| of them otherwise.  Proof sketch: every y
-    is the lub of the join-irreducibles below it, so the plan's triples
-    make gamma(y) the union of gamma(j) over those j, by induction on their
-    number; on a distributive lattice every j is join-prime, so the
-    join-irreducibles below x v y are those below x plus those below y, and
-    gamma(x v y) = gamma(x) | gamma(y).
+    With gamma(bottom) = {}, that holds exactly when, for every carrier
+    value a, the elements whose gamma misses a, full ^ H(a) over the holder
+    masks, are a principal downset down(q_a): one of the lattice's
+    down-masks, one set lookup per value (Davey & Priestley, *Introduction
+    to Lattices and Order*, 2002, ch. 2).
 
-    When the plan fails, the pairwise scan runs, so the verdict and the
-    witness (the first failing pair in element order) are those of the
-    pairwise definition.
+    * Only if: an additive gamma is monotone, so that set is a downset; it
+      holds bottom, and a not in gamma(x) | gamma(y) = gamma(x v y) for x,
+      y in it, so it is closed under v.  A nonempty downset of a finite
+      lattice closed under v holds its lub q_a, so it is down(q_a).
+    * If: bottom <= q_a gives a not in gamma(bottom), and
+      a in gamma(x v y) <=> not x v y <= q_a <=> not (x <= q_a and
+      y <= q_a) <=> a in gamma(x) | gamma(y).
+
+    Only a failing verdict runs the pairwise scan that names the witness,
+    on int masks by element index.  By "if", a pair can fail only at a value
+    whose misses are no down-mask, so g[i] is gamma(elements[i]) as a mask
+    over those values alone, transposed from their holder masks; and x v y
+    is the element whose up-mask is the AND of theirs, so no ``join`` is
+    called.
     """
     lat = G.abstract_lattice
-    gamma = G.gamma
-    if gamma[lat.bottom]:
+    if G.gamma[lat.bottom]:
         return False, (lat.bottom,)
-    g = [gamma[x] for x in lat.elements]
-    triples = iter(lat.additivity_plan())
-    if all(g[k] == g[i] | g[j] for i, j, k in zip(triples, triples, triples)):
+    elems, index, upm = lat.elements, lat.base._index, lat.base._upm
+    full, downs = (1 << len(elems)) - 1, set(lat.base._down_masks())
+    failing = [h for h in G.holder_masks().values() if full ^ h not in downs]
+    if not failing:
         return True, None
-    join = lat.join
-    for x, y in combinations(sorted_elems(lat.elements), 2):
-        if gamma[join(x, y)] != gamma[x] | gamma[y]:
-            return False, (x, y)
-    return True, None
+    g, of_up = [0] * len(elems), dict(zip(upm, range(len(upm))))
+    for bit, h in enumerate(failing):
+        for i in bit_positions(h):
+            g[i] |= 1 << bit
+    return False, next((elems[i], elems[j]) for i, j in combinations(
+        [index[x] for x in sorted_elems(elems)], 2) if g[of_up[upm[i] & upm[j]]] != g[i] | g[j])
 
 
 # The carrier checkers below test laws between eta and mu that the paper
 # states pairwise.  Fixing x, each law is an equation between the holder set
-# H(x) = {y | x in mu(y)} and a mask read off eta(x), so one pass over mu,
-# building every H(x) as an int over abstract positions, replaces the pair
-# scans.  A witness is still the first failing pair of the pairwise loop: its
-# x is the first, in that loop's order, whose mask of failing y is nonzero,
-# and its y the first of those in the inner loop's order.  Only a failing
-# check sorts.
+# H(x) = {y | x in mu(y)} and a mask read off eta(x), so the masks that the
+# constructor's pass over mu keeps, every H(x) as an int over abstract
+# positions, replace the pair scans.  A witness is still the first failing
+# pair of the pairwise loop: its x is the first, in that loop's order, whose
+# mask of failing y is nonzero, and its y the first of those in the inner
+# loop's order.  Only a failing check sorts.
 
 
 def _holder_masks(C, table: Mapping) -> dict:
     """H(x), bit i set when x is in ``table[elements[i]]``, for every carrier
-    value x of C, with ``table`` its mu or its gamma, read at the abstract
+    value x of C, with ``table`` its gamma (or its mu), read at the abstract
     poset's elements (as the pairwise laws read it) in |A| + sum |table|."""
     H = dict.fromkeys(C.carrier.values, 0)
     for i, y in enumerate(C.abstract_poset.elements):
@@ -547,38 +598,21 @@ def _eta_monotone_failure(C: CarrierConn, cp: FinPoset, xs, order):
     return wit and ("eta-monotone", *wit)
 
 
-def _once_per_connection(check):
-    """``check`` as a memo: its report is computed once per
-    :class:`CarrierConn`, whose contents cannot change, and kept on the
-    instance keyed by the checker, so a repeat call returns the same report
-    object.  An argument that is no CarrierConn raises ShapeMismatch naming
-    its class.
-    ``__wrapped__`` is the uncached check."""
-    @wraps(check)
-    def memoised(C):
-        _require(CarrierConn, check.__name__, C)
-        report = C._verdicts.get(check)
-        if report is None:
-            report = C._verdicts[check] = check(C)
-        return report
-    return memoised
-
-
-@_once_per_connection
+@_once_per_connection(CarrierConn)
 def check_cgc(C: CarrierConn) -> CheckResult:
     """x in mu(y) <=> eta(x) = y, for every pair.
 
     Fixing x, "for all y: x in mu(y) <=> eta(x) = y" says exactly
     H(x) = {eta(x)}.  The witness is the pair the pairwise loop (x in scan
     order, y in element order) meets first: the first x whose
-    H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost
-    O(|A| + sum |mu|) on success.
+    H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost O(|A|)
+    on success, past the constructor's pass over mu.
     """
-    wit = _holder_law_failure(C, _holder_masks(C, C.mu), lambda i: 1 << i)
+    wit = _holder_law_failure(C, C._holders, lambda i: 1 << i)
     return CheckResult(wit is None, wit)
 
 
-@_once_per_connection
+@_once_per_connection(CarrierConn)
 def check_cgp(C: CarrierConn) -> CheckResult:
     """eta, mu monotone, mu lands in downward-closed sets, and
     x in mu(y) <=> eta(x) <= y.
@@ -604,20 +638,21 @@ def check_cgp(C: CarrierConn) -> CheckResult:
                    if not C.mu[b] <= C.mu[b2]), None)
         return None if b2 is None else ("mu-monotone", b, b2)
 
-    law = _order_law_failure(C, _holder_masks(C, C.mu))
+    law = _order_law_failure(C, C._holders)
     wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
            or law and (_first_failure(bp.elements, sorted_elems, mu_witness)
                        or law))
     return CheckResult(wit is None, wit)
 
 
-@_once_per_connection
+@_once_per_connection(CarrierConn)
 def check_pcgc(C: CarrierConn) -> PCGCReport:
     """Condition (1): x in mu(eta(x')) <=> eta(x) = eta(x').
     Condition (2): x in mu(y) <=> eta(x) <= y.  Checked independently.
 
-    Both are read from the holder sets H(x) = {y | x in mu(y)}, built in one
-    pass over mu, so the check costs O(|A| + sum |mu|) and no ``leq``:
+    Both are read from the holder sets H(x) = {y | x in mu(y)} that the
+    constructor's pass over mu keeps, so the check costs O(|A|) and no
+    ``leq``:
 
     * (2): fixing x, "for all y: x in mu(y) <=> eta(x) <= y" is exactly
       H(x) = up(eta(x)).
@@ -630,7 +665,7 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     scan order whose eta(x') fails.  With a carrier order, eta must also be
     monotone; that tail runs only when (1) and (2) hold.
     """
-    H = _holder_masks(C, C.mu)
+    H = C._holders
     values = C.carrier.values
     index = C.abstract_poset._index
     image = sum(1 << i for i in {index[C.eta[x]] for x in values})
@@ -693,6 +728,7 @@ def prt(G: GaloisConn) -> list[frozenset]:
     return list(dict.fromkeys(G.gamma[d] for d in reps.values()))
 
 
+@_once_per_connection(GaloisConn)
 def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     """PGC when the singleton concretizations partition the carrier and gamma
     is additive; PPGC when only the partition holds; neither otherwise.
@@ -705,9 +741,6 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     and kept on the instance; later calls on the same connection return
     that same report object.
     """
-    _require(GaloisConn, "classify_partitioning", G)
-    if G._classified is not None:
-        return G._classified
     family = prt(G)
     part = check_partition(G.carrier, family)
     lat = G.abstract_lattice
@@ -720,16 +753,10 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
         G.gamma[lat.join(x, elems[j])] != universe for i, x in enumerate(elems)
         for j in bit_positions((full ^ (upm[i] | dnm[i])) >> i << i))
     if part.ok and additive:
-        report = ClassifyReport("PGC", alt2prime, part)
-    elif part.ok:
-        report = ClassifyReport("PPGC", alt2prime, part, wit)
-    else:
-        report = ClassifyReport("neither", alt2prime, part, part.witness)
-    # set after construction, as the atoms (by :meth:`GaloisConn.atoms` or
-    # :func:`_lift_powerset`) and the additivity verdict are: a memo of a
-    # function of the connection's immutable contents
-    object.__setattr__(G, "_classified", report)
-    return report
+        return ClassifyReport("PGC", alt2prime, part)
+    if part.ok:
+        return ClassifyReport("PPGC", alt2prime, part, wit)
+    return ClassifyReport("neither", alt2prime, part, part.witness)
 
 
 # ---------------------------------------------------------------------------

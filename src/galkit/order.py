@@ -10,13 +10,10 @@ of two int keys and one lookup.  A lattice of sets comes from one
 constructor, :class:`SetLattice`, over a family closed under intersection;
 it interns each subset as an int bitmask over its atoms and renders its
 name once, so joins never parse names.  It is immutable, and small
-powerset lattices are shared by their values.  A lattice keeps, once
-found, the plan of joins that decides whether a map into sets preserves
-every join.
+powerset lattices are shared by their values.
 """
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -276,8 +273,7 @@ class FinLattice:
     that bound is asked for.
     """
 
-    __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn",
-                 "_jirr", "_plan")
+    __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn", "_jirr")
 
     def __init__(self, base: FinPoset, meet_keys: dict):
         """``meet_keys`` maps each meet key to its element, one key per
@@ -298,7 +294,6 @@ class FinLattice:
         init(self, "_dn", dict(zip(meet_keys.values(), meet_keys)))
         init(self, "_of_dn", meet_keys)
         init(self, "_jirr", None)
-        init(self, "_plan", None)
 
     @property
     def elements(self):
@@ -359,61 +354,6 @@ class FinLattice:
                 x for i, (x, d) in enumerate(zip(elems, self.base._down_masks()))
                 if _and_keys(keys, d ^ 1 << i, start) != keys[i]))
         return self._jirr
-
-    def additivity_plan(self):
-        """Element-index triples (i, j, k) with elements[k] = elements[i] v
-        elements[j], flattened into one int array, such that a map g into
-        sets with g(bottom) = {} preserves every join exactly when
-        g(elements[k]) = g(elements[i]) | g(elements[j]) for every triple.
-        Found on first use and kept on the lattice, like the
-        join-irreducibles, so connections over one shared lattice share it.
-        Every join is defined, so the lub of a set of elements is the one
-        keyed by the AND of their join keys, from the bottom's.  Finite
-        lattices whose join-irreducibles are all join-prime are exactly the
-        distributive ones (Davey & Priestley, *Introduction to Lattices and
-        Order*, 2002, ch. 10).
-
-        * Distributive lattice (every join-irreducible j is join-prime: the
-          lub of the elements not above j is not above j), one triple per
-          y != bottom: y = rest v j, with j a maximal join-irreducible below
-          y and rest the lub of the other join-irreducibles below y.  Proof
-          sketch: by induction on the number of join-irreducibles below y,
-          g(y) is the union of g(j) over the join-irreducibles j <= y (those
-          below rest are exactly the others below y, since j is maximal and
-          each is join-prime).  Join-primeness makes the join-irreducibles
-          below x v y those below x plus those below y, so g(x v y) =
-          g(x) | g(y).
-        * Any other lattice (M3, N5, ...): the n * |J| triples x v j for
-          every element x and join-irreducible j.  Every y is the lub of
-          the join-irreducibles j1 ... jk below it, so by induction on k,
-          g(x v y) = g(x) | g(j1) | ... | g(jk), and x = bottom gives g(y).
-        """
-        if self._plan is not None:
-            return self._plan
-        base, jset, of_up, start = (self.base, self.join_irreducibles(),
-                                    self._of_up, self._up[self.bottom])
-        upm, dnm, index = base._upm, base._down_masks(), base._index
-        jirr = [i for i, x in enumerate(self.elements) if x in jset]
-        jmask, full = sum(1 << j for j in jirr), (1 << len(upm)) - 1
-        plan = []
-        # j is join-prime when the lub of the elements not above j is not
-        # above j: its up-mask is no subset of j's
-        if all(_and_keys(upm, full ^ upm[j], start) & ~upm[j] for j in jirr):
-            for k, below in enumerate(dnm):
-                below &= jmask
-                if not below:  # the bottom
-                    continue
-                # the last of them that no other one lies above
-                j = next(j for j in reversed(jirr)
-                         if below >> j & 1 and upm[j] & below == 1 << j)
-                rest = of_up[_and_keys(upm, below ^ 1 << j, start)]
-                plan.extend((index[rest], j, k))
-        else:
-            for i, u in enumerate(upm):
-                for j in jirr:
-                    plan.extend((i, j, index[of_up[u & upm[j]]]))
-        object.__setattr__(self, "_plan", array("H" if len(upm) <= 1 << 16 else "L", plan))
-        return self._plan
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):

@@ -120,12 +120,18 @@ def t_gc(C: CarrierConn) -> GaloisConn:
 
 def t_cgp(G: GaloisConn) -> CarrierConn:
     """Restrict an adjunction over downsets back to carrier level via
-    principal downsets."""
+    principal downsets: eta(a) = alpha(down(a)).
+
+    The input must pass :func:`check_gc`.  Then alpha(down(a)) is the atom
+    a_a, read off :meth:`GaloisConn.atoms`: if x <= a, then a lies in
+    gamma(a_a), which is down-closed, so x does too and a_x <= a_a.
+    """
     _require(GaloisConn, "t_cgp", G)
-    poset = G.carrier_poset()
-    eta = {a: G.alpha(poset.down(a)) for a in G.carrier.values}
+    report = check_gc(G)
+    if not report.is_gc:
+        raise NotInClass(f"input fails the adjunction at {report.witness}")
     out = CarrierConn(
-        "cgp", G.carrier, G.abstract, eta, G.gamma, carrier_order=poset,
+        "cgp", G.carrier, G.abstract, G.atoms(), G.gamma, carrier_order=G.carrier_poset(),
     )
     rep = check_cgp(out)
     if not rep:

@@ -1,15 +1,17 @@
 """The fast checkers against their literal definitions, and the per-connection
 memos.
 
-``_gamma_additive`` checks gamma only at the triples of the lattice's
-additivity plan: one join per element of a distributive lattice, x v j for
-every element x and join-irreducible j of any other; here it must agree,
-verdict and witness, with the literal scan over all pairs, on powersets,
+``_gamma_additive`` decides additivity per carrier value: the elements
+whose gamma misses a value must be a principal downset, one of the
+lattice's down-masks, and only a failing verdict scans the pairs, by
+element index, for the witness.  Here it must agree, verdict and witness,
+with the literal scan over all pairs, and call no ``join``, on powersets,
 downset lattices, the Moore lattices of the generators, lattices built
 with ``FinLattice.from_poset`` (M3, N5 and random closure systems, most of
 them non-distributive) and other set families closed under union and
-intersection, whose bottom need not be empty; and the plan's size must
-follow the literal distributive law.  The plan and the join-irreducibles
+intersection, whose bottom need not be empty, for gammas that are not
+monotone, whose gamma(bottom) is not empty, and that leave a value out of
+every gamma(d); and on the generators' own connections.  The join-irreducibles
 are found from up-masks, each lub the element whose up-mask is the AND of
 the members'; here they must equal those found by ``FinLattice.lub`` and
 name sets, on the same lattices.
@@ -19,7 +21,8 @@ only once a clause fails; here it must agree with the sorted loop (witness
 included, on names that tie as ints).
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
-masks H(x) = {y | x in mu(y)}; here they must agree, verdict, ``cond1``/
+masks H(x) = {y | x in mu(y)} that the constructor keeps, which must equal
+``_holder_masks`` of mu; here they must agree, verdict, ``cond1``/
 ``cond2`` and witness, with the literal pair scans, on passing, nearly
 passing and arbitrary eta/mu over random, M3, N5 and discrete abstract
 posets, with and without (non-discrete) carrier orders, for names that
@@ -30,8 +33,9 @@ accepting run of a carrier checker, of ``check_gc``, of
 ``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset for a
 set of names (``up``/``down``), on the builtins and generated connections.
 
-``check_gc`` reads the adjunction off gamma: gamma lands in the downsets,
-and every holder set {d | x in gamma(d)} is the up-set of an atom a_x.  When
+``check_gc`` reads the adjunction off the holder masks: gamma lands in the
+downsets exactly when H(x) <= H(x') for every x' <= x, and every holder set
+H(x) = {d | x in gamma(d)} is the up-set of an atom a_x.  When
 a value has no atom, it names the witness from the values without one,
 enumerating nothing.  Here it must agree, verdict, ``is_gi``,
 ``is_disjunctive`` and witness, with the literal scan of every concrete X and
@@ -53,11 +57,15 @@ what the construction proves: the atoms {eta(x)} and the additivity verdict
 (True, None).  Here gamma must equal
 ``lift_star`` at every subset, in element order, and the atoms and the
 verdict those found from gamma by a fresh, validated connection, by the
-plan scan and by the pairwise definition, on criterion 4's 500
+per-value scan and by the pairwise definition, on criterion 4's 500
 connections and on drawn ones with junk values; a gamma given by hand over
 a powerset still gets its checks.  A warm powerset round trip must call
-``GaloisConn.alpha`` and ``_scan_additive`` no time and build holder masks
-once, for ``check_cgc`` of its output.  A
+``GaloisConn.alpha``, ``_scan_additive`` and ``_holder_masks`` no time: the
+collapsed connection's constructor keeps its holder masks in its one pass
+over mu.  A warm ordered round trip must build holder masks once per new
+connection and call neither ``is_down_closed`` nor ``GaloisConn.alpha``,
+and ``t_ppgc`` of ``signconst_pcgc`` must scan as many pairs for its
+witness at bound 128 as at bound 64.  A
 loaded ``alpha`` table is compared in file order, so a failing load names
 the first failing key of the file.
 
@@ -108,7 +116,7 @@ given as masks over atoms in any order, its elements, up-sets and members
 must be the closure loop's (or the build must refuse a clash of names),
 every join must be the least member above the union and every meet the
 intersection, ``from_poset`` must accept its poset and find the same
-join-irreducibles and additivity plan, and the generators must make no
+join-irreducibles, and the generators must make no
 ``from_poset`` call and build one lattice per family.
 
 ``build_poset`` closes int up-masks, and ``FinPoset`` answers ``leq``,
@@ -138,7 +146,6 @@ import random
 import re
 import subprocess
 import sys
-from array import array
 from dataclasses import replace
 from itertools import combinations, count, product
 
@@ -200,6 +207,7 @@ from galkit.galois import (
     check_pcgc,
     classify_partitioning,
     nonempty_iso,
+    precision_cmp,
     prt,
 )
 from galkit.order import (
@@ -224,7 +232,7 @@ from galkit.setops import (
     check_partition,
     lift_star,
 )
-from galkit.transforms import t_cco, t_cgc_of_pgc, t_pcgc, t_pgc
+from galkit.transforms import t_cco, t_cgc_of_pgc, t_cgp, t_gc, t_pcgc, t_pgc, t_ppgc
 
 
 class CountingLattice(FinLattice):
@@ -785,53 +793,45 @@ XYZ = FinCarrier.atoms(["x", "y", "z"])
 
 @settings(max_examples=400, deadline=None)
 @given(connections(ADDITIVITY_LATTICES))
-# a v b = 1 in both, but gamma(1) holds z as well: only the n * |J| plan
-# sees it, since the one-join-per-element plan checks 1 = 1 v c
+# a v b = 1 in both, but gamma(1) holds z as well, and z's misses
+# {0, a, b} are no principal downset
 @example((XYZ, M3, {"0": frozenset(), "a": frozenset("x"), "b": frozenset("y"),
                     "c": frozenset("z"), "1": frozenset("xyz")}))
 @example((XYZ, N5, {"0": frozenset(), "a": frozenset("x"), "b": frozenset("y"),
                     "c": frozenset("xz"), "1": frozenset("xyz")}))
-# a constant gamma passes every triple: only gamma(bottom) = {} rejects it
+# a constant gamma: gamma(bottom) = {} alone rejects it
 @example((XYZ, powerset_lattice(["b0", "b1"]),
           dict.fromkeys(["{}", "{b0}", "{b1}", "{b0,b1}"], frozenset("x"))))
+# gamma is not monotone: x's misses {0, 1, b, c} are no downset, and the
+# first failing pair is (1, a)
+@example((XYZ, M3, {"0": frozenset(), "a": frozenset("x"), "b": frozenset(),
+                    "c": frozenset(), "1": frozenset()}))
+# additive, with y and z in no gamma(d): their misses are down(1), and x's
+# are down(b)
+@example((XYZ, M3, {"0": frozenset(), "a": frozenset("x"), "b": frozenset(),
+                    "c": frozenset("x"), "1": frozenset("x")}))
+# the generator's first PPGC, whose gamma is not additive on its Moore lattice
+@example((catalog.gen_ppgc(0).carrier, catalog.gen_ppgc(0).abstract,
+          dict(catalog.gen_ppgc(0).gamma)))
 def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     carrier, lat, gamma = case
-    G = GaloisConn(carrier, lat, gamma)
-    expected = pairwise_additive(G)
-    assert _gamma_additive(G) == expected
-
-    # once its lattice has a plan, a connection's check makes no join
+    expected = pairwise_additive(GaloisConn(carrier, lat, gamma))
+    # the per-value verdict, and the witness scan when it fails, make no join
     counting = CountingLattice(lat)
-    counting.additivity_plan()
-    counting.joins = counting.lubs = 0
     assert _gamma_additive(GaloisConn(carrier, counting, gamma)) == expected
-    if expected == (True, None):
-        assert counting.joins == counting.lubs == 0
+    assert counting.joins == counting.lubs == 0
 
 
-def literally_distributive(lat: FinLattice) -> bool:
-    """x ^ (y v z) = (x ^ y) v (x ^ z) for every triple."""
-    join, meet = lat.join, lat.meet
-    return all(meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
-               for x, y, z in product(lat.elements, repeat=3))
-
-
-@settings(max_examples=150, deadline=None)
-@given(ADDITIVITY_LATTICES)
-@example(M3)
-@example(N5)
-def test_the_plan_has_n_minus_1_triples_exactly_on_distributive_lattices(lat):
-    plan = lat.additivity_plan()
-    assert lat.additivity_plan() is plan
-    elems = lat.elements
-    triples = list(zip(*[iter(plan)] * 3))
-    assert all(lat.join(elems[i], elems[j]) == elems[k] for i, j, k in triples)
-    # bounds by the order alone: a set family's meet need not be the
-    # intersection
-    if literally_distributive(FinLattice.from_poset(lat.base)):
-        assert len(triples) == len(elems) - 1
-    else:
-        assert len(triples) == len(elems) * len(lat.join_irreducibles())
+@pytest.mark.parametrize("make", [catalog.gen_ppgc, catalog.gen_downsets_gc],
+                         ids=["gen_ppgc", "gen_downsets_gc"])
+def test_generator_additivity_agrees_with_the_pairwise_scan(make):
+    verdicts = set()
+    for seed in range(300):
+        G = make(seed)
+        verdict = galois._scan_additive(G)
+        assert verdict == pairwise_additive(G), seed
+        verdicts.add(verdict[0])
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=200, deadline=None)
@@ -939,15 +939,18 @@ def test_join_irreducibles_of_non_distributive_lattices():
     assert n5().join_irreducibles() == frozenset("abc")
 
 
-def test_the_256_element_powerset_checks_255_joins_and_calls_none():
+def test_the_256_element_powerset_decides_additivity_with_no_join():
     atoms = [f"b{i}" for i in range(8)]
     lat = powerset_lattice(atoms)
-    assert len(lat.additivity_plan()) == 3 * 255
     counting = CountingLattice(lat)
-    assert len(counting.additivity_plan()) == 3 * 255
-    counting.joins = counting.lubs = 0
     G = GaloisConn(FinCarrier.atoms(atoms), counting, lat.members)
     assert _gamma_additive(G) == (True, None)
+    # b0 in gamma({b1}) too: the first pair in sorted order whose join
+    # lacks b0 and that holds {b1} fails
+    gamma = {**lat.members, "{b1}": frozenset({"b0", "b1"})}
+    M = GaloisConn(FinCarrier.atoms(atoms), counting, gamma)
+    expected = (False, ("{b1,b2,b3,b4,b5,b6,b7}", "{b1}"))
+    assert _gamma_additive(M) == pairwise_additive(GaloisConn(M.carrier, lat, gamma)) == expected
     assert counting.joins == counting.lubs == 0
 
 
@@ -958,56 +961,20 @@ def literal_join_irreducibles(lat: FinLattice) -> frozenset:
                      if lat.lub(y for y in lat.base.down(x) if y != x) != x)
 
 
-def lub_plan(lat: FinLattice):
-    """The additivity plan as it was built from lubs, joins and name up-sets
-    and down-sets, before up-masks."""
-    elems, index, up, down = lat.elements, lat.base._index, lat.base.up, lat.base.down
-    jirr = [j for j in elems if j in literal_join_irreducibles(lat)]
-    plan = []
-
-    def prime(j):  # the lub of the elements not above j is not above j
-        return lat.lub(x for x in elems if x not in up(j)) not in up(j)
-
-    if all(map(prime, jirr)):
-        for y in elems:
-            below = [j for j in jirr if j in down(y)]
-            if not below:
-                continue
-            j = next(j for j in reversed(below)
-                     if len(up(j).intersection(below)) == 1)
-            rest = lat.lub(x for x in below if x != j)
-            plan.extend((index[rest], index[j], index[y]))
-    else:
-        for x in elems:
-            for j in jirr:
-                k = x if j in down(x) else lat.join(x, j)
-                plan.extend((index[x], index[j], index[k]))
-    return array("H" if len(elems) <= 1 << 16 else "L", plan)
-
-
-def assert_plan_from_masks_is_the_lub_plan(lat: FinLattice):
-    assert lat.join_irreducibles() == literal_join_irreducibles(lat)
-    assert lat.additivity_plan() == lub_plan(lat)
-
-
 @settings(max_examples=300, deadline=None)
 @given(ADDITIVITY_LATTICES)
 @example(M3)
 @example(N5)
-def test_the_plan_from_up_masks_is_the_lub_plan(lat):
-    assert_plan_from_masks_is_the_lub_plan(lat)
+def test_the_join_irreducibles_from_up_masks_are_the_literal_ones(lat):
+    assert lat.join_irreducibles() == literal_join_irreducibles(lat)
 
 
 @pytest.mark.parametrize("make", [catalog.gen_ppgc, catalog.gen_downsets_gc],
                          ids=["gen_ppgc", "gen_downsets_gc"])
-def test_the_plans_of_the_generators_lattices_are_the_lub_plans(make):
+def test_generator_join_irreducibles_are_the_literal_ones(make):
     for seed in range(500):
-        assert_plan_from_masks_is_the_lub_plan(make(seed).abstract)
-
-
-def test_m3_and_n5_keep_a_join_per_element_and_join_irreducible():
-    for lat in (m3(), n5()):
-        assert len(lat.additivity_plan()) == 3 * 5 * 3
+        lat = make(seed).abstract
+        assert lat.join_irreducibles() == literal_join_irreducibles(lat)
 
 
 def literal_bound(lat: FinLattice, x: str, y: str, direction: str) -> str:
@@ -1192,6 +1159,49 @@ def test_check_gc_agrees_with_the_literal_scan_on_mutants(name):
     assert check_gc(G) == literal_gc(G)
     for M in gamma_mutants(G):
         assert check_gc(M) == literal_gc(M)
+
+
+@st.composite
+def ordered_gammas(draw):
+    """A connection from an ordered carrier of up to five values into a
+    lattice of at most eight elements renamed to :data:`NAMES` (some tie as
+    ints), its gamma the downsets gamma(d) = {x | a_x <= d} of a monotone
+    atom map with a few memberships flipped, or arbitrary."""
+    lat = draw(LATTICES.filter(lambda lat: len(lat.elements) <= 8))
+    rename = dict(zip(lat.elements, draw(st.permutations(draw(NAMES)))))
+    lat = lattice_of([rename[x] for x in lat.elements],
+                     [(rename[x], rename[y]) for x in lat.elements for y in lat.base.up(x)])
+    values = draw(NAMES)[:draw(st.integers(1, 5))]
+    order = draw(named_poset(values))
+    elems = sorted_elems(lat.elements)
+    if draw(st.booleans()):
+        gamma = {d: draw(st.frozensets(st.sampled_from(values))) for d in elems}
+    else:
+        cap = {x: draw(st.sampled_from(elems)) for x in values}
+        atom = {x: lat.lub(cap[y] for y in order.down(x)) for x in values}
+        gamma = {d: {x for x in values if lat.leq(atom[x], d)} for d in elems}
+        for _ in range(draw(st.integers(0, 3))):
+            gamma[draw(st.sampled_from(elems))] ^= {draw(st.sampled_from(values))}
+    return GaloisConn(FinCarrier.atoms(values), lat, gamma, carrier_order=order)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ordered_gammas())
+def test_the_downclosed_witness_agrees_with_the_literal_scan(G):
+    assert result(check_gc, G) == result(literal_gc, G)
+
+
+def test_the_first_gamma_that_is_no_downset_in_element_order_is_named():
+    # gamma(1) and gamma(01) are both no downset of u < v: 1 and 01 tie as
+    # ints, and 01 comes first
+    G = GaloisConn(
+        FinCarrier.atoms(["u", "v"]),
+        lattice_of(["bot", "1", "01", "top"],
+                   [("bot", "1"), ("bot", "01"), ("1", "top"), ("01", "top")]),
+        {"bot": set(), "1": {"v"}, "01": {"v"}, "top": {"u", "v"}},
+        carrier_order=build_poset(["u", "v"], [("u", "v")]))
+    assert check_gc(G) == literal_gc(G) == GCReport(
+        False, False, False, ("gamma-downclosed", "01"))
 
 
 @pytest.mark.parametrize("make", [
@@ -1446,7 +1456,7 @@ def assert_the_lift_keeps_what_its_gamma_gives(C: CarrierConn):
     """The powerset lift of C against lift_star and against its gamma
     rebuilt through the validated constructor: gamma(S) is the union of
     mu(b) over b in S, at every subset in element order, and the kept
-    additivity verdict is that of the plan scan and of the pairwise
+    additivity verdict is that of the per-value scan and of the pairwise
     definition."""
     G = galois._lift_powerset(C)
     lat = G.abstract_lattice
@@ -1500,6 +1510,18 @@ def test_the_lift_keeps_its_gamma_s_atoms(C):
     assert list(G._atoms) == list(C.carrier.values)
 
 
+def count_calls(monkeypatch, targets: dict) -> dict:
+    """Counts of the calls to each ``getattr(owner, name)`` of ``targets``,
+    a dict name -> (owner, name), patched for the test."""
+    calls = dict.fromkeys(targets, 0)
+    for key, (owner, name) in targets.items():
+        def wrapper(*args, key=key, plain=getattr(owner, name)):
+            calls[key] += 1
+            return plain(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
     C = catalog.gen_cgc(11, amax=8, bmax=8)
     assert len(C.carrier.values) > 2
@@ -1510,23 +1532,66 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
         assert nonempty_iso(t_cgc_of_pgc(G), C)
 
     round_trip()  # keeps check_cgc's report on C
-    calls = {"alpha": 0, "holder masks": 0, "additivity scan": 0}
-
-    def counting(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
-
-    monkeypatch.setattr(GaloisConn, "alpha", counting("alpha", GaloisConn.alpha))
-    monkeypatch.setattr(galois, "_holder_masks",
-                        counting("holder masks", galois._holder_masks))
-    monkeypatch.setattr(galois, "_scan_additive",
-                        counting("additivity scan", galois._scan_additive))
+    calls = count_calls(monkeypatch, {
+        "alpha": (GaloisConn, "alpha"), "holder masks": (galois, "_holder_masks"),
+        "carrier validations": (CarrierConn, "_validate"),
+        "additivity scan": (galois, "_scan_additive")})
     round_trip()
-    # those of check_cgc on the collapsed connection; the lift keeps its
-    # additivity verdict
-    assert calls == {"alpha": 0, "holder masks": 1, "additivity scan": 0}
+    # the collapsed connection's mu is read once, in its constructor, which
+    # keeps the holder masks that check_cgc reads; the lift keeps its atoms
+    # and its additivity verdict
+    assert calls == {"alpha": 0, "holder masks": 0, "carrier validations": 1,
+                     "additivity scan": 0}
+
+
+def ordered_round_trip(G: GaloisConn, P: GaloisConn):
+    """The GC <-> CGP and PPGC <-> PCGC round trips of criteria 7 and 8,
+    each step as perfbench's ``ordered_op`` takes it: six new connections."""
+    C = t_cgp(G)
+    check_cgp(C)
+    G2 = t_gc(C)
+    precision_cmp(G2, G)
+    t_cgp(G2)
+    D = t_pcgc(P)
+    check_pcgc(D)
+    P2 = t_ppgc(D)
+    precision_cmp(P2, P)
+    t_pcgc(P2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_warm_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
+    G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
+    ordered_round_trip(G, P)  # keeps the reports of G and P
+    calls = count_calls(monkeypatch, {
+        "holder masks": (galois, "_holder_masks"),
+        "carrier validations": (CarrierConn, "_validate"),
+        "down-closed tests": (FinPoset, "is_down_closed"),
+        "alpha": (GaloisConn, "alpha")})
+    ordered_round_trip(G, P)
+    # one holder-mask build per new connection: the four carrier ones in
+    # their constructors, and the two Galois ones (t_gc's and t_ppgc's
+    # outputs) on first use
+    assert calls == {"holder masks": 2, "carrier validations": 4,
+                     "down-closed tests": 0, "alpha": 0}
+
+
+def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypatch):
+    # the PPGC witness of t_ppgc's output is its first pair in sorted order,
+    # at every bound: deciding additivity builds nothing of size n * |J|
+    pairs = []
+
+    def counting_pairs(xs, k):
+        for pair in combinations(xs, k):
+            pairs.append(pair)
+            yield pair
+
+    monkeypatch.setattr(galois, "combinations", counting_pairs)
+    for bound in (64, 128):
+        pairs.clear()
+        G = t_ppgc(catalog.builtin("signconst_pcgc", bound))
+        assert classify_partitioning(G).witness == (f"-{bound}", f"-{bound - 1}")
+        assert len(pairs) == 1 and G.abstract_lattice._jirr is None
 
 
 # ---------------------------------------------------------------------------
@@ -1557,19 +1622,18 @@ def test_classify_is_computed_once_per_connection(make):
     lambda: t_pgc(catalog.gen_cgc(7, amax=5, bmax=4)),
     lambda: catalog.builtin("sign_minus_ppgc", 3),
 ])
-def test_additivity_is_computed_once_per_connection(make):
+def test_additivity_is_computed_once_per_connection(make, monkeypatch):
     # classify_partitioning and check_gc share one additivity scan, also on
-    # a PPGC, where the scan falls back to the pairwise witness
+    # a PPGC, where the scan goes on to the pairwise witness
     G = make()
-    counting = CountingLattice(G.abstract_lattice)
-    H = GaloisConn(
-        G.carrier, counting, dict(G.gamma), carrier_order=G.carrier_order,
-    )
+    H = GaloisConn(G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order)
+    calls = count_calls(monkeypatch, {"scans": (galois, "_scan_additive")})
     classify_partitioning(H)
-    joins = counting.joins
     rep = check_gc(H)
-    assert counting.joins == joins
+    assert calls == {"scans": 1}
     assert (rep.is_disjunctive, rep.witness) == pairwise_additive(H)
+    assert check_gc(H) is rep and list(H._verdicts) == [
+        classify_partitioning.__wrapped__, check_gc.__wrapped__]
 
 
 def test_classify_ignores_kind_tags():
@@ -1583,7 +1647,7 @@ def test_classify_ignores_kind_tags():
 def test_connections_are_immutable():
     G = t_pgc(catalog.sign_cgc(4))
     d = next(iter(G.gamma))
-    for name in ("gamma", "kind", "abstract", "_atoms", "_classified"):
+    for name in ("gamma", "kind", "abstract", "_holders", "_atoms", "_additive", "_verdicts"):
         with pytest.raises(AttributeError):
             setattr(G, name, None)
         with pytest.raises(AttributeError):
@@ -1605,6 +1669,9 @@ def test_connections_are_immutable():
 @settings(max_examples=300, deadline=None)
 @given(carrier_conns())
 def test_kept_carrier_verdicts_equal_the_uncached_checks(C):
+    # the holder masks kept by the constructor are those of one pass over mu
+    assert C._holders == galois._holder_masks(C, C.mu)
+    assert list(C._holders) == list(C.carrier.values)
     for check in (check_cgc, check_cgp, check_pcgc):
         report = check(C)
         assert report == check.__wrapped__(C)
@@ -1614,7 +1681,7 @@ def test_kept_carrier_verdicts_equal_the_uncached_checks(C):
 def test_carrier_connections_and_closure_operators_are_immutable():
     C = catalog.builtin("parity", 4)
     a, b = next(iter(C.eta.items()))
-    for name in ("eta", "mu", "kind", "abstract", "carrier_order", "_verdicts"):
+    for name in ("eta", "mu", "kind", "abstract", "carrier_order", "_holders", "_verdicts"):
         with pytest.raises(AttributeError):
             setattr(C, name, None)
         with pytest.raises(AttributeError):
@@ -2467,9 +2534,6 @@ def test_a_moore_lattice_joins_to_the_least_member_above_the_union():
                            "{b}": frozenset("b"), "{}": frozenset()}
     assert lat.join("{a}", "{b}") == lat.lub(["{a}", "{b}"]) == "{a,b,c}"
     assert lat.meet("{a}", "{b}") == "{}"
-    # a square, so distributive though its join is no union: one triple per
-    # element above the bottom
-    assert len(lat.additivity_plan()) == 3 * 3
     with pytest.raises(UnknownElement, match="outside the 3 atoms"):
         moore_lattice_of_masks("abc", [0b1000])
 
@@ -2512,7 +2576,6 @@ def test_a_moore_lattice_is_built_once_and_agrees_with_the_closure_loop(case):
     checked = FinLattice.from_poset(lat.base)
     assert (checked.top, checked.bottom) == (lat.top, lat.bottom)
     assert checked.join_irreducibles() == lat.join_irreducibles()
-    assert checked.additivity_plan() == lat.additivity_plan()
 
 
 def test_a_moore_lattice_refuses_masks_outside_its_atoms():
@@ -2716,7 +2779,7 @@ def test_meet_closure_agrees_with_the_pairwise_loop(case):
 
 # One slice of each round trip, as perfbench's ``ordered_op`` and
 # ``powerset_op`` run them, counting the joins and lubs of each seed (the
-# additivity plans are built on the way), and the witness of a 4-cycle.
+# additivity verdicts are read on the way), and the witness of a 4-cycle.
 HASH_SEED_SLICE = """
 import json
 from galkit import catalog, galois, transforms

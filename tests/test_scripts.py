@@ -3,7 +3,8 @@ PYTHONPATH, as README shows, and exit 0; ``analyze_corpus`` prints the
 checked-in expected output; ``roundtrip_fuzz`` counts a seed
 whose check fails or whose transform raises, also under ``python -O``;
 ``bench_trajectory`` measures two commits of a repository in one session;
-and ``code_lines`` counts neither blank lines, comments nor docstrings."""
+``code_lines`` counts neither blank lines, comments nor docstrings; and
+``size_ladder`` times every layer it names at its two smallest sizes."""
 from __future__ import annotations
 
 import importlib.util
@@ -169,3 +170,23 @@ def test_code_lines_counts_neither_blanks_comments_nor_docstrings(tmp_path):
     # import, def, the two lines of the return and the two of VALUE
     assert json.loads(proc.stdout) == {
         "modules": {"__init__.py": 0, "mod.py": 6}, "total": 6}
+
+
+def test_size_ladder_times_each_layer_at_its_two_smallest_sizes(tmp_path):
+    out = tmp_path / "ladder.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "size_ladder.py"),
+         "--sizes", "16,32", "--repeat", "1", "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    ladder = json.loads(proc.stdout)
+    assert json.loads(out.read_text()) == ladder
+    assert (ladder["sizes"], ladder["repeat"]) == ([16, 32], 1)
+    assert list(ladder["layers"]) == ["signconst_pcgc", "check_pcgc", "t_ppgc",
+                                      "classify_partitioning", "check_gc", "t_pcgc"]
+    for layer in ladder["layers"].values():
+        assert len(layer["ms"]) == 2 and all(t > 0 for t in layer["ms"])
+        assert isinstance(layer["slope"], float)

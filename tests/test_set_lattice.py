@@ -8,18 +8,14 @@ it by name, and ``disjunctive_completion`` passes its block unions.  On
 each of those, join must be the least member above the union, meet the
 intersection, ``lub`` and ``glb`` of a pair the same, top and bottom the
 union and the intersection of all members, the join-irreducibles the
-members that are no join of the members below them, and the additivity
-plan that of the order lattice of the same poset, each triple a literal
-join.  The reference constructions below are the earlier string-named
+members that are no join of the members below them.  The reference constructions below are the earlier string-named
 ones, built pairwise from ``set_name``; when no two subsets share a name
 the element tuple and the members must agree with them, and when names
 collide the constructor must refuse instead of merging.
 ``least_disjunctive_basis`` reads a Moore lattice that is a whole powerset
 as it reads a powerset.  ``powerset_lattice`` shares one lattice per set of
 values; it must be the same object for every order of the values, agree
-with a fresh build, refuse writes, and raise its errors on every call; the
-powerset connections of ``t_pgc`` over one set of values share its
-additivity plan, and deciding the second one's additivity calls no join.
+with a fresh build, refuse writes, and raise its errors on every call.
 """
 from __future__ import annotations
 
@@ -32,7 +28,7 @@ from hypothesis import strategies as st
 
 from conftest import downsets_lattice
 
-from galkit import catalog, galois, order
+from galkit import catalog, order
 from galkit.errors import (
     DuplicateElement,
     TooLarge,
@@ -41,7 +37,6 @@ from galkit.errors import (
 from galkit.galois import (
     CarrierConn,
     GaloisConn,
-    check_gc,
     classify_partitioning,
     prt,
 )
@@ -120,15 +115,6 @@ def agrees_with(lat, ref):
     jirr = {x for x in elems if least_above(frozenset().union(
         *(s for s in sets if s < members[x]))) != x}
     assert lat.join_irreducibles() == jirr
-    # one triple per element above the bottom exactly when every
-    # join-irreducible j is join-prime: j <= x v y puts j below x or y
-    prime = all(not members[j] <= members[joins[x, y]] or members[j] <= members[x]
-                or members[j] <= members[y] for j in jirr for x, y in joins)
-    plan = lat.additivity_plan()
-    triples = list(zip(*[iter(plan)] * 3))
-    assert len(triples) == (len(elems) - 1 if prime else len(elems) * len(jirr))
-    assert all(elems[k] == joins[elems[i], elems[j]] for i, j, k in triples)
-    assert plan == FinLattice.from_poset(lat.base).additivity_plan()
     names = [n for n, _ in ref]
     if len(set(names)) == len(names):
         assert elems == tuple(names)
@@ -290,8 +276,8 @@ def test_powerset_lattice_is_one_object_per_set_of_values(case):
 
 def test_a_shared_powerset_refuses_writes():
     lat = powerset_lattice(["a", "b"])
-    lat.additivity_plan()
-    for name in ("members", "top", "base", "_join", "_jirr", "_plan", "_mask"):
+    lat.join_irreducibles()
+    for name in ("members", "top", "base", "_join", "_jirr", "_mask"):
         with pytest.raises(AttributeError):
             setattr(lat, name, None)
         with pytest.raises(AttributeError):
@@ -310,38 +296,6 @@ def test_a_shared_powerset_refuses_writes():
     assert again.top == "{a,b}" and again.members == {
         "{}": frozenset(), "{a}": frozenset("a"), "{b}": frozenset("b"),
         "{a,b}": frozenset("ab")}
-
-
-def cgc_onto(values, blocks) -> CarrierConn:
-    """The constructive connection of a partition, one abstract value per
-    block, named in ``blocks`` order."""
-    carrier = FinCarrier.atoms([v for block in blocks for v in block])
-    mu = dict(zip(values, map(frozenset, blocks)))
-    eta = {v: b for b, block in mu.items() for v in block}
-    return CarrierConn("cgc", carrier, FinPoset.discrete(values), eta, mu)
-
-
-def test_powerset_connections_share_one_additivity_plan(monkeypatch):
-    values = ["p", "q", "r", "s"]
-    G1 = t_pgc(cgc_onto(values, [["1"], ["2", "3"], ["4"], ["5"]]))
-    lat = G1.abstract_lattice
-    plan = lat.additivity_plan()
-    assert len(plan) == 3 * 15
-    calls = []
-    for name in ("join", "lub"):
-        def counted(self, *args, plain=getattr(FinLattice, name), name=name):
-            if self is lat:
-                calls.append(name)
-            return plain(self, *args)
-        monkeypatch.setattr(FinLattice, name, counted)
-    G2 = t_pgc(cgc_onto(["s", "r", "q", "p"], [["a", "b"], ["c"], ["d"], ["e"]]))
-    assert G2.abstract_lattice is lat and lat.additivity_plan() is plan
-    # deciding the second connection's additivity reads the kept plan and
-    # gamma alone
-    calls.clear()
-    assert galois._scan_additive(G2) == (True, None)
-    assert check_gc(GaloisConn(G2.carrier, lat, dict(G2.gamma))).is_disjunctive
-    assert calls == []
 
 
 def test_refused_powersets_raise_on_every_call(monkeypatch):

@@ -22,7 +22,13 @@ from galkit.galois import (
     nonempty_iso,
     precision_cmp,
 )
-from galkit.order import moore_lattice_of_masks, powerset_lattice, set_name
+from galkit.order import (
+    FinLattice,
+    build_poset,
+    moore_lattice_of_masks,
+    powerset_lattice,
+    set_name,
+)
 from galkit.setops import FinCarrier
 from galkit.transforms import (
     disjunctive_completion,
@@ -85,6 +91,55 @@ def test_gc_cgp_roundtrip_on_seeded_instances():
         assert precision_cmp(G2, G) == "isomorphic"
         back = t_cgp(G2)
         assert back.eta == C.eta and back.mu == C.mu
+
+
+def literal_t_cgp_eta(G: GaloisConn) -> dict:
+    """eta(a) = alpha(down(a)), each by its own lub of atoms."""
+    down = G.carrier_poset().down
+    return {a: G.alpha(down(a)) for a in G.carrier.values}
+
+
+def test_t_cgp_reads_eta_off_the_atoms_as_alpha_of_each_principal_downset():
+    conns = [catalog.gen_downsets_gc(seed, amax=6) for seed in range(60)]
+    conns += [catalog.builtin("sign_pgi", 12), catalog.builtin("interval_gi_d", 12),
+              *(t_gc(catalog.gen_cgp(seed)) for seed in range(20))]
+    for G in conns:
+        assert list(t_cgp(G).eta.items()) == list(literal_t_cgp_eta(G).items())
+
+
+# the carrier a <= b under the chain bot < top: {b} = gamma(bot) is no
+# downset, though every value has an atom
+A_BELOW_B = GaloisConn(
+    FinCarrier.atoms(["a", "b"]),
+    FinLattice.from_poset(build_poset(["bot", "top"], [("bot", "top")])),
+    {"bot": {"b"}, "top": {"a", "b"}},
+    carrier_order=build_poset(["a", "b"], [("a", "b")]))
+# b has no atom: its holders {p}, {q} and {p,q} have no least element
+NO_ATOM = GaloisConn(
+    FinCarrier.atoms(["a", "b"]), powerset_lattice(["p", "q"]),
+    {"{}": {"a"}, "{p}": {"a", "b"}, "{q}": {"a", "b"}, "{p,q}": {"a", "b"}},
+    carrier_order=build_poset(["a", "b"], [("a", "b")]))
+
+
+@pytest.mark.parametrize("G, witness", [
+    (A_BELOW_B, "('gamma-downclosed', 'bot')"),
+    (NO_ATOM, "('{a,b}', None)"),
+], ids=["not-down-closed", "no-atom"])
+def test_t_cgp_refuses_an_input_that_fails_the_adjunction(G, witness):
+    assert str(check_gc(G).witness) == witness
+    message = f"input fails the adjunction at {witness}"
+    with pytest.raises(NotInClass, match=f"^{re.escape(message)}$"):
+        t_cgp(G)
+
+
+def test_transform_gc_cgp_of_a_file_that_fails_the_adjunction_is_an_error(tmp_path, capsys):
+    domain = tmp_path / "gc.json"
+    fileio.save_domain(A_BELOW_B, str(domain))
+    assert fileio.load_domain(str(domain)).gamma == A_BELOW_B.gamma
+    assert cli.main(["transform", "gc-cgp", str(domain)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input fails the adjunction at ('gamma-downclosed', 'bot')\n"
 
 
 def test_ppgc_pcgc_roundtrip_on_seeded_instances():
