@@ -368,7 +368,8 @@ class AbstractSemantics:
     An entry f♯(b1, b2) = lub {eta(o) | o ∈ f(mu(b1), mu(b2))} depends on
     the connection alone, which cannot change, and on the arithmetic of
     ``op``, which its carrier fixes.  So the entries are kept on the
-    connection, in one dict of its kept verdicts keyed by ``(op, b1, b2)``:
+    connection, in one dict keyed by ``(op, b1, b2)`` that its ``_kept``
+    holds under this class (see :func:`galkit.order.kept`):
     every semantics built over the same connection reads and fills them, at
     most 3·|B|² of them, and they are freed with the connection.  A domain
     that is refused keeps none.  Compiled expressions stay per semantics.
@@ -391,7 +392,7 @@ class AbstractSemantics:
         self.ops = {
             op: ConcreteFn(2, _ArithTable(carrier, op)) for op in "+-*"
         }
-        self._memo: dict = domain._verdicts.setdefault(AbstractSemantics, {})
+        self._memo: dict = domain._kept.setdefault(AbstractSemantics, {})
         self._compiled: dict = {}
         eta, clamp, entry = domain.eta, carrier.clamp, self.op_entry
         self._lit = lambda n: eta[clamp(n)]

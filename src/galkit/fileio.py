@@ -61,7 +61,7 @@ def _name(obj, what: str):
     return obj
 
 
-def _names(obj, what: str, arity=None) -> list:
+def _name_list(obj, what: str, arity=None) -> list:
     names = [_name(x, f"{what}[{i}]") for i, x in enumerate(_require_list(obj, what))]
     if arity is not None and len(names) != arity:
         raise FormatError(f"{what} must hold {arity} names, got {len(names)}")
@@ -69,19 +69,20 @@ def _names(obj, what: str, arity=None) -> list:
 
 
 def _pairs(obj, what: str) -> list:
-    return [tuple(_names(p, f"{what}[{i}]", 2))
+    return [tuple(_name_list(p, f"{what}[{i}]", 2))
             for i, p in enumerate(_require_list(obj, what))]
 
 
 def _set_table(table: dict, what: str) -> dict:
-    return {k: frozenset(_names(s, f"{what}[{k!r}]")) for k, s in table.items()}
+    return {k: frozenset(_name_list(s, f"{what}[{k!r}]")) for k, s in table.items()}
 
 
 def _int(obj, what: str) -> int:
-    try:
-        return int(obj)
-    except (TypeError, ValueError):
-        raise FormatError(f"{what} must be an integer, got {obj!r}") from None
+    """A JSON integer: not a bool, which Python counts as an int, and not a
+    float or a string, which ``int`` would truncate or parse."""
+    if type(obj) is not int:
+        raise FormatError(f"{what} must be an integer, got {obj!r}")
+    return obj
 
 
 def _parse_carrier(obj) -> FinCarrier:
@@ -93,14 +94,14 @@ def _parse_carrier(obj) -> FinCarrier:
         return FinCarrier.ints(_int(spec["lo"], "carrier.ints.lo"),
                                _int(spec["hi"], "carrier.ints.hi"), spec["mode"])
     if "atoms" in obj:
-        return FinCarrier.atoms(_names(obj["atoms"], "carrier.atoms"))
+        return FinCarrier.atoms(_name_list(obj["atoms"], "carrier.atoms"))
     raise FormatError("carrier must be an ints or atoms object")
 
 
 def _parse_abstract(obj) -> FinPoset:
     _require_keys(obj, {"elements", "leq"}, "abstract")
     return build_poset(
-        _names(obj["elements"], "abstract.elements"),
+        _name_list(obj["elements"], "abstract.elements"),
         _pairs(obj["leq"], "abstract.leq"),
     )
 
@@ -274,7 +275,7 @@ def load_fn(path: str):
 
 def fn_from_dict(data: dict):
     _require_keys(data, {"arity", "over", "table"}, "function file")
-    arity = data["arity"]
+    arity = _int(data["arity"], "arity")
     if arity not in (1, 2):
         raise FormatError(f"arity must be 1 or 2, got {arity!r}")
     over = data["over"]

@@ -18,6 +18,12 @@ Two record shapes cover every connection class:
 All checkers return the first counterexample in a deterministic element
 order, and transforms re-run the target checker on their outputs instead of
 trusting kind tags.
+
+A connection is immutable, so what is derived from it is computed once and
+kept in its ``_kept`` dict by :func:`galkit.order.kept`: its holder masks
+(see :meth:`CarrierConn.holder_masks` and :meth:`GaloisConn.holder_masks`),
+a Galois connection's atoms and additivity, each checker's report and the
+analyzer's operator entries.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ from .order import (
     _and_keys,
     bit_positions,
     iter_downsets,
+    kept,
     powerset_lattice,
     set_name,
     sort_key,
@@ -47,9 +54,10 @@ from .setops import FinCarrier, PartitionReport, check_partition
 
 
 class _Connection(Immutable):
-    """The carrier and abstract posets of a connection record."""
+    """The carrier and abstract posets of a connection record, and the
+    ``_kept`` dict of what is derived from it (see :func:`kept`)."""
 
-    __slots__ = ()
+    __slots__ = ("_kept",)
 
     @property
     def abstract_poset(self) -> FinPoset:
@@ -78,15 +86,14 @@ class CarrierConn(_Connection):
     A connection is immutable: setting an attribute raises AttributeError,
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
     TypeError.  So the constructor's pass over mu keeps the holder masks
-    H(x) = {y | x in mu(y)} that every carrier checker reads, and
+    (see :meth:`holder_masks`) that every carrier checker reads, and
     :func:`check_cgc`, :func:`check_cgp` and :func:`check_pcgc` run once
     per connection, a repeat call returning the report kept on the
     instance; the analyzer keeps its operator entries there too (see
     :class:`galkit.analyzer.AbstractSemantics`).
     """
 
-    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu",
-                 "_holders", "_verdicts")
+    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu")
 
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
         init = object.__setattr__
@@ -96,13 +103,10 @@ class CarrierConn(_Connection):
         init(self, "abstract", abstract)
         init(self, "eta", FrozenDict(eta))
         init(self, "mu", FrozenDict(zip(mu, map(frozenset, mu.values()))))
-        init(self, "_verdicts", {})
+        init(self, "_kept", {})
         self._validate()
 
     def _validate(self):
-        """The shape checks, whose pass over mu at the abstract elements
-        also keeps H(x), bit i set when x is in mu(elements[i]), for every
-        carrier value x: a member outside the carrier has no H to set."""
         poset = self.abstract_poset
         for v in self.carrier.values:
             if v not in self.eta:
@@ -110,8 +114,21 @@ class CarrierConn(_Connection):
             if self.eta[v] not in poset:
                 raise ShapeMismatch(f"eta({v!r}) = {self.eta[v]!r} not abstract")
         _reject_stray_keys("eta", self.eta, self.carrier, "carrier")
+        self.holder_masks()
+        _reject_stray_keys("mu", self.mu, poset, "abstract poset")
+        if self.carrier_order is not None:
+            if set(self.carrier_order.elements) != set(self.carrier.values):
+                raise ShapeMismatch("carrier order does not match carrier")
+
+    @kept
+    def holder_masks(self) -> dict:
+        """x -> H(x) = {y | x in mu(y)}, bit i set when x is in
+        mu(elements[i]) of the abstract poset, for every carrier value x:
+        the constructor's one pass over mu, which is also its shape check
+        of mu, in element order: a missing mu(y), or a member outside the
+        carrier, which has no H to set, raises ShapeMismatch."""
         H = dict.fromkeys(self.carrier.values, 0)
-        for i, b in enumerate(poset.elements):
+        for i, b in enumerate(self.abstract_poset.elements):
             if b not in self.mu:
                 raise ShapeMismatch(f"mu not total: missing {b!r}")
             bit = 1 << i
@@ -121,11 +138,7 @@ class CarrierConn(_Connection):
             except KeyError:
                 extra = sorted(self.mu[b] - self.carrier.value_set())
                 raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {extra[:3]}") from None
-        object.__setattr__(self, "_holders", H)
-        _reject_stray_keys("mu", self.mu, poset, "abstract poset")
-        if self.carrier_order is not None:
-            if set(self.carrier_order.elements) != set(self.carrier.values):
-                raise ShapeMismatch("carrier order does not match carrier")
+        return H
 
     def eta_image(self) -> frozenset:
         return frozenset(self.eta.values())
@@ -177,13 +190,12 @@ class GaloisConn(_Connection):
     and ``gamma`` is a read-only mapping whose writes raise TypeError.  So
     the holder masks (see :meth:`holder_masks`), the atom map and the
     additivity verdict are computed once and kept on the instance, and so
-    are the reports of :func:`check_gc` and :func:`classify_partitioning`,
-    keyed by checker; a powerset lift sets the atoms and the verdict from
-    its construction (see :func:`_lift_powerset`).
+    are the reports of :func:`check_gc` and :func:`classify_partitioning`;
+    a powerset lift keeps the atoms and the verdict that its construction
+    proves (see :func:`_lift_powerset`).
     """
 
-    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma",
-                 "_holders", "_atoms", "_additive", "_verdicts")
+    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma")
 
     def __init__(self, carrier, abstract, gamma, carrier_order=None, kind="gc"):
         init = object.__setattr__
@@ -196,10 +208,7 @@ class GaloisConn(_Connection):
             # members, is kept as it is
             gamma = FrozenDict(zip(gamma, map(frozenset, gamma.values())))
         init(self, "gamma", gamma)
-        init(self, "_holders", None)
-        init(self, "_atoms", None)
-        init(self, "_additive", None)
-        init(self, "_verdicts", {})
+        init(self, "_kept", {})
         self._validate()
 
     def _validate(self):
@@ -221,14 +230,20 @@ class GaloisConn(_Connection):
             raise ShapeMismatch("abstract side is not a complete lattice")
         return self.abstract
 
+    @kept
     def holder_masks(self) -> dict:
-        """x -> H(x) = {d | x in gamma(d)}, as a mask over abstract
-        positions, for every carrier value x: read from one pass over gamma
-        on first use and kept on the connection."""
-        if self._holders is None:
-            object.__setattr__(self, "_holders", _holder_masks(self, self.gamma))
-        return self._holders
+        """x -> H(x) = {d | x in gamma(d)}, bit i set when x is in
+        gamma(elements[i]) of the abstract poset, for every carrier value
+        x: read from one pass over gamma on first use and kept on the
+        connection."""
+        H = dict.fromkeys(self.carrier.values, 0)
+        for i, d in enumerate(self.abstract_poset.elements):
+            bit = 1 << i
+            for x in self.gamma[d]:
+                H[x] |= bit
+        return H
 
+    @kept
     def atoms(self) -> dict:
         """x -> a_x for every carrier value x whose holder set H(x) is
         up(a_x), kept on the connection: as a mask over abstract positions,
@@ -238,11 +253,8 @@ class GaloisConn(_Connection):
         is the lub of the a_x, x in X: that is alpha(X).  A value missing
         from the map has no best abstraction.
         """
-        if self._atoms is None:
-            of_upm = self.abstract_poset._element_of_upm()
-            object.__setattr__(self, "_atoms", {
-                x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm})
-        return self._atoms
+        of_upm = self.abstract_poset._element_of_upm()
+        return {x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm}
 
     def alpha(self, members: Iterable[str]) -> str:
         """The lub of the members' atoms: a member without one has no best
@@ -295,6 +307,9 @@ def _lift_powerset(C: CarrierConn) -> GaloisConn:
     g[m] | mu(b) at m + 2^k.  gamma reads g at each element's mask, in the
     lattice's element order.
 
+    Both are kept under the keys that :meth:`GaloisConn.atoms` and
+    :func:`_scan_additive` read (see :func:`kept`):
+
     * Additivity, kept as the verdict ``(True, None)``: gamma({}) = {} and
       gamma(S | T) = gamma(S) | gamma(T), each being the union of mu over
       its members.
@@ -308,9 +323,9 @@ def _lift_powerset(C: CarrierConn) -> GaloisConn:
         g += [x | mu_b for x in g]
     gamma = FrozenDict(zip(lat._of_dn.values(), map(g.__getitem__, lat._of_dn)))
     G = GaloisConn(C.carrier, lat, gamma, kind="pgc")
-    object.__setattr__(G, "_atoms", {
-        x: lat._of_dn[lat._bit[C.eta[x]]] for x in C.carrier.values})
-    object.__setattr__(G, "_additive", (True, None))
+    G._kept[GaloisConn.atoms.__wrapped__] = {
+        x: lat._of_dn[lat._bit[C.eta[x]]] for x in C.carrier.values}
+    G._kept[_scan_additive.__wrapped__] = (True, None)
     return G
 
 
@@ -372,20 +387,18 @@ def _require(cls, fn: str, X) -> None:
 
 
 def _once_per_connection(cls):
-    """A decorator making a checker of ``cls`` instances a memo: its report
-    is computed once per connection, whose contents cannot change, and kept
-    in the instance's ``_verdicts`` keyed by the checker, so a repeat call
-    returns the same report object.  An argument that is no ``cls`` raises
+    """A decorator making a checker of ``cls`` instances :func:`kept`: its
+    report is computed once per connection, so a repeat call returns the
+    same report object.  An argument that is no ``cls`` raises
     ShapeMismatch naming its class.  ``__wrapped__`` is the uncached check."""
     def decorate(check):
+        memo = kept(check)
+
         @wraps(check)
-        def memoised(X):
+        def checked(X):
             _require(cls, check.__name__, X)
-            report = X._verdicts.get(check)
-            if report is None:
-                report = X._verdicts[check] = check(X)
-            return report
-        return memoised
+            return memo(X)
+        return checked
     return decorate
 
 
@@ -427,7 +440,7 @@ def check_gc(G: GaloisConn) -> GCReport:
     if len(G.atoms()) < len(G.carrier.values):
         return GCReport(False, False, False, _adjunction_failure(G))
     is_gi = len(set(G.gamma.values())) == len(G.gamma)
-    is_disj, wit = _gamma_additive(G)
+    is_disj, wit = _scan_additive(G)
     return GCReport(True, is_gi, is_disj, wit)
 
 
@@ -476,20 +489,13 @@ def _adjunction_failure(G: GaloisConn):
     return (X, next(d for d in sorted_elems(elems) if bad >> index[d] & 1))
 
 
-def _gamma_additive(G: GaloisConn):
-    """gamma preserves all lubs: ``(verdict, witness)``, computed once per
-    connection and kept on it, so that :func:`check_gc` and
-    :func:`classify_partitioning` share one scan."""
-    if G._additive is None:
-        object.__setattr__(G, "_additive", _scan_additive(G))
-    return G._additive
-
-
+@kept
 def _scan_additive(G: GaloisConn):
     """gamma preserves all lubs: ``(True, None)``, or ``(False, witness)``
     with the witness ``(bottom,)`` when gamma(bottom) != {} and otherwise
     the first pair (x, y), in sorted order, with gamma(x v y) !=
-    gamma(x) | gamma(y).
+    gamma(x) | gamma(y).  Kept on the connection, so that :func:`check_gc`
+    and :func:`classify_partitioning` share one scan.
 
     With gamma(bottom) = {}, that holds exactly when, for every carrier
     value a, the elements whose gamma misses a, full ^ H(a) over the holder
@@ -531,23 +537,11 @@ def _scan_additive(G: GaloisConn):
 # The carrier checkers below test laws between eta and mu that the paper
 # states pairwise.  Fixing x, each law is an equation between the holder set
 # H(x) = {y | x in mu(y)} and a mask read off eta(x), so the masks that the
-# constructor's pass over mu keeps, every H(x) as an int over abstract
-# positions, replace the pair scans.  A witness is still the first failing
-# pair of the pairwise loop: its x is the first, in that loop's order, whose
-# mask of failing y is nonzero, and its y the first of those in the inner
-# loop's order.  Only a failing check sorts.
-
-
-def _holder_masks(C, table: Mapping) -> dict:
-    """H(x), bit i set when x is in ``table[elements[i]]``, for every carrier
-    value x of C, with ``table`` its gamma (or its mu), read at the abstract
-    poset's elements (as the pairwise laws read it) in |A| + sum |table|."""
-    H = dict.fromkeys(C.carrier.values, 0)
-    for i, y in enumerate(C.abstract_poset.elements):
-        bit = 1 << i
-        for x in table[y]:
-            H[x] |= bit
-    return H
+# constructor's pass over mu keeps (CarrierConn.holder_masks), every H(x) as
+# an int over abstract positions, replace the pair scans.  A witness is still
+# the first failing pair of the pairwise loop: its x is the first, in that
+# loop's order, whose mask of failing y is nonzero, and its y the first of
+# those in the inner loop's order.  Only a failing check sorts.
 
 
 def _first_failure(xs, order, witness):
@@ -608,7 +602,7 @@ def check_cgc(C: CarrierConn) -> CheckResult:
     H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost O(|A|)
     on success, past the constructor's pass over mu.
     """
-    wit = _holder_law_failure(C, C._holders, lambda i: 1 << i)
+    wit = _holder_law_failure(C, C.holder_masks(), lambda i: 1 << i)
     return CheckResult(wit is None, wit)
 
 
@@ -638,7 +632,7 @@ def check_cgp(C: CarrierConn) -> CheckResult:
                    if not C.mu[b] <= C.mu[b2]), None)
         return None if b2 is None else ("mu-monotone", b, b2)
 
-    law = _order_law_failure(C, C._holders)
+    law = _order_law_failure(C, C.holder_masks())
     wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
            or law and (_first_failure(bp.elements, sorted_elems, mu_witness)
                        or law))
@@ -665,7 +659,7 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     scan order whose eta(x') fails.  With a carrier order, eta must also be
     monotone; that tail runs only when (1) and (2) hold.
     """
-    H = C._holders
+    H = C.holder_masks()
     values = C.carrier.values
     index = C.abstract_poset._index
     image = sum(1 << i for i in {index[C.eta[x]] for x in values})
@@ -744,7 +738,7 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     family = prt(G)
     part = check_partition(G.carrier, family)
     lat = G.abstract_lattice
-    additive, wit = _gamma_additive(G)
+    additive, wit = _scan_additive(G)
     universe = G.carrier.value_set()
     elems, upm, dnm = lat.elements, lat.base._upm, lat.base._down_masks()
     full = (1 << len(elems)) - 1

@@ -11,10 +11,16 @@ constructor, :class:`SetLattice`, over a family closed under intersection;
 it interns each subset as an int bitmask over its atoms and renders its
 name once, so joins never parse names.  It is immutable, and small
 powerset lattices are shared by their values.
+
+What an instance derives from its own contents is computed on first use
+and kept by one decorator, :func:`kept`, in the instance's ``_kept`` dict:
+a poset's down-masks, element of each up-mask and name sets, a lattice's
+join-irreducibles, and (in :mod:`galkit.galois`) a connection's holder
+masks, atoms, additivity and checker reports.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -67,6 +73,23 @@ def set_name(members: Iterable[str]) -> str:
     return "{" + ",".join(sorted_elems(members)) + "}"
 
 
+def kept(compute):
+    """A method (or a function of one instance) computed once per instance:
+    the value of ``compute(self)``, which is never None, is kept in the
+    instance's ``_kept`` dict keyed by ``compute``, and a repeat call
+    returns that same object.  An instance's contents never change once
+    built, so a kept value never goes stale.  ``__wrapped__`` is the
+    uncached computation, and so the key: code that proves a value as it
+    builds an instance may store it there first."""
+    @wraps(compute)
+    def read(self):
+        value = self._kept.get(compute)
+        if value is None:
+            value = self._kept[compute] = compute(self)
+        return value
+    return read
+
+
 class FrozenDict(dict):
     """A dict that refuses every change after construction.
 
@@ -102,40 +125,37 @@ class FinPoset:
     of each up-mask and the name sets of :meth:`up` and :meth:`down` are
     each built on first use and kept."""
 
-    __slots__ = ("elements", "_index", "_upm", "_dnm", "_of_upm", "_names")
+    __slots__ = ("elements", "_index", "_upm", "_kept")
 
     def __init__(self, elements: Iterable[str], upm: Iterable[int]):
         self.elements = elems = tuple(elements)
         self._index = {x: i for i, x in enumerate(elems)}
         self._upm = tuple(upm)
-        self._dnm = self._of_upm = self._names = None
+        self._kept = {}
 
+    @kept
     def _down_masks(self) -> tuple:
         """Bit i of ``dnm[j]`` is set when ``elements[i] <= elements[j]``."""
-        if self._dnm is None:
-            dnm = [0] * len(self._upm)
-            for i, m in enumerate(self._upm):
-                for j in bit_positions(m):
-                    dnm[j] |= 1 << i
-            self._dnm = tuple(dnm)
-        return self._dnm
+        dnm = [0] * len(self._upm)
+        for i, m in enumerate(self._upm):
+            for j in bit_positions(m):
+                dnm[j] |= 1 << i
+        return tuple(dnm)
 
+    @kept
     def _element_of_upm(self) -> dict:
         """Each up-mask -> its element: the lub of a set, when there is
         one, is the element whose up-mask is the AND of the members'."""
-        if self._of_upm is None:
-            self._of_upm = dict(zip(self._upm, self.elements))
-        return self._of_upm
+        return dict(zip(self._upm, self.elements))
 
+    @kept
     def _name_sets(self) -> tuple[dict, dict]:
         """The up-sets and the down-sets of names, decoded from the masks."""
-        if self._names is None:
-            elems = self.elements
-            self._names = tuple(
-                {x: frozenset(map(elems.__getitem__, bit_positions(m)))
-                 for x, m in zip(elems, masks)}
-                for masks in (self._upm, self._down_masks()))
-        return self._names
+        elems = self.elements
+        return tuple(
+            {x: frozenset(map(elems.__getitem__, bit_positions(m)))
+             for x, m in zip(elems, masks)}
+            for masks in (self._upm, self._down_masks()))
 
     # -- basic queries -------------------------------------------------
 
@@ -273,7 +293,7 @@ class FinLattice:
     that bound is asked for.
     """
 
-    __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn", "_jirr")
+    __slots__ = ("base", "top", "bottom", "_up", "_of_up", "_dn", "_of_dn", "_kept")
 
     def __init__(self, base: FinPoset, meet_keys: dict):
         """``meet_keys`` maps each meet key to its element, one key per
@@ -293,7 +313,7 @@ class FinLattice:
         init(self, "_of_up", join_keys)
         init(self, "_dn", dict(zip(meet_keys.values(), meet_keys)))
         init(self, "_of_dn", meet_keys)
-        init(self, "_jirr", None)
+        init(self, "_kept", {})
 
     @property
     def elements(self):
@@ -338,6 +358,7 @@ class FinLattice:
             acc = bound
         return acc
 
+    @kept
     def join_irreducibles(self) -> frozenset:
         """Elements that are not the lub of any subset excluding them,
         computed on first use and kept on the lattice.
@@ -346,14 +367,12 @@ class FinLattice:
         elements strictly below it (and the bottom is never join-irreducible).
         Every element is the lub of the join-irreducibles below it.
         """
-        if self._jirr is None:
-            # the elements strictly below x have x as their lub exactly when
-            # the AND of their join keys, from the bottom's, is x's key
-            elems, keys, start = self.elements, self.base._upm, self._up[self.bottom]
-            object.__setattr__(self, "_jirr", frozenset(
-                x for i, (x, d) in enumerate(zip(elems, self.base._down_masks()))
-                if _and_keys(keys, d ^ 1 << i, start) != keys[i]))
-        return self._jirr
+        # the elements strictly below x have x as their lub exactly when
+        # the AND of their join keys, from the bottom's, is x's key
+        elems, keys, start = self.elements, self.base._upm, self._up[self.bottom]
+        return frozenset(
+            x for i, (x, d) in enumerate(zip(elems, self.base._down_masks()))
+            if _and_keys(keys, d ^ 1 << i, start) != keys[i])
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):

@@ -23,6 +23,12 @@ def downsets_lattice(poset: FinPoset) -> SetLattice:
     return moore_lattice_of_masks(poset.elements, downset_masks(poset))
 
 
+def slot_names(cls) -> list[str]:
+    """Every slot that ``cls`` and its bases declare, in method resolution
+    order."""
+    return [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())]
+
+
 def program_names() -> list[str]:
     return sorted(
         f for f in os.listdir(PROGRAMS_DIR) if f.endswith(".while")

@@ -1,7 +1,7 @@
 """The fast checkers against their literal definitions, and the per-connection
 memos.
 
-``_gamma_additive`` decides additivity per carrier value: the elements
+``_scan_additive`` decides additivity per carrier value: the elements
 whose gamma misses a value must be a principal downset, one of the
 lattice's down-masks, and only a failing verdict scans the pairs, by
 element index, for the witness.  Here it must agree, verdict and witness,
@@ -21,17 +21,20 @@ only once a clause fails; here it must agree with the sorted loop (witness
 included, on names that tie as ints).
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
-masks H(x) = {y | x in mu(y)} that the constructor keeps, which must equal
-``_holder_masks`` of mu; here they must agree, verdict, ``cond1``/
-``cond2`` and witness, with the literal pair scans, on passing, nearly
-passing and arbitrary eta/mu over random, M3, N5 and discrete abstract
-posets, with and without (non-discrete) carrier orders, for names that
-parse as ints (some equal as ints, such as ``1`` and ``01``) and names that
-do not, and on the builtins.  Each keeps its report on the immutable
-connection; the kept report must equal that of the uncached check.  No
-accepting run of a carrier checker, of ``check_gc``, of
-``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset for a
-set of names (``up``/``down``), on the builtins and generated connections.
+masks H(x) = {y | x in mu(y)} that the constructor keeps; here they must
+agree, verdict, ``cond1``/``cond2`` and witness, with the literal pair
+scans, on passing, nearly passing and arbitrary eta/mu over random, M3, N5
+and discrete abstract posets, with and without (non-discrete) carrier
+orders, for names that parse as ints (some equal as ints, such as ``1``
+and ``01``) and names that do not, and on the builtins.  Each keeps its
+report on the immutable connection.  Every value that a poset, a lattice
+or a connection keeps in its ``_kept`` dict, reports and what a
+constructor or a lift stores included, must equal its computation on a
+fresh copy, on drawn posets, lattices and carrier connections and on
+powerset lifts.  No accepting run of a carrier checker, of ``check_gc``,
+of ``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset
+for a set of names (``up``/``down``), on the builtins and generated
+connections.
 
 ``check_gc`` reads the adjunction off the holder masks: gamma lands in the
 downsets exactly when H(x) <= H(x') for every x' <= x, and every holder set
@@ -60,12 +63,13 @@ verdict those found from gamma by a fresh, validated connection, by the
 per-value scan and by the pairwise definition, on criterion 4's 500
 connections and on drawn ones with junk values; a gamma given by hand over
 a powerset still gets its checks.  A warm powerset round trip must call
-``GaloisConn.alpha``, ``_scan_additive`` and ``_holder_masks`` no time: the
-collapsed connection's constructor keeps its holder masks in its one pass
-over mu.  A warm ordered round trip must build holder masks once per new
-connection and call neither ``is_down_closed`` nor ``GaloisConn.alpha``,
-and ``t_ppgc`` of ``signconst_pcgc`` must scan as many pairs for its
-witness at bound 128 as at bound 64.  A
+``GaloisConn.alpha`` no time and compute no additivity and no Galois
+holder masks: the collapsed connection's constructor keeps its holder
+masks in its one pass over mu.  A warm ordered round trip must compute
+holder masks once per new connection and call neither ``is_down_closed``
+nor ``GaloisConn.alpha``, and ``t_ppgc`` of ``signconst_pcgc`` must scan
+as many pairs for its witness at bound 128 as at bound 64, computing no
+join-irreducibles.  Computations are counted through the memo.  A
 loaded ``alpha`` table is compared in file order, so a failing load names
 the first failing key of the file.
 
@@ -153,7 +157,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import downsets_lattice, program_names, program_text
+from conftest import downsets_lattice, program_names, program_text, slot_names
 
 from galkit import analyzer, catalog, fileio, galois, order
 from galkit.analyzer import (
@@ -200,7 +204,7 @@ from galkit.galois import (
     GaloisConn,
     GCReport,
     PCGCReport,
-    _gamma_additive,
+    _scan_additive,
     check_cgc,
     check_cgp,
     check_gc,
@@ -216,6 +220,7 @@ from galkit.order import (
     SetLattice,
     build_poset,
     iter_downsets,
+    kept,
     meet_closure,
     moore_lattice_of_masks,
     powerset_lattice,
@@ -818,7 +823,7 @@ def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     expected = pairwise_additive(GaloisConn(carrier, lat, gamma))
     # the per-value verdict, and the witness scan when it fails, make no join
     counting = CountingLattice(lat)
-    assert _gamma_additive(GaloisConn(carrier, counting, gamma)) == expected
+    assert _scan_additive(GaloisConn(carrier, counting, gamma)) == expected
     assert counting.joins == counting.lubs == 0
 
 
@@ -944,13 +949,13 @@ def test_the_256_element_powerset_decides_additivity_with_no_join():
     lat = powerset_lattice(atoms)
     counting = CountingLattice(lat)
     G = GaloisConn(FinCarrier.atoms(atoms), counting, lat.members)
-    assert _gamma_additive(G) == (True, None)
+    assert _scan_additive(G) == (True, None)
     # b0 in gamma({b1}) too: the first pair in sorted order whose join
     # lacks b0 and that holds {b1} fails
     gamma = {**lat.members, "{b1}": frozenset({"b0", "b1"})}
     M = GaloisConn(FinCarrier.atoms(atoms), counting, gamma)
     expected = (False, ("{b1,b2,b3,b4,b5,b6,b7}", "{b1}"))
-    assert _gamma_additive(M) == pairwise_additive(GaloisConn(M.carrier, lat, gamma)) == expected
+    assert _scan_additive(M) == pairwise_additive(GaloisConn(M.carrier, lat, gamma)) == expected
     assert counting.joins == counting.lubs == 0
 
 
@@ -967,6 +972,7 @@ def literal_join_irreducibles(lat: FinLattice) -> frozenset:
 @example(N5)
 def test_the_join_irreducibles_from_up_masks_are_the_literal_ones(lat):
     assert lat.join_irreducibles() == literal_join_irreducibles(lat)
+    assert_kept_values_are_recomputed(lat)
 
 
 @pytest.mark.parametrize("make", [catalog.gen_ppgc, catalog.gen_downsets_gc],
@@ -1425,11 +1431,6 @@ def test_alpha_of_each_value_names_the_first_value_without_an_atom():
             galois._singleton_alpha(TWO_HOLES, values)
 
 
-def fresh_atoms(G: GaloisConn) -> dict:
-    """The atoms of a connection over G's gamma that keeps none yet."""
-    return rebuilt(G).atoms()
-
-
 # abstract values that tie as ints, but hold no separator: a lift names
 # each set of them
 ABSTRACT_NAMES = st.sampled_from([
@@ -1455,14 +1456,14 @@ def junk_cgcs(draw):
 def assert_the_lift_keeps_what_its_gamma_gives(C: CarrierConn):
     """The powerset lift of C against lift_star and against its gamma
     rebuilt through the validated constructor: gamma(S) is the union of
-    mu(b) over b in S, at every subset in element order, and the kept
+    mu(b) over b in S, at every subset in element order, the kept
     additivity verdict is that of the per-value scan and of the pairwise
-    definition."""
+    definition, and the kept atoms are those gamma gives."""
     G = galois._lift_powerset(C)
     lat = G.abstract_lattice
     assert list(G.gamma.items()) == [(x, lift_star(C.mu, lat.members[x])) for x in lat.elements]
-    fresh = rebuilt(G)
-    assert G._additive == galois._scan_additive(fresh) == pairwise_additive(fresh) == (True, None)
+    assert _scan_additive(G) == _scan_additive(rebuilt(G)) == pairwise_additive(G) == (True, None)
+    assert_kept_values_are_recomputed(G)
 
 
 def test_the_lift_of_each_criterion_4_connection_keeps_what_its_gamma_gives():
@@ -1497,28 +1498,38 @@ def test_a_hand_given_gamma_over_a_powerset_must_stay_inside_the_carrier():
 
 
 def test_the_lift_of_each_criterion_4_connection_keeps_its_gamma_s_atoms():
+    # the atoms and the additivity verdict that the lift keeps are among
+    # its kept values
     for seed in range(500):
         G = t_pgc(catalog.gen_cgc(seed, amax=8, bmax=8))
-        assert G._atoms == fresh_atoms(G), seed
+        assert list(G._kept)[:2] == [GaloisConn.atoms.__wrapped__, _scan_additive.__wrapped__]
+        assert_kept_values_are_recomputed(G)
 
 
 @settings(max_examples=300, deadline=None)
 @given(junk_cgcs())
 def test_the_lift_keeps_its_gamma_s_atoms(C):
     G = t_pgc(C)
-    assert G._atoms == fresh_atoms(G)
-    assert list(G._atoms) == list(C.carrier.values)
+    assert_kept_values_are_recomputed(G)
+    assert_kept_values_are_recomputed(C)
+    assert list(G.atoms()) == list(C.carrier.values)
 
 
 def count_calls(monkeypatch, targets: dict) -> dict:
     """Counts of the calls to each ``getattr(owner, name)`` of ``targets``,
-    a dict name -> (owner, name), patched for the test."""
+    a dict name -> (owner, name), patched for the test.  A :func:`kept`
+    value is counted when it is computed, not when it is read: its memo is
+    patched with one keyed by the counting computation, under which a
+    constructor or a lift also stores what it keeps."""
     calls = dict.fromkeys(targets, 0)
     for key, (owner, name) in targets.items():
-        def wrapper(*args, key=key, plain=getattr(owner, name)):
+        fn = getattr(owner, name)
+        plain = getattr(fn, "__wrapped__", fn)
+
+        def counting(*args, key=key, plain=plain):
             calls[key] += 1
             return plain(*args)
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(owner, name, counting if plain is fn else kept(counting))
     return calls
 
 
@@ -1533,15 +1544,16 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
 
     round_trip()  # keeps check_cgc's report on C
     calls = count_calls(monkeypatch, {
-        "alpha": (GaloisConn, "alpha"), "holder masks": (galois, "_holder_masks"),
+        "alpha": (GaloisConn, "alpha"), "holder masks": (GaloisConn, "holder_masks"),
         "carrier validations": (CarrierConn, "_validate"),
+        "carrier holder masks": (CarrierConn, "holder_masks"),
         "additivity scan": (galois, "_scan_additive")})
     round_trip()
     # the collapsed connection's mu is read once, in its constructor, which
     # keeps the holder masks that check_cgc reads; the lift keeps its atoms
     # and its additivity verdict
     assert calls == {"alpha": 0, "holder masks": 0, "carrier validations": 1,
-                     "additivity scan": 0}
+                     "carrier holder masks": 1, "additivity scan": 0}
 
 
 def ordered_round_trip(G: GaloisConn, P: GaloisConn):
@@ -1564,8 +1576,9 @@ def test_a_warm_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
     G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
     ordered_round_trip(G, P)  # keeps the reports of G and P
     calls = count_calls(monkeypatch, {
-        "holder masks": (galois, "_holder_masks"),
+        "holder masks": (GaloisConn, "holder_masks"),
         "carrier validations": (CarrierConn, "_validate"),
+        "carrier holder masks": (CarrierConn, "holder_masks"),
         "down-closed tests": (FinPoset, "is_down_closed"),
         "alpha": (GaloisConn, "alpha")})
     ordered_round_trip(G, P)
@@ -1573,7 +1586,7 @@ def test_a_warm_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
     # their constructors, and the two Galois ones (t_gc's and t_ppgc's
     # outputs) on first use
     assert calls == {"holder masks": 2, "carrier validations": 4,
-                     "down-closed tests": 0, "alpha": 0}
+                     "carrier holder masks": 4, "down-closed tests": 0, "alpha": 0}
 
 
 def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypatch):
@@ -1587,15 +1600,16 @@ def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypa
             yield pair
 
     monkeypatch.setattr(galois, "combinations", counting_pairs)
+    calls = count_calls(monkeypatch, {"join-irreducibles": (FinLattice, "join_irreducibles")})
     for bound in (64, 128):
         pairs.clear()
         G = t_ppgc(catalog.builtin("signconst_pcgc", bound))
         assert classify_partitioning(G).witness == (f"-{bound}", f"-{bound - 1}")
-        assert len(pairs) == 1 and G.abstract_lattice._jirr is None
+        assert len(pairs) == 1 and calls == {"join-irreducibles": 0}
 
 
 # ---------------------------------------------------------------------------
-# the classification memo and immutability
+# the memos and immutability
 
 
 def rebuilt(G: GaloisConn) -> GaloisConn:
@@ -1603,6 +1617,39 @@ def rebuilt(G: GaloisConn) -> GaloisConn:
         G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order,
         kind=G.kind,
     )
+
+
+def fresh_copy(X):
+    """X rebuilt by its constructor, which keeps nothing X's did not; a
+    lattice as a plain FinLattice over a fresh copy of its poset."""
+    if isinstance(X, FinPoset):
+        return FinPoset(X.elements, X._upm)
+    if isinstance(X, FinLattice):
+        return FinLattice(fresh_copy(X.base), X._of_dn)
+    if isinstance(X, CarrierConn):
+        return CarrierConn(X.kind, X.carrier, X.abstract, X.eta, X.mu,
+                           carrier_order=X.carrier_order)
+    return rebuilt(X)
+
+
+def assert_kept_values_are_recomputed(X):
+    """Every value kept in ``X._kept`` equals its computation on a fresh
+    copy of X, and so does every value its posets and lattices keep; the
+    analyzer's entries, kept under :class:`AbstractSemantics`, equal
+    ``bca_pcgc_entry`` on the fresh copy."""
+    fresh = fresh_copy(X)
+    for compute, value in X._kept.items():
+        if compute is AbstractSemantics:
+            for (op, b1, b2), entry in value.items():
+                fn = ConcreteFn(2, _ArithTable(fresh.carrier, op))
+                assert entry == bca_pcgc_entry(fresh, fn, b1, b2), (op, b1, b2)
+        else:
+            assert value == compute(fresh), compute.__qualname__
+    parts = ([X.base] if isinstance(X, FinLattice) else [] if isinstance(X, FinPoset)
+             else [X.abstract, X.carrier_order])
+    for part in parts:
+        if part is not None:
+            assert_kept_values_are_recomputed(part)
 
 
 @pytest.mark.parametrize("make", [
@@ -1632,8 +1679,10 @@ def test_additivity_is_computed_once_per_connection(make, monkeypatch):
     rep = check_gc(H)
     assert calls == {"scans": 1}
     assert (rep.is_disjunctive, rep.witness) == pairwise_additive(H)
-    assert check_gc(H) is rep and list(H._verdicts) == [
-        classify_partitioning.__wrapped__, check_gc.__wrapped__]
+    assert check_gc(H) is rep and list(H._kept) == [
+        GaloisConn.holder_masks.__wrapped__, GaloisConn.atoms.__wrapped__,
+        galois._scan_additive.__wrapped__, classify_partitioning.__wrapped__,
+        check_gc.__wrapped__]
 
 
 def test_classify_ignores_kind_tags():
@@ -1647,7 +1696,10 @@ def test_classify_ignores_kind_tags():
 def test_connections_are_immutable():
     G = t_pgc(catalog.sign_cgc(4))
     d = next(iter(G.gamma))
-    for name in ("gamma", "kind", "abstract", "_holders", "_atoms", "_additive", "_verdicts"):
+    names = slot_names(GaloisConn)
+    assert {"gamma", "kind", "abstract", "_kept"} <= set(names)
+    for name in names:
+        assert hasattr(G, name)
         with pytest.raises(AttributeError):
             setattr(G, name, None)
         with pytest.raises(AttributeError):
@@ -1669,19 +1721,20 @@ def test_connections_are_immutable():
 @settings(max_examples=300, deadline=None)
 @given(carrier_conns())
 def test_kept_carrier_verdicts_equal_the_uncached_checks(C):
-    # the holder masks kept by the constructor are those of one pass over mu
-    assert C._holders == galois._holder_masks(C, C.mu)
-    assert list(C._holders) == list(C.carrier.values)
+    assert list(C.holder_masks()) == list(C.carrier.values)
     for check in (check_cgc, check_cgp, check_pcgc):
         report = check(C)
-        assert report == check.__wrapped__(C)
         assert check(C) is report
+    assert_kept_values_are_recomputed(C)
 
 
 def test_carrier_connections_and_closure_operators_are_immutable():
     C = catalog.builtin("parity", 4)
     a, b = next(iter(C.eta.items()))
-    for name in ("eta", "mu", "kind", "abstract", "carrier_order", "_holders", "_verdicts"):
+    names = slot_names(CarrierConn)
+    assert {"eta", "mu", "kind", "abstract", "carrier_order", "_kept"} <= set(names)
+    for name in names:
+        assert hasattr(C, name)
         with pytest.raises(AttributeError):
             setattr(C, name, None)
         with pytest.raises(AttributeError):
@@ -1693,7 +1746,8 @@ def test_carrier_connections_and_closure_operators_are_immutable():
     with pytest.raises(TypeError):
         C.mu.update({"ghost": frozenset()})
     phi = t_cco(C)
-    for name in ("phi", "carrier"):
+    for name in slot_names(type(phi)):
+        assert hasattr(phi, name)
         with pytest.raises(AttributeError):
             setattr(phi, name, None)
         with pytest.raises(AttributeError):
@@ -2262,6 +2316,7 @@ def test_each_entry_is_computed_once_per_connection(monkeypatch):
     # a connection built by another builtin call computes every entry again
     C2 = catalog.builtin("signconst_pcgc", 64)
     assert corpus_entry_calls(monkeypatch, C2)[1] == [(C2, *k[1:]) for k in computed]
+    assert_kept_values_are_recomputed(C2)
 
 
 def refused_domains():
@@ -2285,7 +2340,8 @@ def test_a_refused_domain_keeps_no_entries():
         for _ in range(2):
             with pytest.raises(DomainMismatch):
                 analyze(program, domain)
-        assert list(domain._verdicts) == [check_pcgc.__wrapped__]
+        assert list(domain._kept) == [CarrierConn.holder_masks.__wrapped__,
+                                      check_pcgc.__wrapped__]
 
 
 # ---------------------------------------------------------------------------
@@ -2751,10 +2807,11 @@ def test_queries_on_masks_agree_with_the_eager_name_sets(case, data):
     for _ in range(4):
         members = data.draw(st.frozensets(st.sampled_from(names)))
         assert poset.is_down_closed(members) == all(down[x] <= members for x in members)
-    assert poset._names is None  # no query so far decoded a name set
+    assert poset._kept.keys() <= {FinPoset._down_masks.__wrapped__}  # no name set decoded
     assert (poset == other) == (eager_name_sets(other)[0] == up)
     assert {x: poset.up(x) for x in names} == up
     assert {x: poset.down(x) for x in names} == down
+    assert_kept_values_are_recomputed(poset)
 
 
 @settings(max_examples=300, deadline=None)

@@ -268,3 +268,24 @@ def test_ordered_carrier_files_keep_a_poset_that_is_no_lattice(kind):
 def test_malformed_fields_raise_format_errors_naming_them(load, data, field):
     with pytest.raises(FormatError, match=re.escape(field)):
         load(data)
+
+
+def ints_file(lo, hi) -> dict:
+    return {**cgc_file(), "carrier": {"ints": {"lo": lo, "hi": hi, "mode": "saturating"}}}
+
+
+@pytest.mark.parametrize("load, data, field", [
+    (fileio.fn_from_dict, {"arity": True, "over": "concrete", "table": {}}, "arity"),
+    (fileio.fn_from_dict, {"arity": 2.0, "over": "concrete", "table": {}}, "arity"),
+    (fileio.domain_from_dict, ints_file(0.9, 1), "carrier.ints.lo"),
+    (fileio.domain_from_dict, ints_file(0, True), "carrier.ints.hi"),
+    (fileio.domain_from_dict, ints_file(False, 1), "carrier.ints.lo"),
+    (fileio.domain_from_dict, ints_file(0, 1.0), "carrier.ints.hi"),
+    (fileio.domain_from_dict, ints_file("0", 1), "carrier.ints.lo"),
+], ids=["arity-bool", "arity-float", "lo-float", "hi-bool", "lo-bool", "hi-float",
+        "lo-string"])
+def test_json_booleans_and_non_integers_are_no_integers(load, data, field):
+    # Python counts true as 1 and int() truncates 0.9: either would load,
+    # and save back as another file
+    with pytest.raises(FormatError, match=re.escape(f"{field} must be")):
+        load(data)

@@ -227,3 +227,30 @@ def test_downsets_lattice_agrees_with_inclusion(p):
     for x in lat.elements:
         for y in lat.elements:
             assert lat.base.leq(x, y) == (lat.members[x] <= lat.members[y])
+
+
+
+def test_kept_computes_once_per_instance_and_keys_by_the_computation():
+    calls = []
+
+    class Box:
+        __slots__ = ("_kept", "n")
+
+        def __init__(self, n):
+            self._kept, self.n = {}, n
+
+        @order.kept
+        def value(self):
+            calls.append(self.n)
+            return [self.n]
+
+    def value(box):  # another computation of the same name
+        calls.append(-box.n)
+        return [-box.n]
+
+    a, b = Box(1), Box(2)
+    assert a.value() is a.value() == [1]
+    assert order.kept(value)(a) == [-1] and b.value() == [2]
+    assert calls == [1, -1, 2]
+    assert list(a._kept) == [Box.value.__wrapped__, value]
+    assert Box.value.__wrapped__(a) == [1] and calls == [1, -1, 2, 1]

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import downsets_lattice
+from conftest import downsets_lattice, slot_names
 
 from galkit import catalog, order
 from galkit.errors import (
@@ -277,7 +277,10 @@ def test_powerset_lattice_is_one_object_per_set_of_values(case):
 def test_a_shared_powerset_refuses_writes():
     lat = powerset_lattice(["a", "b"])
     lat.join_irreducibles()
-    for name in ("members", "top", "base", "_join", "_jirr", "_mask"):
+    names = slot_names(type(lat))
+    assert {"members", "top", "base", "_kept"} <= set(names)
+    for name in names:
+        assert hasattr(lat, name)
         with pytest.raises(AttributeError):
             setattr(lat, name, None)
         with pytest.raises(AttributeError):
