@@ -6,8 +6,11 @@
 The instances are ``catalog.builtin("signconst_pcgc", N)`` for each size N,
 whose abstract side has N + 8 elements.  The layers are the builtin's build,
 ``check_pcgc`` of it, ``t_ppgc`` of it, and, on a fresh copy of that output
-each time (so that no kept verdict or holder mask is reused),
-``classify_partitioning``, ``check_gc`` and ``t_pcgc``.  A checker is timed
+each time (over a new gamma table, so that no kept verdict or holder mask
+is reused), ``classify_partitioning``, ``check_gc`` and ``t_pcgc``; then
+``analyze`` of ``tests/programs/p05_countdown.while`` on a fresh builtin
+each time, and ``precision_cmp`` of two identity constructive connections
+with N blocks (N atoms, each its own abstract value).  A checker is timed
 without its per-connection memo.  Each time is the best of ``--repeat`` runs,
 in ms; each layer's slope is that of the least-squares line through
 (log N, log ms) over the last three sizes, so 1 reads linear and 2
@@ -27,16 +30,37 @@ import sys
 import time
 
 from galkit import catalog
-from galkit.galois import GaloisConn, check_gc, check_pcgc, classify_partitioning
+from galkit.analyzer import analyze, parse_program
+from galkit.galois import (
+    CarrierConn,
+    GaloisConn,
+    check_gc,
+    check_pcgc,
+    classify_partitioning,
+    precision_cmp,
+)
+from galkit.order import FinPoset
+from galkit.setops import FinCarrier
 from galkit.transforms import t_pcgc, t_ppgc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+P05 = os.path.join(ROOT, "tests", "programs", "p05_countdown.while")
 
 
 def fresh(G: GaloisConn) -> GaloisConn:
-    """A connection over G's tables that keeps nothing yet."""
-    return GaloisConn(G.carrier, G.abstract, G.gamma, carrier_order=G.carrier_order,
+    """A connection over a new copy of G's gamma, so that it keeps nothing
+    yet (a connection handed G's own table would keep what the table
+    keeps)."""
+    return GaloisConn(G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order,
                       kind=G.kind)
+
+
+def identity_cgc(n: int) -> CarrierConn:
+    """The constructive connection of n blocks {v}, each its own abstract
+    value v."""
+    values = [str(i) for i in range(n)]
+    return CarrierConn("cgc", FinCarrier.atoms(values), FinPoset.discrete(values),
+                       {v: v for v in values}, {v: [v] for v in values})
 
 
 def layers(n: int) -> dict:
@@ -48,6 +72,8 @@ def layers(n: int) -> dict:
     def lifted():
         return fresh(t_ppgc(build()))
 
+    with open(P05, encoding="utf-8") as fh:
+        program = parse_program(fh.read())
     return {
         "signconst_pcgc": (lambda: None, lambda _: build()),
         "check_pcgc": (build, check_pcgc.__wrapped__),
@@ -55,6 +81,9 @@ def layers(n: int) -> dict:
         "classify_partitioning": (lifted, classify_partitioning.__wrapped__),
         "check_gc": (lifted, check_gc.__wrapped__),
         "t_pcgc": (lifted, t_pcgc),
+        "analyze": (build, lambda C: analyze(program, C)),
+        "precision_cmp": (lambda: (identity_cgc(n), identity_cgc(n)),
+                          lambda pair: precision_cmp(*pair)),
     }
 
 

@@ -19,14 +19,20 @@ All checkers return the first counterexample in a deterministic element
 order, and transforms re-run the target checker on their outputs instead of
 trusting kind tags.
 
-A connection is immutable, so what is derived from it is computed once and
-kept in its ``_kept`` dict by :func:`galkit.order.kept`: its holder masks
-(see :meth:`CarrierConn.holder_masks` and :meth:`GaloisConn.holder_masks`),
-a Galois connection's atoms and additivity, each checker's report and the
-analyzer's operator entries.
+A connection's table, ``mu`` or ``gamma``, is a :class:`Table`: a
+read-only mapping over the abstract poset, validated once, when it is
+built.  Connections and tables are immutable, so what is derived from them
+is computed once and kept by :func:`galkit.order.kept`.  A table keeps
+what depends on it alone, in its own ``_kept`` dict: its holder masks, its
+atoms and its additivity verdict.  A connection keeps each checker's
+report and the analyzer's operator entries in its ``_kept`` dict.  A
+connection handed a table over its own carrier and abstract poset objects
+keeps that table, so the transforms between the ordered classes, which
+hand their input's table on, derive its masks once for a whole round trip.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations
@@ -59,6 +65,14 @@ class _Connection(Immutable):
 
     __slots__ = ("_kept",)
 
+    def __init__(self, kind, carrier, abstract, carrier_order):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "carrier", carrier)
+        init(self, "carrier_order", carrier_order)
+        init(self, "abstract", abstract)
+        init(self, "_kept", {})
+
     @property
     def abstract_poset(self) -> FinPoset:
         abstract = self.abstract
@@ -68,6 +82,19 @@ class _Connection(Immutable):
         if self.carrier_order is not None:
             return self.carrier_order
         return FinPoset.discrete(self.carrier.values)
+
+    def _init_table(self, name: str, table) -> None:
+        """Set the slot ``name`` to ``table`` as a :class:`Table` over this
+        connection's carrier and abstract poset, then check the carrier
+        order.  A table built over those same two objects is kept as it is,
+        with what it keeps; any other mapping becomes a new table."""
+        poset = self.abstract_poset
+        if not (type(table) is Table and table.carrier is self.carrier and table.poset is poset):
+            table = Table(name, self.carrier, poset, table)
+        object.__setattr__(self, name, table)
+        order = self.carrier_order
+        if order is not None and set(order.elements) != set(self.carrier.values):
+            raise ShapeMismatch("carrier order does not match carrier")
 
 
 def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
@@ -80,33 +107,107 @@ def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
         raise ShapeMismatch(f"{table} has a key outside the {what}: {k!r}")
 
 
+def _members(name: str, key, value) -> frozenset:
+    """``value`` as a set: a string, which would split into characters, and
+    anything that is no iterable of hashable values raise ShapeMismatch
+    naming ``key``."""
+    if not isinstance(value, str):
+        with suppress(TypeError):
+            return frozenset(value)
+    raise ShapeMismatch(f"{name}({key!r}) is no set of carrier values: {value!r}")
+
+
+class Table(FrozenDict, Immutable):
+    """A connection's table, ``mu`` or ``gamma``: each element of the
+    abstract poset ``poset`` -> the set of ``carrier`` values it
+    concretizes to, as a read-only mapping.
+
+    It is validated once, when it is built, and keeps in its ``_kept`` dict
+    (see :func:`kept`) what depends on the table alone: its holder masks
+    (see :meth:`holder_masks`), its atoms (see :meth:`atoms`) and its
+    additivity verdict (see :func:`_scan_additive`).  A connection handed a
+    table built over its own carrier and abstract poset objects keeps it as
+    it is (see :meth:`_Connection._init_table`), so a transform that hands
+    its input's table on, as each ordered round trip does, derives none of
+    these again.  Setting an attribute raises AttributeError, and a write
+    to the mapping TypeError.
+    """
+
+    __slots__ = ("carrier", "poset", "_kept")
+
+    def __init__(self, name: str, carrier: FinCarrier, poset: FinPoset, mapping):
+        """The table of ``mapping`` (a mapping, or its pairs), named
+        ``name`` in its shape errors: in element order, an element with no
+        value, a value that is no set (see :func:`_members`) or one with
+        members outside the carrier; then a key outside the poset.  A
+        value that is a frozenset inside the carrier is kept as it is, and
+        any other set of values is made one."""
+        dict.__init__(self, mapping)
+        init = object.__setattr__
+        init(self, "carrier", carrier)
+        init(self, "poset", poset)
+        init(self, "_kept", {})
+        universe = carrier.value_set()
+        for b in poset.elements:
+            members = self.get(b)
+            if type(members) is not frozenset or not members <= universe:
+                if b not in self:
+                    raise ShapeMismatch(f"{name} not total: missing {b!r}")
+                members = _members(name, b, members)
+                dict.__setitem__(self, b, members)
+                if not members <= universe:
+                    extra = f": {sorted(members - universe)[:3]}" if name == "mu" else ""
+                    raise ShapeMismatch(f"{name}({b!r}) leaves the carrier{extra}")
+        _reject_stray_keys(name, self, poset, "abstract poset")
+
+    @kept
+    def holder_masks(self) -> dict:
+        """x -> H(x) = {b | x in table(b)}, bit i set when x is in the value
+        of ``poset.elements[i]``, for every carrier value x: one pass over
+        the table, on first use."""
+        H = dict.fromkeys(self.carrier.values, 0)
+        for i, b in enumerate(self.poset.elements):
+            bit = 1 << i
+            for x in self[b]:
+                H[x] |= bit
+        return H
+
+    @kept
+    def atoms(self) -> dict:
+        """x -> a_x for every carrier value x whose holder set H(x) is
+        up(a_x): as a mask over abstract positions, H(x) is the up-mask of
+        a_x, found by one lookup.
+
+        Then x in gamma(d) <=> a_x <= d, so the least d with X <= gamma(d)
+        is the lub of the a_x, x in X: that is alpha(X).  A value missing
+        from the map has no best abstraction.
+        """
+        of_upm = self.poset._element_of_upm()
+        return {x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm}
+
+
 class CarrierConn(_Connection):
     """A connection given by eta/mu tables over a finite carrier.
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
-    TypeError.  So the constructor's pass over mu keeps the holder masks
-    (see :meth:`holder_masks`) that every carrier checker reads, and
-    :func:`check_cgc`, :func:`check_cgp` and :func:`check_pcgc` run once
-    per connection, a repeat call returning the report kept on the
-    instance; the analyzer keeps its operator entries there too (see
-    :class:`galkit.analyzer.AbstractSemantics`).
+    TypeError; ``mu`` is a :class:`Table`, whose holder masks every carrier
+    checker reads.  :func:`check_cgc`, :func:`check_cgp` and
+    :func:`check_pcgc` run once per connection, a repeat call returning the
+    report kept on the instance; the analyzer keeps its operator entries
+    there too (see :class:`galkit.analyzer.AbstractSemantics`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu")
 
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "carrier", carrier)
-        init(self, "carrier_order", carrier_order)
-        init(self, "abstract", abstract)
-        init(self, "eta", FrozenDict(eta))
-        init(self, "mu", FrozenDict(zip(mu, map(frozenset, mu.values()))))
-        init(self, "_kept", {})
+        super().__init__(kind, carrier, abstract, carrier_order)
+        object.__setattr__(self, "eta", FrozenDict(eta))
         self._validate()
+        self._init_table("mu", mu)
 
     def _validate(self):
+        """eta's shape checks, which come before mu's."""
         poset = self.abstract_poset
         for v in self.carrier.values:
             if v not in self.eta:
@@ -114,31 +215,6 @@ class CarrierConn(_Connection):
             if self.eta[v] not in poset:
                 raise ShapeMismatch(f"eta({v!r}) = {self.eta[v]!r} not abstract")
         _reject_stray_keys("eta", self.eta, self.carrier, "carrier")
-        self.holder_masks()
-        _reject_stray_keys("mu", self.mu, poset, "abstract poset")
-        if self.carrier_order is not None:
-            if set(self.carrier_order.elements) != set(self.carrier.values):
-                raise ShapeMismatch("carrier order does not match carrier")
-
-    @kept
-    def holder_masks(self) -> dict:
-        """x -> H(x) = {y | x in mu(y)}, bit i set when x is in
-        mu(elements[i]) of the abstract poset, for every carrier value x:
-        the constructor's one pass over mu, which is also its shape check
-        of mu, in element order: a missing mu(y), or a member outside the
-        carrier, which has no H to set, raises ShapeMismatch."""
-        H = dict.fromkeys(self.carrier.values, 0)
-        for i, b in enumerate(self.abstract_poset.elements):
-            if b not in self.mu:
-                raise ShapeMismatch(f"mu not total: missing {b!r}")
-            bit = 1 << i
-            try:
-                for x in self.mu[b]:
-                    H[x] |= bit
-            except KeyError:
-                extra = sorted(self.mu[b] - self.carrier.value_set())
-                raise ShapeMismatch(f"mu({b!r}) leaves the carrier: {extra[:3]}") from None
-        return H
 
     def eta_image(self) -> frozenset:
         return frozenset(self.eta.values())
@@ -187,42 +263,19 @@ class GaloisConn(_Connection):
     :meth:`atoms`), the least d with X <= gamma(d).
 
     A connection is immutable: setting an attribute raises AttributeError,
-    and ``gamma`` is a read-only mapping whose writes raise TypeError.  So
-    the holder masks (see :meth:`holder_masks`), the atom map and the
-    additivity verdict are computed once and kept on the instance, and so
-    are the reports of :func:`check_gc` and :func:`classify_partitioning`;
-    a powerset lift keeps the atoms and the verdict that its construction
+    and ``gamma`` is a read-only :class:`Table` whose writes raise
+    TypeError.  So the holder masks, the atom map and the additivity
+    verdict are computed once and kept on gamma, and the reports of
+    :func:`check_gc` and :func:`classify_partitioning` on the connection; a
+    powerset lift keeps the atoms and the verdict that its construction
     proves (see :func:`_lift_powerset`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma")
 
     def __init__(self, carrier, abstract, gamma, carrier_order=None, kind="gc"):
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "carrier", carrier)
-        init(self, "carrier_order", carrier_order)
-        init(self, "abstract", abstract)
-        if not (type(gamma) is FrozenDict and all(type(s) is frozenset for s in gamma.values())):
-            # a read-only table of frozensets, such as a SetLattice's
-            # members, is kept as it is
-            gamma = FrozenDict(zip(gamma, map(frozenset, gamma.values())))
-        init(self, "gamma", gamma)
-        init(self, "_kept", {})
-        self._validate()
-
-    def _validate(self):
-        poset = self.abstract_poset
-        universe = self.carrier.value_set()
-        for d in poset.elements:
-            if d not in self.gamma:
-                raise ShapeMismatch(f"gamma not total: missing {d!r}")
-            if not self.gamma[d] <= universe:
-                raise ShapeMismatch(f"gamma({d!r}) leaves the carrier")
-        _reject_stray_keys("gamma", self.gamma, poset, "abstract poset")
-        order = self.carrier_order
-        if order is not None and set(order.elements) != set(self.carrier.values):
-            raise ShapeMismatch("carrier order does not match carrier")
+        super().__init__(kind, carrier, abstract, carrier_order)
+        self._init_table("gamma", gamma)
 
     @property
     def abstract_lattice(self) -> FinLattice:
@@ -230,31 +283,10 @@ class GaloisConn(_Connection):
             raise ShapeMismatch("abstract side is not a complete lattice")
         return self.abstract
 
-    @kept
-    def holder_masks(self) -> dict:
-        """x -> H(x) = {d | x in gamma(d)}, bit i set when x is in
-        gamma(elements[i]) of the abstract poset, for every carrier value
-        x: read from one pass over gamma on first use and kept on the
-        connection."""
-        H = dict.fromkeys(self.carrier.values, 0)
-        for i, d in enumerate(self.abstract_poset.elements):
-            bit = 1 << i
-            for x in self.gamma[d]:
-                H[x] |= bit
-        return H
-
-    @kept
     def atoms(self) -> dict:
-        """x -> a_x for every carrier value x whose holder set H(x) is
-        up(a_x), kept on the connection: as a mask over abstract positions,
-        H(x) is the up-mask of a_x, found by one lookup.
-
-        Then x in gamma(d) <=> a_x <= d, so the least d with X <= gamma(d)
-        is the lub of the a_x, x in X: that is alpha(X).  A value missing
-        from the map has no best abstraction.
-        """
-        of_upm = self.abstract_poset._element_of_upm()
-        return {x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm}
+        """x -> a_x for every carrier value x that has an atom, kept on
+        gamma (see :meth:`Table.atoms`)."""
+        return self.gamma.atoms()
 
     def alpha(self, members: Iterable[str]) -> str:
         """The lub of the members' atoms: a member without one has no best
@@ -307,26 +339,27 @@ def _lift_powerset(C: CarrierConn) -> GaloisConn:
     g[m] | mu(b) at m + 2^k.  gamma reads g at each element's mask, in the
     lattice's element order.
 
-    Both are kept under the keys that :meth:`GaloisConn.atoms` and
-    :func:`_scan_additive` read (see :func:`kept`):
+    Both are kept on the table, under the keys that :meth:`Table.atoms`
+    and :func:`_scan_additive` read (see :func:`kept`), before the
+    connection is built over it:
 
     * Additivity, kept as the verdict ``(True, None)``: gamma({}) = {} and
       gamma(S | T) = gamma(S) | gamma(T), each being the union of mu over
       its members.
     * Atoms, kept as x -> {eta(x)}: gamma({b}) = mu(b), and ``check_cgc``
       gives x in mu(b) <=> b = eta(x), so x in gamma(S) <=> eta(x) in S.
-      The holder set of x is up({eta(x)}) (see :meth:`GaloisConn.atoms`).
+      The holder set of x is up({eta(x)}) (see :meth:`Table.atoms`).
     """
     lat = powerset_lattice(C.abstract_poset.elements)
     g = [frozenset()]
     for mu_b in map(C.mu.__getitem__, lat._bit):
         g += [x | mu_b for x in g]
-    gamma = FrozenDict(zip(lat._of_dn.values(), map(g.__getitem__, lat._of_dn)))
-    G = GaloisConn(C.carrier, lat, gamma, kind="pgc")
-    G._kept[GaloisConn.atoms.__wrapped__] = {
+    gamma = Table("gamma", C.carrier, lat.base,
+                  zip(lat._of_dn.values(), map(g.__getitem__, lat._of_dn)))
+    gamma._kept[Table.atoms.__wrapped__] = {
         x: lat._of_dn[lat._bit[C.eta[x]]] for x in C.carrier.values}
-    G._kept[_scan_additive.__wrapped__] = (True, None)
-    return G
+    gamma._kept[_scan_additive.__wrapped__] = (True, None)
+    return GaloisConn(C.carrier, lat, gamma, kind="pgc")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +441,7 @@ def check_gc(G: GaloisConn) -> GCReport:
     and abstract d; also report insertion and disjunctivity status.
 
     Read off the holder masks H(x) = {d | x in gamma(d)} (see
-    :meth:`GaloisConn.holder_masks`) in O(|A| + sum |gamma|) steps, plus one
+    :meth:`Table.holder_masks`) in O(|A| + sum |gamma|) steps, plus one
     AND per pair x' <= x of a carrier order, at any carrier size, it holds
     exactly when:
 
@@ -429,7 +462,7 @@ def check_gc(G: GaloisConn) -> GCReport:
     """
     order = G.carrier_order
     if order is not None:
-        h = list(map(G.holder_masks().__getitem__, order.elements))
+        h = list(map(G.gamma.holder_masks().__getitem__, order.elements))
         # the d in H(x) but not in every H(x'), x' <= x: H(x) & ~(their AND)
         bad = reduce(int.__or__, (hx & ~_and_keys(h, dn, hx)
                                   for hx, dn in zip(h, order._down_masks())), 0)
@@ -440,7 +473,8 @@ def check_gc(G: GaloisConn) -> GCReport:
     if len(G.atoms()) < len(G.carrier.values):
         return GCReport(False, False, False, _adjunction_failure(G))
     is_gi = len(set(G.gamma.values())) == len(G.gamma)
-    is_disj, wit = _scan_additive(G)
+    G.abstract_lattice  # additivity is a lattice's: a bare poset raises
+    is_disj, wit = _scan_additive(G.gamma)
     return GCReport(True, is_gi, is_disj, wit)
 
 
@@ -481,7 +515,7 @@ def _adjunction_failure(G: GaloisConn):
     down, atoms = G.carrier_poset().down, G.atoms()
     y = min((x for x in sorted_elems(G.carrier.values) if x not in atoms),
             key=lambda x: (len(down(x)), tuple(map(sort_key, sorted_elems(down(x))))))
-    X, covers = set_name(down(y)), G.holder_masks()[y]
+    X, covers = set_name(down(y)), G.gamma.holder_masks()[y]
     least = next((i for i in bit_positions(covers) if upm[i] & covers == covers), None)
     if least is None:
         return (X, None)
@@ -490,12 +524,15 @@ def _adjunction_failure(G: GaloisConn):
 
 
 @kept
-def _scan_additive(G: GaloisConn):
-    """gamma preserves all lubs: ``(True, None)``, or ``(False, witness)``
-    with the witness ``(bottom,)`` when gamma(bottom) != {} and otherwise
-    the first pair (x, y), in sorted order, with gamma(x v y) !=
-    gamma(x) | gamma(y).  Kept on the connection, so that :func:`check_gc`
-    and :func:`classify_partitioning` share one scan.
+def _scan_additive(gamma: Table):
+    """gamma, a table over the poset of a lattice, preserves all lubs:
+    ``(True, None)``, or ``(False, witness)`` with the witness
+    ``(bottom,)`` when gamma(bottom) != {} and otherwise the first pair
+    (x, y), in sorted order, with gamma(x v y) != gamma(x) | gamma(y).
+    Kept on the table, so that :func:`check_gc` and
+    :func:`classify_partitioning` share one scan, across the connections
+    over that table too; each of them first checks that its abstract side
+    is a lattice.
 
     With gamma(bottom) = {}, that holds exactly when, for every carrier
     value a, the elements whose gamma misses a, full ^ H(a) over the holder
@@ -518,14 +555,16 @@ def _scan_additive(G: GaloisConn):
     is the element whose up-mask is the AND of theirs, so no ``join`` is
     called.
     """
-    lat = G.abstract_lattice
-    if G.gamma[lat.bottom]:
-        return False, (lat.bottom,)
-    elems, index, upm = lat.elements, lat.base._index, lat.base._upm
-    full, downs = (1 << len(elems)) - 1, set(lat.base._down_masks())
-    failing = [h for h in G.holder_masks().values() if full ^ h not in downs]
+    elems, index, upm = gamma.poset.elements, gamma.poset._index, gamma.poset._upm
+    full, downs = (1 << len(elems)) - 1, set(gamma.poset._down_masks())
+    failing = [h for h in gamma.holder_masks().values() if full ^ h not in downs]
     if not failing:
         return True, None
+    # every down-mask holds the bottom, the element whose up-mask is full:
+    # a value in gamma(bottom) fails, so only a failing verdict tests it
+    bottom = gamma.poset._element_of_upm()[full]
+    if gamma[bottom]:
+        return False, (bottom,)
     g, of_up = [0] * len(elems), dict(zip(upm, range(len(upm))))
     for bit, h in enumerate(failing):
         for i in bit_positions(h):
@@ -536,9 +575,9 @@ def _scan_additive(G: GaloisConn):
 
 # The carrier checkers below test laws between eta and mu that the paper
 # states pairwise.  Fixing x, each law is an equation between the holder set
-# H(x) = {y | x in mu(y)} and a mask read off eta(x), so the masks that the
-# constructor's pass over mu keeps (CarrierConn.holder_masks), every H(x) as
-# an int over abstract positions, replace the pair scans.  A witness is still
+# H(x) = {y | x in mu(y)} and a mask read off eta(x), so the masks that mu
+# keeps (Table.holder_masks), every H(x) as an int over abstract positions,
+# replace the pair scans.  A witness is still
 # the first failing pair of the pairwise loop: its x is the first, in that
 # loop's order, whose mask of failing y is nonzero, and its y the first of
 # those in the inner loop's order.  Only a failing check sorts.
@@ -600,9 +639,9 @@ def check_cgc(C: CarrierConn) -> CheckResult:
     H(x) = {eta(x)}.  The witness is the pair the pairwise loop (x in scan
     order, y in element order) meets first: the first x whose
     H(x) ^ {eta(x)} is nonempty, and the first y of that set.  Cost O(|A|)
-    on success, past the constructor's pass over mu.
+    on success, past the one pass over mu that its holder masks take.
     """
-    wit = _holder_law_failure(C, C.holder_masks(), lambda i: 1 << i)
+    wit = _holder_law_failure(C, C.mu.holder_masks(), lambda i: 1 << i)
     return CheckResult(wit is None, wit)
 
 
@@ -632,7 +671,7 @@ def check_cgp(C: CarrierConn) -> CheckResult:
                    if not C.mu[b] <= C.mu[b2]), None)
         return None if b2 is None else ("mu-monotone", b, b2)
 
-    law = _order_law_failure(C, C.holder_masks())
+    law = _order_law_failure(C, C.mu.holder_masks())
     wit = (_eta_monotone_failure(C, cp, cp.elements, sorted_elems)
            or law and (_first_failure(bp.elements, sorted_elems, mu_witness)
                        or law))
@@ -644,9 +683,9 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     """Condition (1): x in mu(eta(x')) <=> eta(x) = eta(x').
     Condition (2): x in mu(y) <=> eta(x) <= y.  Checked independently.
 
-    Both are read from the holder sets H(x) = {y | x in mu(y)} that the
-    constructor's pass over mu keeps, so the check costs O(|A|) and no
-    ``leq``:
+    Both are read from the holder sets H(x) = {y | x in mu(y)} that mu
+    keeps (see :meth:`Table.holder_masks`), so the check costs O(|A|) and
+    no ``leq``:
 
     * (2): fixing x, "for all y: x in mu(y) <=> eta(x) <= y" is exactly
       H(x) = up(eta(x)).
@@ -659,7 +698,7 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
     scan order whose eta(x') fails.  With a carrier order, eta must also be
     monotone; that tail runs only when (1) and (2) hold.
     """
-    H = C.holder_masks()
+    H = C.mu.holder_masks()
     values = C.carrier.values
     index = C.abstract_poset._index
     image = sum(1 << i for i in {index[C.eta[x]] for x in values})
@@ -738,7 +777,7 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     family = prt(G)
     part = check_partition(G.carrier, family)
     lat = G.abstract_lattice
-    additive, wit = _scan_additive(G)
+    additive, wit = _scan_additive(G.gamma)
     universe = G.carrier.value_set()
     elems, upm, dnm = lat.elements, lat.base._upm, lat.base._down_masks()
     full = (1 << len(elems)) - 1

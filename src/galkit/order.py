@@ -15,8 +15,10 @@ powerset lattices are shared by their values.
 What an instance derives from its own contents is computed on first use
 and kept by one decorator, :func:`kept`, in the instance's ``_kept`` dict:
 a poset's down-masks, element of each up-mask and name sets, a lattice's
-join-irreducibles, and (in :mod:`galkit.galois`) a connection's holder
-masks, atoms, additivity and checker reports.
+join-irreducibles, and (in :mod:`galkit.galois`) a connection table's
+holder masks, atoms and additivity verdict, and a connection's checker
+reports.  A :class:`FrozenDict` subclass can keep values too: a connection
+table (:class:`galkit.galois.Table`) is one, with a ``_kept`` slot.
 """
 from __future__ import annotations
 

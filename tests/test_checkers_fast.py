@@ -21,17 +21,20 @@ only once a clause fails; here it must agree with the sorted loop (witness
 included, on names that tie as ints).
 
 ``check_cgc``, ``check_cgp`` and ``check_pcgc`` read each law off the holder
-masks H(x) = {y | x in mu(y)} that the constructor keeps; here they must
+masks H(x) = {y | x in mu(y)} that mu's table keeps; here they must
 agree, verdict, ``cond1``/``cond2`` and witness, with the literal pair
 scans, on passing, nearly passing and arbitrary eta/mu over random, M3, N5
 and discrete abstract posets, with and without (non-discrete) carrier
 orders, for names that parse as ints (some equal as ints, such as ``1``
 and ``01``) and names that do not, and on the builtins.  Each keeps its
-report on the immutable connection.  Every value that a poset, a lattice
-or a connection keeps in its ``_kept`` dict, reports and what a
-constructor or a lift stores included, must equal its computation on a
-fresh copy, on drawn posets, lattices and carrier connections and on
-powerset lifts.  No accepting run of a carrier checker, of ``check_gc``,
+report on the immutable connection.  Every value that a poset, a lattice,
+a connection or a connection's table keeps in its ``_kept`` dict, reports
+and what a lift stores included, must equal its computation on a fresh
+copy, on drawn posets, lattices and carrier connections, on powerset lifts
+and on the outputs of ordered round trips, whose connections share their
+inputs' tables.  A table reaches a new connection as it is only over the
+same carrier and abstract poset objects; otherwise it is built anew, with
+the messages and the first fault of any mapping.  No accepting run of a carrier checker, of ``check_gc``,
 of ``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset
 for a set of names (``up``/``down``), on the builtins and generated
 connections.
@@ -204,6 +207,7 @@ from galkit.galois import (
     GaloisConn,
     GCReport,
     PCGCReport,
+    Table,
     _scan_additive,
     check_cgc,
     check_cgp,
@@ -823,7 +827,7 @@ def test_gamma_additive_agrees_with_the_pairwise_scan(case):
     expected = pairwise_additive(GaloisConn(carrier, lat, gamma))
     # the per-value verdict, and the witness scan when it fails, make no join
     counting = CountingLattice(lat)
-    assert _scan_additive(GaloisConn(carrier, counting, gamma)) == expected
+    assert _scan_additive(GaloisConn(carrier, counting, gamma).gamma) == expected
     assert counting.joins == counting.lubs == 0
 
 
@@ -833,7 +837,7 @@ def test_generator_additivity_agrees_with_the_pairwise_scan(make):
     verdicts = set()
     for seed in range(300):
         G = make(seed)
-        verdict = galois._scan_additive(G)
+        verdict = galois._scan_additive(G.gamma)
         assert verdict == pairwise_additive(G), seed
         verdicts.add(verdict[0])
     assert verdicts == {True, False}
@@ -949,13 +953,13 @@ def test_the_256_element_powerset_decides_additivity_with_no_join():
     lat = powerset_lattice(atoms)
     counting = CountingLattice(lat)
     G = GaloisConn(FinCarrier.atoms(atoms), counting, lat.members)
-    assert _scan_additive(G) == (True, None)
+    assert _scan_additive(G.gamma) == (True, None)
     # b0 in gamma({b1}) too: the first pair in sorted order whose join
     # lacks b0 and that holds {b1} fails
     gamma = {**lat.members, "{b1}": frozenset({"b0", "b1"})}
     M = GaloisConn(FinCarrier.atoms(atoms), counting, gamma)
     expected = (False, ("{b1,b2,b3,b4,b5,b6,b7}", "{b1}"))
-    assert _scan_additive(M) == pairwise_additive(GaloisConn(M.carrier, lat, gamma)) == expected
+    assert _scan_additive(M.gamma) == pairwise_additive(GaloisConn(M.carrier, lat, gamma)) == expected
     assert counting.joins == counting.lubs == 0
 
 
@@ -1462,7 +1466,7 @@ def assert_the_lift_keeps_what_its_gamma_gives(C: CarrierConn):
     G = galois._lift_powerset(C)
     lat = G.abstract_lattice
     assert list(G.gamma.items()) == [(x, lift_star(C.mu, lat.members[x])) for x in lat.elements]
-    assert _scan_additive(G) == _scan_additive(rebuilt(G)) == pairwise_additive(G) == (True, None)
+    assert _scan_additive(G.gamma) == _scan_additive(rebuilt(G).gamma) == pairwise_additive(G) == (True, None)
     assert_kept_values_are_recomputed(G)
 
 
@@ -1502,7 +1506,7 @@ def test_the_lift_of_each_criterion_4_connection_keeps_its_gamma_s_atoms():
     # its kept values
     for seed in range(500):
         G = t_pgc(catalog.gen_cgc(seed, amax=8, bmax=8))
-        assert list(G._kept)[:2] == [GaloisConn.atoms.__wrapped__, _scan_additive.__wrapped__]
+        assert list(G.gamma._kept)[:2] == [Table.atoms.__wrapped__, _scan_additive.__wrapped__]
         assert_kept_values_are_recomputed(G)
 
 
@@ -1519,8 +1523,9 @@ def count_calls(monkeypatch, targets: dict) -> dict:
     """Counts of the calls to each ``getattr(owner, name)`` of ``targets``,
     a dict name -> (owner, name), patched for the test.  A :func:`kept`
     value is counted when it is computed, not when it is read: its memo is
-    patched with one keyed by the counting computation, under which a
-    constructor or a lift also stores what it keeps."""
+    patched with one that counts its misses and keeps its values under the
+    same key, so a value kept before the patch, or stored by a lift, is a
+    hit."""
     calls = dict.fromkeys(targets, 0)
     for key, (owner, name) in targets.items():
         fn = getattr(owner, name)
@@ -1529,7 +1534,12 @@ def count_calls(monkeypatch, targets: dict) -> dict:
         def counting(*args, key=key, plain=plain):
             calls[key] += 1
             return plain(*args)
-        monkeypatch.setattr(owner, name, counting if plain is fn else kept(counting))
+
+        def counting_memo(self, key=key, plain=plain, fn=fn):
+            if plain not in self._kept:
+                calls[key] += 1
+            return fn(self)
+        monkeypatch.setattr(owner, name, counting if plain is fn else functools.wraps(plain)(counting_memo))
     return calls
 
 
@@ -1540,53 +1550,154 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
     def round_trip():
         G = t_pgc(C)
         classify_partitioning(G)
-        assert nonempty_iso(t_cgc_of_pgc(G), C)
+        back = t_cgc_of_pgc(G)
+        assert nonempty_iso(back, C)
+        return G, back
 
     round_trip()  # keeps check_cgc's report on C
+    built, holder_masks = [], Table.holder_masks
+
+    def recording(T):
+        if holder_masks.__wrapped__ not in T._kept:
+            built.append(T)
+        return holder_masks(T)
+    monkeypatch.setattr(Table, "holder_masks", recording)
     calls = count_calls(monkeypatch, {
-        "alpha": (GaloisConn, "alpha"), "holder masks": (GaloisConn, "holder_masks"),
+        "alpha": (GaloisConn, "alpha"), "table builds": (Table, "__init__"),
         "carrier validations": (CarrierConn, "_validate"),
-        "carrier holder masks": (CarrierConn, "holder_masks"),
         "additivity scan": (galois, "_scan_additive")})
-    round_trip()
-    # the collapsed connection's mu is read once, in its constructor, which
-    # keeps the holder masks that check_cgc reads; the lift keeps its atoms
-    # and its additivity verdict
-    assert calls == {"alpha": 0, "holder masks": 0, "carrier validations": 1,
-                     "carrier holder masks": 1, "additivity scan": 0}
+    G, back = round_trip()
+    # the lift builds gamma and keeps its atoms and its additivity verdict,
+    # so only the collapsed connection's mu has its holder masks built, for
+    # check_cgc
+    assert calls == {"alpha": 0, "table builds": 2, "carrier validations": 1,
+                     "additivity scan": 0}
+    assert built == [back.mu] and back.mu is not G.gamma
 
 
-def ordered_round_trip(G: GaloisConn, P: GaloisConn):
+def ordered_round_trip(G: GaloisConn, P: GaloisConn) -> list:
     """The GC <-> CGP and PPGC <-> PCGC round trips of criteria 7 and 8,
-    each step as perfbench's ``ordered_op`` takes it: six new connections."""
+    each step as perfbench's ``ordered_op`` takes it: six new connections,
+    returned."""
     C = t_cgp(G)
     check_cgp(C)
     G2 = t_gc(C)
     precision_cmp(G2, G)
-    t_cgp(G2)
+    gc_back = t_cgp(G2)
     D = t_pcgc(P)
     check_pcgc(D)
     P2 = t_ppgc(D)
     precision_cmp(P2, P)
-    t_pcgc(P2)
+    return [C, G2, gc_back, D, P2, t_pcgc(P2)]
+
+
+def count_round_trip(monkeypatch, make) -> dict:
+    """What ``make()``, which gives G and P, and an ordered round trip over
+    them compute, counted."""
+    calls = count_calls(monkeypatch, {
+        "table builds": (Table, "__init__"),
+        "holder masks": (Table, "holder_masks"),
+        "atoms": (Table, "atoms"),
+        "additivity scans": (galois, "_scan_additive"),
+        "carrier validations": (CarrierConn, "_validate"),
+        "down-closed tests": (FinPoset, "is_down_closed"),
+        "alpha": (GaloisConn, "alpha")})
+    G, P = make()
+    outputs = ordered_round_trip(G, P)
+    # every new connection keeps its input's table: gamma and mu are one
+    # table, validated when G or P was built
+    assert [X.gamma if isinstance(X, GaloisConn) else X.mu for X in outputs] == [
+        G.gamma] * 3 + [P.gamma] * 3
+    return calls
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_a_warm_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
     G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
-    ordered_round_trip(G, P)  # keeps the reports of G and P
-    calls = count_calls(monkeypatch, {
-        "holder masks": (GaloisConn, "holder_masks"),
-        "carrier validations": (CarrierConn, "_validate"),
-        "carrier holder masks": (CarrierConn, "holder_masks"),
-        "down-closed tests": (FinPoset, "is_down_closed"),
-        "alpha": (GaloisConn, "alpha")})
-    ordered_round_trip(G, P)
-    # one holder-mask build per new connection: the four carrier ones in
-    # their constructors, and the two Galois ones (t_gc's and t_ppgc's
-    # outputs) on first use
-    assert calls == {"holder masks": 2, "carrier validations": 4,
-                     "carrier holder masks": 4, "down-closed tests": 0, "alpha": 0}
+    ordered_round_trip(G, P)  # keeps the reports of G and P, and what their tables keep
+    # no table is validated or scanned again; each carrier connection
+    # still checks its eta
+    assert count_round_trip(monkeypatch, lambda: (G, P)) == {
+        "table builds": 0, "holder masks": 0, "atoms": 0, "additivity scans": 0,
+        "carrier validations": 4, "down-closed tests": 0, "alpha": 0}
+
+
+def test_the_ordered_round_trip_outputs_keep_what_their_tables_give():
+    for seed in range(12):
+        G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
+        for X in [G, P, *ordered_round_trip(G, P)]:
+            assert_kept_values_are_recomputed(X)
+
+
+def reordered(lat: FinLattice) -> FinLattice:
+    """The lattice of ``lat``'s poset with its elements in reverse order:
+    the same names, at other bit positions."""
+    poset = lat.base
+    return FinLattice.from_poset(build_poset(poset.elements[::-1], [
+        (x, y) for x in poset.elements for y in poset.up(x)]))
+
+
+def shape_error(make) -> str:
+    with pytest.raises(ShapeMismatch) as exc:
+        make()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_a_table_is_kept_only_over_its_own_carrier_and_abstract_poset(monkeypatch, seed):
+    D = t_pcgc(catalog.gen_ppgc(seed))
+    T = D.mu
+    assert check_pcgc(D).ok  # T keeps its holder masks
+    assert CarrierConn("pcgc", D.carrier, D.abstract, D.eta, T).mu is T
+    # one value more, the same names in another order, and the same names
+    # in the same order under another order: each table is validated again
+    # and gets its own masks and atoms
+    wider = FinCarrier.atoms([*D.carrier.values, "extra"])
+    lat = reordered(D.abstract)
+    flat = FinPoset.discrete(D.abstract_poset.elements)
+    calls = count_calls(monkeypatch, {"table builds": (Table, "__init__")})
+    moved = [CarrierConn("pcgc", wider, D.abstract, {**D.eta, "extra": D.abstract.top}, T),
+             CarrierConn("pcgc", D.carrier, lat, D.eta, T),
+             GaloisConn(wider, D.abstract, T), GaloisConn(D.carrier, lat, T),
+             CarrierConn("cgc", D.carrier, flat, D.eta, T)]
+    assert calls == {"table builds": 5}
+    for X in moved:
+        table = X.mu if isinstance(X, CarrierConn) else X.gamma
+        fresh = Table("table", X.carrier, X.abstract_poset, dict(T))
+        assert table is not T and table == T
+        assert (table.holder_masks(), table.atoms()) == (fresh.holder_masks(), fresh.atoms())
+        assert (table.holder_masks(), table.atoms()) != (T.holder_masks(), T.atoms())
+    # the reordered connections are the same connections, and the wider
+    # ones' extra value lies in no mu(b); every report is that of a fresh
+    # copy over a new table
+    assert [check_pcgc(X).ok for X in moved[:2]] == [False, True]
+    assert [check_gc(X).is_gc for X in moved[2:4]] == [False, True]
+    assert not check_cgc(moved[4]).ok
+    for X in moved:
+        assert_kept_values_are_recomputed(X)
+    # a table over another carrier or abstract poset is checked as any
+    # mapping is: the same message, naming the same fault first
+    values, elements = D.carrier.values, D.abstract_poset.elements
+    for carrier, abstract in [
+            (FinCarrier.atoms(values[1:]), D.abstract),  # mu leaves the carrier
+            (D.carrier, FinPoset.discrete([*elements, "ghost"])),  # mu not total
+            (D.carrier, FinPoset.discrete(elements[1:]))]:  # a stray key
+        poset = abstract.base if isinstance(abstract, FinLattice) else abstract
+        eta = dict.fromkeys(carrier.values, poset.elements[0])
+        for make in (lambda t: CarrierConn("pcgc", carrier, abstract, eta, t),
+                     lambda t: GaloisConn(carrier, abstract, t)):
+            assert shape_error(lambda: make(T)) == shape_error(lambda: make(dict(T)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_cold_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
+    # G's and P's tables are validated once, when built, and each derived
+    # value is built once per table, whether gen_ppgc's own classification
+    # or the round trip asks for it first
+    assert count_round_trip(monkeypatch, lambda: (
+            catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed))) == {
+        "table builds": 2, "holder masks": 2, "atoms": 2, "additivity scans": 2,
+        "carrier validations": 4, "down-closed tests": 0, "alpha": 0}
 
 
 def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypatch):
@@ -1621,22 +1732,29 @@ def rebuilt(G: GaloisConn) -> GaloisConn:
 
 def fresh_copy(X):
     """X rebuilt by its constructor, which keeps nothing X's did not; a
-    lattice as a plain FinLattice over a fresh copy of its poset."""
+    lattice as a plain FinLattice over a fresh copy of its poset, and a
+    connection over a new table built from a plain dict."""
     if isinstance(X, FinPoset):
         return FinPoset(X.elements, X._upm)
     if isinstance(X, FinLattice):
         return FinLattice(fresh_copy(X.base), X._of_dn)
+    if isinstance(X, Table):
+        return Table("table", X.carrier, X.poset, dict(X))
     if isinstance(X, CarrierConn):
-        return CarrierConn(X.kind, X.carrier, X.abstract, X.eta, X.mu,
+        return CarrierConn(X.kind, X.carrier, X.abstract, X.eta, dict(X.mu),
                            carrier_order=X.carrier_order)
     return rebuilt(X)
 
 
 def assert_kept_values_are_recomputed(X):
     """Every value kept in ``X._kept`` equals its computation on a fresh
-    copy of X, and so does every value its posets and lattices keep; the
-    analyzer's entries, kept under :class:`AbstractSemantics`, equal
-    ``bca_pcgc_entry`` on the fresh copy."""
+    copy of X, and so does every value its posets, lattices and table
+    keep; the analyzer's entries, kept under :class:`AbstractSemantics`,
+    equal ``bca_pcgc_entry`` on the fresh copy.  A connection's table is
+    one over its own carrier and abstract poset."""
+    if isinstance(X, (CarrierConn, GaloisConn)):
+        table = X.mu if isinstance(X, CarrierConn) else X.gamma
+        assert table.carrier is X.carrier and table.poset is X.abstract_poset
     fresh = fresh_copy(X)
     for compute, value in X._kept.items():
         if compute is AbstractSemantics:
@@ -1645,8 +1763,8 @@ def assert_kept_values_are_recomputed(X):
                 assert entry == bca_pcgc_entry(fresh, fn, b1, b2), (op, b1, b2)
         else:
             assert value == compute(fresh), compute.__qualname__
-    parts = ([X.base] if isinstance(X, FinLattice) else [] if isinstance(X, FinPoset)
-             else [X.abstract, X.carrier_order])
+    parts = ([X.base] if isinstance(X, FinLattice) else [] if isinstance(X, (FinPoset, Table))
+             else [X.abstract, X.carrier_order, table])
     for part in parts:
         if part is not None:
             assert_kept_values_are_recomputed(part)
@@ -1679,10 +1797,10 @@ def test_additivity_is_computed_once_per_connection(make, monkeypatch):
     rep = check_gc(H)
     assert calls == {"scans": 1}
     assert (rep.is_disjunctive, rep.witness) == pairwise_additive(H)
-    assert check_gc(H) is rep and list(H._kept) == [
-        GaloisConn.holder_masks.__wrapped__, GaloisConn.atoms.__wrapped__,
-        galois._scan_additive.__wrapped__, classify_partitioning.__wrapped__,
-        check_gc.__wrapped__]
+    assert check_gc(H) is rep
+    assert list(H._kept) == [classify_partitioning.__wrapped__, check_gc.__wrapped__]
+    assert list(H.gamma._kept) == [Table.holder_masks.__wrapped__, Table.atoms.__wrapped__,
+                                   galois._scan_additive.__wrapped__]
 
 
 def test_classify_ignores_kind_tags():
@@ -1712,6 +1830,12 @@ def test_connections_are_immutable():
         G.gamma.update({d: frozenset()})
     with pytest.raises(TypeError):
         G.gamma |= {}
+    table_names = slot_names(Table)
+    assert {"carrier", "poset", "_kept"} <= set(table_names)
+    for name in table_names:
+        assert hasattr(G.gamma, name)
+        with pytest.raises(AttributeError):
+            setattr(G.gamma, name, None)
     # still a dict to readers such as JSON encoders
     assert isinstance(G.gamma, dict)
     assert json.loads(json.dumps(G.gamma, default=sorted)) == {
@@ -1721,7 +1845,7 @@ def test_connections_are_immutable():
 @settings(max_examples=300, deadline=None)
 @given(carrier_conns())
 def test_kept_carrier_verdicts_equal_the_uncached_checks(C):
-    assert list(C.holder_masks()) == list(C.carrier.values)
+    assert list(C.mu.holder_masks()) == list(C.carrier.values)
     for check in (check_cgc, check_cgp, check_pcgc):
         report = check(C)
         assert check(C) is report
@@ -2340,8 +2464,7 @@ def test_a_refused_domain_keeps_no_entries():
         for _ in range(2):
             with pytest.raises(DomainMismatch):
                 analyze(program, domain)
-        assert list(domain._kept) == [CarrierConn.holder_masks.__wrapped__,
-                                      check_pcgc.__wrapped__]
+        assert list(domain._kept) == [check_pcgc.__wrapped__]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,24 @@ def test_galois_conn_rejects_stray_gamma_keys(sign_pgi):
         GaloisConn(sign_pgi.carrier, sign_pgi.abstract, gamma)
 
 
+AB, X_ONLY = FinCarrier.atoms(["a", "b"]), FinPoset.discrete(["x"])
+
+
+@pytest.mark.parametrize("value", ["ab", None, [["a"]], 3],
+                         ids=["string", "None", "list-member", "int"])
+def test_a_table_value_that_is_no_set_of_values_is_refused_by_key(value):
+    # a string would be split into its characters: mu(x) = "ab" read as {a, b}
+    with pytest.raises(ShapeMismatch, match=r"^mu\('x'\) is no set of carrier values: "):
+        CarrierConn("cgc", AB, X_ONLY, {"a": "x", "b": "x"}, {"x": value})
+    with pytest.raises(ShapeMismatch, match=r"^gamma\('x'\) is no set of carrier values: "):
+        GaloisConn(AB, FinLattice.from_poset(X_ONLY), {"x": value})
+
+
+def test_a_table_value_may_be_any_iterable_of_values():
+    C = CarrierConn("cgc", AB, X_ONLY, {"a": "x", "b": "x"}, {"x": ["a", "b"]})
+    assert C.mu == {"x": frozenset("ab")} and check_cgc(C).ok
+
+
 # ---------------------------------------------------------------------------
 # class checkers
 

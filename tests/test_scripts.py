@@ -186,7 +186,8 @@ def test_size_ladder_times_each_layer_at_its_two_smallest_sizes(tmp_path):
     assert json.loads(out.read_text()) == ladder
     assert (ladder["sizes"], ladder["repeat"]) == ([16, 32], 1)
     assert list(ladder["layers"]) == ["signconst_pcgc", "check_pcgc", "t_ppgc",
-                                      "classify_partitioning", "check_gc", "t_pcgc"]
+                                      "classify_partitioning", "check_gc", "t_pcgc",
+                                      "analyze", "precision_cmp"]
     for layer in ladder["layers"].values():
         assert len(layer["ms"]) == 2 and all(t > 0 for t in layer["ms"])
         assert isinstance(layer["slope"], float)
