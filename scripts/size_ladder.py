@@ -9,8 +9,10 @@ whose abstract side has N + 8 elements.  The layers are the builtin's build,
 each time (over a new gamma table, so that no kept verdict or holder mask
 is reused), ``classify_partitioning``, ``check_gc`` and ``t_pcgc``; then
 ``analyze`` of ``tests/programs/p05_countdown.while`` on a fresh builtin
-each time, and ``precision_cmp`` of two identity constructive connections
-with N blocks (N atoms, each its own abstract value).  A checker is timed
+each time; ``precision_cmp``, ``renaming_witnesses`` and ``nonempty_iso``
+of two identity constructive connections with N blocks (N atoms, each its
+own abstract value); and ``check_gc`` of a mutant of ``sign_pgi(N)`` whose
+gamma(≤0) lacks 0, which it rejects.  A checker is timed
 without its per-connection memo.  Each time is the best of ``--repeat`` runs,
 in ms; each layer's slope is that of the least-squares line through
 (log N, log ms) over the last three sizes, so 1 reads linear and 2
@@ -37,7 +39,9 @@ from galkit.galois import (
     check_gc,
     check_pcgc,
     classify_partitioning,
+    nonempty_iso,
     precision_cmp,
+    renaming_witnesses,
 )
 from galkit.order import FinPoset
 from galkit.setops import FinCarrier
@@ -51,8 +55,7 @@ def fresh(G: GaloisConn) -> GaloisConn:
     """A connection over a new copy of G's gamma, so that it keeps nothing
     yet (a connection handed G's own table would keep what the table
     keeps)."""
-    return GaloisConn(G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order,
-                      kind=G.kind)
+    return GaloisConn(G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order)
 
 
 def identity_cgc(n: int) -> CarrierConn:
@@ -61,6 +64,13 @@ def identity_cgc(n: int) -> CarrierConn:
     values = [str(i) for i in range(n)]
     return CarrierConn("cgc", FinCarrier.atoms(values), FinPoset.discrete(values),
                        {v: v for v in values}, {v: [v] for v in values})
+
+
+def sign_mutant(n: int) -> GaloisConn:
+    """``sign_pgi(n)`` with 0 taken out of gamma(≤0): 0 then has no atom,
+    so ``check_gc`` rejects it and names a witness."""
+    G = catalog.builtin("sign_pgi", n)
+    return GaloisConn(G.carrier, G.abstract, {**G.gamma, "≤0": G.gamma["≤0"] - {"0"}})
 
 
 def layers(n: int) -> dict:
@@ -72,6 +82,9 @@ def layers(n: int) -> dict:
     def lifted():
         return fresh(t_ppgc(build()))
 
+    def identities():
+        return identity_cgc(n), identity_cgc(n)
+
     with open(P05, encoding="utf-8") as fh:
         program = parse_program(fh.read())
     return {
@@ -82,8 +95,10 @@ def layers(n: int) -> dict:
         "check_gc": (lifted, check_gc.__wrapped__),
         "t_pcgc": (lifted, t_pcgc),
         "analyze": (build, lambda C: analyze(program, C)),
-        "precision_cmp": (lambda: (identity_cgc(n), identity_cgc(n)),
-                          lambda pair: precision_cmp(*pair)),
+        "precision_cmp": (identities, lambda pair: precision_cmp(*pair)),
+        "renaming_witnesses": (identities, lambda pair: renaming_witnesses(*pair)),
+        "nonempty_iso": (identities, lambda pair: nonempty_iso(*pair)),
+        "check_gc_sign_mutant": (lambda: sign_mutant(n), check_gc.__wrapped__),
     }
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .errors import (
     DomainMismatch,
@@ -40,6 +41,7 @@ STEP_BUDGET = 10_000
 
 KEYWORDS = {"while", "do", "if", "then", "else", "skip"}
 CMP_OPS = ("<=", "!=", ">=", "<", "=", ">")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
     "<": operator.lt, "<=": operator.le, "=": operator.eq,
     "!=": operator.ne, ">": operator.gt, ">=": operator.ge,
@@ -389,16 +391,12 @@ class AbstractSemantics:
         carrier = domain.carrier
         if carrier.lo is None:
             raise DomainMismatch("analysis needs an integer carrier")
-        self.ops = {
-            op: ConcreteFn(2, _ArithTable(carrier, op)) for op in "+-*"
-        }
+        self.ops = {op: ConcreteFn(2, _ArithTable(carrier, op)) for op in _ARITH}
         self._memo: dict = domain._kept.setdefault(AbstractSemantics, {})
         self._compiled: dict = {}
         eta, clamp, entry = domain.eta, carrier.clamp, self.op_entry
         self._lit = lambda n: eta[clamp(n)]
-        self._ops = {
-            op: (lambda b1, b2, op=op: entry(op, b1, b2)) for op in "+-*"
-        }
+        self._ops = {op: (lambda b1, b2, op=op: entry(op, b1, b2)) for op in _ARITH}
 
     def op_entry(self, op: str, b1: str, b2: str) -> str:
         key = (op, b1, b2)
@@ -450,36 +448,22 @@ class _ArithTable:
     It supplies its own ``image``, so ``ConcreteFn.image`` and with it every
     best-correct-approximation entry skip the per-tuple ``__getitem__``:
     each argument set is converted to ints once, the raw results are built
-    in one set comprehension, and only the distinct results are clamped.
+    in one set, and only the distinct results are clamped.
     """
 
     def __init__(self, carrier, op):
         self.carrier = carrier
         self.op = op
+        self.fn = _ARITH[op]
 
     def __getitem__(self, key):
-        a, b = int(key[0]), int(key[1])
-        if self.op == "+":
-            return self.carrier.clamp(a + b)
-        if self.op == "-":
-            return self.carrier.clamp(a - b)
-        return self.carrier.clamp(a * b)
+        return self.carrier.clamp(self.fn(int(key[0]), int(key[1])))
 
     def image(self, xs, ys) -> set:
         """{clamp(x op y) | x ∈ xs, y ∈ ys}, as carrier values."""
-        a = [int(x) for x in xs]
-        b = [int(y) for y in ys]
-        if self.op == "+":
-            raw = {i + j for i in a for j in b}
-        elif self.op == "-":
-            raw = {i - j for i in a for j in b}
-        else:
-            raw = {i * j for i in a for j in b}
+        raw = set(starmap(self.fn, product(map(int, xs), map(int, ys))))
         clamp = self.carrier.clamp_int
         return {str(n) for n in {clamp(n) for n in raw}}
-
-    def keys(self):
-        return iter(())
 
 
 @dataclass
@@ -616,12 +600,8 @@ def concrete_run(program: Program, carrier, budget: int = STEP_BUDGET) -> dict:
     by_label: dict = {}
     steps = 0
     clamp = carrier.clamp_int
-    ops = {
-        "+": lambda a, b: clamp(a + b),
-        "-": lambda a, b: clamp(a - b),
-        "*": lambda a, b: clamp(a * b),
-        **_COMPARE,
-    }
+    ops = {op: (lambda a, b, fn=fn: clamp(fn(a, b))) for op, fn in _ARITH.items()}
+    ops.update(_COMPARE)
 
     def recorder(label):
         envs = by_label.setdefault(label, [])

@@ -70,10 +70,7 @@ def _plustop_cgp(N):
         "+": frozenset(v for v in carrier.values if int(v) > 0),
         "⊤": carrier.value_set(),
     }
-    C = CarrierConn(
-        "cgp", carrier, poset, eta, mu,
-        carrier_order=FinPoset.discrete(carrier.values),
-    )
+    C = CarrierConn("cgp", carrier, poset, eta, mu)
     rep = check_cgp(C)
     if not rep:
         raise NotInClass(f"plus/top construction broken at {rep.witness}")
@@ -111,7 +108,7 @@ def _sign_pgi(N):
         raise BoundTooSmall("sign needs a bound of at least 1")
     carrier = FinCarrier.ints(-N, N, SATURATING)
     lat = FinLattice.from_poset(build_poset(SIGN_ELEMS, SIGN_PAIRS))
-    return GaloisConn(carrier, lat, _sign_sets(carrier), kind="gc")
+    return GaloisConn(carrier, lat, _sign_sets(carrier))
 
 
 def _sign_minus_ppgc(N):
@@ -125,7 +122,7 @@ def _sign_minus_ppgc(N):
     pairs += [("<0", "Z"), (">0", "Z")]
     lat = FinLattice.from_poset(build_poset(elems, pairs))
     gamma = {e: s for e, s in _sign_sets(carrier).items() if e != "≠0"}
-    G = GaloisConn(carrier, lat, gamma, kind="ppgc")
+    G = GaloisConn(carrier, lat, gamma)
     if classify_partitioning(G).category != "PPGC":
         raise NotInClass("sign-minus construction is not purely partitioning")
     return G
@@ -158,7 +155,7 @@ def _interval_gi_d(N):
         "[-9,+∞)": _ival(-9, N, carrier),
         "Z": carrier.value_set(),
     }
-    return GaloisConn(carrier, lat, gamma, kind="gc")
+    return GaloisConn(carrier, lat, gamma)
 
 
 INTERVAL_ELEMS = (
@@ -398,7 +395,7 @@ def gen_ppgc(seed: int, amax: int = 8, bmax: int = 8) -> GaloisConn:
         # sample picks by position, so its draws depend only on len(blocks)
         family.append(sum(rng.sample(blocks, rng.randint(1, len(blocks)))))
     lat = moore_lattice_of_masks(values, family)
-    G = GaloisConn(FinCarrier.atoms(values), lat, lat.members, kind="ppgc")
+    G = GaloisConn(FinCarrier.atoms(values), lat, lat.members)
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("generated connection is not pre-partitioning")
     return G
@@ -421,9 +418,7 @@ def gen_downsets_gc(seed: int, amax: int = 6) -> GaloisConn:
     poset = build_poset(values, pairs)
     lat = moore_lattice_of_masks(
         values, [ds for ds in downset_masks(poset) if rng.random() < 0.4])
-    return GaloisConn(
-        FinCarrier.atoms(values), lat, lat.members, carrier_order=poset, kind="gc",
-    )
+    return GaloisConn(FinCarrier.atoms(values), lat, lat.members, carrier_order=poset)
 
 
 def gen_cgp(seed: int, amax: int = 6) -> CarrierConn:

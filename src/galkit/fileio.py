@@ -154,7 +154,7 @@ def domain_from_dict(data: dict):
         gamma = _set_table(_require_object(data["gamma"], "gamma"), "gamma")
         alpha = {frozenset(_split_set(k)): _name(v, f"alpha[{k!r}]")
                  for k, v in _require_object(data["alpha"], "alpha").items()}
-        G = GaloisConn(carrier, lat, gamma, carrier_order=order, kind="gc")
+        G = GaloisConn(carrier, lat, gamma, carrier_order=order)
         # keys and entries in their domains first; then gamma alone fixes
         # each entry (a key over a value without an atom raises alpha's error)
         for X, d in alpha.items():
@@ -202,16 +202,15 @@ def _alpha_entries(conn: GaloisConn) -> dict:
     """Tabulated abstraction.  Exhaustive for small carriers; for large ones
     the table covers the empty set and the principal downsets, which the
     loader checks against gamma as it checks every entry."""
-    poset = conn.carrier_poset()
-    small = poset.is_discrete() and 2 ** len(poset) <= 4096
-    if small or not poset.is_discrete():
+    if conn.carrier_order is not None or 2 ** len(conn.carrier) <= 4096:
         try:
             return {set_name(X): conn.alpha(X) for X in conn.iter_concrete()}
         except (TooLarge, ShapeMismatch):
             pass
+    down = conn.carrier_poset().down
     table = {set_name(()): conn.alpha(())}
     for a in conn.carrier.values:
-        table[set_name(poset.down(a))] = conn.alpha(poset.down(a))
+        table[set_name(down(a))] = conn.alpha(down(a))
     return table
 
 
@@ -233,7 +232,7 @@ def domain_to_dict(conn) -> dict:
             "alpha": _alpha_entries(conn),
             "gamma": {d: sorted_elems(s) for d, s in sorted(conn.gamma.items())},
         }
-        if conn.carrier_order is not None and not conn.carrier_order.is_discrete():
+        if conn.carrier_order is not None:
             out["carrier_order"] = _order_pairs(conn.carrier_order)
         return out
     if isinstance(conn, CarrierConn):
@@ -247,7 +246,7 @@ def domain_to_dict(conn) -> dict:
             "eta": dict(sorted(conn.eta.items())),
             "mu": {b: sorted_elems(s) for b, s in sorted(conn.mu.items())},
         }
-        if conn.carrier_order is not None and not conn.carrier_order.is_discrete():
+        if conn.carrier_order is not None:
             out["carrier_order"] = _order_pairs(conn.carrier_order)
         return out
     raise FormatError(f"cannot serialize {type(conn).__name__}")

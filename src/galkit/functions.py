@@ -28,7 +28,7 @@ from .galois import (
     check_pcgc,
     classify_partitioning,
 )
-from .order import FinLattice, set_name, sort_key, sorted_elems
+from .order import set_name, sort_key, sorted_elems
 from .setops import lift_diamond
 from .transforms import t_cgc_of_pgc, t_pgc
 
@@ -166,9 +166,7 @@ def bca_pcgc_entry(C: CarrierConn, f: ConcreteFn, *ys) -> str:
     ``image`` (the analyzer's arithmetic) is never read entry by entry. A
     result outside the carrier raises ``ShapeMismatch`` naming it.
     """
-    lat = C.abstract
-    if not isinstance(lat, FinLattice):
-        raise ShapeMismatch("abstract side is not a complete lattice")
+    lat = C.abstract_lattice
     outs = f.image(*(C.mu[y] for y in ys))
     eta = C.eta
     stray = [o for o in outs if o not in eta]
@@ -425,9 +423,7 @@ def pcgc_pair_property(C: CarrierConn, pair: FnPair, kind: str) -> CheckResult:
     rep = check_pcgc(C)
     if not rep.ok:
         raise ShapeMismatch(f"connection fails its conditions at {rep.witness}")
-    lat = C.abstract
-    if not isinstance(lat, FinLattice):
-        raise ShapeMismatch("abstract side is not a complete lattice")
+    lat = C.abstract_lattice
     f, fs = pair.concrete, pair.abstract
     arity = pair.arity
     if kind == "optimal":

@@ -4,8 +4,10 @@ Two record shapes cover every connection class:
 
 * :class:`CarrierConn` holds a representation function ``eta`` from a finite
   carrier into an abstract poset and a concretization ``mu`` back to carrier
-  subsets.  Tagged ``cgc`` (discrete abstract side), ``cgp`` (ordered carrier
-  and abstract side) or ``pcgc`` (unordered carrier, ordered abstract side).
+  subsets.  Its ``kind``, ``cgc`` (discrete abstract side), ``cgp``
+  (ordered carrier and abstract side) or ``pcgc`` (unordered carrier,
+  ordered abstract side), is what a domain file names it; nothing else
+  reads it.
 * :class:`GaloisConn` holds an adjunction whose concrete domain is the
   (downward) powerset of a carrier.  The concrete lattice stays implicit,
   and ``gamma`` alone fixes the connection: alpha(X) is the lub of the
@@ -15,9 +17,10 @@ Two record shapes cover every connection class:
   alpha nor :func:`check_gc`, witness included, enumerates the concrete
   side, so large carriers stay usable.
 
-All checkers return the first counterexample in a deterministic element
-order, and transforms re-run the target checker on their outputs instead of
-trusting kind tags.
+Either record's ``carrier_order`` is None exactly when its carrier is
+unordered.  All checkers return the first counterexample in a deterministic
+element order; a class is decided by its checker, never by a tag, and
+transforms re-run the target checker on their outputs.
 
 A connection's table, ``mu`` or ``gamma``, is a :class:`Table`: a
 read-only mapping over the abstract poset, validated once, when it is
@@ -61,13 +64,15 @@ from .setops import FinCarrier, PartitionReport, check_partition
 
 class _Connection(Immutable):
     """The carrier and abstract posets of a connection record, and the
-    ``_kept`` dict of what is derived from it (see :func:`kept`)."""
+    ``_kept`` dict of what is derived from it (see :func:`kept`).
+
+    An unordered carrier has ``carrier_order`` None: a discrete order given
+    to the constructor is stored as None."""
 
     __slots__ = ("_kept",)
 
-    def __init__(self, kind, carrier, abstract, carrier_order):
+    def __init__(self, carrier, abstract, carrier_order):
         init = object.__setattr__
-        init(self, "kind", kind)
         init(self, "carrier", carrier)
         init(self, "carrier_order", carrier_order)
         init(self, "abstract", abstract)
@@ -78,6 +83,12 @@ class _Connection(Immutable):
         abstract = self.abstract
         return abstract.base if isinstance(abstract, FinLattice) else abstract
 
+    @property
+    def abstract_lattice(self) -> FinLattice:
+        if not isinstance(self.abstract, FinLattice):
+            raise ShapeMismatch("abstract side is not a complete lattice")
+        return self.abstract
+
     def carrier_poset(self) -> FinPoset:
         if self.carrier_order is not None:
             return self.carrier_order
@@ -86,15 +97,19 @@ class _Connection(Immutable):
     def _init_table(self, name: str, table) -> None:
         """Set the slot ``name`` to ``table`` as a :class:`Table` over this
         connection's carrier and abstract poset, then check the carrier
-        order.  A table built over those same two objects is kept as it is,
-        with what it keeps; any other mapping becomes a new table."""
+        order, and store a discrete one as None.  A table built over those
+        same two objects is kept as it is, with what it keeps; any other
+        mapping becomes a new table."""
         poset = self.abstract_poset
         if not (type(table) is Table and table.carrier is self.carrier and table.poset is poset):
             table = Table(name, self.carrier, poset, table)
         object.__setattr__(self, name, table)
         order = self.carrier_order
-        if order is not None and set(order.elements) != set(self.carrier.values):
-            raise ShapeMismatch("carrier order does not match carrier")
+        if order is not None:
+            if set(order.elements) != set(self.carrier.values):
+                raise ShapeMismatch("carrier order does not match carrier")
+            if order.is_discrete():
+                object.__setattr__(self, "carrier_order", None)
 
 
 def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
@@ -201,7 +216,8 @@ class CarrierConn(_Connection):
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu")
 
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
-        super().__init__(kind, carrier, abstract, carrier_order)
+        super().__init__(carrier, abstract, carrier_order)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eta", FrozenDict(eta))
         self._validate()
         self._init_table("mu", mu)
@@ -234,9 +250,10 @@ class CarrierConn(_Connection):
 class ClosureOp(Immutable):
     """A set-valued map phi: A -> P(A) satisfying the closure law.
 
-    The law x in phi(y) <=> phi(x) = phi(y) is checked at construction.  A
-    closure operator is immutable, as a :class:`CarrierConn` is: ``phi`` is
-    a read-only mapping and setting an attribute raises AttributeError.
+    The law x in phi(y) <=> phi(x) = phi(y) is checked at construction,
+    after each value is made a set as a table's are (see :func:`_members`).
+    A closure operator is immutable, as a :class:`CarrierConn` is: ``phi``
+    is a read-only mapping and setting an attribute raises AttributeError.
     """
 
     __slots__ = ("carrier", "phi")
@@ -244,7 +261,7 @@ class ClosureOp(Immutable):
     def __init__(self, carrier: FinCarrier, phi: Mapping[str, frozenset]):
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(
-            self, "phi", FrozenDict((a, frozenset(s)) for a, s in phi.items()))
+            self, "phi", FrozenDict((a, _members("phi", a, s)) for a, s in phi.items()))
         for v in carrier.values:
             if v not in self.phi:
                 raise ShapeMismatch(f"phi not total: missing {v!r}")
@@ -271,17 +288,11 @@ class GaloisConn(_Connection):
     proves (see :func:`_lift_powerset`).
     """
 
-    __slots__ = ("kind", "carrier", "carrier_order", "abstract", "gamma")
+    __slots__ = ("carrier", "carrier_order", "abstract", "gamma")
 
-    def __init__(self, carrier, abstract, gamma, carrier_order=None, kind="gc"):
-        super().__init__(kind, carrier, abstract, carrier_order)
+    def __init__(self, carrier, abstract, gamma, carrier_order=None):
+        super().__init__(carrier, abstract, carrier_order)
         self._init_table("gamma", gamma)
-
-    @property
-    def abstract_lattice(self) -> FinLattice:
-        if not isinstance(self.abstract, FinLattice):
-            raise ShapeMismatch("abstract side is not a complete lattice")
-        return self.abstract
 
     def atoms(self) -> dict:
         """x -> a_x for every carrier value x that has an atom, kept on
@@ -309,15 +320,14 @@ class GaloisConn(_Connection):
     def iter_concrete(self):
         """All concrete elements (downsets of the carrier order) in a
         deterministic (size, members) order."""
-        poset = self.carrier_poset()
-        if poset.is_discrete():
+        if self.carrier_order is None:
             values = sorted_elems(self.carrier.values)
             if 2 ** len(values) > DOWNSETS_GUARD:
                 raise TooLarge("carrier too big for exhaustive enumeration")
             for combo in subsets_by_size(values):
                 yield frozenset(combo)
         else:
-            yield from sorted(iter_downsets(poset), key=lambda s: (
+            yield from sorted(iter_downsets(self.carrier_order), key=lambda s: (
                 len(s), tuple(map(sort_key, sorted_elems(s)))))
 
     def __repr__(self):
@@ -359,7 +369,7 @@ def _lift_powerset(C: CarrierConn) -> GaloisConn:
     gamma._kept[Table.atoms.__wrapped__] = {
         x: lat._of_dn[lat._bit[C.eta[x]]] for x in C.carrier.values}
     gamma._kept[_scan_additive.__wrapped__] = (True, None)
-    return GaloisConn(C.carrier, lat, gamma, kind="pgc")
+    return GaloisConn(C.carrier, lat, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +727,13 @@ def check_pcgc(C: CarrierConn) -> PCGCReport:
 
 def check_cco(phi) -> CheckResult:
     """x in phi(y) <=> phi(x) = phi(y), for every pair, of a
-    :class:`ClosureOp` or a mapping; anything else raises ShapeMismatch
-    naming its class."""
+    :class:`ClosureOp` or a mapping, whose values are made sets as a
+    ClosureOp's are; anything else raises ShapeMismatch naming its class."""
     if not isinstance(phi, (ClosureOp, Mapping)):
         raise ShapeMismatch("check_cco needs a ClosureOp or a mapping, "
                             f"not a {type(phi).__name__}")
     table = phi.phi if isinstance(phi, ClosureOp) else {
-        a: frozenset(s) for a, s in phi.items()
+        a: _members("phi", a, s) for a, s in phi.items()
     }
     keys = sorted_elems(table)
     for x in keys:
@@ -755,7 +765,7 @@ def prt(G: GaloisConn) -> list[frozenset]:
     """The family {gamma(alpha({a}))} over the carrier, deduplicated in
     deterministic order."""
     _require(GaloisConn, "prt", G)
-    if G.carrier_order is not None and not G.carrier_order.is_discrete():
+    if G.carrier_order is not None:
         raise ShapeMismatch("prt needs a plain powerset concrete domain")
     reps = _singleton_alpha(G, sorted_elems(G.carrier.values))
     return list(dict.fromkeys(G.gamma[d] for d in reps.values()))
@@ -769,7 +779,7 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
     ``alt2prime`` reports, as a diagnostic only, whether the lub of every
     uncomparable abstract pair concretizes to the whole carrier.
 
-    The check runs on the connection's contents, never on its kind tag.
+    The check runs on the connection's contents alone.
     Because a :class:`GaloisConn` is immutable, the report is computed once
     and kept on the instance; later calls on the same connection return
     that same report object.
@@ -901,10 +911,7 @@ def embed_pcgc_to_cgp(C: CarrierConn) -> CarrierConn:
     carrier discrete."""
     if not check_pcgc(C).ok:
         raise NotInClass("input fails the purely-constructive conditions")
-    out = CarrierConn(
-        "cgp", C.carrier, C.abstract, C.eta, C.mu,
-        carrier_order=FinPoset.discrete(C.carrier.values),
-    )
+    out = CarrierConn("cgp", C.carrier, C.abstract, C.eta, C.mu)
     if not check_cgp(out):
         raise NotInClass("embedding produced an invalid connection")
     return out

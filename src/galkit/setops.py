@@ -39,6 +39,8 @@ class FinCarrier:
     def ints(lo: int, hi: int, mode: str = SATURATING) -> "FinCarrier":
         if hi < lo:
             raise ShapeMismatch("empty integer range")
+        if mode not in (SATURATING, MODULAR):
+            raise ShapeMismatch(f"unknown arithmetic mode {mode!r}")
         if mode == MODULAR and (hi - lo + 1) % 2 != 0:
             raise ShapeMismatch("modular carrier needs even cardinality")
         values = tuple(str(n) for n in range(lo, hi + 1))

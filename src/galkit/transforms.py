@@ -1,7 +1,7 @@
 """Transforms between the connection classes, with fail-closed verification.
 
 Every transform re-checks its input precondition and re-runs a checker on its
-output instead of trusting kind tags.  Synthesized abstract elements get
+output: a class is decided by its checker, never by a tag.  Synthesized abstract elements get
 deterministic names: powerset elements are canonical sorted member lists,
 block representatives are named after their least carrier member.
 """
@@ -113,9 +113,7 @@ def t_gc(C: CarrierConn) -> GaloisConn:
     if not check_cgp(C):
         raise NotInClass("input fails the ordered-connection laws")
     return _checked_gc(GaloisConn(
-        C.carrier, _as_lattice(C.abstract), C.mu,
-        carrier_order=C.carrier_poset(), kind="gc",
-    ))
+        C.carrier, _as_lattice(C.abstract), C.mu, carrier_order=C.carrier_order))
 
 
 def t_cgp(G: GaloisConn) -> CarrierConn:
@@ -131,7 +129,7 @@ def t_cgp(G: GaloisConn) -> CarrierConn:
     if not report.is_gc:
         raise NotInClass(f"input fails the adjunction at {report.witness}")
     out = CarrierConn(
-        "cgp", G.carrier, G.abstract, G.atoms(), G.gamma, carrier_order=G.carrier_poset(),
+        "cgp", G.carrier, G.abstract, G.atoms(), G.gamma, carrier_order=G.carrier_order,
     )
     rep = check_cgp(out)
     if not rep:
@@ -144,7 +142,7 @@ def t_ppgc(C: CarrierConn) -> GaloisConn:
     adjunction over the powerset of its carrier."""
     if not check_pcgc(C).ok:
         raise NotInClass("input fails the purely-constructive conditions")
-    G = GaloisConn(C.carrier, _as_lattice(C.abstract), C.mu, kind="ppgc")
+    G = GaloisConn(C.carrier, _as_lattice(C.abstract), C.mu)
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("lifted connection is not pre-partitioning")
     return _checked_gc(G)
@@ -198,7 +196,7 @@ def disjunctive_completion(G: GaloisConn) -> GaloisConn:
     # blocks are disjoint, so each set of them has its own union, its sum
     family = map(sum, subsets_by_size([sum(map(bit.__getitem__, b)) for b in blocks]))
     lat = SetLattice(values, family, by_name=True)
-    out = GaloisConn(G.carrier, lat, lat.members, kind="pgc")
+    out = GaloisConn(G.carrier, lat, lat.members)
     if classify_partitioning(out).category != "PGC":
         raise NotInClass("completion failed to produce a partitioning connection")
     return out

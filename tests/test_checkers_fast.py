@@ -699,8 +699,7 @@ def counted(X):
     if isinstance(X, CarrierConn):
         return CarrierConn(X.kind, X.carrier, abstract, X.eta, X.mu,
                            carrier_order=order), posets
-    return GaloisConn(X.carrier, abstract, X.gamma, carrier_order=order,
-                      kind=X.kind), posets
+    return GaloisConn(X.carrier, abstract, X.gamma, carrier_order=order), posets
 
 
 # ---------------------------------------------------------------------------
@@ -1724,10 +1723,7 @@ def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypa
 
 
 def rebuilt(G: GaloisConn) -> GaloisConn:
-    return GaloisConn(
-        G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order,
-        kind=G.kind,
-    )
+    return GaloisConn(G.carrier, G.abstract, dict(G.gamma), carrier_order=G.carrier_order)
 
 
 def fresh_copy(X):
@@ -1803,19 +1799,30 @@ def test_additivity_is_computed_once_per_connection(make, monkeypatch):
                                    galois._scan_additive.__wrapped__]
 
 
-def test_classify_ignores_kind_tags():
+def test_classify_decides_an_untagged_record_by_its_contents():
+    # every GaloisConn comes from one constructor with no class tag: a lift
+    # is classified PGC and interval_gi_d, rebuilt the same way, is not
+    assert classify_partitioning(t_pgc(catalog.sign_cgc(4))).category == "PGC"
     G = catalog.builtin("interval_gi_d", 10)
-    tagged = GaloisConn(G.carrier, G.abstract, dict(G.gamma), kind="pgc")
-    assert classify_partitioning(tagged).category != "PGC"
+    plain = GaloisConn(G.carrier, G.abstract, dict(G.gamma))
+    assert classify_partitioning(plain).category != "PGC"
     with pytest.raises(NotInClass):
-        t_cgc_of_pgc(tagged)
+        t_cgc_of_pgc(plain)
+
+
+def test_a_galois_connection_takes_no_kind():
+    G = catalog.builtin("sign_pgi", 4)
+    with pytest.raises(TypeError):
+        GaloisConn(G.carrier, G.abstract, dict(G.gamma), kind="pgc")
+    assert not hasattr(G, "kind")
 
 
 def test_connections_are_immutable():
     G = t_pgc(catalog.sign_cgc(4))
     d = next(iter(G.gamma))
     names = slot_names(GaloisConn)
-    assert {"gamma", "kind", "abstract", "_kept"} <= set(names)
+    assert {"gamma", "carrier_order", "abstract", "_kept"} <= set(names)
+    assert "kind" not in names
     for name in names:
         assert hasattr(G, name)
         with pytest.raises(AttributeError):

@@ -270,6 +270,12 @@ def test_malformed_fields_raise_format_errors_naming_them(load, data, field):
         load(data)
 
 
+def test_an_ints_carrier_with_a_null_mode_does_not_load():
+    data = {**cgc_file(), "carrier": {"ints": {"lo": 0, "hi": 1, "mode": None}}}
+    with pytest.raises(ShapeMismatch, match="unknown arithmetic mode None"):
+        fileio.domain_from_dict(data)
+
+
 def ints_file(lo, hi) -> dict:
     return {**cgc_file(), "carrier": {"ints": {"lo": lo, "hi": hi, "mode": "saturating"}}}
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import downsets_lattice
 
-from galkit import catalog
+from galkit import catalog, fileio
 from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, UnknownElement
 from galkit.functions import AbstractFn, GCPair, bca_gc, gc_pair_property
 from galkit.galois import (
@@ -166,6 +166,18 @@ def test_check_cco():
     )
     rep = check_cco(bad)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("phi", [{"a": "ab", "b": "ab"}, {"a": None, "b": ["b"]}],
+                         ids=["string", "none"])
+def test_a_closure_value_must_be_a_set_of_carrier_values(phi):
+    # "ab" would split into {a, b} and make a valid closure operator
+    name = next(a for a, s in phi.items() if not isinstance(s, list))
+    match = f"phi\\({name!r}\\) is no set of carrier values"
+    with pytest.raises(ShapeMismatch, match=match):
+        ClosureOp(FinCarrier.atoms(["a", "b"]), phi)
+    with pytest.raises(ShapeMismatch, match=match):
+        check_cco(phi)
 
 
 def test_check_gc_flags_on_sign():
@@ -468,6 +480,42 @@ def test_embeddings_preserve_tables():
     assert G.eta == C.eta and G.mu == C.mu
 
 
+def rebuilt_over(X, order):
+    """X rebuilt over a fresh table with the carrier order ``order``."""
+    if isinstance(X, CarrierConn):
+        return CarrierConn(X.kind, X.carrier, X.abstract, X.eta, dict(X.mu),
+                           carrier_order=order)
+    return GaloisConn(X.carrier, X.abstract, dict(X.gamma), carrier_order=order)
+
+
+UNORDERED = [(name, lambda name=name: catalog.builtin(name, 12)) for name in catalog.BUILTIN_NAMES]
+UNORDERED += [(f"{kind}-{seed}", lambda kind=kind, seed=seed: catalog.gen(kind, seed))
+              for kind in ("cgc", "pgc", "ppgc") for seed in range(4)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in UNORDERED], ids=[n for n, _ in UNORDERED])
+def test_a_discrete_carrier_order_is_no_order(make):
+    X = make()
+    plain = rebuilt_over(X, None)
+    discrete = rebuilt_over(X, FinPoset.discrete(reversed(X.carrier.values)))
+    assert X.carrier_order is None and discrete.carrier_order is None
+    checks = ((check_cgc, check_cgp, check_pcgc) if isinstance(X, CarrierConn)
+              else (check_gc, classify_partitioning, prt))
+    for check in checks:
+        assert check(discrete) == check(plain), check.__name__
+    assert fileio.domain_to_dict(discrete) == fileio.domain_to_dict(plain)
+
+
+def test_a_carrier_order_is_checked_after_the_table():
+    C = tiny_cgc()
+    wrong = FinPoset.discrete(["a", "b"])
+    with pytest.raises(ShapeMismatch, match="carrier order does not match carrier"):
+        CarrierConn("cgp", C.carrier, C.abstract, C.eta, C.mu, carrier_order=wrong)
+    with pytest.raises(ShapeMismatch, match="mu not total"):
+        CarrierConn("cgp", C.carrier, C.abstract, C.eta, {"x": C.mu["x"]},
+                    carrier_order=wrong)
+
+
 def test_embedding_rejects_non_members():
     plustop = catalog.builtin("plustop_cgp", 8)
     with pytest.raises(NotInClass):
@@ -500,7 +548,7 @@ def test_concrete_elements_of_an_ordered_carrier_list_by_size_then_value():
     poset = build_poset(["9", "10", "3"], [("3", "9")])
     lat = downsets_lattice(poset)
     G = GaloisConn(FinCarrier.atoms(["9", "10", "3"]), lat, dict(lat.members),
-                   carrier_order=poset, kind="gc")
+                   carrier_order=poset)
     assert [set_name(X) for X in G.iter_concrete()] == [
         "{}", "{3}", "{10}", "{3,9}", "{3,10}", "{3,9,10}",
     ]

@@ -3,8 +3,9 @@ PYTHONPATH, as README shows, and exit 0; ``analyze_corpus`` prints the
 checked-in expected output; ``roundtrip_fuzz`` counts a seed
 whose check fails or whose transform raises, also under ``python -O``;
 ``bench_trajectory`` measures two commits of a repository in one session;
-``code_lines`` counts neither blank lines, comments nor docstrings; and
-``size_ladder`` times every layer it names at its two smallest sizes."""
+``code_lines`` counts neither blank lines, comments nor docstrings;
+``size_ladder`` times every layer it names at its two smallest sizes; and
+``output_dump`` prints the same bytes under two hash seeds."""
 from __future__ import annotations
 
 import importlib.util
@@ -16,6 +17,7 @@ import sys
 
 import pytest
 
+from galkit import catalog
 from galkit.errors import GalkitError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -187,7 +189,35 @@ def test_size_ladder_times_each_layer_at_its_two_smallest_sizes(tmp_path):
     assert (ladder["sizes"], ladder["repeat"]) == ([16, 32], 1)
     assert list(ladder["layers"]) == ["signconst_pcgc", "check_pcgc", "t_ppgc",
                                       "classify_partitioning", "check_gc", "t_pcgc",
-                                      "analyze", "precision_cmp"]
+                                      "analyze", "precision_cmp", "renaming_witnesses",
+                                      "nonempty_iso", "check_gc_sign_mutant"]
     for layer in ladder["layers"].values():
         assert len(layer["ms"]) == 2 and all(t > 0 for t in layer["ms"])
         assert isinstance(layer["slope"], float)
+
+
+def test_output_dump_does_not_depend_on_the_hash_seed():
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "output_dump.py"),
+             "--bounds", "12", "--seeds", "2"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+            encoding="utf-8",
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    labels = [f"builtin {name} 12" for name in catalog.BUILTIN_NAMES]
+    labels += [f"gen {kind} {seed}" for kind in ("cgc", "pgc", "ppgc", "cgp") for seed in (0, 1)]
+    labels += [f"gen_downsets_gc {seed}" for seed in (0, 1)]
+    # each instance opens with its own line, in this order
+    assert [head for line in lines if (head := line.split(": ", 1)[0]) in labels] == labels
+    # each checker called twice gives one report
+    for first, second in zip(lines, lines[1:]):
+        if " #2: " in second:
+            assert first.replace(" #1: ", " #2: ") == second
+    assert "check_gc #2" in outs[0] and "t_pgc reload: same" in outs[0]

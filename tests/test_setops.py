@@ -28,6 +28,12 @@ def test_modular_carrier_requires_even_cardinality():
         FinCarrier.ints(-4, 4, mode="modular")
 
 
+@pytest.mark.parametrize("mode", [None, "wrapping", ""])
+def test_an_integer_carrier_needs_a_known_mode(mode):
+    with pytest.raises(ShapeMismatch, match=f"unknown arithmetic mode {mode!r}"):
+        FinCarrier.ints(-4, 3, mode)
+
+
 def test_atoms_carrier_has_no_arithmetic():
     c = FinCarrier.atoms(["a", "b"])
     with pytest.raises(ShapeMismatch):
