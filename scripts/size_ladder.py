@@ -11,8 +11,11 @@ is reused), ``classify_partitioning``, ``check_gc`` and ``t_pcgc``; then
 ``analyze`` of ``tests/programs/p05_countdown.while`` on a fresh builtin
 each time; ``precision_cmp``, ``renaming_witnesses`` and ``nonempty_iso``
 of two identity constructive connections with N blocks (N atoms, each its
-own abstract value); and ``check_gc`` of a mutant of ``sign_pgi(N)`` whose
-gamma(≤0) lacks 0, which it rejects.  A checker is timed
+own abstract value); ``check_gc`` of a mutant of ``sign_pgi(N)`` whose
+gamma(≤0) lacks 0, which it rejects; the ordered round trip
+``t_cgp(t_gc(t_cgp(G)))`` on a fresh ``sign_pgi(N)`` each time; and
+``moore_lattice_of_masks`` over a chain and over an antichain of N masks
+on N atoms.  A checker is timed
 without its per-connection memo.  Each time is the best of ``--repeat`` runs,
 in ms; each layer's slope is that of the least-squares line through
 (log N, log ms) over the last three sizes, so 1 reads linear and 2
@@ -43,9 +46,9 @@ from galkit.galois import (
     precision_cmp,
     renaming_witnesses,
 )
-from galkit.order import FinPoset
+from galkit.order import FinPoset, moore_lattice_of_masks
 from galkit.setops import FinCarrier
-from galkit.transforms import t_pcgc, t_ppgc
+from galkit.transforms import t_cgp, t_gc, t_pcgc, t_ppgc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 P05 = os.path.join(ROOT, "tests", "programs", "p05_countdown.while")
@@ -85,6 +88,7 @@ def layers(n: int) -> dict:
     def identities():
         return identity_cgc(n), identity_cgc(n)
 
+    atoms = [str(i) for i in range(n)]
     with open(P05, encoding="utf-8") as fh:
         program = parse_program(fh.read())
     return {
@@ -99,6 +103,12 @@ def layers(n: int) -> dict:
         "renaming_witnesses": (identities, lambda pair: renaming_witnesses(*pair)),
         "nonempty_iso": (identities, lambda pair: nonempty_iso(*pair)),
         "check_gc_sign_mutant": (lambda: sign_mutant(n), check_gc.__wrapped__),
+        "ordered_round_trip": (lambda: catalog.builtin("sign_pgi", n),
+                               lambda G: t_cgp(t_gc(t_cgp(G)))),
+        "moore_chain": (lambda: [(1 << k) - 1 for k in range(1, n + 1)],
+                        lambda masks: moore_lattice_of_masks(atoms, masks)),
+        "moore_antichain": (lambda: [1 << i for i in range(n)],
+                            lambda masks: moore_lattice_of_masks(atoms, masks)),
     }
 
 

@@ -372,8 +372,9 @@ class AbstractSemantics:
     ``op``, which its carrier fixes.  So the entries are kept on the
     connection, in one dict keyed by ``(op, b1, b2)`` that its ``_kept``
     holds under this class (see :func:`galkit.order.kept`):
-    every semantics built over the same connection reads and fills them, at
-    most 3·|B|² of them, and they are freed with the connection.  A domain
+    every semantics built over the same connection, or one of the same
+    contents over its table, reads and fills them, at most 3·|B|² of them,
+    and they are freed with the table.  A domain
     that is refused keeps none.  Compiled expressions stay per semantics.
     """
 

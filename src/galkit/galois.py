@@ -28,10 +28,14 @@ built.  Connections and tables are immutable, so what is derived from them
 is computed once and kept by :func:`galkit.order.kept`.  A table keeps
 what depends on it alone, in its own ``_kept`` dict: its holder masks, its
 atoms and its additivity verdict.  A connection keeps each checker's
-report and the analyzer's operator entries in its ``_kept`` dict.  A
-connection handed a table over its own carrier and abstract poset objects
-keeps that table, so the transforms between the ordered classes, which
-hand their input's table on, derive its masks once for a whole round trip.
+report and the analyzer's operator entries in its ``_kept`` dict, which is
+one record per content, held by its table: connections over one table
+with the same class, ``kind``, abstract and carrier order objects and an
+equal eta share it (see :meth:`_Connection._init_table`).  A connection
+handed a table over its own carrier and abstract poset objects keeps that
+table, so the transforms between the ordered classes, which hand their
+input's table on, derive its masks once for a whole round trip, and an
+output that equals an earlier connection reads that connection's reports.
 """
 from __future__ import annotations
 
@@ -64,7 +68,9 @@ from .setops import FinCarrier, PartitionReport, check_partition
 
 class _Connection(Immutable):
     """The carrier and abstract posets of a connection record, and the
-    ``_kept`` dict of what is derived from it (see :func:`kept`).
+    ``_kept`` dict of what is derived from it (see :func:`kept`), shared
+    with every connection of the same contents over its table (see
+    :meth:`_init_table`).
 
     An unordered carrier has ``carrier_order`` None: a discrete order given
     to the constructor is stored as None."""
@@ -94,12 +100,20 @@ class _Connection(Immutable):
             return self.carrier_order
         return FinPoset.discrete(self.carrier.values)
 
-    def _init_table(self, name: str, table) -> None:
+    def _init_table(self, name: str, table, kind=None, eta=None) -> None:
         """Set the slot ``name`` to ``table`` as a :class:`Table` over this
         connection's carrier and abstract poset, then check the carrier
         order, and store a discrete one as None.  A table built over those
         same two objects is kept as it is, with what it keeps; any other
-        mapping becomes a new table."""
+        mapping becomes a new table.
+
+        Then the connection takes its ``_kept`` dict from the table's
+        record of the connections over it with the same class, ``kind``,
+        abstract and carrier order objects and an equal ``eta`` (both None
+        for a GaloisConn): such a connection has this one's contents, so it
+        keeps the same reports.  Without one, this connection's own dict is
+        recorded.  Posets and lattices are compared by identity, and the
+        record holds them."""
         poset = self.abstract_poset
         if not (type(table) is Table and table.carrier is self.carrier and table.poset is poset):
             table = Table(name, self.carrier, poset, table)
@@ -110,6 +124,12 @@ class _Connection(Immutable):
                 raise ShapeMismatch("carrier order does not match carrier")
             if order.is_discrete():
                 object.__setattr__(self, "carrier_order", None)
+        cls, abstract, order = type(self), self.abstract, self.carrier_order
+        for r in table._records:
+            if r[0] is cls and r[1] == kind and r[2] is abstract and r[3] is order and r[4] == eta:
+                object.__setattr__(self, "_kept", r[5])
+                return
+        table._records.append((cls, kind, abstract, order, eta, self._kept))
 
 
 def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
@@ -144,11 +164,13 @@ class Table(FrozenDict, Immutable):
     table built over its own carrier and abstract poset objects keeps it as
     it is (see :meth:`_Connection._init_table`), so a transform that hands
     its input's table on, as each ordered round trip does, derives none of
-    these again.  Setting an attribute raises AttributeError, and a write
-    to the mapping TypeError.
+    these again.  ``_records`` lists, per content of a connection over the
+    table, its key and the ``_kept`` dict its connections share.  Setting
+    an attribute raises AttributeError, and a write to the mapping
+    TypeError.
     """
 
-    __slots__ = ("carrier", "poset", "_kept")
+    __slots__ = ("carrier", "poset", "_kept", "_records")
 
     def __init__(self, name: str, carrier: FinCarrier, poset: FinPoset, mapping):
         """The table of ``mapping`` (a mapping, or its pairs), named
@@ -162,6 +184,7 @@ class Table(FrozenDict, Immutable):
         init(self, "carrier", carrier)
         init(self, "poset", poset)
         init(self, "_kept", {})
+        init(self, "_records", [])
         universe = carrier.value_set()
         for b in poset.elements:
             members = self.get(b)
@@ -208,9 +231,10 @@ class CarrierConn(_Connection):
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
     TypeError; ``mu`` is a :class:`Table`, whose holder masks every carrier
     checker reads.  :func:`check_cgc`, :func:`check_cgp` and
-    :func:`check_pcgc` run once per connection, a repeat call returning the
-    report kept on the instance; the analyzer keeps its operator entries
-    there too (see :class:`galkit.analyzer.AbstractSemantics`).
+    :func:`check_pcgc` run once per content, a repeat call returning the
+    report kept in the connection's record; the analyzer keeps its
+    operator entries there too (see
+    :class:`galkit.analyzer.AbstractSemantics`).
     """
 
     __slots__ = ("kind", "carrier", "carrier_order", "abstract", "eta", "mu")
@@ -220,7 +244,7 @@ class CarrierConn(_Connection):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eta", FrozenDict(eta))
         self._validate()
-        self._init_table("mu", mu)
+        self._init_table("mu", mu, kind, self.eta)
 
     def _validate(self):
         """eta's shape checks, which come before mu's."""
@@ -283,9 +307,9 @@ class GaloisConn(_Connection):
     and ``gamma`` is a read-only :class:`Table` whose writes raise
     TypeError.  So the holder masks, the atom map and the additivity
     verdict are computed once and kept on gamma, and the reports of
-    :func:`check_gc` and :func:`classify_partitioning` on the connection; a
-    powerset lift keeps the atoms and the verdict that its construction
-    proves (see :func:`_lift_powerset`).
+    :func:`check_gc` and :func:`classify_partitioning` in the connection's
+    record; a powerset lift keeps the atoms and the verdict that its
+    construction proves (see :func:`_lift_powerset`).
     """
 
     __slots__ = ("carrier", "carrier_order", "abstract", "gamma")
@@ -431,8 +455,8 @@ def _require(cls, fn: str, X) -> None:
 
 def _once_per_connection(cls):
     """A decorator making a checker of ``cls`` instances :func:`kept`: its
-    report is computed once per connection, so a repeat call returns the
-    same report object.  An argument that is no ``cls`` raises
+    report is computed once per connection record, so a repeat call returns
+    the same report object.  An argument that is no ``cls`` raises
     ShapeMismatch naming its class.  ``__wrapped__`` is the uncached check."""
     def decorate(check):
         memo = kept(check)
@@ -467,8 +491,9 @@ def check_gc(G: GaloisConn) -> GCReport:
     Then alpha is onto exactly when gamma is injective, so that is
     ``is_gi``.  When (ii) fails, :func:`_adjunction_failure` names the first
     failing (X, d) in one more pass over gamma and a sort of the carrier,
-    enumerating nothing.  The report is kept on the connection, and an
-    argument that is no GaloisConn raises ShapeMismatch naming its class.
+    enumerating nothing.  The report is kept in the connection's record,
+    and an argument that is no GaloisConn raises ShapeMismatch naming its
+    class.
     """
     order = G.carrier_order
     if order is not None:
@@ -631,12 +656,19 @@ def _order_law_failure(C: CarrierConn, H: dict):
 def _eta_monotone_failure(C: CarrierConn, cp: FinPoset, xs, order):
     """The first ("eta-monotone", x, x2), x in ``order(xs)`` and x2 in
     element order, with x <= x2 in ``cp`` but not eta(x) <= eta(x2), that
-    is, with eta(x2) outside up(eta(x))."""
+    is, with eta(x2) outside up(eta(x)).
+
+    Per distinct value b of eta, the carrier positions whose eta lies in
+    up(b) are the OR of the preimage masks of the members of up(b): one
+    pass over the carrier and one over each up(b), O(|A| + sum |up|)."""
     bp, index = C.abstract_poset, cp._index
-    at = [bp._index[C.eta[x]] for x in cp.elements]
-    # per carrier position, the positions whose eta lies in up(its eta)
-    over = [sum(1 << j for j, b in enumerate(at) if bp._upm[a] >> b & 1) for a in at]
-    wit = _first_pair(xs, order, lambda x: cp._upm[index[x]] & ~over[index[x]],
+    at = {x: bp._index[C.eta[x]] for x in cp.elements}
+    pre = dict.fromkeys(at.values(), 0)  # abstract position -> its eta preimage
+    for i, x in enumerate(cp.elements):
+        pre[at[x]] |= 1 << i
+    over = {b: reduce(int.__or__, (pre.get(j, 0) for j in bit_positions(bp._upm[b])), 0)
+            for b in pre}
+    wit = _first_pair(xs, order, lambda x: cp._upm[index[x]] & ~over[at[x]],
                       lambda x: sorted_elems(cp.up(x)), index)
     return wit and ("eta-monotone", *wit)
 
@@ -781,8 +813,9 @@ def classify_partitioning(G: GaloisConn) -> ClassifyReport:
 
     The check runs on the connection's contents alone.
     Because a :class:`GaloisConn` is immutable, the report is computed once
-    and kept on the instance; later calls on the same connection return
-    that same report object.
+    per content and kept in the connection's record; later calls on it, or
+    on a connection of the same contents over its table, return that same
+    report object.
     """
     family = prt(G)
     part = check_partition(G.carrier, family)

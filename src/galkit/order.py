@@ -17,8 +17,10 @@ and kept by one decorator, :func:`kept`, in the instance's ``_kept`` dict:
 a poset's down-masks, element of each up-mask and name sets, a lattice's
 join-irreducibles, and (in :mod:`galkit.galois`) a connection table's
 holder masks, atoms and additivity verdict, and a connection's checker
-reports.  A :class:`FrozenDict` subclass can keep values too: a connection
-table (:class:`galkit.galois.Table`) is one, with a ``_kept`` slot.
+reports, in a dict shared by the connections of the same contents over
+one table.  A :class:`FrozenDict` subclass can keep values too: a
+connection table (:class:`galkit.galois.Table`) is one, with a ``_kept``
+slot.
 """
 from __future__ import annotations
 
@@ -162,13 +164,16 @@ class FinPoset:
     # -- basic queries -------------------------------------------------
 
     def __contains__(self, x: str) -> bool:
-        return x in self._index
+        try:
+            return x in self._index
+        except TypeError:  # unhashable, so no element
+            return False
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def require(self, x: str) -> None:
-        if x not in self._index:
+        if x not in self:
             raise UnknownElement(f"element {x!r} not in poset")
 
     def leq(self, x: str, y: str) -> bool:

@@ -34,7 +34,15 @@ copy, on drawn posets, lattices and carrier connections, on powerset lifts
 and on the outputs of ordered round trips, whose connections share their
 inputs' tables.  A table reaches a new connection as it is only over the
 same carrier and abstract poset objects; otherwise it is built anew, with
-the messages and the first fault of any mapping.  No accepting run of a carrier checker, of ``check_gc``,
+the messages and the first fault of any mapping.  A connection takes the
+``_kept`` dict of its table's record of the same class, ``kind``,
+abstract and carrier order objects and an equal eta: a round trip's
+outputs share their inputs' records, so a warm ordered round trip computes
+no report and a cold one each report once per content, and any other
+eta, kind, class, order or abstract object, or another table, gets a
+record of its own.  ``_eta_monotone_failure`` ORs eta's preimage masks
+over up(b) per value b; here its witness must be the pair scan's, in both
+checkers' orders, on drawn carrier orders.  No accepting run of a carrier checker, of ``check_gc``,
 of ``GaloisConn.atoms`` or of ``classify_partitioning`` may ask a poset
 for a set of names (``up``/``down``), on the builtins and generated
 connections.
@@ -162,7 +170,7 @@ from hypothesis import strategies as st
 
 from conftest import downsets_lattice, program_names, program_text, slot_names
 
-from galkit import analyzer, catalog, fileio, galois, order
+from galkit import analyzer, catalog, fileio, galois, order, transforms
 from galkit.analyzer import (
     CMP_OPS,
     AbstractSemantics,
@@ -723,6 +731,35 @@ def test_carrier_checkers_agree_on_the_builtins(name):
 def test_carrier_checkers_agree_on_generated_connections(kind):
     for seed in range(40):
         assert_carrier_checkers_agree(catalog.gen(kind, seed))
+
+
+def literal_eta_monotone(C: CarrierConn, cp: FinPoset, xs, order):
+    """The first ("eta-monotone", x, x2), x in ``order(xs)`` and x2 in
+    element order, with x <= x2 in ``cp`` and not eta(x) <= eta(x2),
+    scanned pair by pair."""
+    bp = C.abstract_poset
+    return next((("eta-monotone", x, x2) for x in order(xs) for x2 in sorted_elems(cp.up(x))
+                 if not bp.leq(C.eta[x], C.eta[x2])), None)
+
+
+@st.composite
+def ordered_carrier_conns(draw):
+    """A connection of :func:`carrier_conns` under a drawn carrier order,
+    named a CGP or a PCGC."""
+    C = draw(carrier_conns())
+    return CarrierConn(draw(st.sampled_from(["cgp", "pcgc"])), C.carrier, C.abstract,
+                       C.eta, C.mu, carrier_order=draw(named_poset(C.carrier.values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_carrier_conns())
+def test_the_eta_monotone_witness_agrees_with_the_pair_scan(C):
+    # in check_cgp's element order and in check_pcgc's scan order
+    cp = C.carrier_poset()
+    for xs, order in [(cp.elements, sorted_elems), (C.carrier.values, scan_order)]:
+        assert galois._eta_monotone_failure(C, cp, xs, order) == literal_eta_monotone(
+            C, cp, xs, order)
+    assert_carrier_checkers_agree(C)
 
 
 def test_monotone_witnesses_follow_each_checker_s_scan():
@@ -1699,6 +1736,92 @@ def test_a_cold_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
         "carrier validations": 4, "down-closed tests": 0, "alpha": 0}
 
 
+REPORTS = ("check_gc", "check_cgp", "check_pcgc", "classify_partitioning")
+
+
+def count_reports(monkeypatch, run) -> dict:
+    """The reports that ``run()`` computes, by checker: each counted at its
+    kept miss (see :func:`count_calls`), whether the library, a transform
+    or a generator asks for it."""
+    modules = (galois, transforms, catalog)
+    calls = count_calls(monkeypatch, {(name, module): (module, name) for name in REPORTS
+                                      for module in modules if hasattr(module, name)})
+    run()
+    return {name: sum(calls.get((name, module), 0) for module in modules) for name in REPORTS}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_warm_ordered_round_trip_computes_no_report(monkeypatch, seed):
+    # every new connection has the contents of an earlier one over the same
+    # table, so it reads that connection's reports
+    G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
+    ordered_round_trip(G, P)
+    assert count_reports(monkeypatch, lambda: ordered_round_trip(G, P)) == dict.fromkeys(REPORTS, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_cold_ordered_round_trip_computes_each_report_once_per_content(monkeypatch, seed):
+    # check_gc once for G and G2, check_cgp once for C and C2; on the P
+    # side check_gc, check_pcgc and the classification (gen_ppgc's own)
+    # once each
+    assert count_reports(monkeypatch, lambda: ordered_round_trip(
+        catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed))) == {
+        "check_gc": 2, "check_cgp": 1, "check_pcgc": 1, "classify_partitioning": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_a_round_trip_output_keeps_the_record_of_the_connection_it_equals(seed):
+    G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
+    C, D = t_cgp(G), t_pcgc(P)
+    assert t_gc(C)._kept is G._kept and t_cgp(t_gc(C))._kept is C._kept
+    assert t_ppgc(D)._kept is P._kept and t_pcgc(t_ppgc(D))._kept is D._kept
+    # one record per content: G's and C's on G's gamma, P's and D's on P's
+    assert [r[-1] for r in G.gamma._records] == [G._kept, C._kept]
+    assert [r[-1] for r in P.gamma._records] == [P._kept, D._kept]
+    for X in (G, P):
+        assert_kept_values_are_recomputed(X.gamma)
+
+
+class TaggedGaloisConn(GaloisConn):
+    """A GaloisConn of another class: its reports are its own."""
+
+    __slots__ = ()
+
+
+def test_a_connection_of_other_contents_gets_its_own_record():
+    G = catalog.gen_downsets_gc(3, amax=6)
+    D = t_pcgc(catalog.gen_ppgc(3))
+    lat, T = D.abstract, D.mu
+    order = G.carrier_order
+    assert order is not None and check_gc(G) and check_pcgc(D)
+    top = {**D.eta, D.carrier.values[0]: lat.top}
+    same_d = CarrierConn("pcgc", D.carrier, lat, dict(D.eta), T)
+    same_g = GaloisConn(G.carrier, G.abstract, G.gamma, carrier_order=order)
+    assert same_d._kept is D._kept and same_g._kept is G._kept
+    others = [
+        CarrierConn("pcgc", D.carrier, lat, top, T),  # another eta value
+        CarrierConn("cgp", D.carrier, lat, D.eta, T),  # another kind
+        TaggedGaloisConn(G.carrier, G.abstract, G.gamma, carrier_order=order),  # class
+        GaloisConn(G.carrier, G.abstract, G.gamma,  # an equal order, not the same
+                   carrier_order=FinPoset(order.elements, order._upm)),
+        GaloisConn(G.carrier, G.abstract, G.gamma),  # no order
+        GaloisConn(G.carrier, FinLattice(G.abstract.base, G.abstract._of_dn), G.gamma,
+                   carrier_order=order),  # an equal lattice, not the same
+        GaloisConn(D.carrier, lat.base, T),  # the poset of D's lattice
+        rebuilt(G),  # the same contents over another table
+    ]
+    for X in others:
+        assert X._kept is not D._kept and X._kept is not G._kept and not X._kept
+    # T holds P's and D's records and three more, G's gamma G's and four more
+    assert len(T._records) == len(G.gamma._records) == 5
+    # a shared record would hand over a report of other contents
+    assert check_pcgc(others[0]) == literal_pcgc(others[0]) != check_pcgc(D)
+    with pytest.raises(ShapeMismatch, match="not a complete lattice"):
+        check_gc(others[6])
+    for X in others:
+        assert_kept_values_are_recomputed(X)
+
+
 def test_the_additivity_witness_of_signconst_is_found_at_its_first_pair(monkeypatch):
     # the PPGC witness of t_ppgc's output is its first pair in sorted order,
     # at every bound: deciding additivity builds nothing of size n * |J|
@@ -1742,15 +1865,42 @@ def fresh_copy(X):
     return rebuilt(X)
 
 
+def of_record(table: Table, record: tuple):
+    """The connection of a record of ``table``: built over the table from
+    the record's key, it takes the record's ``_kept`` dict."""
+    cls, kind, abstract, order, eta, _ = record
+    if eta is None:
+        return cls(table.carrier, abstract, table, carrier_order=order)
+    return cls(kind, table.carrier, abstract, eta, table, carrier_order=order)
+
+
 def assert_kept_values_are_recomputed(X):
     """Every value kept in ``X._kept`` equals its computation on a fresh
     copy of X, and so does every value its posets, lattices and table
-    keep; the analyzer's entries, kept under :class:`AbstractSemantics`,
-    equal ``bca_pcgc_entry`` on the fresh copy.  A connection's table is
-    one over its own carrier and abstract poset."""
+    keep, and every value kept by each connection recorded on a table;
+    the analyzer's entries, kept under :class:`AbstractSemantics`, equal
+    ``bca_pcgc_entry`` on the fresh copy.  A connection's table is one over
+    its own carrier and abstract poset, and holds its record."""
     if isinstance(X, (CarrierConn, GaloisConn)):
         table = X.mu if isinstance(X, CarrierConn) else X.gamma
         assert table.carrier is X.carrier and table.poset is X.abstract_poset
+        assert any(r[-1] is X._kept for r in table._records)
+    if isinstance(X, Table):
+        for record in X._records:
+            Y = of_record(X, record)
+            assert Y._kept is record[-1]
+            assert_kept_values_equal_their_computations(Y)
+    assert_kept_values_equal_their_computations(X)
+    parts = ([X.base] if isinstance(X, FinLattice) else [] if isinstance(X, (FinPoset, Table))
+             else [X.abstract, X.carrier_order, table])
+    for part in parts:
+        if part is not None:
+            assert_kept_values_are_recomputed(part)
+
+
+def assert_kept_values_equal_their_computations(X):
+    """Every value kept in ``X._kept`` equals its computation on a fresh
+    copy of X."""
     fresh = fresh_copy(X)
     for compute, value in X._kept.items():
         if compute is AbstractSemantics:
@@ -1759,11 +1909,6 @@ def assert_kept_values_are_recomputed(X):
                 assert entry == bca_pcgc_entry(fresh, fn, b1, b2), (op, b1, b2)
         else:
             assert value == compute(fresh), compute.__qualname__
-    parts = ([X.base] if isinstance(X, FinLattice) else [] if isinstance(X, (FinPoset, Table))
-             else [X.abstract, X.carrier_order, table])
-    for part in parts:
-        if part is not None:
-            assert_kept_values_are_recomputed(part)
 
 
 @pytest.mark.parametrize("make", [

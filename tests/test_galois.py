@@ -2,6 +2,8 @@
 isomorphism."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,16 @@ def test_a_table_value_that_is_no_set_of_values_is_refused_by_key(value):
         CarrierConn("cgc", AB, X_ONLY, {"a": "x", "b": "x"}, {"x": value})
     with pytest.raises(ShapeMismatch, match=r"^gamma\('x'\) is no set of carrier values: "):
         GaloisConn(AB, FinLattice.from_poset(X_ONLY), {"x": value})
+
+
+@pytest.mark.parametrize("value", [["x"], {"x"}], ids=["list", "set"])
+def test_an_unhashable_eta_value_is_no_abstract_element(value):
+    # as for a carrier, an unhashable value is no element of a poset
+    assert value not in X_ONLY
+    with pytest.raises(UnknownElement):
+        X_ONLY.require(value)
+    with pytest.raises(ShapeMismatch, match=re.escape(f"eta('a') = {value!r} not abstract")):
+        CarrierConn("cgc", AB, X_ONLY, {"a": value, "b": "x"}, {"x": ["a", "b"]})
 
 
 def test_a_table_value_may_be_any_iterable_of_values():

@@ -190,7 +190,8 @@ def test_size_ladder_times_each_layer_at_its_two_smallest_sizes(tmp_path):
     assert list(ladder["layers"]) == ["signconst_pcgc", "check_pcgc", "t_ppgc",
                                       "classify_partitioning", "check_gc", "t_pcgc",
                                       "analyze", "precision_cmp", "renaming_witnesses",
-                                      "nonempty_iso", "check_gc_sign_mutant"]
+                                      "nonempty_iso", "check_gc_sign_mutant",
+                                      "ordered_round_trip", "moore_chain", "moore_antichain"]
     for layer in ladder["layers"].values():
         assert len(layer["ms"]) == 2 and all(t > 0 for t in layer["ms"])
         assert isinstance(layer["slope"], float)
