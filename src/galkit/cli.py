@@ -15,6 +15,8 @@ from .functions import (
     bca_pcgc,
     cgc_completeness,
     cgc_soundness,
+    gc_pair_property,
+    pair_to_pgc,
 )
 from .galois import (
     CarrierConn,
@@ -46,13 +48,15 @@ def _cmd_transform(args) -> int:
     if not isinstance(conn, source):
         raise GalkitError(f"{args.pair} reads a {source.__name__}, "
                           f"but {args.domain} holds a {type(conn).__name__}")
-    out = transform(conn)
-    text = json.dumps(fileio.domain_to_dict(out), ensure_ascii=False, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    return _emit(transform(conn), args.out)
+
+
+def _emit(conn, path) -> int:
+    """Save ``conn`` as a domain file at ``path``, or print it."""
+    if path:
+        fileio.save_domain(conn, path)
     else:
-        print(text)
+        print(json.dumps(fileio.domain_to_dict(conn), ensure_ascii=False, indent=2))
     return 0
 
 
@@ -106,37 +110,59 @@ def _require(ok, what: str) -> None:
         raise GalkitError(f"{what} failed")
 
 
+# One function per theorem, shared by ``galkit fuzz`` and
+# scripts/roundtrip_fuzz.py; each raises GalkitError at the first check
+# that fails, also under ``python -O``.
+
+
+def cgc_pgc_round_trips(C: CarrierConn) -> None:
+    """CGC <-> PGC from a CGC C: C -> PGC -> CGC keeps C's nonempty blocks,
+    and that PGC -> CGC -> PGC is isomorphic."""
+    _require(check_cgc(C).ok, "check_cgc")
+    G = transforms.t_pgc(C)
+    back = transforms.t_cgc_of_pgc(G)
+    _require(nonempty_iso(back, C), "cgc round trip")
+    _require(precision_cmp(transforms.t_pgc(back), G) == "isomorphic", "pgc round trip")
+
+
+def gc_cgp_round_trips(G: GaloisConn) -> None:
+    """GC <-> CGP from a GC G: G -> CGP -> GC is isomorphic, and that
+    CGP -> GC -> CGP keeps eta and mu."""
+    C = transforms.t_cgp(G)
+    _require(check_cgp(C).ok, "check_cgp")
+    G2 = transforms.t_gc(C)
+    _require(precision_cmp(G2, G) == "isomorphic", "gc round trip")
+    back = transforms.t_cgp(G2)
+    _require(back.eta == C.eta and back.mu == C.mu, "cgp round trip")
+
+
+def ppgc_pcgc_round_trip(P: GaloisConn) -> None:
+    """PPGC <-> PCGC from a PPGC P: P -> PCGC -> PPGC is isomorphic."""
+    C = transforms.t_pcgc(P)
+    _require(check_pcgc(C).ok, "check_pcgc")
+    _require(precision_cmp(transforms.t_ppgc(C), P) == "isomorphic", "ppgc round trip")
+
+
+def sound_pair_lifts(C: CarrierConn, pair: FnPair) -> None:
+    """A sound pair is sound in every variant, and its powerset lift too."""
+    _require(cgc_soundness(C, pair, "all").ok, "cgc_soundness")
+    lifted = pair_to_pgc(pair)
+    _require(gc_pair_property(lifted.conn, lifted, "sound").ok, "lifted soundness")
+
+
 def _fuzz_one(kind: str, seed: int, amax: int, bmax: int) -> None:
-    inst = catalog.gen(kind, seed, amax=amax, bmax=bmax)
-    if kind == "cgc":
-        _require(check_cgc(inst).ok, "check_cgc")
-        G = transforms.t_pgc(inst)
-        _require(nonempty_iso(transforms.t_cgc_of_pgc(G), inst), "round trip")
-    elif kind == "pgc":
-        back = transforms.t_cgc_of_pgc(inst)
-        _require(precision_cmp(transforms.t_pgc(back), inst) == "isomorphic", "round trip")
+    if kind in ("cgc", "pgc"):  # a PGC is the lift of a CGC without junk
+        cgc_pgc_round_trips(catalog.gen_cgc(seed, amax, bmax, junk=kind == "cgc"))
+    elif kind == "cgp":  # the fuzzed CGP is t_cgp of this GC
+        gc_cgp_round_trips(catalog.gen_downsets_gc(seed, min(amax, 6)))
     elif kind == "ppgc":
-        C = transforms.t_pcgc(inst)
-        _require(check_pcgc(C).ok, "check_pcgc")
-        _require(precision_cmp(transforms.t_ppgc(C), inst) == "isomorphic", "round trip")
-    elif kind == "cgp":
-        _require(check_cgp(inst).ok, "check_cgp")
-        G = transforms.t_gc(inst)
-        back = transforms.t_cgp(G)
-        _require(back.eta == inst.eta and back.mu == inst.mu, "round trip")
-    elif kind == "sound_pair":
-        C, pair = inst
-        _require(cgc_soundness(C, pair, "all").ok, "cgc_soundness")
+        ppgc_pcgc_round_trip(catalog.gen_ppgc(seed, amax, bmax))
+    else:
+        sound_pair_lifts(*catalog.gen_sound_pair(seed, amax, bmax))
 
 
 def _cmd_builtin(args) -> int:
-    conn = catalog.builtin(args.name, args.bound)
-    if args.emit:
-        fileio.save_domain(conn, args.emit)
-    else:
-        print(json.dumps(fileio.domain_to_dict(conn),
-                         ensure_ascii=False, indent=2))
-    return 0
+    return _emit(catalog.builtin(args.name, args.bound), args.emit)
 
 
 def _cmd_analyze(args) -> int:

@@ -10,13 +10,20 @@ Domain files:
   "eta": {"<concrete>": "<abstract>", ...},
   "mu": {"<abstract>": ["<concrete>", ...], ...}
 }
-Kind "gc" replaces "eta"/"mu" with "alpha" (keyed by canonical sorted subset
-strings) and "gamma"; kind "cco" replaces them with "phi".  Unknown keys are
-rejected.  gamma alone fixes a Galois connection, so each "alpha" entry must
-be alpha of its key as gamma gives it, or the load raises ShapeMismatch.
+Every name is a JSON string.  Kind "gc" replaces "eta"/"mu" with "alpha"
+and "gamma"; kind "cco" replaces them with "phi" and has no
+"carrier_order".  Unknown keys are rejected.  "alpha" is keyed by canonical
+sorted subset strings, {"{a,b}": "<abstract>", ...}, when every carrier
+value is nonempty and holds no ",", "{" or "}"; otherwise it is a list of
+[members, value] pairs, [[["a", "b"], "<abstract>"], ...].  The loader
+reads both forms.  gamma alone fixes a Galois connection, so each "alpha"
+entry must be alpha of its key as gamma gives it, or the load raises
+ShapeMismatch.
 
 Function files: {"arity": 1|2, "over": "concrete"|"abstract",
-"table": {"<arg>" or "<arg1>,<arg2>": "<result>", ...}}.
+"table": {"<arg>" or "<arg1>,<arg2>": "<result>", ...}}; a binary table
+with an empty argument or one that holds ",", "{" or "}" is a list of
+[[arg1, arg2], result] pairs instead.
 """
 from __future__ import annotations
 
@@ -27,6 +34,10 @@ from .functions import AbstractFn, ConcreteFn
 from .galois import CarrierConn, ClosureOp, GaloisConn
 from .order import FinLattice, FinPoset, build_poset, set_name, sorted_elems
 from .setops import FinCarrier
+
+# a name holding one of these makes a joined key ambiguous, as does the
+# empty name: {""} and {} are both named "{}"
+SEPARATORS = frozenset(",{}")
 
 
 def _require_keys(obj: dict, required: set, what: str) -> None:
@@ -55,8 +66,8 @@ def _require_list(obj, what: str) -> list:
     return obj
 
 
-def _name(obj, what: str):
-    if isinstance(obj, (list, dict)):
+def _name(obj, what: str) -> str:
+    if not isinstance(obj, str):
         raise FormatError(f"{what} must be a name, got {type(obj).__name__}")
     return obj
 
@@ -71,6 +82,32 @@ def _name_list(obj, what: str, arity=None) -> list:
 def _pairs(obj, what: str) -> list:
     return [tuple(_name_list(p, f"{what}[{i}]", 2))
             for i, p in enumerate(_require_list(obj, what))]
+
+
+def _keyed(entries, names, key):
+    """``entries``, (members, value) pairs, as an object keyed by
+    ``key(members)`` when every name is nonempty and holds no separator,
+    so that each key splits back into its members; else as a list of
+    [members, value] pairs."""
+    if any(not x or SEPARATORS.intersection(x) for x in names):
+        return [[list(members), value] for members, value in entries]
+    return {key(members): value for members, value in entries}
+
+
+def _unkeyed(obj, what: str, split, arity=None) -> list:
+    """The (members, value) pairs that :func:`_keyed` wrote: an object's
+    keys split by ``split``, or a list of [members, value] pairs, each of
+    ``arity`` members when given."""
+    if not isinstance(obj, list):
+        return [(split(k), _name(v, f"{what}[{k!r}]"))
+                for k, v in _require_object(obj, what).items()]
+    pairs = []
+    for i, pair in enumerate(obj):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FormatError(f"{what}[{i}] must be a [members, value] pair")
+        pairs.append((_name_list(pair[0], f"{what}[{i}][0]", arity),
+                      _name(pair[1], f"{what}[{i}][1]")))
+    return pairs
 
 
 def _set_table(table: dict, what: str) -> dict:
@@ -125,7 +162,7 @@ def domain_from_dict(data: dict):
         raise FormatError("domain object must declare a kind")
     kind = data["kind"]
     base = {"kind", "carrier"}
-    optional = {"carrier_order"}
+    optional = set() if kind == "cco" else {"carrier_order"}
     if kind in ("cgc", "cgp", "pcgc"):
         required = base | {"abstract", "eta", "mu"}
     elif kind == "gc":
@@ -152,8 +189,7 @@ def domain_from_dict(data: dict):
     if kind == "gc":
         lat = FinLattice.from_poset(poset)
         gamma = _set_table(_require_object(data["gamma"], "gamma"), "gamma")
-        alpha = {frozenset(_split_set(k)): _name(v, f"alpha[{k!r}]")
-                 for k, v in _require_object(data["alpha"], "alpha").items()}
+        alpha = {frozenset(X): d for X, d in _unkeyed(data["alpha"], "alpha", _split_set)}
         G = GaloisConn(carrier, lat, gamma, carrier_order=order)
         # keys and entries in their domains first; then gamma alone fixes
         # each entry (a key over a value without an atom raises alpha's error)
@@ -199,18 +235,19 @@ def _order_pairs(poset: FinPoset):
 
 
 def _alpha_entries(conn: GaloisConn) -> dict:
-    """Tabulated abstraction.  Exhaustive for small carriers; for large ones
-    the table covers the empty set and the principal downsets, which the
-    loader checks against gamma as it checks every entry."""
+    """Tabulated abstraction, X -> alpha(X).  Exhaustive for small carriers;
+    for large ones the table covers the empty set and the principal
+    downsets, which the loader checks against gamma as it checks every
+    entry."""
     if conn.carrier_order is not None or 2 ** len(conn.carrier) <= 4096:
         try:
-            return {set_name(X): conn.alpha(X) for X in conn.iter_concrete()}
+            return {X: conn.alpha(X) for X in conn.iter_concrete()}
         except (TooLarge, ShapeMismatch):
             pass
     down = conn.carrier_poset().down
-    table = {set_name(()): conn.alpha(())}
+    table = {frozenset(): conn.alpha(())}
     for a in conn.carrier.values:
-        table[set_name(down(a))] = conn.alpha(down(a))
+        table[down(a)] = conn.alpha(down(a))
     return table
 
 
@@ -229,7 +266,8 @@ def domain_to_dict(conn) -> dict:
                 "elements": list(conn.abstract_poset.elements),
                 "leq": _order_pairs(conn.abstract_poset),
             },
-            "alpha": _alpha_entries(conn),
+            "alpha": _keyed(((sorted_elems(X), d) for X, d in _alpha_entries(conn).items()),
+                            conn.carrier.values, set_name),
             "gamma": {d: sorted_elems(s) for d, s in sorted(conn.gamma.items())},
         }
         if conn.carrier_order is not None:
@@ -280,25 +318,25 @@ def fn_from_dict(data: dict):
     over = data["over"]
     if over not in ("concrete", "abstract"):
         raise FormatError(f"over must be concrete or abstract, got {over!r}")
-    table = {}
-    for key, result in _require_object(data["table"], "table").items():
-        _name(result, f"table[{key!r}]")
-        if arity == 1:
-            table[key] = result
-        else:
-            parts = key.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"binary key {key!r} must be 'a,b'")
-            table[(parts[0], parts[1])] = result
+    def split(key: str) -> list:
+        parts = key.split(",") if arity == 2 else [key]
+        if len(parts) != arity:
+            raise FormatError(f"binary key {key!r} must be 'a,b'")
+        return parts
+
+    table = {args[0] if arity == 1 else tuple(args): result
+             for args, result in _unkeyed(data["table"], "table", split, arity)}
     cls = ConcreteFn if over == "concrete" else AbstractFn
     return over, cls(arity, table)
 
 
 def fn_to_dict(over: str, fn) -> dict:
-    table = {}
-    for key, result in fn.table.items():
-        name = key if fn.arity == 1 else f"{key[0]},{key[1]}"
-        table[name] = result
+    """A function file; a binary table is keyed as :func:`_keyed` keys it,
+    a unary one by its arguments."""
+    if fn.arity == 1:
+        table = dict(fn.table)
+    else:
+        table = _keyed(fn.table.items(), (x for key in fn.table for x in key), ",".join)
     return {"arity": fn.arity, "over": over, "table": table}
 
 

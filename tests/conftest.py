@@ -8,6 +8,10 @@ import pytest
 from galkit import catalog
 from galkit.order import FinPoset, SetLattice, downset_masks, moore_lattice_of_masks
 
+# asserts in the shared oracles must hold under ``python -O`` too, as in the
+# test modules, which pytest rewrites
+pytest.register_assert_rewrite("oracles")
+
 PROGRAMS_DIR = os.path.join(os.path.dirname(__file__), "programs")
 
 

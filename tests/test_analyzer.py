@@ -6,16 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import program_names, program_text
+from oracles import literal_tokenize
 
 from galkit import catalog
 from galkit.analyzer import (
     AbstractSemantics,
-    Token,
     _tokenize,
     Assign,
     BinOp,
     Cmp,
-    If,
     Lit,
     Program,
     Skip,
@@ -89,53 +88,6 @@ def test_a_digit_that_is_not_decimal_is_a_syntax_error(text, col):
     assert (err.value.line, err.value.col) == (1, col)
     # a name may still hold one, as str.isalnum allows
     assert program_vars(parse_program("x² := 1; y := x²;")) == ["x²", "y"]
-
-
-def literal_tokenize(text: str) -> list[Token]:
-    """The tokenizer as it tried each symbol with ``str.startswith``, the
-    two-character ones first."""
-    tokens, line, col, i, n = [], 1, 1, 0, len(text)
-    symbols = (":=", "<=", ">=", "!=", ";", "{", "}", "(", ")",
-               "+", "-", "*", "<", ">", "=")
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdecimal() or (
-            ch == "-" and i + 1 < n and text[i + 1].isdecimal()
-            and (not tokens or tokens[-1].kind not in ("int", "ident")
-                 and tokens[-1].text != ")")
-        ):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col, i = col + j - i, j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col, i = col + j - i, j
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                tokens.append(Token("op", sym, line, col))
-                col, i = col + len(sym), i + len(sym)
-                break
-        else:
-            raise WhileSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
 
 
 def token_outcome(tokenize, text):

@@ -173,6 +173,27 @@ def test_fuzz_counts_failing_seeds(monkeypatch, capsys):
     assert "0 passed, 3 failed" in out
 
 
+FAILS = {
+    "check_cgc": lambda C: CheckResult(False),
+    "gc_pair_property": lambda *args: CheckResult(False),
+    "nonempty_iso": lambda C1, C2: False,
+    "precision_cmp": lambda X1, X2: "incomparable",
+}
+
+
+# a check of each theorem that a kind ran only in scripts/roundtrip_fuzz.py
+# or only for the other kind of the same theorem
+@pytest.mark.parametrize("kind, check", [
+    ("cgc", "precision_cmp"), ("pgc", "check_cgc"), ("pgc", "nonempty_iso"),
+    ("cgp", "precision_cmp"), ("sound_pair", "gc_pair_property"),
+])
+def test_each_fuzz_kind_runs_every_check_of_its_theorem(monkeypatch, capsys, kind, check):
+    monkeypatch.setattr(cli, check, FAILS[check])
+    code, out, _ = run(capsys, "fuzz", kind, "--cases", "2")
+    assert code == 1
+    assert "0 passed, 2 failed" in out
+
+
 def test_fuzz_failures_are_counted_under_python_O():
     script = (
         "import sys\n"

@@ -5,12 +5,16 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from strategies import ATOMS, gc_conns
 
 from galkit import catalog, fileio
 from galkit.errors import FormatError, ShapeMismatch
 from galkit.functions import AbstractFn, ConcreteFn
-from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc
-from galkit.order import FinLattice, FinPoset, build_poset
+from galkit.galois import CarrierConn, ClosureOp, GaloisConn, check_cgc, check_gc
+from galkit.order import FinLattice, FinPoset, build_poset, powerset_lattice, set_name
 from galkit.setops import FinCarrier
 from galkit.transforms import t_cco, t_pgc
 
@@ -204,16 +208,22 @@ def test_loading_rejects_alpha_entries_outside_the_domains(key, value, order, na
 
 
 def test_loading_rejects_an_alpha_table_over_split_names(tmp_path):
-    # the subset {"a,b"} is saved under the key "{a,b}", which reads back as
-    # {a, b}: atoms the carrier does not have
+    # the subset {"a,b"} keyed by the string "{a,b}" reads back as {a, b}:
+    # atoms the carrier does not have.  So a carrier value that holds a
+    # comma is saved with its alpha table as a list of [members, value]
+    # pairs, which loads back.
     C = CarrierConn(
         "cgc", FinCarrier.atoms(["a,b", "c1", "c2"]), FinPoset.discrete(["x", "y"]),
         {"a,b": "x", "c1": "y", "c2": "y"}, {"x": {"a,b"}, "y": {"c1", "c2"}},
     )
     path = tmp_path / "pgc.json"
     fileio.save_domain(t_pgc(C), str(path))
+    data = fileio.domain_to_dict(fileio.load_domain(str(path)))
+    assert data == fileio.domain_to_dict(t_pgc(C))
+    assert [["a,b"], "{x}"] in data["alpha"]
+    keyed = {**data, "alpha": {set_name(X): d for X, d in data["alpha"]}}
     with pytest.raises(ShapeMismatch, match=re.escape("'{a,b}'")):
-        fileio.load_domain(str(path))
+        fileio.domain_from_dict(keyed)
 
 
 def cgc_file() -> dict:
@@ -295,3 +305,63 @@ def test_json_booleans_and_non_integers_are_no_integers(load, data, field):
     # and save back as another file
     with pytest.raises(FormatError, match=re.escape(f"{field} must be")):
         load(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({**gc_file(), "carrier": {"atoms": [1, 2]}, "alpha": {},
+      "gamma": {"x": [1], "y": [1, 2]}}, "carrier.atoms[0]"),
+    ({**cgc_file(), "abstract": {"elements": ["x", True], "leq": []}}, "abstract.elements[1]"),
+    ({**cgc_file(), "eta": {"a": "x", "b": None}}, "eta['b']"),
+    ({**cgc_file(), "mu": {"x": ["a"], "y": [0]}}, "mu['y'][0]"),
+    ({**gc_file(), "alpha": {"{}": 1}}, "alpha['{}']"),
+    ({**gc_file(), "carrier_order": [["a", None]]}, "carrier_order[0][1]"),
+], ids=["atom", "element", "eta-value", "mu-member", "alpha-value", "order-pair"])
+def test_a_name_must_be_a_json_string(data, field):
+    # an int atom loaded, and domain_to_dict then failed on it with a raw
+    # TypeError
+    with pytest.raises(FormatError, match=f"^{re.escape(field)} must be a name, got "):
+        fileio.domain_from_dict(data)
+
+
+def test_a_function_result_must_be_a_json_string():
+    with pytest.raises(FormatError, match=re.escape("table['a'] must be a name, got int")):
+        fileio.fn_from_dict({"arity": 1, "over": "concrete", "table": {"a": 1}})
+
+
+def test_a_closure_file_has_no_carrier_order():
+    data = {"kind": "cco", "carrier": {"atoms": ["a", "b"]},
+            "phi": {"a": ["a"], "b": ["b"]}}
+    assert isinstance(fileio.domain_from_dict(data), ClosureOp)
+    with pytest.raises(FormatError, match=re.escape("kind 'cco': unknown keys ['carrier_order']")):
+        fileio.domain_from_dict({**data, "carrier_order": [["a", "b"]]})
+
+
+@st.composite
+def renamed_gcs(draw):
+    """A Galois connection of :func:`gc_conns` over a lattice, its carrier
+    values renamed to atoms that may be empty, hold ",{}", be no ASCII or
+    tie as ints."""
+    G = draw(gc_conns().filter(lambda G: isinstance(G.abstract, FinLattice) and check_gc(G)))
+    values = G.carrier.values
+    new = dict(zip(values, draw(st.lists(ATOMS, min_size=len(values), max_size=len(values),
+                                         unique=True))))
+    order = G.carrier_order and build_poset(
+        [new[x] for x in values], [(new[x], new[y]) for x in values for y in G.carrier_order.up(x)])
+    return GaloisConn(FinCarrier.atoms([new[x] for x in values]), G.abstract,
+                      {d: {new[x] for x in s} for d, s in G.gamma.items()}, carrier_order=order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(renamed_gcs(), st.lists(st.tuples(ATOMS, ATOMS, ATOMS), max_size=6))
+@example(GaloisConn(FinCarrier.atoms(["a,b", "c"]), powerset_lattice(["p"]),
+                    {"{}": set(), "{p}": {"a,b", "c"}}), [("a,b", "c", "{}")])
+@example(GaloisConn(FinCarrier.atoms(["", "01", "1"]), powerset_lattice(["p"]),
+                    {"{}": {"01"}, "{p}": {"", "01", "1"}}), [("", "1", "01")])
+def test_names_with_separators_save_and_load_back(G, rows):
+    data = json.loads(json.dumps(fileio.domain_to_dict(G)))
+    back = fileio.domain_from_dict(data)
+    assert fileio.domain_to_dict(back) == data
+    assert (dict(back.gamma), back.carrier_order) == (dict(G.gamma), G.carrier_order)
+    fn = AbstractFn(2, {(a, b): r for a, b, r in rows})
+    over, loaded = fileio.fn_from_dict(json.loads(json.dumps(fileio.fn_to_dict("abstract", fn))))
+    assert (over, loaded.table) == ("abstract", fn.table)

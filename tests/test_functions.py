@@ -34,7 +34,6 @@ from galkit.functions import (
 from galkit.galois import CarrierConn, CheckResult
 from galkit.order import powerset_lattice
 from galkit.setops import FinCarrier
-from galkit.transforms import t_pgc
 
 SOUND_VARIANTS = ("ημ", "μμ", "ηη", "μη")
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import downsets_lattice
+from oracles import literal_precision_cmp, literal_renaming
+from strategies import carrier_conns
 
 from galkit import catalog, fileio
 from galkit.errors import NotInClass, NotIsomorphic, ShapeMismatch, UnknownElement
@@ -37,7 +39,6 @@ from galkit.order import (
     FinPoset,
     build_poset,
     set_name,
-    sorted_elems,
 )
 from galkit.setops import FinCarrier
 from galkit.transforms import least_disjunctive_basis, t_cco, t_cgc_of_pgc, t_cgp, t_pgc
@@ -355,40 +356,11 @@ def test_incomparable_partitions():
     assert precision_cmp(C1, C1) == "isomorphic"
 
 
-def union_closure(family) -> frozenset:
-    """Every union of members of ``family``, the empty one included."""
-    closed = {frozenset()}
-    for block in family:
-        closed |= {c | block for c in closed}
-    return frozenset(closed)
-
-
-def literal_precision_cmp(C1: CarrierConn, C2: CarrierConn) -> str:
-    """The precision order as the comparison of the union closures of the
-    concretization images."""
-    img1, img2 = union_closure(C1.mu_image()), union_closure(C2.mu_image())
-    if img1 == img2:
-        return "isomorphic"
-    if img2 < img1:
-        return "strictly_finer"
-    if img1 < img2:
-        return "strictly_coarser"
-    return "incomparable"
-
-
-@st.composite
-def carrier_conns(draw, values=("a", "b", "c", "d")):
-    """A connection over ``values`` with up to 5 abstract elements and an
-    arbitrary mu, so images may overlap, repeat, be empty or miss values."""
-    names = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
-    subsets = st.frozensets(st.sampled_from(values))
-    mu = {b: draw(subsets) for b in names}
-    eta = {v: draw(st.sampled_from(names)) for v in values}
-    return CarrierConn("pcgc", FinCarrier.atoms(values), FinPoset.discrete(names), eta, mu)
+VALUES = ("a", "b", "c", "d")
 
 
 @settings(max_examples=300, deadline=None)
-@given(carrier_conns(), carrier_conns())
+@given(carrier_conns(VALUES), carrier_conns(VALUES))
 def test_precision_cmp_agrees_with_the_union_closures(C1, C2):
     for X, Y in ((C1, C2), (C2, C1), (C1, C1)):
         assert precision_cmp(X, Y) == literal_precision_cmp(X, Y)
@@ -407,17 +379,6 @@ def test_precision_decides_identity_connections_of_many_blocks(n):
     assert precision_cmp(one_block(values), C) == "strictly_coarser"
 
 
-def per_value_renaming(C1: CarrierConn, C2: CarrierConn) -> dict:
-    """Each eta(a) of C1 -> the first element of C2 with the same block,
-    sorting and scanning C2's elements again for every carrier value."""
-    out = {}
-    for a in sorted_elems(C1.carrier.values):
-        blk = C1.mu[C1.eta[a]]
-        out[C1.eta[a]] = next(b for b in sorted_elems(C2.abstract_poset.elements)
-                              if C2.mu[b] == blk)
-    return out
-
-
 @pytest.mark.parametrize("kind", ["cgc", "cgp"])
 def test_renamings_agree_with_the_per_value_search(kind):
     for seed in range(60):
@@ -425,8 +386,8 @@ def test_renamings_agree_with_the_per_value_search(kind):
         # the same blocks under other names, in another element order
         D = t_cgc_of_pgc(t_pgc(C)) if kind == "cgc" else C
         for X, Y in ((C, D), (D, C)):
-            assert list(_renaming(X, Y).items()) == list(per_value_renaming(X, Y).items())
-        assert renaming_witnesses(C, D) == (per_value_renaming(C, D), per_value_renaming(D, C))
+            assert list(_renaming(X, Y).items()) == list(literal_renaming(X, Y).items())
+        assert renaming_witnesses(C, D) == (literal_renaming(C, D), literal_renaming(D, C))
 
 
 def test_a_renaming_picks_the_first_element_with_the_block():
@@ -436,7 +397,7 @@ def test_a_renaming_picks_the_first_element_with_the_block():
                      {"a": "x", "b": "y"}, {"x": {"a"}, "y": {"b"}})
     C2 = CarrierConn("pcgc", values, FinPoset.discrete(["q", "r", "p"]),
                      {"a": "q", "b": "r"}, {"p": {"a"}, "q": {"a"}, "r": {"b"}})
-    assert _renaming(C1, C2) == per_value_renaming(C1, C2) == {"x": "p", "y": "r"}
+    assert _renaming(C1, C2) == literal_renaming(C1, C2) == {"x": "p", "y": "r"}
 
 
 def test_renaming_refuses_a_block_the_other_side_lacks():

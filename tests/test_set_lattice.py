@@ -8,10 +8,11 @@ it by name, and ``disjunctive_completion`` passes its block unions.  On
 each of those, join must be the least member above the union, meet the
 intersection, ``lub`` and ``glb`` of a pair the same, top and bottom the
 union and the intersection of all members, the join-irreducibles the
-members that are no join of the members below them.  The reference constructions below are the earlier string-named
-ones, built pairwise from ``set_name``; when no two subsets share a name
-the element tuple and the members must agree with them, and when names
-collide the constructor must refuse instead of merging.
+members that are no join of the members below them.  The references are
+the families by definition, each set named by ``set_name``; when no two
+subsets share a name the element tuple and the members must agree with
+them, and when names collide the constructor must refuse instead of
+merging.
 ``least_disjunctive_basis`` reads a Moore lattice that is a whole powerset
 as it reads a powerset.  ``powerset_lattice`` shares one lattice per set of
 values; it must be the same object for every order of the values, agree
@@ -20,13 +21,20 @@ with a fresh build, refuse writes, and raise its errors on every call.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import downsets_lattice, slot_names
+from oracles import (
+    assert_lattice_of_sets,
+    literal_completion,
+    literal_downsets,
+    literal_powerset,
+    literal_set_family,
+)
+from strategies import atom_lists, posets
 
 from galkit import catalog, order
 from galkit.errors import (
@@ -38,18 +46,14 @@ from galkit.galois import (
     CarrierConn,
     GaloisConn,
     classify_partitioning,
-    prt,
 )
 from galkit.order import (
     FinLattice,
     FinPoset,
     SetLattice,
     build_poset,
-    iter_downsets,
     moore_lattice_of_masks,
     powerset_lattice,
-    set_name,
-    sort_key,
     sorted_elems,
 )
 from galkit.setops import FinCarrier
@@ -61,98 +65,6 @@ from galkit.transforms import (
     t_cgc_of_pgc,
     t_pgc,
 )
-
-# -- reference constructions (name-keyed, pairwise) -------------------------
-
-
-def ref_powerset(values):
-    vals = sorted_elems(values)
-    subsets = [frozenset(c) for k in range(len(vals) + 1)
-               for c in combinations(vals, k)]
-    return [(set_name(s), s) for s in subsets]
-
-
-def ref_by_name(family):
-    named = [(set_name(s), s) for s in set(family)]
-    return sorted(named, key=lambda pair: sort_key(pair[0]))
-
-
-def ref_downsets(poset):
-    return ref_by_name(iter_downsets(poset))
-
-
-def ref_completion(G):
-    family = {frozenset()}
-    for b in prt(G):
-        family |= {c | b for c in family}
-    family |= set(G.gamma.values())
-    return ref_by_name(family)
-
-
-def agrees_with(lat, ref):
-    """The literal definitions of a lattice of an intersection-closed
-    family, and the earlier construction when it named every subset apart."""
-    members, elems = lat.members, lat.elements
-    assert set(members) == set(elems)
-    sets = list(members.values())
-    name = {s: x for x, s in members.items()}
-    assert len(name) == len(elems)
-    assert members[lat.top] == frozenset().union(*sets)
-    assert members[lat.bottom] == frozenset.intersection(*sets)
-
-    def least_above(s):
-        """The join of members whose union is s: the intersection of the
-        members above s, or s itself when it is one."""
-        return name.get(s) or name[frozenset.intersection(*(t for t in sets if s <= t))]
-
-    joins = {}
-    for x in elems:
-        for y in elems:
-            joins[x, y] = least_above(members[x] | members[y])
-            assert lat.join(x, y) == lat.lub([x, y]) == joins[x, y]
-            assert lat.meet(x, y) == lat.glb([x, y]) == name[members[x] & members[y]]
-            assert lat.leq(x, y) == (members[x] <= members[y])
-    jirr = {x for x in elems if least_above(frozenset().union(
-        *(s for s in sets if s < members[x]))) != x}
-    assert lat.join_irreducibles() == jirr
-    names = [n for n, _ in ref]
-    if len(set(names)) == len(names):
-        assert elems == tuple(names)
-        assert all(members[n] == s for n, s in ref)
-
-
-# -- strategies -----------------------------------------------------------
-
-ATOMS = st.one_of(
-    st.integers(min_value=-12, max_value=12).map(str),
-    st.sampled_from(["01", "+1", "1_0", " 10", "-01"]),  # tie with ints above
-    st.text(alphabet="abxy", min_size=1, max_size=2),
-    st.text(alphabet="ab{},", min_size=1, max_size=3),
-)
-
-
-@st.composite
-def atom_lists(draw, max_size):
-    atoms = draw(st.lists(ATOMS, max_size=max_size - 1, unique=True))
-    if len(atoms) >= 2 and draw(st.booleans()):
-        # an atom spelled like the set of two others: "{x,y}" is ambiguous
-        x, y = sorted_elems(draw(st.permutations(atoms))[:2])
-        if f"{x},{y}" not in atoms:
-            atoms.append(f"{x},{y}")
-    return atoms
-
-
-@st.composite
-def posets(draw):
-    elems = draw(atom_lists(5).filter(bool))
-    pairs = [
-        (elems[i], elems[j])
-        for i in range(len(elems))
-        for j in range(i + 1, len(elems))
-        if draw(st.booleans())
-    ]
-    return build_poset(elems, pairs)
-
 
 @st.composite
 def partitioned(draw):
@@ -180,9 +92,9 @@ def completed(G):
 # it must agree with
 CATALOG_SET_LATTICES = st.one_of(
     st.integers(0, 499).map(catalog.gen_ppgc).map(
-        lambda G: (lambda: G.abstract, ref_by_name(G.gamma.values()))),
+        lambda G: (lambda: G.abstract, literal_set_family(G.gamma.values()))),
     st.integers(0, 499).map(catalog.gen_downsets_gc).map(
-        lambda G: (lambda: G.abstract, ref_by_name(G.gamma.values()))),
+        lambda G: (lambda: G.abstract, literal_set_family(G.gamma.values()))),
 )
 
 
@@ -194,7 +106,7 @@ def check_build(build, ref):
         return None
     lat = build()
     assert type(lat) is SetLattice
-    agrees_with(lat, ref)
+    assert_lattice_of_sets(lat, ref)
     return lat
 
 
@@ -209,22 +121,23 @@ EIGHT = ["1", "01", "1_0", "+1", "a", "{}", "b,c", "-1"]
 @given(atom_lists(8))
 @example(EIGHT)
 def test_powerset_matches_its_definition(values):
-    check_build(lambda: powerset_lattice(values), ref_powerset(values))
+    check_build(lambda: powerset_lattice(values), literal_powerset(values))
 
 
 @settings(max_examples=100, deadline=None)
-@given(posets())
+@given(posets(names=atom_lists(5).filter(bool), max_size=5))
 def test_downsets_match_their_definition(p):
-    lat = check_build(lambda: downsets_lattice(p), ref_downsets(p))
+    downsets = literal_downsets(p)
+    lat = check_build(lambda: downsets_lattice(p), literal_set_family(downsets))
     if lat is not None:
-        assert {lat.members[n] for n in lat.elements} == set(iter_downsets(p))
+        assert {lat.members[n] for n in lat.elements} == downsets
 
 
 @settings(max_examples=100, deadline=None)
 @given(partitioned())
 def test_disjunctive_completion_matches_its_definition(C):
     G = t_pgc(C)
-    check_build(lambda: completed(G), ref_completion(G))
+    check_build(lambda: completed(G), literal_completion(G))
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +165,7 @@ def test_the_least_disjunctive_basis_of_a_moore_powerset_is_that_of_the_powerset
     lambda values: st.tuples(st.just(values), st.permutations(values))))
 def test_powerset_lattice_is_one_object_per_set_of_values(case):
     values, shuffled = case
-    ref = ref_powerset(values)
+    ref = literal_powerset(values)
     if len({n for n, _ in ref}) < len(ref):
         for vs in (values, shuffled, values):
             with pytest.raises(DuplicateElement):
