@@ -22,20 +22,24 @@ unordered.  All checkers return the first counterexample in a deterministic
 element order; a class is decided by its checker, never by a tag, and
 transforms re-run the target checker on their outputs.
 
-A connection's table, ``mu`` or ``gamma``, is a :class:`Table`: a
-read-only mapping over the abstract poset, validated once, when it is
-built.  Connections and tables are immutable, so what is derived from them
-is computed once and kept by :func:`galkit.order.kept`.  A table keeps
-what depends on it alone, in its own ``_kept`` dict: its holder masks, its
-atoms and its additivity verdict.  A connection keeps each checker's
-report and the analyzer's operator entries in its ``_kept`` dict, which is
-one record per content, held by its table: connections over one table
-with the same class, ``kind``, abstract and carrier order objects and an
-equal eta share it (see :meth:`_Connection._init_table`).  A connection
-handed a table over its own carrier and abstract poset objects keeps that
-table, so the transforms between the ordered classes, which hand their
-input's table on, derive its masks once for a whole round trip, and an
-output that equals an earlier connection reads that connection's reports.
+A connection's table, ``mu`` or ``gamma``, is a :class:`Table`, and a
+:class:`CarrierConn`'s ``eta`` is an :class:`Eta`: each a read-only
+mapping over the carrier and the abstract poset, validated once, when it
+is built.  Connections, tables and etas are immutable, so what is derived
+from them is computed once and kept by :func:`galkit.order.kept`.  A table
+keeps what depends on it alone, in its own ``_kept`` dict: its holder
+masks, its atoms, its atom map as an eta, its image and its additivity
+verdict.  A connection keeps each checker's report and the analyzer's
+operator entries in its ``_kept`` dict, which is one record per content,
+held by its table: connections over one table with the same class,
+``kind``, abstract and carrier order objects and an equal eta share it
+(see :meth:`_Connection._init_table`).  A connection handed a table or an
+eta over its own carrier and abstract poset objects keeps it as it is, so
+the transforms between the ordered classes, which hand their input's
+table on and read eta off its atom map, validate each table and each eta
+once for a whole round trip and derive each table's masks and image once,
+and an output that equals an earlier connection reads that connection's
+reports.
 """
 from __future__ import annotations
 
@@ -105,7 +109,8 @@ class _Connection(Immutable):
         connection's carrier and abstract poset, then check the carrier
         order, and store a discrete one as None.  A table built over those
         same two objects is kept as it is, with what it keeps; any other
-        mapping becomes a new table.
+        mapping becomes a new table.  A carrier order that is no FinPoset
+        raises ShapeMismatch.
 
         Then the connection takes its ``_kept`` dict from the table's
         record of the connections over it with the same class, ``kind``,
@@ -113,23 +118,43 @@ class _Connection(Immutable):
         for a GaloisConn): such a connection has this one's contents, so it
         keeps the same reports.  Without one, this connection's own dict is
         recorded.  Posets and lattices are compared by identity, and the
-        record holds them."""
-        poset = self.abstract_poset
-        if not (type(table) is Table and table.carrier is self.carrier and table.poset is poset):
-            table = Table(name, self.carrier, poset, table)
+        record holds them; an eta by identity first, since connections read
+        off one table's atom map share its eta (see :meth:`Table.atom_eta`),
+        and then by ``==``."""
+        if not _own(Table, table, self):
+            table = Table(name, self.carrier, self.abstract_poset, table)
         object.__setattr__(self, name, table)
         order = self.carrier_order
         if order is not None:
+            if not isinstance(order, FinPoset):
+                raise ShapeMismatch(f"carrier order is a {type(order).__name__}, not a FinPoset")
             if set(order.elements) != set(self.carrier.values):
                 raise ShapeMismatch("carrier order does not match carrier")
             if order.is_discrete():
                 object.__setattr__(self, "carrier_order", None)
         cls, abstract, order = type(self), self.abstract, self.carrier_order
         for r in table._records:
-            if r[0] is cls and r[1] == kind and r[2] is abstract and r[3] is order and r[4] == eta:
+            if (r[0] is cls and r[1] == kind and r[2] is abstract and r[3] is order
+                    and (r[4] is eta or r[4] == eta)):
                 object.__setattr__(self, "_kept", r[5])
                 return
         table._records.append((cls, kind, abstract, order, eta, self._kept))
+
+
+def _own(cls, value, X: _Connection) -> bool:
+    """``value`` is a ``cls`` built over the carrier and abstract poset
+    objects of the connection X, which then keeps it as it is, with what it
+    keeps."""
+    return type(value) is cls and value.carrier is X.carrier and value.poset is X.abstract_poset
+
+
+def _fill(name: str, mapping: dict, given) -> None:
+    """Fill the new read-only ``mapping`` from ``given``, a mapping or its
+    pairs: anything else raises ShapeMismatch naming ``name``."""
+    try:
+        dict.__init__(mapping, given)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"{name} is neither a mapping nor its pairs: {given!r}") from None
 
 
 def _reject_stray_keys(table: str, mapping, domain, what: str) -> None:
@@ -159,7 +184,8 @@ class Table(FrozenDict, Immutable):
 
     It is validated once, when it is built, and keeps in its ``_kept`` dict
     (see :func:`kept`) what depends on the table alone: its holder masks
-    (see :meth:`holder_masks`), its atoms (see :meth:`atoms`) and its
+    (see :meth:`holder_masks`), its atoms (see :meth:`atoms`) and their map
+    as an eta (see :meth:`atom_eta`), its image (see :meth:`image`) and its
     additivity verdict (see :func:`_scan_additive`).  A connection handed a
     table built over its own carrier and abstract poset objects keeps it as
     it is (see :meth:`_Connection._init_table`), so a transform that hands
@@ -174,12 +200,13 @@ class Table(FrozenDict, Immutable):
 
     def __init__(self, name: str, carrier: FinCarrier, poset: FinPoset, mapping):
         """The table of ``mapping`` (a mapping, or its pairs), named
-        ``name`` in its shape errors: in element order, an element with no
-        value, a value that is no set (see :func:`_members`) or one with
-        members outside the carrier; then a key outside the poset.  A
-        value that is a frozenset inside the carrier is kept as it is, and
-        any other set of values is made one."""
-        dict.__init__(self, mapping)
+        ``name`` in its shape errors: anything else; then, in element
+        order, an element with no value, a value that is no set (see
+        :func:`_members`) or one with members outside the carrier; then a
+        key outside the poset.  A value that is a frozenset inside the
+        carrier is kept as it is, and any other set of values is made
+        one."""
+        _fill(name, self, mapping)
         init = object.__setattr__
         init(self, "carrier", carrier)
         init(self, "poset", poset)
@@ -223,14 +250,61 @@ class Table(FrozenDict, Immutable):
         of_upm = self.poset._element_of_upm()
         return {x: of_upm[h] for x, h in self.holder_masks().items() if h in of_upm}
 
+    @kept
+    def atom_eta(self) -> Eta:
+        """The atom map (see :meth:`atoms`) as an :class:`Eta` over the
+        table's carrier and poset, for a table in which every carrier value
+        has an atom (otherwise its validation raises ShapeMismatch): built
+        and validated on first use.  So the connections whose eta is read
+        off the atoms, as :func:`galkit.transforms.t_cgp` and
+        :func:`galkit.transforms.t_pcgc` read it, share one eta, which each
+        keeps as it is."""
+        return Eta(self.carrier, self.poset, self.atoms())
+
+    @kept
+    def image(self) -> frozenset:
+        """The set of the table's values, {table(b) | b}, on first use."""
+        return frozenset(self.values())
+
+
+class Eta(FrozenDict, Immutable):
+    """A connection's representation function: each value of ``carrier``
+    -> its element of the abstract poset ``poset``, as a read-only mapping.
+
+    It is validated once, when it is built, as a :class:`Table` is, and a
+    :class:`CarrierConn` handed an eta built over its own carrier and
+    abstract poset objects keeps it as it is.  Setting an attribute raises
+    AttributeError, and a write to the mapping TypeError.
+    """
+
+    __slots__ = ("carrier", "poset")
+
+    def __init__(self, carrier: FinCarrier, poset: FinPoset, mapping):
+        """The eta of ``mapping`` (a mapping, or its pairs): anything else
+        raises ShapeMismatch; then, in carrier order, a value with no
+        element or one outside the poset; then a key outside the
+        carrier."""
+        _fill("eta", self, mapping)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "poset", poset)
+        for v in carrier.values:
+            if v not in self:
+                raise ShapeMismatch(f"eta not total: missing {v!r}")
+            if self[v] not in poset:
+                raise ShapeMismatch(f"eta({v!r}) = {self[v]!r} not abstract")
+        _reject_stray_keys("eta", self, carrier, "carrier")
+
 
 class CarrierConn(_Connection):
     """A connection given by eta/mu tables over a finite carrier.
 
     A connection is immutable: setting an attribute raises AttributeError,
     and ``eta`` and ``mu`` are read-only mappings whose writes raise
-    TypeError; ``mu`` is a :class:`Table`, whose holder masks every carrier
-    checker reads.  :func:`check_cgc`, :func:`check_cgp` and
+    TypeError; ``eta`` is an :class:`Eta` and ``mu`` a :class:`Table`,
+    whose holder masks every carrier checker reads.  Each is kept as it is
+    when it was built over the connection's own carrier and abstract poset
+    objects, and is otherwise built anew, checked as any mapping is: eta's
+    faults come before mu's.  :func:`check_cgc`, :func:`check_cgp` and
     :func:`check_pcgc` run once per content, a repeat call returning the
     report kept in the connection's record; the analyzer keeps its
     operator entries there too (see
@@ -242,19 +316,10 @@ class CarrierConn(_Connection):
     def __init__(self, kind, carrier, abstract, eta, mu, carrier_order=None):
         super().__init__(carrier, abstract, carrier_order)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "eta", FrozenDict(eta))
-        self._validate()
-        self._init_table("mu", mu, kind, self.eta)
-
-    def _validate(self):
-        """eta's shape checks, which come before mu's."""
-        poset = self.abstract_poset
-        for v in self.carrier.values:
-            if v not in self.eta:
-                raise ShapeMismatch(f"eta not total: missing {v!r}")
-            if self.eta[v] not in poset:
-                raise ShapeMismatch(f"eta({v!r}) = {self.eta[v]!r} not abstract")
-        _reject_stray_keys("eta", self.eta, self.carrier, "carrier")
+        if not _own(Eta, eta, self):
+            eta = Eta(carrier, self.abstract_poset, eta)
+        object.__setattr__(self, "eta", eta)
+        self._init_table("mu", mu, kind, eta)
 
     def eta_image(self) -> frozenset:
         return frozenset(self.eta.values())
@@ -265,7 +330,8 @@ class CarrierConn(_Connection):
             self.mu[self.eta[a]] for a in sorted_elems(self.carrier.values)))
 
     def mu_image(self) -> frozenset:
-        return frozenset(self.mu.values())
+        """The set of the mu values, kept on mu (see :meth:`Table.image`)."""
+        return self.mu.image()
 
     def __repr__(self):
         return f"CarrierConn({self.kind}, |A|={len(self.carrier)}, |B|={len(self.abstract_poset)})"
@@ -338,8 +404,9 @@ class GaloisConn(_Connection):
         return atoms[next(iter(X))] if len(X) == 1 else lub(atoms[x] for x in X)
 
     def gamma_image(self) -> frozenset:
-        """The extensional image of the induced closure, {gamma(d) | d}."""
-        return frozenset(self.gamma.values())
+        """The extensional image of the induced closure, {gamma(d) | d},
+        kept on gamma (see :meth:`Table.image`)."""
+        return self.gamma.image()
 
     def iter_concrete(self):
         """All concrete elements (downsets of the carrier order) in a
@@ -858,8 +925,10 @@ def precision_cmp(X1, X2) -> str:
     if X1.carrier.value_set() != X2.carrier.value_set():
         raise ShapeMismatch("connections have different carriers")
     if isinstance(X1, GaloisConn):
-        img1, img2 = (X.gamma_image() | {frozenset()} for X in (X1, X2))
-        finer, coarser = img2 <= img1, img1 <= img2
+        # every concrete domain holds the empty set, which a gamma image may
+        # lack: img2 lies in img1 | {{}} exactly when img2 - img1 lies in {{}}
+        img1, img2 = X1.gamma_image(), X2.gamma_image()
+        finer, coarser = img2 - img1 <= {frozenset()}, img1 - img2 <= {frozenset()}
     elif isinstance(X1, CarrierConn):
         # a carrier-level connection implicitly represents every union of its
         # concretization images; compare those extensional families

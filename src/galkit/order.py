@@ -202,8 +202,13 @@ class FinPoset:
         return reduce(int.__or__, map(dnm.__getitem__, bits), 0) == sum(1 << i for i in bits)
 
     def __eq__(self, other) -> bool:
+        """The same names under the same order.  Over one element tuple
+        that is one up-mask per position, compared as they are; other
+        element orders compare the decoded up-sets of names."""
         if not isinstance(other, FinPoset):
             return NotImplemented
+        if self.elements == other.elements:
+            return self._upm == other._upm
         return self._name_sets()[0] == other._name_sets()[0]
 
     def __repr__(self) -> str:

@@ -121,15 +121,18 @@ def t_cgp(G: GaloisConn) -> CarrierConn:
     principal downsets: eta(a) = alpha(down(a)).
 
     The input must pass :func:`check_gc`.  Then alpha(down(a)) is the atom
-    a_a, read off :meth:`GaloisConn.atoms`: if x <= a, then a lies in
-    gamma(a_a), which is down-closed, so x does too and a_x <= a_a.
+    a_a: if x <= a, then a lies in gamma(a_a), which is down-closed, so x
+    does too and a_x <= a_a.  So eta is the atom map that gamma keeps as an
+    eta (see :meth:`galkit.galois.Table.atom_eta`), which every restriction
+    over that table shares.
     """
     _require(GaloisConn, "t_cgp", G)
     report = check_gc(G)
     if not report.is_gc:
         raise NotInClass(f"input fails the adjunction at {report.witness}")
     out = CarrierConn(
-        "cgp", G.carrier, G.abstract, G.atoms(), G.gamma, carrier_order=G.carrier_order,
+        "cgp", G.carrier, G.abstract, G.gamma.atom_eta(), G.gamma,
+        carrier_order=G.carrier_order,
     )
     rep = check_cgp(out)
     if not rep:
@@ -150,11 +153,18 @@ def t_ppgc(C: CarrierConn) -> GaloisConn:
 
 def t_pcgc(G: GaloisConn) -> CarrierConn:
     """Restrict a pre-partitioning adjunction to carrier level via
-    singleton abstraction."""
+    singleton abstraction: eta(a) = alpha({a}).
+
+    The classification reads alpha({a}) for every carrier value a (see
+    :func:`galkit.galois.prt`), which raises unless the abstract side is a
+    lattice in which every value has an atom, and alpha({a}) is then the
+    atom a_a.  So eta is the atom map that gamma keeps as an eta (see
+    :meth:`galkit.galois.Table.atom_eta`), which every restriction over
+    that table shares.
+    """
     if classify_partitioning(G).category not in ("PGC", "PPGC"):
         raise NotInClass("input is not pre-partitioning")
-    eta = _singleton_alpha(G, G.carrier.values)
-    out = CarrierConn("pcgc", G.carrier, G.abstract, eta, G.gamma)
+    out = CarrierConn("pcgc", G.carrier, G.abstract, G.gamma.atom_eta(), G.gamma)
     rep = check_pcgc(out)
     if not rep.ok:
         raise NotInClass(f"restriction fails at {rep.witness}")

@@ -90,6 +90,7 @@ from strategies import (
     gc_conns,
     lattice_of,
     m3,
+    named_poset,
     n5,
     posets,
     relations,
@@ -138,6 +139,7 @@ from galkit.functions import (
 from galkit.galois import (
     CarrierConn,
     CheckResult,
+    Eta,
     GaloisConn,
     GCReport,
     PCGCReport,
@@ -935,13 +937,13 @@ def test_a_warm_powerset_round_trip_reads_each_atom_off_eta(monkeypatch):
     monkeypatch.setattr(Table, "holder_masks", recording)
     calls = count_calls(monkeypatch, {
         "alpha": (GaloisConn, "alpha"), "table builds": (Table, "__init__"),
-        "carrier validations": (CarrierConn, "_validate"),
+        "eta validations": (Eta, "__init__"),
         "additivity scan": (galois, "_scan_additive")})
     G, back = round_trip()
     # the lift builds gamma and keeps its atoms and its additivity verdict,
     # so only the collapsed connection's mu has its holder masks built, for
-    # check_cgc
-    assert calls == {"alpha": 0, "table builds": 2, "carrier validations": 1,
+    # check_cgc; its eta, over a new abstract poset, is validated
+    assert calls == {"alpha": 0, "table builds": 2, "eta validations": 1,
                      "additivity scan": 0}
     assert built == [back.mu] and back.mu is not G.gamma
 
@@ -970,27 +972,37 @@ def count_round_trip(monkeypatch, make) -> dict:
         "holder masks": (Table, "holder_masks"),
         "atoms": (Table, "atoms"),
         "additivity scans": (galois, "_scan_additive"),
-        "carrier validations": (CarrierConn, "_validate"),
+        "eta validations": (Eta, "__init__"),
+        "images": (Table, "image"),
         "down-closed tests": (FinPoset, "is_down_closed"),
         "alpha": (GaloisConn, "alpha")})
     G, P = make()
     outputs = ordered_round_trip(G, P)
+    counted = dict(calls)
     # every new connection keeps its input's table: gamma and mu are one
-    # table, validated when G or P was built
-    assert [X.gamma if isinstance(X, GaloisConn) else X.mu for X in outputs] == [
-        G.gamma] * 3 + [P.gamma] * 3
-    return calls
+    # table, validated when G or P was built; each carrier connection keeps
+    # the eta that its table keeps as its atom map, and each connection
+    # reads the image its table keeps
+    conns = [G, P, *outputs]
+    tables = [X.gamma if isinstance(X, GaloisConn) else X.mu for X in conns]
+    expected = [G.gamma, P.gamma] + [G.gamma] * 3 + [P.gamma] * 3
+    assert list(map(id, tables)) == list(map(id, expected))
+    for X, table in zip(conns, tables):
+        if isinstance(X, GaloisConn):
+            assert X.gamma_image() is table.image()
+        else:
+            assert X.mu_image() is table.image() and X.eta is table.atom_eta()
+    return counted
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_a_warm_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
     G, P = catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed)
     ordered_round_trip(G, P)  # keeps the reports of G and P, and what their tables keep
-    # no table is validated or scanned again; each carrier connection
-    # still checks its eta
+    # no table or eta is validated or scanned again, and no image built
     assert count_round_trip(monkeypatch, lambda: (G, P)) == {
         "table builds": 0, "holder masks": 0, "atoms": 0, "additivity scans": 0,
-        "carrier validations": 4, "down-closed tests": 0, "alpha": 0}
+        "eta validations": 0, "images": 0, "down-closed tests": 0, "alpha": 0}
 
 
 def test_the_ordered_round_trip_outputs_keep_what_their_tables_give():
@@ -1060,15 +1072,51 @@ def test_a_table_is_kept_only_over_its_own_carrier_and_abstract_poset(monkeypatc
             assert shape_error(lambda: make(T)) == shape_error(lambda: make(dict(T)))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_an_eta_is_kept_only_over_its_own_carrier_and_abstract_poset(monkeypatch, seed):
+    D = t_pcgc(catalog.gen_ppgc(seed))
+    E = D.eta
+    assert type(E) is Eta and E is D.mu.atom_eta()
+    assert CarrierConn("pcgc", D.carrier, D.abstract, E, D.mu).eta is E
+    # the same names in another order, and the same names in the same order
+    # under another order: each connection validates an eta of its own
+    lat = reordered(D.abstract)
+    flat = FinPoset.discrete(D.abstract_poset.elements)
+    calls = count_calls(monkeypatch, {"eta validations": (Eta, "__init__")})
+    moved = [CarrierConn("pcgc", D.carrier, lat, E, D.mu),
+             CarrierConn("cgc", D.carrier, flat, E, D.mu)]
+    assert calls == {"eta validations": 2}
+    for X in moved:
+        assert X.eta is not E and X.eta == E and list(X.eta) == list(E)
+        assert X.eta.carrier is X.carrier and X.eta.poset is X.abstract_poset
+        assert_kept_values_are_recomputed(X)
+    # the reordered connection is the same connection; every report is
+    # that of a fresh copy
+    assert check_pcgc(moved[0]).ok and not check_cgc(moved[1]).ok
+    # an eta over another carrier or abstract poset is checked as any
+    # mapping is: the same message, naming the same fault first
+    values, top = D.carrier.values, D.abstract.top
+    wider = FinCarrier.atoms([*values, "extra"])
+    ghost = FinPoset.discrete(["ghost"])
+    for carrier, eta in [
+            (wider, E),  # eta not total
+            (D.carrier, Eta(D.carrier, ghost, dict.fromkeys(values, "ghost"))),  # not abstract
+            (D.carrier, Eta(wider, D.abstract_poset, {**E, "extra": top}))]:  # a stray key
+        def make(e, carrier=carrier):
+            return CarrierConn("pcgc", carrier, D.abstract, e, {})
+        assert shape_error(lambda: make(eta)) == shape_error(lambda: make(dict(eta)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_a_cold_ordered_round_trip_reads_each_table_once(monkeypatch, seed):
     # G's and P's tables are validated once, when built, and each derived
-    # value is built once per table, whether gen_ppgc's own classification
-    # or the round trip asks for it first
+    # value, the eta read off its atoms and its image included, is built
+    # once per table, whether gen_ppgc's own classification or the round
+    # trip asks for it first
     assert count_round_trip(monkeypatch, lambda: (
             catalog.gen_downsets_gc(seed, amax=6), catalog.gen_ppgc(seed))) == {
         "table builds": 2, "holder masks": 2, "atoms": 2, "additivity scans": 2,
-        "carrier validations": 4, "down-closed tests": 0, "alpha": 0}
+        "eta validations": 2, "images": 2, "down-closed tests": 0, "alpha": 0}
 
 
 REPORTS = ("check_gc", "check_cgp", "check_pcgc", "classify_partitioning")
@@ -1214,11 +1262,14 @@ def assert_kept_values_are_recomputed(X):
     copy of X, and so does every value its posets, lattices and table
     keep, and every value kept by each connection recorded on a table;
     the analyzer's entries, kept under :class:`AbstractSemantics`, equal
-    ``bca_pcgc_entry`` on the fresh copy.  A connection's table is one over
-    its own carrier and abstract poset, and holds its record."""
+    ``bca_pcgc_entry`` on the fresh copy.  A connection's table, and a
+    carrier connection's eta, is one over its own carrier and abstract
+    poset, and the table holds its record."""
     if isinstance(X, (CarrierConn, GaloisConn)):
         table = X.mu if isinstance(X, CarrierConn) else X.gamma
         assert table.carrier is X.carrier and table.poset is X.abstract_poset
+        if isinstance(X, CarrierConn):
+            assert X.eta.carrier is X.carrier and X.eta.poset is X.abstract_poset
         assert any(r[-1] is X._kept for r in table._records)
     if isinstance(X, Table):
         for record in X._records:
@@ -2202,13 +2253,15 @@ def test_build_poset_agrees_with_the_name_set_closure(case):
     built = build_poset(names, pairs)
     assert built.elements == tuple(names)
     assert built == FinPoset(names, built._upm)
-    # leq, is_discrete, is_down_closed and == answer on the masks of a fresh
-    # copy, decoding no name set; up and down decode them
+    # leq, is_discrete, is_down_closed and == over the same element tuple
+    # answer on the masks of a fresh copy, decoding no name set; up, down
+    # and == over another element order decode them
     poset = FinPoset(names, built._upm)
     assert {(x, y): poset.leq(x, y) for x in names for y in names} == leq
     assert poset.is_discrete() == (leq == literal_leq(names, []))
     for S in subsets:
         assert poset.is_down_closed(S) == all(y in S for x in S for y in names if leq[y, x])
+    assert (poset == build_poset(names, some)) == (leq == literal_leq(names, some))
     assert poset._kept.keys() <= {FinPoset._down_masks.__wrapped__}
     assert (poset == build_poset(relisted, some)) == (leq == literal_leq(names, some))
     assert {x: poset.up(x) for x in names} == {
@@ -2216,6 +2269,35 @@ def test_build_poset_agrees_with_the_name_set_closure(case):
     assert {x: poset.down(x) for x in names} == {
         x: frozenset(y for y in names if leq[y, x]) for x in names}
     assert_kept_values_are_recomputed(poset)
+
+
+@st.composite
+def poset_pairs(draw):
+    """A poset of :func:`posets` and another on the same names, in the same
+    order or another: its own order relisted, with a pair taken out or
+    not, or a random order."""
+    P = draw(posets())
+    names = list(P.elements)
+    relisted = draw(st.one_of(st.just(names), st.permutations(names)))
+    pairs = [(x, y) for x in names for y in names if x != y and P.leq(x, y)]
+    if pairs and draw(st.booleans()):
+        pairs.remove(draw(st.sampled_from(pairs)))
+    Q = draw(st.one_of(st.just(build_poset(relisted, pairs)), named_poset(relisted)))
+    return FinPoset(P.elements, P._upm), Q
+
+
+@settings(max_examples=500, deadline=None)
+@given(poset_pairs())
+def test_poset_equality_agrees_with_the_name_set_comparison(pair):
+    P, Q = pair
+    # the same names under the same order: the same up-set of each name
+    up = [{x: frozenset(y for y in R.elements if R.leq(x, y)) for x in R.elements}
+          for R in (P, Q)]
+    assert (P == Q) == (Q == P) == (up[0] == up[1])
+    if P.elements == Q.elements:
+        # over one element tuple neither side decodes a name set
+        assert P._kept.keys() <= {FinPoset._down_masks.__wrapped__}
+        assert FinPoset._name_sets.__wrapped__ not in Q._kept
 
 
 def by_maximal_elements(poset, family) -> list:

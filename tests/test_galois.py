@@ -136,6 +136,38 @@ def test_a_table_value_may_be_any_iterable_of_values():
     assert C.mu == {"x": frozenset("ab")} and check_cgc(C).ok
 
 
+# an eta, mu or gamma is a mapping or its pairs, and a carrier order a
+# FinPoset: anything else is a shape error, never a raw TypeError,
+# ValueError or AttributeError
+
+
+@pytest.mark.parametrize("eta", [None, ["a", "b"]], ids=["None", "names"])
+def test_an_eta_that_is_no_mapping_is_refused(eta):
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"eta is neither a mapping nor its pairs: {eta!r}")):
+        CarrierConn("cgc", AB, X_ONLY, eta, None)
+
+
+def test_a_mu_that_is_no_mapping_is_refused():
+    with pytest.raises(ShapeMismatch, match="^mu is neither a mapping nor its pairs: None$"):
+        CarrierConn("cgc", AB, X_ONLY, {"a": "x", "b": "x"}, None)
+
+
+def test_a_gamma_that_is_no_mapping_is_refused():
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "gamma is neither a mapping nor its pairs: [1, 2]")):
+        GaloisConn(AB, FinLattice.from_poset(X_ONLY), [1, 2])
+
+
+def test_a_carrier_order_that_is_no_poset_is_refused():
+    C, order = tiny_cgc(), {"a": ["b"]}
+    match = "^carrier order is a dict, not a FinPoset$"
+    with pytest.raises(ShapeMismatch, match=match):
+        CarrierConn("cgp", C.carrier, C.abstract, C.eta, C.mu, carrier_order=order)
+    with pytest.raises(ShapeMismatch, match=match):
+        GaloisConn(AB, FinLattice.from_poset(X_ONLY), {"x": ["a", "b"]}, carrier_order=order)
+
+
 # ---------------------------------------------------------------------------
 # class checkers
 

@@ -194,7 +194,8 @@ def test_size_ladder_times_each_layer_at_its_two_smallest_sizes(tmp_path):
                                       "classify_partitioning", "check_gc", "t_pcgc",
                                       "analyze", "precision_cmp", "renaming_witnesses",
                                       "nonempty_iso", "check_gc_sign_mutant",
-                                      "ordered_round_trip", "moore_chain", "moore_antichain"]
+                                      "ordered_round_trip", "ordered_round_trip_warm",
+                                      "moore_chain", "moore_antichain"]
     for layer in ladder["layers"].values():
         assert len(layer["ms"]) == 2 and all(t > 0 for t in layer["ms"])
         assert isinstance(layer["slope"], float)
